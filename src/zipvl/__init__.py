@@ -10,14 +10,12 @@ whole pipeline checkable against its dense counterpart.
 from .attention import (
     AttentionScores,
     ProbeSet,
-    ScoreStats,
     accumulated_scores,
     causal_scores,
     dense_attention,
     normalized_scores,
     probe_attention,
     restricted_attention,
-    score_stats,
     select_probe_set,
     structural_nnz,
 )
@@ -28,6 +26,7 @@ from .budget import (
     adaptive_budget,
     fixed_budget,
     partition_tokens,
+    plan_layer,
     top_mass_fraction,
 )
 from .engine import (

@@ -50,22 +50,6 @@ class ProbeSet:
     seed: int
 
 
-@dataclass(frozen=True)
-class ScoreStats:
-    """Per-token importance statistics derived from an AttentionScores."""
-
-    accumulated: np.ndarray
-    normalized: np.ndarray
-    mass_total: float
-
-
-def compute_qkv(
-    x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project the input into query, key and value states."""
-    return numkit.matmul(x, wq), numkit.matmul(x, wk), numkit.matmul(x, wv)
-
-
 def causal_scores(
     q: np.ndarray, k: np.ndarray, scale: float, row_positions: np.ndarray | None = None
 ) -> AttentionScores:
@@ -145,16 +129,6 @@ def normalized_scores(scores: AttentionScores) -> np.ndarray:
     seen = nnz > 0
     out[seen] = acc[seen] / nnz[seen]
     return out
-
-
-def score_stats(scores: AttentionScores) -> ScoreStats:
-    """Bundle accumulated and normalized statistics for one score matrix."""
-    acc = accumulated_scores(scores)
-    return ScoreStats(
-        accumulated=acc,
-        normalized=normalized_scores(scores),
-        mass_total=float(acc.sum(dtype=np.float64)),
-    )
 
 
 def select_probe_set(n: int, recent: int, random: int, seed: int) -> ProbeSet:

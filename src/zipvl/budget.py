@@ -3,12 +3,14 @@
 The adaptive budget keeps the smallest number of tokens p whose top
 accumulated scores reach a fraction tau of the total attention mass. The
 fixed budget keeps a constant fraction regardless of the score shape.
+plan_layer is the one place a layer's mode turns scores into a budget and
+a partition; model prefill and score workloads both go through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,14 +37,14 @@ class LayerBudget:
 
 @dataclass(frozen=True)
 class TokenPartition:
-    """Disjoint index sets covering [0, n): important and the rest."""
+    """The important tokens of [0, n), sorted ascending; the rest are unimportant."""
 
     important: np.ndarray
-    unimportant: np.ndarray
+    n: int
 
     @property
-    def n(self) -> int:
-        return self.important.size + self.unimportant.size
+    def unimportant(self) -> np.ndarray:
+        return np.setdiff1d(np.arange(self.n, dtype=np.int64), self.important)
 
 
 def adaptive_budget(accumulated: np.ndarray, tau: float, mass_total: float) -> LayerBudget:
@@ -99,5 +101,36 @@ def partition_tokens(normalized: np.ndarray, p: int) -> TokenPartition:
     """
     v = np.asarray(normalized)
     important = numkit.topk_indices(v, p)
-    unimportant = np.setdiff1d(np.arange(v.size, dtype=np.int64), important)
-    return TokenPartition(important=important.astype(np.int64), unimportant=unimportant)
+    return TokenPartition(important=important.astype(np.int64), n=v.size)
+
+
+def plan_layer(
+    mode: str,
+    size_by: np.ndarray,
+    rank_by: np.ndarray,
+    tau: float,
+    fixed_ratio: float,
+    keep_last: int,
+) -> tuple[LayerBudget, TokenPartition]:
+    """Size one layer's budget from size_by, then fill it by rank_by.
+
+    dense keeps every token, fixed keeps round(fixed_ratio * n) and records
+    the share of size_by's mass those top tokens cover, and any other mode
+    takes the adaptive budget for tau. The last keep_last tokens are always
+    kept, raising the kept count above the budget's p when they must.
+    """
+    n = np.size(rank_by)
+    if mode == "dense":
+        lb = LayerBudget(tau=TAU_NOT_ADAPTIVE, n=n, p=n, retained_mass_fraction=1.0)
+    else:
+        mass = float(np.sum(size_by, dtype=np.float64))
+        if mode == "fixed":
+            lb = fixed_budget(n, fixed_ratio)
+            lb = replace(lb, retained_mass_fraction=top_mass_fraction(size_by, lb.p, mass))
+        else:
+            lb = adaptive_budget(size_by, tau, mass)
+    ident = np.array(rank_by, dtype=np.float64)
+    n_prot = min(keep_last, n)
+    if n_prot:
+        ident[n - n_prot :] = np.inf
+    return lb, partition_tokens(ident, max(lb.p, n_prot))

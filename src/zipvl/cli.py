@@ -84,7 +84,6 @@ class ExperimentConfig:
     keep_last: int = 0
     quantize: bool = False
     group_size: int = 64
-    head_agg: str = "mean"
     dense_first_layers: int = 0
     # shared
     seed: int = 1234
@@ -150,21 +149,9 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def _policy(cfg: ExperimentConfig, **changes) -> engine.SparsityPolicy:
-    base = engine.SparsityPolicy(
-        mode=cfg.mode,
-        tau=cfg.tau,
-        fixed_ratio=cfg.fixed_ratio,
-        probe_recent=cfg.probe_recent,
-        probe_random=cfg.probe_random,
-        budget_metric=cfg.budget_metric,
-        identify_metric=cfg.identify_metric,
-        keep_last=cfg.keep_last,
-        quantize=cfg.quantize,
-        group_size=cfg.group_size,
-        head_agg=cfg.head_agg,
-        dense_first_layers=cfg.dense_first_layers,
-    )
-    return dataclasses.replace(base, **changes).validate()
+    """The policy named by cfg's sparsity keys, with `changes` applied on top."""
+    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(engine.SparsityPolicy)}
+    return engine.SparsityPolicy(**{**values, **changes}).validate()
 
 
 def _model_config(cfg: ExperimentConfig) -> engine.ModelConfig:
@@ -358,10 +345,19 @@ def _emit_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _table_rows(obj) -> list[dict]:
+    """The rows of a run, sweep-tau or compare result's CSV table."""
+    if isinstance(obj, list):  # sweep: one row per tau
+        return obj
+    if "repeats" in obj:  # repeated run: per-layer rows with a repeat column
+        return [{"repeat": e["repeat"], **lr} for e in obj["repeats"] for lr in e["layer_reports"]]
+    if "layer_reports" in obj:  # run: one row per layer
+        return obj["layer_reports"]
+    return obj["modes"]  # compare: one row per mode
+
+
 def _emit_csv(obj) -> str:
     """Flatten the command result into deterministic CSV rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
 
     def fmt(v):
         if isinstance(v, float):
@@ -370,40 +366,13 @@ def _emit_csv(obj) -> str:
             return ";".join(repr(x) if isinstance(x, float) else str(x) for x in v)
         return v
 
-    if isinstance(obj, list):  # sweep rows
-        cols = sorted(obj[0].keys())
-        writer.writerow(cols)
-        for row in obj:
-            writer.writerow([fmt(row[c]) for c in cols])
-    elif "repeats" in obj:  # repeated run: per-layer table with a repeat column
-        rows = [
-            {"repeat": entry["repeat"], **lr}
-            for entry in obj["repeats"]
-            for lr in entry["layer_reports"]
-        ]
-        cols = sorted(rows[0].keys())
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([fmt(row[c]) for c in cols])
-    elif "layer_reports" in obj:  # run report: per-layer table
-        cols = sorted(obj["layer_reports"][0].keys())
-        writer.writerow(cols)
-        for row in obj["layer_reports"]:
-            writer.writerow([fmt(row[c]) for c in cols])
-    elif "modes" in obj:  # compare: one row per mode
-        cols = sorted(obj["modes"][0].keys())
-        writer.writerow(cols)
-        for row in obj["modes"]:
-            writer.writerow([fmt(row[c]) for c in cols])
-    else:  # flat key,value rows
-        writer.writerow(["key", "value"])
-        for key in sorted(obj):
-            value = obj[key]
-            if isinstance(value, dict):
-                for sub in sorted(value):
-                    writer.writerow([f"{key}.{sub}", fmt(value[sub])])
-            else:
-                writer.writerow([key, fmt(value)])
+    rows = _table_rows(obj)
+    cols = sorted(rows[0])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cols)
+    for row in rows:
+        writer.writerow([fmt(row[c]) for c in cols])
     return buf.getvalue()
 
 

@@ -36,7 +36,6 @@ from .errors import (
 
 MODES = ("dense", "zipvl-exact", "zipvl-probe", "fixed")
 METRIC_NAMES = ("accumulated", "normalized")
-HEAD_AGGS = ("mean", "sum")
 
 # seed stream tags; layer indices occupy the low range
 _SAMPLE_TAG = 0x5A17_0001
@@ -82,7 +81,6 @@ class SparsityPolicy:
     keep_last: int = 0
     quantize: bool = False
     group_size: int = 64
-    head_agg: str = "mean"
     dense_first_layers: int = 0
 
     def validate(self) -> "SparsityPolicy":
@@ -98,11 +96,13 @@ class SparsityPolicy:
             raise ConfigError("counts must be nonnegative")
         if self.budget_metric not in METRIC_NAMES or self.identify_metric not in METRIC_NAMES:
             raise ConfigError(f"metrics must be one of {METRIC_NAMES}")
-        if self.head_agg not in HEAD_AGGS:
-            raise ConfigError(f"head_agg must be one of {HEAD_AGGS}")
         if self.group_size < 1:
             raise ConfigError("group_size must be >= 1")
         return self
+
+    def layer_mode(self, layer: int) -> str:
+        """The mode a layer runs in: the first dense_first_layers run dense."""
+        return "dense" if layer < self.dense_first_layers else self.mode
 
 
 @dataclass(frozen=True)
@@ -199,39 +199,6 @@ def _check_tokens(tokens: np.ndarray, config: ModelConfig) -> np.ndarray:
     return tokens
 
 
-def _layer_partition(
-    policy: SparsityPolicy,
-    mode: str,
-    stats_acc: np.ndarray,
-    stats_norm: np.ndarray,
-    n: int,
-) -> tuple[budget.LayerBudget, budget.TokenPartition]:
-    """Derive the layer budget and important-token partition from stats."""
-    metric = {"accumulated": stats_acc, "normalized": stats_norm}
-    if mode == "dense":
-        lb = budget.LayerBudget(
-            tau=budget.TAU_NOT_ADAPTIVE, n=n, p=n, retained_mass_fraction=1.0
-        )
-    else:
-        vec = metric[policy.budget_metric]
-        mass = float(np.sum(vec, dtype=np.float64))
-        if mode == "fixed":
-            lb = budget.fixed_budget(n, policy.fixed_ratio)
-            lb = replace(
-                lb, retained_mass_fraction=budget.top_mass_fraction(vec, lb.p, mass)
-            )
-        else:
-            lb = budget.adaptive_budget(vec, policy.tau, mass)
-    ident = metric[policy.identify_metric].astype(np.float64)
-    p_eff = lb.p
-    n_prot = min(policy.keep_last, n)
-    if n_prot:
-        ident = ident.copy()
-        ident[n - n_prot :] = np.inf
-        p_eff = max(p_eff, n_prot)
-    return lb, budget.partition_tokens(ident, p_eff)
-
-
 def prefill(
     model: TinyTransformer,
     tokens: np.ndarray,
@@ -257,7 +224,7 @@ def prefill(
     reports: list[LayerReport] = []
     partitions: list[budget.TokenPartition] = []
     for layer, lw in enumerate(model.layers):
-        mode = "dense" if layer < policy.dense_first_layers else policy.mode
+        mode = policy.layer_mode(layer)
         h_before = h
         x = _rms_norm(h, lw.gain_attn, config.norm_eps)
         q = _split_heads(x @ lw.wq, config.heads, d_head)
@@ -274,13 +241,20 @@ def prefill(
             per_head = [attention.causal_scores(q[i], k[i], scale) for i in range(config.heads)]
             probe_rows = 0
 
-        agg = np.mean if policy.head_agg == "mean" else np.sum
-        acc = agg([attention.accumulated_scores(s) for s in per_head], axis=0, dtype=np.float64)
-        norm = agg([attention.normalized_scores(s) for s in per_head], axis=0, dtype=np.float64)
+        acc = np.mean([attention.accumulated_scores(s) for s in per_head], axis=0, dtype=np.float64)
+        norm = np.mean([attention.normalized_scores(s) for s in per_head], axis=0, dtype=np.float64)
         acc = acc.astype(np.float32)
         norm = norm.astype(np.float32)
 
-        lb, part = _layer_partition(policy, mode, acc, norm, n)
+        metric = {"accumulated": acc, "normalized": norm}
+        lb, part = budget.plan_layer(
+            mode,
+            metric[policy.budget_metric],
+            metric[policy.identify_metric],
+            policy.tau,
+            policy.fixed_ratio,
+            policy.keep_last,
+        )
         partitions.append(part)
         imp = part.important
 

@@ -44,15 +44,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense product a @ b with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def causal_row_mask(row_positions: np.ndarray, n_cols: int) -> np.ndarray:
     """Boolean visibility mask: row r sees columns 0..row_positions[r]."""
     pos = np.asarray(row_positions, dtype=np.int64)

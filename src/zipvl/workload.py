@@ -62,7 +62,8 @@ def write_workload_csv(fh, scores: np.ndarray) -> None:
 def read_workload_csv(fh) -> np.ndarray:
     """Parse a workload CSV back into a (layers, n) array.
 
-    Rows must be layer-major, token-ascending and rectangular.
+    Rows must be layer-major, token-ascending and rectangular, and every
+    score finite and nonnegative.
     """
     reader = csv.reader(fh)
     header = next(reader, None)
@@ -86,7 +87,15 @@ def read_workload_csv(fh) -> np.ndarray:
     n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise FormatError("workload rows are ragged")
-    return np.asarray(rows, dtype=np.float32)
+    with np.errstate(over="ignore"):  # overflow to inf is reported below
+        scores = np.asarray(rows, dtype=np.float32)
+    bad = np.flatnonzero(~(np.isfinite(scores) & (scores >= 0)))
+    if bad.size:
+        layer, token = divmod(int(bad[0]), n)
+        raise FormatError(
+            f"line {2 + bad[0]}: score {rows[layer][token]!r} is negative or not finite"
+        )
+    return scores
 
 
 def workload_to_csv_text(scores: np.ndarray) -> str:
@@ -99,38 +108,26 @@ def evaluate_score_workload(scores: np.ndarray, policy) -> list:
     """Apply a budgeting policy directly to score vectors, one per layer.
 
     The score row stands in for both importance metrics, so this path
-    exercises budgeting and accounting without a model; probe mode needs
-    real attention rows and is rejected.
+    exercises budgeting and accounting without a model. keep_last and
+    dense_first_layers apply as in prefill; probe mode needs real attention
+    rows and quantization needs a KV cache, so both are rejected.
     """
     from .engine import LayerReport  # local import to keep engine -> metrics one-way
 
     policy.validate()
     if policy.mode == "zipvl-probe":
         raise ConfigError("probe mode requires a model workload")
+    if policy.quantize:
+        raise ConfigError("quantize requires a model workload")
     scores = np.asarray(scores, dtype=np.float32)
     if scores.ndim != 2 or scores.size == 0:
         raise DomainError("scores must be a nonempty (layers, n) array")
     reports = []
     n = scores.shape[1]
-    for layer in range(scores.shape[0]):
-        vec = scores[layer]
-        mass = float(np.sum(vec, dtype=np.float64))
-        mode = "dense" if layer < policy.dense_first_layers else policy.mode
-        if mode == "dense":
-            lb = budget.LayerBudget(
-                tau=budget.TAU_NOT_ADAPTIVE, n=n, p=n, retained_mass_fraction=1.0
-            )
-        elif mode == "fixed":
-            lb = budget.fixed_budget(n, policy.fixed_ratio)
-            lb = budget.LayerBudget(
-                tau=lb.tau,
-                n=lb.n,
-                p=lb.p,
-                retained_mass_fraction=budget.top_mass_fraction(vec, lb.p, mass),
-            )
-        else:
-            lb = budget.adaptive_budget(vec, policy.tau, mass)
-        part = budget.partition_tokens(vec, lb.p)
+    for layer, vec in enumerate(scores):
+        lb, part = budget.plan_layer(
+            policy.layer_mode(layer), vec, vec, policy.tau, policy.fixed_ratio, policy.keep_last
+        )
         p = int(part.important.size)
         reports.append(
             LayerReport(

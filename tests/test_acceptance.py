@@ -174,10 +174,7 @@ def test_05_quantization_half_step_bound():
             np.arange(t, dtype=np.int64),
         )
         p = t // 2
-        part = TokenPartition(
-            important=np.arange(p, dtype=np.int64),
-            unimportant=np.arange(p, t, dtype=np.int64),
-        )
+        part = TokenPartition(important=np.arange(p, dtype=np.int64), n=t)
         restored = kvcache.dequantize(kvcache.quantize_mixed(cache, part, group_size=gs))
         groups_checked = 0
         for name in ("keys", "values"):
@@ -205,18 +202,14 @@ def test_05_quantization_half_step_bound():
             c2 = kvcache.KVCache(1, 1, 8)
             c2.set_layer(0, exact_vals, exact_vals.copy(), np.arange(40, dtype=np.int64))
             part2 = TokenPartition(
-                important=np.arange(40 if bits == 4 else 0, dtype=np.int64),
-                unimportant=np.arange(40 if bits == 4 else 0, 40, dtype=np.int64),
+                important=np.arange(40 if bits == 4 else 0, dtype=np.int64), n=40
             )
             back2 = kvcache.dequantize(kvcache.quantize_mixed(c2, part2, group_size=8))
             assert np.array_equal(back2.keys[0], exact_vals)
         const = np.full((1, 10, 8), -3.75, dtype=np.float32)
         c3 = kvcache.KVCache(1, 1, 8)
         c3.set_layer(0, const, const.copy(), np.arange(10, dtype=np.int64))
-        part3 = TokenPartition(
-            important=np.arange(5, dtype=np.int64),
-            unimportant=np.arange(5, 10, dtype=np.int64),
-        )
+        part3 = TokenPartition(important=np.arange(5, dtype=np.int64), n=10)
         back3 = kvcache.dequantize(kvcache.quantize_mixed(c3, part3, group_size=8))
         assert np.array_equal(back3.values[0], const)
 

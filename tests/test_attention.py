@@ -82,8 +82,8 @@ class TestScoreStats:
 
     def test_total_mass_equals_row_count(self):
         q, k, _ = random_qkv(20, 4, seed=9)
-        stats = attention.score_stats(attention.causal_scores(q, k, 0.5))
-        assert abs(stats.mass_total - 20.0) <= 1e-3 * 20
+        acc = attention.accumulated_scores(attention.causal_scores(q, k, 0.5))
+        assert abs(float(acc.sum(dtype=np.float64)) - 20.0) <= 1e-3 * 20
 
     def test_structural_nnz_full_matrix(self):
         q, k, _ = random_qkv(6, 3, seed=10)
@@ -185,5 +185,6 @@ class TestProbeAttention:
     def test_probe_mass_equals_probe_row_count(self):
         q, k, _ = random_qkv(30, 4, seed=14)
         probe = attention.select_probe_set(30, recent=4, random=8, seed=5)
-        stats = attention.score_stats(attention.probe_attention(q, probe, k, 0.5))
-        assert abs(stats.mass_total - probe.indices.size) <= 1e-3 * probe.indices.size
+        acc = attention.accumulated_scores(attention.probe_attention(q, probe, k, 0.5))
+        mass = float(acc.sum(dtype=np.float64))
+        assert abs(mass - probe.indices.size) <= 1e-3 * probe.indices.size

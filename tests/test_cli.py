@@ -1,7 +1,9 @@
 """CLI tests: config parsing, subcommands, exit codes, golden outputs."""
 
+import dataclasses
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +86,15 @@ class TestExitCodes:
         rc, _, _ = run_cli(capsys, "run", "--workload-file", str(path))
         assert rc == 10
 
+    # 1e50 parses as a finite float but overflows float32 to inf
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1.0", "1e50"])
+    def test_bad_workload_score_is_format_error(self, capsys, tmp_path, bad):
+        path = tmp_path / "w.csv"
+        path.write_text(f"layer,token,score\n0,0,1.0\n0,1,2.0\n1,0,0.5\n1,1,{bad}\n")
+        rc, _, err = run_cli(capsys, "run", "--workload-file", str(path))
+        assert rc == 10
+        assert "line 5" in err
+
     def test_bad_concentration_is_domain_error(self, capsys):
         rc, _, _ = run_cli(capsys, "gen-workload", "--kind", "peaked", "--concentration", "0")
         assert rc == 4
@@ -102,6 +113,13 @@ class TestExitCodes:
         for _, code in cli.EXIT_CODES:
             assert str(code) in text
         assert "FormatError" in text and "ConfigError" in text
+
+
+def test_formats_config_table_lists_every_config_key():
+    doc = (pathlib.Path(__file__).parent.parent / "docs" / "FORMATS.md").read_text()
+    table = doc.split("| key ", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"^\| `(\w+)`", table, flags=re.MULTILINE)
+    assert documented == [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
 
 
 class TestDeterminism:

@@ -26,8 +26,7 @@ def filled_cache(layers=2, heads=2, t=10, d=4, seed=0):
 
 def make_partition(t, important):
     imp = np.asarray(sorted(important), dtype=np.int64)
-    unimp = np.setdiff1d(np.arange(t, dtype=np.int64), imp)
-    return TokenPartition(important=imp, unimportant=unimp)
+    return TokenPartition(important=imp, n=t)
 
 
 class TestRetention:

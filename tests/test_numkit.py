@@ -36,14 +36,6 @@ def test_as_matrix_rejects_wrong_ndim():
     assert numkit.as_matrix([[1, 2]]).dtype == np.float32
 
 
-def test_matmul_shape_check():
-    with pytest.raises(ShapeError):
-        numkit.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-    out = numkit.matmul(np.ones((2, 3)), np.ones((3, 4)))
-    assert out.shape == (2, 4)
-    assert np.allclose(out, 3.0)
-
-
 def test_causal_row_mask_contents():
     mask = numkit.causal_row_mask(np.array([0, 2]), 4)
     expected = np.array([[True, False, False, False], [True, True, True, False]])

@@ -119,6 +119,30 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             workload.evaluate_score_workload(np.ones(5), SparsityPolicy())
 
+    def test_keep_last_raises_every_budget_to_the_window(self):
+        scores = workload.generate_workload("peaked", 256, 2, 8.0, seed=11)
+        plain = SparsityPolicy(mode="zipvl-exact", tau=0.5)
+        kept = workload.evaluate_score_workload(scores, plain)
+        assert all(r.p < 64 for r in kept)  # the window must matter here
+        pol = SparsityPolicy(mode="zipvl-exact", tau=0.5, keep_last=64)
+        for layer, r in enumerate(workload.evaluate_score_workload(scores, pol)):
+            assert r.p == r.kv_rows == 64
+            assert r.kv_bytes == 2 * 64 * 4
+            _, part = budget.plan_layer(pol.mode, scores[layer], scores[layer], 0.5, 0.5, 64)
+            assert part.important.tolist() == list(range(192, 256))
+
+    def test_quantize_rejected(self):
+        scores = workload.generate_workload("peaked", 16, 1, 4.0, seed=8)
+        with pytest.raises(ConfigError):
+            workload.evaluate_score_workload(scores, SparsityPolicy(quantize=True))
+
+    def test_dense_first_layers_apply(self):
+        scores = workload.generate_workload("peaked", 64, 3, 8.0, seed=12)
+        pol = SparsityPolicy(mode="zipvl-exact", tau=0.5, dense_first_layers=2)
+        reports = workload.evaluate_score_workload(scores, pol)
+        assert [r.p for r in reports[:2]] == [64, 64]
+        assert reports[2].p < 64
+
     @given(st.integers(2, 60), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_property_tau_monotone_mean_ratio(self, n, layers, seed):
