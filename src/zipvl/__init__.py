@@ -33,6 +33,7 @@ from .engine import (
     ModelConfig,
     SparsityPolicy,
     TinyTransformer,
+    decode,
     decode_step,
     generate,
     init_model,
@@ -67,7 +68,6 @@ from .metrics import (
     attn_flops_dense,
     attn_flops_sparse,
     build_run_report,
-    kv_reduction,
     report_to_dict,
 )
 from .workload import evaluate_score_workload, generate_workload

@@ -32,9 +32,6 @@ class AttentionScores:
     def n_rows(self) -> int:
         return self.scores.shape[0]
 
-    def is_full(self) -> bool:
-        return self.n_rows == self.n_total
-
 
 @dataclass(frozen=True)
 class ProbeSet:

@@ -183,20 +183,18 @@ def _load_scores(cfg: ExperimentConfig, repeat: int = 0) -> np.ndarray:
     )
 
 
-def run_experiment(
-    cfg: ExperimentConfig, policy: engine.SparsityPolicy, want_logits=False, repeat=0
-):
+def run_experiment(cfg: ExperimentConfig, policy: engine.SparsityPolicy, repeat=0):
     """Run one experiment; returns (report, prefill_logits_or_None, prompt).
 
     The model is fixed by the global seed; the prompt or generated workload
-    varies with the repeat index.
+    varies with the repeat index. A model workload prefills once, then decodes.
     """
     if cfg.workload == "model":
         model = engine.init_model(_model_config(cfg))
         prompt = _prompt_tokens(cfg, repeat)
-        logits = engine.prefill(model, prompt, policy)[0] if want_logits else None
-        tokens, report = engine.generate(model, prompt, cfg.steps, policy)
-        return report, logits, [int(t) for t in prompt]
+        prefilled = engine.prefill(model, prompt, policy)
+        _, report = engine.decode(model, prompt, prefilled, cfg.steps, policy)
+        return report, prefilled[0], [int(t) for t in prompt]
     reports = workload.evaluate_score_workload(_load_scores(cfg, repeat), policy)
     report = metrics.build_run_report(
         policy=policy, layer_reports=reports, d_head=1, heads=1, generated=[]
@@ -288,21 +286,17 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
         if name not in engine.MODES:
             raise ConfigError(f"unknown mode {name!r} in modes; expected one of {engine.MODES}")
 
-    dense_report, logits_dense, _ = run_experiment(
-        cfg, _policy(cfg, mode="dense"), want_logits=True
-    )
+    dense_report, logits_dense, _ = run_experiment(cfg, _policy(cfg, mode="dense"))
     runs: dict = {"dense": (dense_report, logits_dense)}
     for name in names:
         if name not in runs and name != "fixed":
-            runs[name] = run_experiment(cfg, _policy(cfg, mode=name), want_logits=True)[:2]
+            runs[name] = run_experiment(cfg, _policy(cfg, mode=name))[:2]
     matched_ratio = next(
         (runs[m][0].mean_ratio for m in names if m.startswith("zipvl")), None
     )
     if "fixed" in names:
         ratio = matched_ratio if matched_ratio is not None else cfg.fixed_ratio
-        runs["fixed"] = run_experiment(
-            cfg, _policy(cfg, mode="fixed", fixed_ratio=ratio), want_logits=True
-        )[:2]
+        runs["fixed"] = run_experiment(cfg, _policy(cfg, mode="fixed", fixed_ratio=ratio))[:2]
 
     def delta(logits):
         if logits is None or logits_dense is None:

@@ -107,7 +107,11 @@ class SparsityPolicy:
 
 @dataclass(frozen=True)
 class LayerReport:
-    """Per-layer outcome of one prefill pass."""
+    """Per-layer outcome of one prefill pass.
+
+    retained_mass is the budget_metric mass share of the budget's top tokens,
+    taken before keep_last; the kept set, ranked by identify_metric, can hold less.
+    """
 
     layer: int
     n: int
@@ -327,31 +331,28 @@ def decode_step(
         v = (x @ lw.wv).reshape(config.heads, d_head)
         cache.append(layer, k, v, position)
         keys, values = cache.keys[layer], cache.values[layer]
-        out = np.empty((config.heads, d_head), dtype=np.float32)
-        for i in range(config.heads):
-            logits = (keys[i] @ q[i]) * np.float32(scale)
-            weights = numkit.masked_softmax_rows(
-                logits[None, :], np.ones((1, logits.size), dtype=bool)
-            )
-            out[i] = weights[0] @ values[i]
+        logits = (keys @ q[:, :, None])[:, :, 0] * np.float32(scale)
+        weights = numkit.masked_softmax_rows(logits, np.ones(logits.shape, dtype=bool))
+        out = (weights[:, None, :] @ values)[:, 0, :]
         h = h + out.reshape(config.d_model) @ lw.wo
         x2 = _rms_norm(h, lw.gain_mlp, config.norm_eps)
         h = h + _silu(x2 @ lw.w_up) @ lw.w_down
     return (h @ model.embedding.T).astype(np.float32), cache
 
 
-def generate(
+def decode(
     model: TinyTransformer,
     prompt: np.ndarray,
+    prefilled: tuple[np.ndarray, kvcache.KVCache, list[LayerReport]],
     steps: int,
     policy: SparsityPolicy,
     greedy: bool = True,
 ) -> tuple[list[int], metrics.RunReport]:
-    """Prefill then `steps` decode steps; returns all tokens plus a report."""
+    """`steps` decode steps on from prefill's result; returns all tokens plus a report."""
     if steps < 0:
         raise BoundsError("steps must be >= 0")
     prompt = _check_tokens(prompt, model.config)
-    logits, cache, reports = prefill(model, prompt, policy)
+    logits, cache, reports = prefilled
     tokens = [int(t) for t in prompt]
     rng = None if greedy else numkit.make_rng(numkit.derive_seed(model.config.seed, _SAMPLE_TAG))
     cur = logits[-1]
@@ -378,6 +379,17 @@ def generate(
         decode_attn_flops=decode_flops,
     )
     return tokens, report
+
+
+def generate(
+    model: TinyTransformer,
+    prompt: np.ndarray,
+    steps: int,
+    policy: SparsityPolicy,
+    greedy: bool = True,
+) -> tuple[list[int], metrics.RunReport]:
+    """Prefill then `steps` decode steps; returns all tokens plus a report."""
+    return decode(model, prompt, prefill(model, prompt, policy), steps, policy, greedy)
 
 
 # --- model checkpoints ----------------------------------------------------

@@ -26,20 +26,13 @@ def attn_flops_sparse(p: int, n: int, d_head: int, heads: int, probe_rows: int =
     return 4 * p * p * d_head * heads + 2 * probe_rows * n * d_head * heads
 
 
-def kv_reduction(budgets) -> float:
-    """Fraction of prefill KV rows dropped: 1 - sum(p)/sum(n)."""
-    total_n = sum(b.n for b in budgets)
-    total_p = sum(b.p for b in budgets)
-    return 1.0 - total_p / total_n
-
-
 def ratio_profile(layer_reports) -> list[float]:
     return [r.ratio for r in layer_reports]
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """Aggregate of one generate() call: policy echo plus per-layer outcomes."""
+    """Aggregate of one run: policy echo plus per-layer outcomes."""
 
     policy: dict
     layer_reports: list

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from zipvl import cli
+from zipvl import cli, engine
 from zipvl.errors import ConfigError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -239,6 +239,23 @@ class TestSubcommandSemantics:
         assert rc == 0
         assert [e["mode"] for e in res["modes"]] == ["zipvl-probe", "dense"]
         assert "fixed_ratio_used" not in res
+
+    @pytest.mark.parametrize("modes", ["", "zipvl-probe,zipvl-exact,fixed,dense"])
+    def test_compare_prefills_once_per_mode(self, monkeypatch, modes):
+        calls = []
+        prefill = engine.prefill
+
+        def counted(model, tokens, policy, *args, **kwargs):
+            calls.append(policy.mode)
+            return prefill(model, tokens, policy, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "prefill", counted)
+        cfg = cli.build_config(
+            {}, {"n": 24, "steps": 2, "layers": 2, "d_model": 32, "heads": 2,
+                 "vocab_size": 64, "modes": modes},
+        )
+        res = cli.cmd_compare(cfg)
+        assert sorted(calls) == sorted(e["mode"] for e in res["modes"])
 
     def test_compare_rejects_unknown_mode(self, capsys):
         rc, _, err = run_cli(

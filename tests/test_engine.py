@@ -254,6 +254,32 @@ class TestQuantizedPipeline:
         assert 0.0 < report.kv_reduction < 1.0
 
 
+def _per_head_decode_step(model, token, cache, position):
+    """decode_step attending one head at a time: the reference for the batched heads."""
+    config = model.config
+    d_head = config.d_head
+    scale = 1.0 / np.sqrt(d_head)
+    h = model.embedding[int(token)]
+    for layer, lw in enumerate(model.layers):
+        x = engine._rms_norm(h, lw.gain_attn, config.norm_eps)
+        q = (x @ lw.wq).reshape(config.heads, d_head)
+        k = (x @ lw.wk).reshape(config.heads, d_head)
+        v = (x @ lw.wv).reshape(config.heads, d_head)
+        cache.append(layer, k, v, position)
+        keys, values = cache.keys[layer], cache.values[layer]
+        out = np.empty((config.heads, d_head), dtype=np.float32)
+        for i in range(config.heads):
+            logits = (keys[i] @ q[i]) * np.float32(scale)
+            weights = numkit.masked_softmax_rows(
+                logits[None, :], np.ones((1, logits.size), dtype=bool)
+            )
+            out[i] = weights[0] @ values[i]
+        h = h + out.reshape(config.d_model) @ lw.wo
+        x2 = engine._rms_norm(h, lw.gain_mlp, config.norm_eps)
+        h = h + engine._silu(x2 @ lw.w_up) @ lw.w_down
+    return (h @ model.embedding.T).astype(np.float32)
+
+
 class TestDecode:
     def test_rows_grow_by_one_per_step(self, model, prompt):
         pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.8)
@@ -285,6 +311,24 @@ class TestDecode:
         step_logits, _ = engine.decode_step(model, int(toks[-1]), cache, position=11)
         assert np.max(np.abs(step_logits - full_logits[-1])) <= 1e-5
 
+    @pytest.mark.parametrize("heads", [4, 8])
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_batched_heads_match_per_head_bitwise(self, heads, quantize):
+        cfg = engine.ModelConfig(
+            layers=2, heads=heads, d_model=64, vocab_size=64, max_seq=64, seed=heads
+        )
+        model = engine.init_model(cfg)
+        toks = numkit.make_rng(heads).integers(0, cfg.vocab_size, size=40, dtype=np.int64)
+        pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.9, quantize=quantize, group_size=8)
+        logits, cache, _ = engine.prefill(model, toks, pol)
+        _, ref_cache, _ = engine.prefill(model, toks, pol)
+        cur = logits[-1]
+        for step in range(6):
+            token = int(np.argmax(cur))
+            ref = _per_head_decode_step(model, token, ref_cache, toks.size + step)
+            cur, cache = engine.decode_step(model, token, cache, position=toks.size + step)
+            assert np.array_equal(cur, ref)
+
 
 class TestGenerate:
     def test_zero_steps_returns_prompt(self, model, prompt):
@@ -307,6 +351,13 @@ class TestGenerate:
         a, _ = engine.generate(model, prompt, 10, pol, greedy=False)
         b, _ = engine.generate(model, prompt, 10, pol, greedy=False)
         assert a == b
+
+    def test_decode_continues_a_prefill_as_generate_does(self, model, prompt):
+        pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.9, keep_last=4)
+        prefilled = engine.prefill(model, prompt, pol)
+        tokens, report = engine.decode(model, prompt, prefilled, 6, pol)
+        assert (tokens, report) == engine.generate(model, prompt, 6, pol)
+        assert report.layer_reports == prefilled[2]
 
     def test_report_accounting_consistency(self, model, prompt):
         pol = engine.SparsityPolicy(mode="zipvl-probe", tau=0.9, probe_recent=8, probe_random=8)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zipvl import budget, metrics
+from zipvl import metrics
 from zipvl.engine import LayerReport, SparsityPolicy
 
 
@@ -47,16 +47,6 @@ class TestFlopsFormulas:
         assert metrics.attn_flops_sparse(p, n, d_head, heads) <= metrics.attn_flops_dense(
             n, d_head, heads
         )
-
-
-class TestKvReduction:
-    def test_exact_half(self):
-        budgets = [budget.LayerBudget(tau=0.9, n=100, p=50, retained_mass_fraction=0.9)] * 4
-        assert metrics.kv_reduction(budgets) == 0.5
-
-    def test_zero_when_everything_kept(self):
-        budgets = [budget.LayerBudget(tau=1.0, n=64, p=64, retained_mass_fraction=1.0)]
-        assert metrics.kv_reduction(budgets) == 0.0
 
 
 class TestRunReport:

@@ -131,6 +131,20 @@ class TestEvaluate:
             _, part = budget.plan_layer(pol.mode, scores[layer], scores[layer], 0.5, 0.5, 64)
             assert part.important.tolist() == list(range(192, 256))
 
+    def test_retained_mass_is_the_budgets_top_mass(self):
+        # the keep_last window outgrows the budget: p counts the kept tokens,
+        # retained_mass stays the share of the budget's own top-p tokens
+        scores = workload.generate_workload("peaked", 256, 2, 8.0, seed=11)
+        pol = SparsityPolicy(mode="zipvl-exact", tau=0.5, keep_last=64)
+        for layer, r in enumerate(workload.evaluate_score_workload(scores, pol)):
+            vec = scores[layer]
+            mass = float(np.sum(vec, dtype=np.float64))
+            budget_p = budget.adaptive_budget(vec, 0.5, mass).p
+            assert budget_p < r.p == 64
+            assert r.retained_mass == budget.top_mass_fraction(vec, budget_p, mass)
+            kept_mass = float(np.sum(vec[-64:], dtype=np.float64)) / mass
+            assert kept_mass < r.retained_mass
+
     def test_quantize_rejected(self):
         scores = workload.generate_workload("peaked", 16, 1, 4.0, seed=8)
         with pytest.raises(ConfigError):
