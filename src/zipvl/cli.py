@@ -183,14 +183,27 @@ def _load_scores(cfg: ExperimentConfig, repeat: int = 0) -> np.ndarray:
     )
 
 
-def run_experiment(cfg: ExperimentConfig, policy: engine.SparsityPolicy, repeat=0):
+def _build_model(cfg: ExperimentConfig) -> engine.TinyTransformer | None:
+    """The model a command runs on, or None for a score workload.
+
+    The model depends only on the global seed, so a command builds it once
+    and hands it to every run_experiment call.
+    """
+    return engine.init_model(_model_config(cfg)) if cfg.workload == "model" else None
+
+
+def run_experiment(
+    cfg: ExperimentConfig,
+    model: engine.TinyTransformer | None,
+    policy: engine.SparsityPolicy,
+    repeat=0,
+):
     """Run one experiment; returns (report, prefill_logits_or_None, prompt).
 
-    The model is fixed by the global seed; the prompt or generated workload
+    `model` comes from _build_model(cfg); the prompt or generated workload
     varies with the repeat index. A model workload prefills once, then decodes.
     """
-    if cfg.workload == "model":
-        model = engine.init_model(_model_config(cfg))
+    if model is not None:
         prompt = _prompt_tokens(cfg, repeat)
         prefilled = engine.prefill(model, prompt, policy)
         _, report = engine.decode(model, prompt, prefilled, cfg.steps, policy)
@@ -216,15 +229,16 @@ def _summary(report: metrics.RunReport) -> dict:
 
 def cmd_run(cfg: ExperimentConfig) -> dict:
     policy = _policy(cfg)
+    model = _build_model(cfg)
     if cfg.repeats == 1:
-        report, _, prompt = run_experiment(cfg, policy)
+        report, _, prompt = run_experiment(cfg, model, policy)
         out = metrics.report_to_dict(report)
         out["prompt"] = prompt
         _print_summary(report.mean_ratio, report.flops_reduction, report.kv_reduction)
         return out
     runs = []
     for repeat in range(cfg.repeats):
-        report, _, prompt = run_experiment(cfg, policy, repeat=repeat)
+        report, _, prompt = run_experiment(cfg, model, policy, repeat=repeat)
         entry = metrics.report_to_dict(report)
         entry["prompt"] = prompt
         entry["repeat"] = repeat
@@ -252,9 +266,10 @@ def cmd_sweep_tau(cfg: ExperimentConfig) -> list[dict]:
     if not taus:
         raise ConfigError("taus is empty")
     mode = cfg.mode if cfg.mode in ("zipvl-exact", "zipvl-probe") else "zipvl-exact"
+    model = _build_model(cfg)
     rows = []
     for tau in taus:
-        report, _, _ = run_experiment(cfg, _policy(cfg, mode=mode, tau=tau))
+        report, _, _ = run_experiment(cfg, model, _policy(cfg, mode=mode, tau=tau))
         s = _summary(report)
         rows.append(
             {
@@ -286,17 +301,20 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
         if name not in engine.MODES:
             raise ConfigError(f"unknown mode {name!r} in modes; expected one of {engine.MODES}")
 
-    dense_report, logits_dense, _ = run_experiment(cfg, _policy(cfg, mode="dense"))
+    model = _build_model(cfg)
+    dense_report, logits_dense, _ = run_experiment(cfg, model, _policy(cfg, mode="dense"))
     runs: dict = {"dense": (dense_report, logits_dense)}
     for name in names:
         if name not in runs and name != "fixed":
-            runs[name] = run_experiment(cfg, _policy(cfg, mode=name))[:2]
+            runs[name] = run_experiment(cfg, model, _policy(cfg, mode=name))[:2]
     matched_ratio = next(
         (runs[m][0].mean_ratio for m in names if m.startswith("zipvl")), None
     )
     if "fixed" in names:
         ratio = matched_ratio if matched_ratio is not None else cfg.fixed_ratio
-        runs["fixed"] = run_experiment(cfg, _policy(cfg, mode="fixed", fixed_ratio=ratio))[:2]
+        runs["fixed"] = run_experiment(
+            cfg, model, _policy(cfg, mode="fixed", fixed_ratio=ratio)
+        )[:2]
 
     def delta(logits):
         if logits is None or logits_dense is None:

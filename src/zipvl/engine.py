@@ -332,7 +332,7 @@ def decode_step(
         cache.append(layer, k, v, position)
         keys, values = cache.keys[layer], cache.values[layer]
         logits = (keys @ q[:, :, None])[:, :, 0] * np.float32(scale)
-        weights = numkit.masked_softmax_rows(logits, np.ones(logits.shape, dtype=bool))
+        weights = numkit.masked_softmax_rows(logits, None)
         out = (weights[:, None, :] @ values)[:, 0, :]
         h = h + out.reshape(config.d_model) @ lw.wo
         x2 = _rms_norm(h, lw.gain_mlp, config.norm_eps)

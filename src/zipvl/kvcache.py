@@ -6,6 +6,15 @@ layer always share one position list. A cache instance belongs to a single
 inference session and is mutated in place; whole caches may be handed
 between threads.
 
+Prefill (set_layer, retain) installs exact-size arrays. Decode appends
+write one row in place into a per-layer buffer whose capacity doubles when
+full, so a step copies nothing but the new row and, now and then, the
+layer once. `keys[layer]`, `values[layer]` and `positions[layer]` are views
+of the live rows. Memory accounting (layer_memory_bytes,
+`engine.LayerReport.kv_bytes`, `.nbytes` of the views) counts those rows,
+not the spare capacity, so after decode the memory held can reach twice
+the rows counted.
+
 Quantization is uniform asymmetric per channel group within each token row:
 scale = (max - min) / (2^b - 1), zero-point = min. Important rows get 4
 bits, the rest 2. Packed size per group is ceil(len * b / 8) code bytes
@@ -28,7 +37,13 @@ SNAPSHOT_VERSION = 1
 
 
 class KVCache:
-    """Mutable per-layer, per-head key/value store for one session."""
+    """Mutable per-layer, per-head key/value store for one session.
+
+    `keys[layer]`, `values[layer]` and `positions[layer]` are plain arrays:
+    views of the first rows(layer) rows of the layer's backing buffers.
+    append grows the buffers by doubling and keeps the layer's memory layout,
+    which decides how BLAS rounds the decode matmuls.
+    """
 
     def __init__(self, layers: int, heads: int, d_head: int):
         self.heads = heads
@@ -36,6 +51,7 @@ class KVCache:
         self.keys = [np.zeros((heads, 0, d_head), dtype=np.float32) for _ in range(layers)]
         self.values = [np.zeros((heads, 0, d_head), dtype=np.float32) for _ in range(layers)]
         self.positions = [np.zeros(0, dtype=np.int64) for _ in range(layers)]
+        self._buffers = list(zip(self.keys, self.values, self.positions))
 
     @property
     def num_layers(self) -> int:
@@ -45,6 +61,13 @@ class KVCache:
         if not 0 <= layer < self.num_layers:
             raise BoundsError(f"layer {layer} out of range [0, {self.num_layers})")
         return layer
+
+    def _install(
+        self, layer: int, keys: np.ndarray, values: np.ndarray, positions: np.ndarray
+    ) -> None:
+        """Make exact-size arrays both the layer's contents and its buffers."""
+        self._buffers[layer] = (keys, values, positions)
+        self.keys[layer], self.values[layer], self.positions[layer] = keys, values, positions
 
     def rows(self, layer: int) -> int:
         return self.positions[self._check_layer(layer)].size
@@ -62,9 +85,7 @@ class KVCache:
             raise ShapeError(f"expected K/V shape {expect}, got {keys.shape}/{values.shape}")
         if positions.size > 1 and np.any(np.diff(positions) <= 0):
             raise OrderingError("positions must be strictly increasing")
-        self.keys[layer] = keys.copy()
-        self.values[layer] = values.copy()
-        self.positions[layer] = positions.copy()
+        self._install(layer, keys.copy(), values.copy(), positions.copy())
 
     def retain(self, layer: int, partition: TokenPartition) -> "KVCache":
         """Keep only rows whose original position is in the important set."""
@@ -73,24 +94,48 @@ class KVCache:
         if not np.isin(keep, self.positions[layer]).all():
             raise BoundsError("partition refers to positions not present in the layer")
         mask = np.isin(self.positions[layer], keep)
-        self.keys[layer] = self.keys[layer][:, mask, :]
-        self.values[layer] = self.values[layer][:, mask, :]
-        self.positions[layer] = self.positions[layer][mask]
+        # the boolean index leaves the token axis outermost in memory
+        self._install(
+            layer,
+            self.keys[layer][:, mask, :],
+            self.values[layer][:, mask, :],
+            self.positions[layer][mask],
+        )
         return self
 
     def append(
         self, layer: int, k_row: np.ndarray, v_row: np.ndarray, position: int
     ) -> "KVCache":
-        """Append one token's K/V row to every head of the layer."""
+        """Append one token's K/V row to every head of the layer, in place."""
         layer = self._check_layer(layer)
         pos = self.positions[layer]
         if pos.size and position <= pos[-1]:
             raise OrderingError(f"position {position} not beyond cached {int(pos[-1])}")
-        k_row = np.asarray(k_row, dtype=np.float32).reshape(self.heads, 1, self.d_head)
-        v_row = np.asarray(v_row, dtype=np.float32).reshape(self.heads, 1, self.d_head)
-        self.keys[layer] = np.concatenate([self.keys[layer], k_row], axis=1)
-        self.values[layer] = np.concatenate([self.values[layer], v_row], axis=1)
-        self.positions[layer] = np.append(pos, np.int64(position))
+        k_row = np.asarray(k_row, dtype=np.float32)
+        v_row = np.asarray(v_row, dtype=np.float32)
+        if k_row.size != self.heads * self.d_head or v_row.size != k_row.size:
+            raise ShapeError(
+                f"expected {self.heads}x{self.d_head} K/V rows, got {k_row.shape}/{v_row.shape}"
+            )
+        rows = pos.size
+        kbuf, vbuf, pbuf = self._buffers[layer]
+        if rows == pbuf.size:
+            cap = max(2 * rows, 1)
+            shape = (self.heads, cap, self.d_head)
+            # empty_like keeps the layer's layout (C order or token axis outermost)
+            kbuf = np.empty_like(self.keys[layer], shape=shape)
+            vbuf = np.empty_like(self.values[layer], shape=shape)
+            pbuf = np.empty(cap, dtype=np.int64)
+            kbuf[:, :rows] = self.keys[layer]
+            vbuf[:, :rows] = self.values[layer]
+            pbuf[:rows] = pos
+            self._buffers[layer] = (kbuf, vbuf, pbuf)
+        kbuf[:, rows] = k_row.reshape(self.heads, self.d_head)
+        vbuf[:, rows] = v_row.reshape(self.heads, self.d_head)
+        pbuf[rows] = position
+        self.keys[layer] = kbuf[:, : rows + 1]
+        self.values[layer] = vbuf[:, : rows + 1]
+        self.positions[layer] = pbuf[: rows + 1]
         return self
 
 
@@ -289,7 +334,8 @@ def dequantize(q: QuantizedKV) -> KVCache:
 def layer_memory_bytes(cache: KVCache | QuantizedKV, layer: int) -> int:
     """Storage footprint of one layer in bytes.
 
-    Unquantized: 2 tensors x heads x rows x d_head x 4 bytes.
+    Unquantized: 2 tensors x heads x rows x d_head x 4 bytes, counting live
+    rows only, not the spare capacity append leaves behind.
     Quantized: packed code bytes plus 8 bytes (scale + zero-point) per group.
     """
     if isinstance(cache, KVCache):

@@ -50,22 +50,29 @@ def causal_row_mask(row_positions: np.ndarray, n_cols: int) -> np.ndarray:
     return np.arange(n_cols)[None, :] <= pos[:, None]
 
 
-def masked_softmax_rows(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def masked_softmax_rows(logits: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     """Row softmax restricted to visible columns.
 
     Masked entries come out exactly 0.0 and each row of visible entries sums
     to 1. Stabilized by subtracting the per-row max over visible columns;
-    exp/sum run in float64, the result is float32.
+    exp/sum run in float64, the result is float32. `mask=None` means every
+    column is visible; it gives the same bits as an all-true mask without
+    building or checking one.
     """
     logits = as_matrix(logits)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != logits.shape:
-        raise ShapeError(f"mask shape {mask.shape} != logits shape {logits.shape}")
-    visible_per_row = mask.sum(axis=1)
-    if np.any(visible_per_row == 0):
-        bad = int(np.argmin(visible_per_row))
-        raise DegenerateMaskError(f"row {bad} has no visible column")
-    shifted = np.where(mask, logits.astype(np.float64), -np.inf)
+    if mask is None:
+        if logits.shape[1] == 0:
+            raise DegenerateMaskError("logits have no column")
+        shifted = logits.astype(np.float64)
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != logits.shape:
+            raise ShapeError(f"mask shape {mask.shape} != logits shape {logits.shape}")
+        visible_per_row = mask.sum(axis=1)
+        if np.any(visible_per_row == 0):
+            bad = int(np.argmin(visible_per_row))
+            raise DegenerateMaskError(f"row {bad} has no visible column")
+        shifted = np.where(mask, logits.astype(np.float64), -np.inf)
     shifted -= shifted.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return (e / e.sum(axis=1, keepdims=True)).astype(FLOAT)

@@ -257,6 +257,37 @@ class TestSubcommandSemantics:
         res = cli.cmd_compare(cfg)
         assert sorted(calls) == sorted(e["mode"] for e in res["modes"])
 
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            (cli.cmd_compare, {"modes": ""}),
+            (cli.cmd_compare, {"modes": "zipvl-probe,zipvl-exact,fixed,dense"}),
+            (cli.cmd_sweep_tau, {"taus": "0.5,0.9,1.0"}),
+            (cli.cmd_run, {"repeats": 3}),
+        ],
+    )
+    def test_model_built_once_per_command(self, monkeypatch, command, overrides):
+        built, used = [], []
+        init_model, prefill = engine.init_model, engine.prefill
+
+        def counted_init(config):
+            built.append(init_model(config))
+            return built[-1]
+
+        def recorded_prefill(model, tokens, policy, *args, **kwargs):
+            used.append(model)
+            return prefill(model, tokens, policy, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "init_model", counted_init)
+        monkeypatch.setattr(engine, "prefill", recorded_prefill)
+        cfg = cli.build_config(
+            {}, {"n": 24, "steps": 2, "layers": 2, "d_model": 32, "heads": 2,
+                 "vocab_size": 64, **overrides},
+        )
+        command(cfg)
+        assert len(built) == 1
+        assert len(used) >= 3 and all(m is built[0] for m in used)
+
     def test_compare_rejects_unknown_mode(self, capsys):
         rc, _, err = run_cli(
             capsys, "compare", "--workload-file", WORKLOAD, "--modes", "zipvl-exact,turbo"

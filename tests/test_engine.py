@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from zipvl import engine, metrics, numkit
+from zipvl import engine, kvcache, metrics, numkit
 from zipvl.errors import (
     BoundsError,
     ConfigError,
@@ -280,6 +280,19 @@ def _per_head_decode_step(model, token, cache, position):
     return (h @ model.embedding.T).astype(np.float32)
 
 
+def _concatenate_append(self, layer, k_row, v_row, position):
+    """KVCache.append as an exact-size cache does it: copy the layer on every token."""
+    pos = self.positions[layer]
+    if pos.size and position <= pos[-1]:
+        raise OrderingError(f"position {position} not beyond cached {int(pos[-1])}")
+    k_row = np.asarray(k_row, dtype=np.float32).reshape(self.heads, 1, self.d_head)
+    v_row = np.asarray(v_row, dtype=np.float32).reshape(self.heads, 1, self.d_head)
+    self.keys[layer] = np.concatenate([self.keys[layer], k_row], axis=1)
+    self.values[layer] = np.concatenate([self.values[layer], v_row], axis=1)
+    self.positions[layer] = np.append(pos, np.int64(position))
+    return self
+
+
 class TestDecode:
     def test_rows_grow_by_one_per_step(self, model, prompt):
         pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.8)
@@ -328,6 +341,32 @@ class TestDecode:
             ref = _per_head_decode_step(model, token, ref_cache, toks.size + step)
             cur, cache = engine.decode_step(model, token, cache, position=toks.size + step)
             assert np.array_equal(cur, ref)
+
+    @pytest.mark.parametrize("mode", ["zipvl-exact", "dense"])
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_growing_cache_matches_concatenate_cache_bitwise(self, monkeypatch, mode, quantize):
+        # the buffers must keep each layer's memory layout, or BLAS rounds
+        # the stacked decode matmuls differently from an exact-size cache
+        # (d_head 8 is a size where the layout reaches the rounding)
+        cfg = engine.ModelConfig(layers=2, heads=8, d_model=64, vocab_size=64, max_seq=128, seed=3)
+        model = engine.init_model(cfg)
+        toks = numkit.make_rng(3).integers(0, cfg.vocab_size, size=60, dtype=np.int64)
+        pol = engine.SparsityPolicy(mode=mode, tau=0.9, quantize=quantize, group_size=8)
+
+        def run():
+            logits, cache, _ = engine.prefill(model, toks, pol)
+            cur, out = logits[-1], []
+            for step in range(48):
+                cur, cache = engine.decode_step(
+                    model, int(np.argmax(cur)), cache, position=toks.size + step
+                )
+                out.append(cur)
+            return out
+
+        grown = run()
+        monkeypatch.setattr(kvcache.KVCache, "append", _concatenate_append)
+        reference = run()
+        assert all(np.array_equal(a, b) for a, b in zip(grown, reference))
 
 
 class TestGenerate:

@@ -98,6 +98,74 @@ class TestAppend:
         assert cache.positions[0].tolist() == [0, 4]
 
 
+class TestGrowth:
+    """append grows a buffer in place; the result must equal an exact-size cache."""
+
+    @staticmethod
+    def grow(cache, steps, seed=1):
+        # the reference is what a copy-per-token cache holds: the layer, concatenated
+        rng = numkit.make_rng(seed)
+        ref_k, ref_v = cache.keys[0].copy(order="K"), cache.values[0].copy(order="K")
+        ref_p = cache.positions[0].copy()
+        for _ in range(steps):
+            k = rng.normal(size=(cache.heads, cache.d_head)).astype(np.float32)
+            v = rng.normal(size=(cache.heads, cache.d_head)).astype(np.float32)
+            position = int(cache.positions[0][-1]) + 1
+            cache.append(0, k, v, position)
+            ref_k = np.concatenate([ref_k, k[:, None, :]], axis=1)
+            ref_v = np.concatenate([ref_v, v[:, None, :]], axis=1)
+            ref_p = np.append(ref_p, np.int64(position))
+        return ref_k, ref_v, ref_p
+
+    @pytest.mark.parametrize("evict", [False, True])
+    def test_matches_concatenate_across_growths(self, evict):
+        cache = filled_cache(layers=1, heads=3, t=6, d=5)
+        if evict:
+            cache.retain(0, make_partition(6, [1, 2, 4]))
+        start = cache.rows(0)
+        # capacity doubles from `start`, so 8x start rows takes three growths
+        ref_k, ref_v, ref_p = self.grow(cache, 7 * start + 1)
+        assert cache.rows(0) == 8 * start + 1
+        assert np.array_equal(cache.keys[0], ref_k)
+        assert np.array_equal(cache.values[0], ref_v)
+        assert np.array_equal(cache.positions[0], ref_p)
+        # same row and channel strides: the layout decode rounding depends on
+        assert cache.keys[0].strides[1:] == ref_k.strides[1:]
+        assert cache.values[0].strides[1:] == ref_v.strides[1:]
+
+    def test_view_taken_before_append_keeps_its_values(self):
+        cache = filled_cache(layers=1, t=4)
+        self.grow(cache, 3)
+        keys, positions = cache.keys[0], cache.positions[0]
+        before_k, before_p = keys.copy(), positions.copy()
+        self.grow(cache, 20, seed=2)
+        assert np.array_equal(keys, before_k)
+        assert np.array_equal(positions, before_p)
+
+    def test_rejected_append_changes_nothing(self):
+        cache = filled_cache(layers=1, t=4)
+        self.grow(cache, 3)
+        rows, before_p = cache.rows(0), cache.positions[0].copy()
+        row = np.zeros((2, 4), np.float32)
+        with pytest.raises(OrderingError):
+            cache.append(0, row, row, int(before_p[-1]))
+        with pytest.raises(ShapeError):
+            cache.append(0, np.zeros((2, 5), np.float32), row, int(before_p[-1]) + 1)
+        assert cache.rows(0) == rows
+        assert np.array_equal(cache.positions[0], before_p)
+
+    def test_snapshot_roundtrips_a_grown_cache(self, tmp_path):
+        cache = filled_cache(layers=1, t=5)
+        cache.retain(0, make_partition(5, [0, 3]))
+        self.grow(cache, 9)
+        path = tmp_path / "grown.bin"
+        kvcache.save_snapshot(cache, path)
+        back = kvcache.load_snapshot(path)
+        assert np.array_equal(back.keys[0], cache.keys[0])
+        assert np.array_equal(back.values[0], cache.values[0])
+        assert np.array_equal(back.positions[0], cache.positions[0])
+
+
 class TestQuantization:
     def test_roundtrip_error_within_half_step(self):
         cache = filled_cache(layers=2, heads=2, t=16, d=8, seed=3)

@@ -78,6 +78,20 @@ class TestMaskedSoftmax:
         assert np.all(out[~mask] == 0.0)
         assert np.all(out >= 0.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 1e4])
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 57), (8, 300)])
+    def test_no_mask_equals_all_true_mask_bitwise(self, shape, scale):
+        rng = numkit.make_rng(shape[1])
+        logits = (rng.normal(size=shape) * scale).astype(np.float32)
+        out = numkit.masked_softmax_rows(logits, None)
+        ref = numkit.masked_softmax_rows(logits, np.ones(shape, dtype=bool))
+        assert out.dtype == np.float32
+        assert np.array_equal(out, ref)
+
+    def test_no_mask_without_columns_raises(self):
+        with pytest.raises(DegenerateMaskError):
+            numkit.masked_softmax_rows(np.zeros((2, 0), dtype=np.float32), None)
+
 
 class TestTopk:
     def test_matches_oracle_with_ties(self):
