@@ -20,7 +20,6 @@ from .attention import (
     structural_nnz,
 )
 from .budget import (
-    TAU_NOT_ADAPTIVE,
     LayerBudget,
     TokenPartition,
     adaptive_budget,

@@ -35,16 +35,9 @@ class AttentionScores:
 
 @dataclass(frozen=True)
 class ProbeSet:
-    """Query rows whose scores stand in for the full matrix.
-
-    The last recent_count positions are always members; random_count extra
-    positions are drawn without replacement from the remaining pool.
-    """
+    """Query rows whose scores stand in for the full matrix (see select_probe_set)."""
 
     indices: np.ndarray
-    recent_count: int
-    random_count: int
-    seed: int
 
 
 def causal_scores(
@@ -147,9 +140,7 @@ def select_probe_set(n: int, recent: int, random: int, seed: int) -> ProbeSet:
     rng = numkit.make_rng(seed)
     drawn = rng.permutation(pool)[:take]
     indices = np.concatenate([np.sort(drawn), np.arange(pool, n)])
-    return ProbeSet(
-        indices=indices.astype(np.int64), recent_count=recent, random_count=random, seed=seed
-    )
+    return ProbeSet(indices=indices.astype(np.int64))
 
 
 def probe_attention(

@@ -17,10 +17,6 @@ import numpy as np
 from . import numkit
 from .errors import BoundsError, DomainError, EmptySequenceError
 
-# tau value recorded on budgets that were not adaptively derived
-TAU_NOT_ADAPTIVE = 0.0
-
-
 @dataclass(frozen=True)
 class LayerBudget:
     """Chosen important-token count for one layer.
@@ -29,7 +25,6 @@ class LayerBudget:
     p highest-scoring tokens; None when no scores were available.
     """
 
-    tau: float
     n: int
     p: int
     retained_mass_fraction: float | None
@@ -68,7 +63,7 @@ def adaptive_budget(accumulated: np.ndarray, tau: float, mass_total: float) -> L
         threshold = float(tau) * float(mass_total)
         p = min(int(np.searchsorted(csum, threshold, side="left")) + 1, v.size)
     retained = float(csum[p - 1]) / float(mass_total) if mass_total > 0 else 1.0
-    return LayerBudget(tau=float(tau), n=v.size, p=p, retained_mass_fraction=retained)
+    return LayerBudget(n=v.size, p=p, retained_mass_fraction=retained)
 
 
 def fixed_budget(n: int, ratio: float) -> LayerBudget:
@@ -82,7 +77,7 @@ def fixed_budget(n: int, ratio: float) -> LayerBudget:
     if n < 1:
         raise EmptySequenceError("fixed_budget needs n >= 1")
     p = max(1, int(math.floor(ratio * n + 0.5)))
-    return LayerBudget(tau=TAU_NOT_ADAPTIVE, n=n, p=min(p, n), retained_mass_fraction=None)
+    return LayerBudget(n=n, p=min(p, n), retained_mass_fraction=None)
 
 
 def top_mass_fraction(accumulated: np.ndarray, p: int, mass_total: float) -> float:
@@ -121,7 +116,7 @@ def plan_layer(
     """
     n = np.size(rank_by)
     if mode == "dense":
-        lb = LayerBudget(tau=TAU_NOT_ADAPTIVE, n=n, p=n, retained_mass_fraction=1.0)
+        lb = LayerBudget(n=n, p=n, retained_mass_fraction=1.0)
     else:
         mass = float(np.sum(size_by, dtype=np.float64))
         if mode == "fixed":

@@ -276,7 +276,6 @@ def prefill(
         if not policy.quantize:
             cache.retain(layer, part)
         p_kept = int(imp.size)
-        kv_rows = cache.rows(layer)
         reports.append(
             LayerReport(
                 layer=layer,
@@ -285,9 +284,9 @@ def prefill(
                 ratio=p_kept / n,
                 retained_mass=float(lb.retained_mass_fraction),
                 attn_flops=metrics.attn_flops_sparse(p_kept, n, d_head, config.heads, probe_rows),
-                kv_rows=kv_rows,
+                kv_rows=cache.rows(layer),
                 probe_rows=probe_rows,
-                kv_bytes=2 * config.heads * kv_rows * d_head * 4,
+                kv_bytes=kvcache.layer_memory_bytes(cache, layer),
             )
         )
         if trace is not None:
@@ -304,10 +303,10 @@ def prefill(
             )
 
     if policy.quantize:
-        packed = kvcache.quantize_mixed(cache, partitions, policy.group_size)
-        cache = kvcache.dequantize(packed)
+        quantized = kvcache.quantize_mixed(cache, partitions, policy.group_size)
+        cache = kvcache.dequantize(quantized)
         reports = [
-            replace(r, kv_bytes=kvcache.layer_memory_bytes(packed, r.layer)) for r in reports
+            replace(r, kv_bytes=kvcache.layer_memory_bytes(quantized, r.layer)) for r in reports
         ]
 
     logits = (h @ model.embedding.T).astype(np.float32)

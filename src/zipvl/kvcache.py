@@ -17,8 +17,10 @@ the rows counted.
 
 Quantization is uniform asymmetric per channel group within each token row:
 scale = (max - min) / (2^b - 1), zero-point = min. Important rows get 4
-bits, the rest 2. Packed size per group is ceil(len * b / 8) code bytes
-plus 8 bytes for the float32 scale and zero-point.
+bits, the rest 2. Codes are kept one per byte and never bit-packed: prefill
+dequantizes them at once into a float32 cache. The packed size they stand
+for, ceil(len * b / 8) code bytes plus 8 bytes for the float32 scale and
+zero-point per group, is what layer_memory_bytes reports, in closed form.
 """
 
 from __future__ import annotations
@@ -143,15 +145,14 @@ class KVCache:
 
 
 @dataclass(frozen=True)
-class PackedTensor:
-    """Packed codes for one K or V tensor of one layer.
+class QuantizedTensor:
+    """One K or V tensor of one layer: codes with their scales and zero-points.
 
-    Rows are bucketed by bit width; codes4/codes2 are (heads, rows_b, bytes)
-    uint8 arrays in bucket row order. Scales and zero-points cover all rows.
+    codes is (heads, rows, d_head) uint8, one unpacked code per channel;
+    scales and zeros are (heads, rows, groups) float32.
     """
 
-    codes4: np.ndarray
-    codes2: np.ndarray
+    codes: np.ndarray
     scales: np.ndarray
     zeros: np.ndarray
 
@@ -160,117 +161,43 @@ class PackedTensor:
 class QuantizedLayer:
     positions: np.ndarray
     bits_per_row: np.ndarray
-    keys: PackedTensor
-    values: PackedTensor
+    keys: QuantizedTensor
+    values: QuantizedTensor
 
 
 @dataclass(frozen=True)
 class QuantizedKV:
+    """A quantized cache: codes one per byte, sized as packed by layer_memory_bytes."""
+
     layers: list
     heads: int
     d_head: int
     group_size: int
 
 
-def _group_spans(d: int, group_size: int) -> list[tuple[int, int]]:
-    g = min(group_size, d)
-    return [(s, min(s + g, d)) for s in range(0, d, g)]
+def _group_of(d: int, group_size: int) -> np.ndarray:
+    """Quantization group of each of d channels."""
+    return np.arange(d) // group_size
 
 
-def _pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Pack small integer codes along the last axis into bytes."""
-    per_byte = 8 // bits
-    length = codes.shape[-1]
-    pad = (-length) % per_byte
-    if pad:
-        codes = np.concatenate(
-            [codes, np.zeros(codes.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1
-        )
-    out = np.zeros(codes.shape[:-1] + (codes.shape[-1] // per_byte,), dtype=np.uint8)
-    for i in range(per_byte):
-        out |= codes[..., i::per_byte] << (bits * i)
-    return out
+def _quantize(x: np.ndarray, levels: np.ndarray, group_size: int) -> QuantizedTensor:
+    """Quantize (heads, rows, d) values; levels is (rows, 1), 2^bits - 1 per row."""
+    group_of = _group_of(x.shape[-1], group_size)
+    starts = np.arange(0, x.shape[-1], group_size)
+    x = x.astype(np.float64)
+    mn = np.minimum.reduceat(x, starts, axis=-1)
+    scale = (np.maximum.reduceat(x, starts, axis=-1) - mn) / levels
+    safe = np.where(scale > 0, scale, 1.0)
+    codes = np.clip(np.rint((x - mn[..., group_of]) / safe[..., group_of]), 0, levels)
+    return QuantizedTensor(codes.astype(np.uint8), scale.astype(np.float32), mn.astype(np.float32))
 
 
-def _unpack_codes(packed: np.ndarray, bits: int, length: int) -> np.ndarray:
-    per_byte = 8 // bits
-    codes = np.zeros(packed.shape[:-1] + (packed.shape[-1] * per_byte,), dtype=np.uint8)
-    mask = (1 << bits) - 1
-    for i in range(per_byte):
-        codes[..., i::per_byte] = (packed >> (bits * i)) & mask
-    return codes[..., :length]
-
-
-def _quantize_rows(x: np.ndarray, bits: int, spans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize (heads, rows, d) values; returns packed codes, scales, zeros."""
-    levels = (1 << bits) - 1
-    packed, scales, zeros = [], [], []
-    for s, e in spans:
-        g = x[..., s:e].astype(np.float64)
-        mn = g.min(axis=-1, keepdims=True)
-        mx = g.max(axis=-1, keepdims=True)
-        scale = (mx - mn) / levels
-        safe = np.where(scale > 0, scale, 1.0)
-        codes = np.clip(np.rint((g - mn) / safe), 0, levels).astype(np.uint8)
-        codes[np.broadcast_to(scale == 0, codes.shape)] = 0
-        packed.append(_pack_codes(codes, bits))
-        scales.append(scale[..., 0].astype(np.float32))
-        zeros.append(mn[..., 0].astype(np.float32))
+def _dequantize(qt: QuantizedTensor, group_size: int) -> np.ndarray:
+    group_of = _group_of(qt.codes.shape[-1], group_size)
     return (
-        np.concatenate(packed, axis=-1),
-        np.stack(scales, axis=-1),
-        np.stack(zeros, axis=-1),
-    )
-
-
-def _dequantize_rows(
-    packed: np.ndarray, scales: np.ndarray, zeros: np.ndarray, bits: int, spans
-) -> np.ndarray:
-    d = spans[-1][1]
-    out = np.zeros(packed.shape[:-1] + (d,), dtype=np.float32)
-    offset = 0
-    for gi, (s, e) in enumerate(spans):
-        nbytes = -(-(e - s) * bits // 8)
-        codes = _unpack_codes(packed[..., offset : offset + nbytes], bits, e - s)
-        out[..., s:e] = (
-            codes.astype(np.float64) * scales[..., gi, None].astype(np.float64)
-            + zeros[..., gi, None].astype(np.float64)
-        ).astype(np.float32)
-        offset += nbytes
-    return out
-
-
-def _quantize_tensor(x: np.ndarray, bits_per_row: np.ndarray, spans) -> PackedTensor:
-    rows4 = bits_per_row == 4
-    rows2 = ~rows4
-    n_groups = len(spans)
-    heads, t, _ = x.shape
-    scales = np.zeros((heads, t, n_groups), dtype=np.float32)
-    zeros = np.zeros((heads, t, n_groups), dtype=np.float32)
-    codes = {}
-    for bits, sel in ((4, rows4), (2, rows2)):
-        if sel.any():
-            packed, sc, zp = _quantize_rows(x[:, sel, :], bits, spans)
-            scales[:, sel, :] = sc
-            zeros[:, sel, :] = zp
-        else:
-            nbytes = sum(-(-(e - s) * bits // 8) for s, e in spans)
-            packed = np.zeros((heads, 0, nbytes), dtype=np.uint8)
-        codes[bits] = packed
-    return PackedTensor(codes4=codes[4], codes2=codes[2], scales=scales, zeros=zeros)
-
-
-def _dequantize_tensor(pt: PackedTensor, bits_per_row: np.ndarray, spans) -> np.ndarray:
-    heads, t, _ = pt.scales.shape
-    d = spans[-1][1]
-    out = np.zeros((heads, t, d), dtype=np.float32)
-    for bits, packed in ((4, pt.codes4), (2, pt.codes2)):
-        sel = bits_per_row == bits
-        if sel.any():
-            out[:, sel, :] = _dequantize_rows(
-                packed, pt.scales[:, sel, :], pt.zeros[:, sel, :], bits, spans
-            )
-    return out
+        qt.codes.astype(np.float64) * qt.scales[..., group_of].astype(np.float64)
+        + qt.zeros[..., group_of].astype(np.float64)
+    ).astype(np.float32)
 
 
 def quantize_mixed(
@@ -292,18 +219,18 @@ def quantize_mixed(
     )
     if len(parts) != cache.num_layers:
         raise ShapeError(f"expected {cache.num_layers} partitions, got {len(parts)}")
-    spans = _group_spans(cache.d_head, group_size)
     layers = []
     for layer in range(cache.num_layers):
         pos = cache.positions[layer]
         important = np.isin(pos, np.asarray(parts[layer].important, dtype=np.int64))
         bits = np.where(important, 4, 2).astype(np.uint8)
+        levels = ((1 << bits) - 1)[:, None]
         layers.append(
             QuantizedLayer(
                 positions=pos.copy(),
                 bits_per_row=bits,
-                keys=_quantize_tensor(cache.keys[layer], bits, spans),
-                values=_quantize_tensor(cache.values[layer], bits, spans),
+                keys=_quantize(cache.keys[layer], levels, group_size),
+                values=_quantize(cache.values[layer], levels, group_size),
             )
         )
     return QuantizedKV(
@@ -313,19 +240,12 @@ def quantize_mixed(
 
 def dequantize(q: QuantizedKV) -> KVCache:
     """Reconstruct a float32 cache; shapes and positions are preserved exactly."""
-    spans = _group_spans(q.d_head, q.group_size)
     cache = KVCache(len(q.layers), q.heads, q.d_head)
     for layer, ql in enumerate(q.layers):
-        expected_bytes = {
-            b: sum(-(-(e - s) * b // 8) for s, e in spans) for b in (2, 4)
-        }
-        for pt in (ql.keys, ql.values):
-            if pt.codes4.shape[-1] != expected_bytes[4] or pt.codes2.shape[-1] != expected_bytes[2]:
-                raise FormatError("packed code width does not match group layout")
         cache.set_layer(
             layer,
-            _dequantize_tensor(ql.keys, ql.bits_per_row, spans),
-            _dequantize_tensor(ql.values, ql.bits_per_row, spans),
+            _dequantize(ql.keys, q.group_size),
+            _dequantize(ql.values, q.group_size),
             ql.positions,
         )
     return cache
@@ -336,18 +256,18 @@ def layer_memory_bytes(cache: KVCache | QuantizedKV, layer: int) -> int:
 
     Unquantized: 2 tensors x heads x rows x d_head x 4 bytes, counting live
     rows only, not the spare capacity append leaves behind.
-    Quantized: packed code bytes plus 8 bytes (scale + zero-point) per group.
+    Quantized: the packed size, in closed form. Per tensor that is heads x
+    the sum over rows and channel groups of ceil(len * bits / 8) code bytes
+    plus 8 bytes for the float32 scale and zero-point.
     """
     if isinstance(cache, KVCache):
         return 2 * cache.heads * cache.rows(layer) * cache.d_head * 4
     if not 0 <= layer < len(cache.layers):
         raise BoundsError(f"layer {layer} out of range")
-    ql = cache.layers[layer]
-    total = 0
-    for pt in (ql.keys, ql.values):
-        total += pt.codes4.size + pt.codes2.size
-        total += 4 * (pt.scales.size + pt.zeros.size)
-    return total
+    lengths = np.bincount(_group_of(cache.d_head, cache.group_size))
+    bits = cache.layers[layer].bits_per_row.astype(np.int64)
+    code_bytes = -(-np.outer(bits, lengths) // 8)
+    return 2 * cache.heads * int(code_bytes.sum() + 8 * code_bytes.size)
 
 
 def memory_bytes(cache: KVCache | QuantizedKV) -> int:

@@ -51,12 +51,9 @@ def generate_workload(
 
 def write_workload_csv(fh, scores: np.ndarray) -> None:
     """Emit layer,token,score rows; floats use shortest round-trip repr."""
-    scores = np.asarray(scores, dtype=np.float32)
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["layer", "token", "score"])
-    for layer in range(scores.shape[0]):
-        for token in range(scores.shape[1]):
-            writer.writerow([layer, token, repr(float(scores[layer, token]))])
+    fh.write("layer,token,score\n")
+    for layer, row in enumerate(np.asarray(scores, dtype=np.float32).tolist()):
+        fh.writelines(f"{layer},{token},{v!r}\n" for token, v in enumerate(row))
 
 
 def read_workload_csv(fh) -> np.ndarray:

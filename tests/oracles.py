@@ -91,6 +91,27 @@ def group_quantization_bound(x, bits: int, group_size: int) -> float:
     return worst
 
 
+def group_fake_quantize(x, bits_per_row, group_size: int) -> np.ndarray:
+    """Quantize then dequantize (heads, rows, d) values one row and group at a time.
+
+    A group maps onto 2^bits - 1 even steps from its min to its max, codes
+    round half to even, and the scale and zero-point are stored as float32.
+    """
+    x = np.asarray(x, dtype=np.float32)
+    out = np.empty(x.shape, dtype=np.float32)
+    for h in range(x.shape[0]):
+        for r, bits in enumerate(bits_per_row):
+            levels = 2 ** int(bits) - 1
+            for start in range(0, x.shape[-1], group_size):
+                g = [float(v) for v in x[h, r, start : start + group_size]]
+                lo = min(g)
+                scale = (max(g) - lo) / levels
+                codes = [min(max(round((v - lo) / scale), 0), levels) if scale > 0 else 0 for v in g]
+                scale32, lo32 = float(np.float32(scale)), float(np.float32(lo))
+                out[h, r, start : start + group_size] = [c * scale32 + lo32 for c in codes]
+    return out
+
+
 def accumulated_oracle(weights) -> np.ndarray:
     """Column sums of an attention weight matrix, python accumulation."""
     w = np.asarray(weights, dtype=np.float64)

@@ -108,7 +108,7 @@ class TestAdaptiveBudget:
 class TestFixedBudget:
     def test_half_ratio_even_n(self):
         lb = budget.fixed_budget(128, 0.5)
-        assert (lb.p, lb.n, lb.tau) == (64, 128, budget.TAU_NOT_ADAPTIVE)
+        assert (lb.p, lb.n) == (64, 128)
         assert lb.retained_mass_fraction is None
 
     def test_rounding_half_away_from_zero(self):
@@ -159,7 +159,7 @@ class TestPlanLayer:
         assert lb == budget.adaptive_budget(self.v, 0.75, mass)
         assert part.important.tolist() == [1, 3]
         lb, part = budget.plan_layer("fixed", self.v, self.v, 0.75, 0.5, 0)
-        assert lb.p == 3 and lb.tau == budget.TAU_NOT_ADAPTIVE
+        assert lb.p == 3
         assert lb.retained_mass_fraction == budget.top_mass_fraction(self.v, 3, mass)
         assert part.important.tolist() == [1, 3, 4]
 

@@ -219,6 +219,52 @@ class TestQuantization:
         assert 0 < q_bytes < dense_bytes
         assert q_bytes == sum(kvcache.layer_memory_bytes(q, i) for i in range(2))
 
+    @pytest.mark.parametrize("d, group", [(12, 8), (3, 4), (1, 1), (16, 64)])
+    def test_matches_row_by_row_oracle_bitwise(self, d, group):
+        cache = filled_cache(layers=2, heads=2, t=9, d=d, seed=10)
+        cache.retain(1, make_partition(9, [0, 2, 5, 8]))
+        parts = [make_partition(9, [1, 3, 4]), make_partition(9, [5])]
+        q = kvcache.quantize_mixed(cache, parts, group_size=group)
+        restored = kvcache.dequantize(q)
+        for layer in range(2):
+            bits = q.layers[layer].bits_per_row
+            for name in ("keys", "values"):
+                want = oracles.group_fake_quantize(getattr(cache, name)[layer], bits, group)
+                assert np.array_equal(getattr(restored, name)[layer], want)
+
+    @staticmethod
+    def packed_bytes(heads, bits_per_row, d, group):
+        # K and V; per row and group: ceil(len * bits / 8) code bytes + float32 scale and zero
+        lengths = [min(group, d - s) for s in range(0, d, group)]
+        return 2 * heads * sum((n * b + 7) // 8 + 8 for b in bits_per_row for n in lengths)
+
+    @pytest.mark.parametrize("d, group", [(12, 8), (3, 4), (1, 1), (1, 16), (16, 5)])
+    def test_bytes_equal_packed_closed_form(self, d, group):
+        cache = filled_cache(layers=2, heads=3, t=7, d=d, seed=8)
+        cache.retain(1, make_partition(7, [0, 2, 3, 6]))
+        parts = [make_partition(7, [1, 4, 5]), make_partition(7, [2, 6])]
+        q = kvcache.quantize_mixed(cache, parts, group_size=group)
+        for layer in range(2):
+            bits = q.layers[layer].bits_per_row.tolist()
+            assert sorted(set(bits)) == [2, 4]
+            assert kvcache.layer_memory_bytes(q, layer) == self.packed_bytes(3, bits, d, group)
+
+    def test_one_two_bit_channel_takes_a_whole_byte(self):
+        cache = filled_cache(layers=1, heads=1, t=1, d=1)
+        q = kvcache.quantize_mixed(cache, make_partition(1, []), group_size=4)
+        # K and V: 1 code byte + 4-byte scale + 4-byte zero-point each
+        assert kvcache.layer_memory_bytes(q, 0) == 18
+
+    def test_dequantized_cache_is_c_contiguous(self):
+        # decode rounding depends on the layout, so it must not follow the source's
+        cache = filled_cache(layers=2, heads=2, t=9, d=8, seed=9)
+        cache.retain(1, make_partition(9, [0, 4, 5, 8]))
+        assert not cache.keys[1].flags.c_contiguous
+        restored = kvcache.dequantize(kvcache.quantize_mixed(cache, make_partition(9, [4]), 4))
+        for layer in range(2):
+            assert restored.keys[layer].flags.c_contiguous
+            assert restored.values[layer].flags.c_contiguous
+
     @given(
         st.integers(1, 3),
         st.integers(1, 24),
