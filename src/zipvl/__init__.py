@@ -9,10 +9,8 @@ whole pipeline checkable against its dense counterpart.
 
 from .attention import (
     AttentionScores,
-    ProbeSet,
     accumulated_scores,
     causal_scores,
-    dense_attention,
     normalized_scores,
     probe_attention,
     restricted_attention,
@@ -36,9 +34,7 @@ from .engine import (
     decode_step,
     generate,
     init_model,
-    load_model,
     prefill,
-    save_model,
 )
 from .engine import LayerReport
 from .errors import (
@@ -57,10 +53,7 @@ from .kvcache import (
     KVCache,
     QuantizedKV,
     dequantize,
-    load_snapshot,
-    memory_bytes,
     quantize_mixed,
-    save_snapshot,
 )
 from .metrics import (
     RunReport,

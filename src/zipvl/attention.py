@@ -33,13 +33,6 @@ class AttentionScores:
         return self.scores.shape[0]
 
 
-@dataclass(frozen=True)
-class ProbeSet:
-    """Query rows whose scores stand in for the full matrix (see select_probe_set)."""
-
-    indices: np.ndarray
-
-
 def causal_scores(
     q: np.ndarray, k: np.ndarray, scale: float, row_positions: np.ndarray | None = None
 ) -> AttentionScores:
@@ -64,16 +57,6 @@ def causal_scores(
     mask = numkit.causal_row_mask(row_positions, n)
     scores = numkit.masked_softmax_rows(logits, mask)
     return AttentionScores(scores=scores, row_positions=row_positions, n_total=n)
-
-
-def dense_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float
-) -> tuple[np.ndarray, AttentionScores]:
-    """Full causal attention: returns the output and the score matrix."""
-    if q.shape[0] != k.shape[0] or k.shape != v.shape:
-        raise ShapeError(f"q/k/v shapes inconsistent: {q.shape}, {k.shape}, {v.shape}")
-    scores = causal_scores(q, k, scale)
-    return scores.scores @ numkit.as_matrix(v), scores
 
 
 def restricted_attention(
@@ -121,12 +104,12 @@ def normalized_scores(scores: AttentionScores) -> np.ndarray:
     return out
 
 
-def select_probe_set(n: int, recent: int, random: int, seed: int) -> ProbeSet:
+def select_probe_set(n: int, recent: int, random: int, seed: int) -> np.ndarray:
     """Pick probe rows: the trailing `recent` positions plus `random` others.
 
     The random positions are drawn uniformly without replacement from the
     pool of non-recent positions; a pool smaller than `random` is taken
-    whole. Result is sorted ascending.
+    whole. Returns the probe positions as a sorted int64 array.
     """
     if n == 0:
         raise EmptySequenceError("cannot select probes from an empty sequence")
@@ -140,11 +123,11 @@ def select_probe_set(n: int, recent: int, random: int, seed: int) -> ProbeSet:
     rng = numkit.make_rng(seed)
     drawn = rng.permutation(pool)[:take]
     indices = np.concatenate([np.sort(drawn), np.arange(pool, n)])
-    return ProbeSet(indices=indices.astype(np.int64))
+    return indices.astype(np.int64)
 
 
 def probe_attention(
-    q: np.ndarray, probe: ProbeSet, k: np.ndarray, scale: float
+    q: np.ndarray, probe: np.ndarray, k: np.ndarray, scale: float
 ) -> AttentionScores:
     """Exact scores for the probe rows only; causality follows original positions."""
-    return causal_scores(q, k, scale, row_positions=probe.indices)
+    return causal_scores(q, k, scale, row_positions=probe)

@@ -37,10 +37,6 @@ class TokenPartition:
     important: np.ndarray
     n: int
 
-    @property
-    def unimportant(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.n, dtype=np.int64), self.important)
-
 
 def adaptive_budget(accumulated: np.ndarray, tau: float, mass_total: float) -> LayerBudget:
     """Smallest p whose top accumulated scores reach tau * mass_total.

@@ -154,6 +154,11 @@ def _policy(cfg: ExperimentConfig, **changes) -> engine.SparsityPolicy:
     return engine.SparsityPolicy(**{**values, **changes}).validate()
 
 
+def _adaptive_mode(cfg: ExperimentConfig) -> str:
+    """The adaptive mode sweep-tau and compare run: cfg.mode if adaptive, else zipvl-exact."""
+    return cfg.mode if cfg.mode in ("zipvl-exact", "zipvl-probe") else "zipvl-exact"
+
+
 def _model_config(cfg: ExperimentConfig) -> engine.ModelConfig:
     return engine.ModelConfig(
         layers=cfg.layers,
@@ -236,20 +241,20 @@ def cmd_run(cfg: ExperimentConfig) -> dict:
         out["prompt"] = prompt
         _print_summary(report.mean_ratio, report.flops_reduction, report.kv_reduction)
         return out
-    runs = []
+    reports, entries = [], []
     for repeat in range(cfg.repeats):
         report, _, prompt = run_experiment(cfg, model, policy, repeat=repeat)
         entry = metrics.report_to_dict(report)
         entry["prompt"] = prompt
         entry["repeat"] = repeat
-        runs.append((repeat, report, entry))
-    runs.sort(key=lambda r: r[0])
+        reports.append(report)
+        entries.append(entry)
     _print_summary(
-        float(np.mean([r.mean_ratio for _, r, _ in runs])),
-        float(np.mean([r.flops_reduction for _, r, _ in runs])),
-        float(np.mean([r.kv_reduction for _, r, _ in runs])),
+        float(np.mean([r.mean_ratio for r in reports])),
+        float(np.mean([r.flops_reduction for r in reports])),
+        float(np.mean([r.kv_reduction for r in reports])),
     )
-    return {"repeats": [entry for _, _, entry in runs]}
+    return {"repeats": entries}
 
 
 def _print_summary(mean_ratio: float, flops_reduction: float, kv_reduction: float) -> None:
@@ -265,7 +270,7 @@ def cmd_sweep_tau(cfg: ExperimentConfig) -> list[dict]:
     taus = [float(t) for t in cfg.taus.split(",") if t.strip()]
     if not taus:
         raise ConfigError("taus is empty")
-    mode = cfg.mode if cfg.mode in ("zipvl-exact", "zipvl-probe") else "zipvl-exact"
+    mode = _adaptive_mode(cfg)
     model = _build_model(cfg)
     rows = []
     for tau in taus:
@@ -291,10 +296,9 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     the configured fixed_ratio if no adaptive mode is listed), so the
     comparison isolates how the budget is allocated across layers.
     """
-    default_adaptive = cfg.mode if cfg.mode in ("zipvl-exact", "zipvl-probe") else "zipvl-exact"
     names = [m.strip() for m in cfg.modes.split(",") if m.strip()]
     if not names:
-        names = [default_adaptive, "fixed", "dense"]
+        names = [_adaptive_mode(cfg), "fixed", "dense"]
     if len(names) < 2:
         raise ConfigError("compare needs at least 2 modes")
     for name in names:

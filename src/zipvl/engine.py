@@ -20,7 +20,6 @@ whole cache.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,15 +29,13 @@ from .errors import (
     BoundsError,
     ConfigError,
     EmptySequenceError,
-    FormatError,
     VocabError,
 )
 
 MODES = ("dense", "zipvl-exact", "zipvl-probe", "fixed")
 METRIC_NAMES = ("accumulated", "normalized")
 
-# seed stream tags; layer indices occupy the low range
-_SAMPLE_TAG = 0x5A17_0001
+_NORM_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,6 @@ class ModelConfig:
     vocab_size: int
     max_seq: int
     seed: int
-    norm_eps: float = 1e-5
 
     @property
     def d_head(self) -> int:
@@ -151,8 +147,8 @@ def _uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def init_model(config: ModelConfig) -> TinyTransformer:
     """Build a model with weights drawn uniformly in +-1/sqrt(fan_in).
 
-    Draw order (also the checkpoint blob order): embedding, then per layer
-    wq, wk, wv, wo, w_up, w_down. Norm gains start at one.
+    Draw order: embedding, then per layer wq, wk, wv, wo, w_up, w_down.
+    Norm gains start at one.
     """
     config.validate()
     rng = numkit.make_rng(config.seed)
@@ -174,8 +170,8 @@ def init_model(config: ModelConfig) -> TinyTransformer:
     return model
 
 
-def _rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
-    scale = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + np.float32(eps))
+def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    scale = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + np.float32(_NORM_EPS))
     return (x * scale * gain).astype(np.float32)
 
 
@@ -230,7 +226,7 @@ def prefill(
     for layer, lw in enumerate(model.layers):
         mode = policy.layer_mode(layer)
         h_before = h
-        x = _rms_norm(h, lw.gain_attn, config.norm_eps)
+        x = _rms_norm(h, lw.gain_attn)
         q = _split_heads(x @ lw.wq, config.heads, d_head)
         k = _split_heads(x @ lw.wk, config.heads, d_head)
         v = _split_heads(x @ lw.wv, config.heads, d_head)
@@ -240,7 +236,7 @@ def prefill(
                 n, policy.probe_recent, policy.probe_random, numkit.derive_seed(config.seed, layer)
             )
             per_head = [attention.probe_attention(q[i], probe, k[i], scale) for i in range(config.heads)]
-            probe_rows = int(probe.indices.size)
+            probe_rows = int(probe.size)
         else:
             per_head = [attention.causal_scores(q[i], k[i], scale) for i in range(config.heads)]
             probe_rows = 0
@@ -269,7 +265,7 @@ def prefill(
         proj = attn.transpose(1, 0, 2).reshape(n, config.d_model) @ lw.wo
         h = h + proj
         h_after_attn = h
-        x2 = _rms_norm(h, lw.gain_mlp, config.norm_eps)
+        x2 = _rms_norm(h, lw.gain_mlp)
         h = h + _silu(x2 @ lw.w_up) @ lw.w_down
 
         cache.set_layer(layer, k, v, np.arange(n, dtype=np.int64))
@@ -324,7 +320,7 @@ def decode_step(
     scale = 1.0 / np.sqrt(d_head)
     h = model.embedding[int(token)]
     for layer, lw in enumerate(model.layers):
-        x = _rms_norm(h, lw.gain_attn, config.norm_eps)
+        x = _rms_norm(h, lw.gain_attn)
         q = (x @ lw.wq).reshape(config.heads, d_head)
         k = (x @ lw.wk).reshape(config.heads, d_head)
         v = (x @ lw.wv).reshape(config.heads, d_head)
@@ -334,7 +330,7 @@ def decode_step(
         weights = numkit.masked_softmax_rows(logits, None)
         out = (weights[:, None, :] @ values)[:, 0, :]
         h = h + out.reshape(config.d_model) @ lw.wo
-        x2 = _rms_norm(h, lw.gain_mlp, config.norm_eps)
+        x2 = _rms_norm(h, lw.gain_mlp)
         h = h + _silu(x2 @ lw.w_up) @ lw.w_down
     return (h @ model.embedding.T).astype(np.float32), cache
 
@@ -345,24 +341,17 @@ def decode(
     prefilled: tuple[np.ndarray, kvcache.KVCache, list[LayerReport]],
     steps: int,
     policy: SparsityPolicy,
-    greedy: bool = True,
 ) -> tuple[list[int], metrics.RunReport]:
-    """`steps` decode steps on from prefill's result; returns all tokens plus a report."""
+    """`steps` greedy decode steps on from prefill's result; returns all tokens plus a report."""
     if steps < 0:
         raise BoundsError("steps must be >= 0")
     prompt = _check_tokens(prompt, model.config)
     logits, cache, reports = prefilled
     tokens = [int(t) for t in prompt]
-    rng = None if greedy else numkit.make_rng(numkit.derive_seed(model.config.seed, _SAMPLE_TAG))
     cur = logits[-1]
     decode_flops = 0
     for step in range(steps):
-        if greedy:
-            nxt = int(np.argmax(cur))
-        else:
-            z = cur.astype(np.float64) - cur.max()
-            prob = np.exp(z) / np.exp(z).sum()
-            nxt = int(rng.choice(prob.size, p=prob))
+        nxt = int(np.argmax(cur))
         tokens.append(nxt)
         cur, cache = decode_step(model, nxt, cache, position=prompt.size + step)
         decode_flops += sum(
@@ -385,88 +374,6 @@ def generate(
     prompt: np.ndarray,
     steps: int,
     policy: SparsityPolicy,
-    greedy: bool = True,
 ) -> tuple[list[int], metrics.RunReport]:
-    """Prefill then `steps` decode steps; returns all tokens plus a report."""
-    return decode(model, prompt, prefill(model, prompt, policy), steps, policy, greedy)
-
-
-# --- model checkpoints ----------------------------------------------------
-
-CHECKPOINT_MAGIC = b"ZVTM"
-CHECKPOINT_VERSION = 1
-
-
-def save_model(model: TinyTransformer, path) -> None:
-    """Write config header plus flat little-endian float32 weight blobs."""
-    c = model.config
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIIIIIQd",
-                CHECKPOINT_VERSION,
-                c.layers,
-                c.heads,
-                c.d_model,
-                c.vocab_size,
-                c.max_seq,
-                c.seed,
-                c.norm_eps,
-            )
-        )
-        fh.write(np.ascontiguousarray(model.embedding, dtype="<f4").tobytes())
-        for lw in model.layers:
-            for w in (lw.wq, lw.wk, lw.wv, lw.wo, lw.w_up, lw.w_down, lw.gain_attn, lw.gain_mlp):
-                fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
-
-
-def load_model(path) -> TinyTransformer:
-    """Read a checkpoint written by save_model."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError("not a model checkpoint (bad magic)")
-    try:
-        version, layers, heads, d_model, vocab, max_seq, seed, eps = struct.unpack_from(
-            "<IIIIIIQd", blob, 4
-        )
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        config = ModelConfig(
-            layers=layers,
-            heads=heads,
-            d_model=d_model,
-            vocab_size=vocab,
-            max_seq=max_seq,
-            seed=seed,
-            norm_eps=eps,
-        ).validate()
-        offset = 4 + struct.calcsize("<IIIIIIQd")
-
-        def take(rows: int, cols: int) -> np.ndarray:
-            nonlocal offset
-            arr = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=offset)
-            offset += 4 * rows * cols
-            return arr.reshape(rows, cols).copy()
-
-        model = TinyTransformer(config=config, embedding=take(vocab, d_model))
-        d, ff = d_model, config.d_ff
-        for _ in range(layers):
-            model.layers.append(
-                LayerWeights(
-                    wq=take(d, d),
-                    wk=take(d, d),
-                    wv=take(d, d),
-                    wo=take(d, d),
-                    w_up=take(d, ff),
-                    w_down=take(ff, d),
-                    gain_attn=take(1, d).reshape(d),
-                    gain_mlp=take(1, d).reshape(d),
-                )
-            )
-    except (struct.error, ValueError) as exc:
-        raise FormatError(f"truncated checkpoint: {exc}") from exc
-    if offset != len(blob):
-        raise FormatError("checkpoint has trailing or missing bytes")
-    return model
+    """Prefill then `steps` greedy decode steps; returns all tokens plus a report."""
+    return decode(model, prompt, prefill(model, prompt, policy), steps, policy)

@@ -38,7 +38,7 @@ class OrderingError(ZipvlError, ValueError):
 
 
 class FormatError(ZipvlError, ValueError):
-    """A serialized artifact (snapshot, checkpoint, report) is malformed."""
+    """A workload CSV is malformed."""
 
 
 class ConfigError(ZipvlError, ValueError):

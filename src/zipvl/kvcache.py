@@ -25,17 +25,13 @@ zero-point per group, is what layer_memory_bytes reports, in closed form.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .budget import TokenPartition
-from .errors import BoundsError, DomainError, FormatError, OrderingError, ShapeError
-
-SNAPSHOT_MAGIC = b"ZVKV"
-SNAPSHOT_VERSION = 1
+from .errors import BoundsError, DomainError, OrderingError, ShapeError
 
 
 class KVCache:
@@ -268,62 +264,3 @@ def layer_memory_bytes(cache: KVCache | QuantizedKV, layer: int) -> int:
     bits = cache.layers[layer].bits_per_row.astype(np.int64)
     code_bytes = -(-np.outer(bits, lengths) // 8)
     return 2 * cache.heads * int(code_bytes.sum() + 8 * code_bytes.size)
-
-
-def memory_bytes(cache: KVCache | QuantizedKV) -> int:
-    """Storage footprint of the whole cache in bytes."""
-    n_layers = cache.num_layers if isinstance(cache, KVCache) else len(cache.layers)
-    return sum(layer_memory_bytes(cache, layer) for layer in range(n_layers))
-
-
-# --- binary snapshot ------------------------------------------------------
-
-
-def save_snapshot(cache: KVCache, path) -> None:
-    """Write a cache in the little-endian snapshot layout (see docs/FORMATS.md)."""
-    with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIII", SNAPSHOT_VERSION, cache.num_layers, cache.heads, cache.d_head
-            )
-        )
-        for layer in range(cache.num_layers):
-            fh.write(struct.pack("<I", cache.rows(layer)))
-            fh.write(cache.positions[layer].astype("<i8").tobytes())
-            fh.write(np.ascontiguousarray(cache.keys[layer], dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(cache.values[layer], dtype="<f4").tobytes())
-
-
-def load_snapshot(path) -> KVCache:
-    """Read a snapshot written by save_snapshot."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != SNAPSHOT_MAGIC:
-        raise FormatError("not a cache snapshot (bad magic)")
-    try:
-        version, layers, heads, d_head = struct.unpack_from("<IIII", blob, 4)
-        if version != SNAPSHOT_VERSION:
-            raise FormatError(f"unsupported snapshot version {version}")
-        cache = KVCache(layers, heads, d_head)
-        offset = 20
-        for layer in range(layers):
-            (t,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            positions = np.frombuffer(blob, dtype="<i8", count=t, offset=offset)
-            offset += 8 * t
-            keys = np.frombuffer(blob, dtype="<f4", count=heads * t * d_head, offset=offset)
-            offset += 4 * heads * t * d_head
-            values = np.frombuffer(blob, dtype="<f4", count=heads * t * d_head, offset=offset)
-            offset += 4 * heads * t * d_head
-            cache.set_layer(
-                layer,
-                keys.reshape(heads, t, d_head),
-                values.reshape(heads, t, d_head),
-                positions,
-            )
-    except (struct.error, ValueError) as exc:
-        raise FormatError(f"truncated snapshot: {exc}") from exc
-    if offset != len(blob):
-        raise FormatError("snapshot has trailing or missing bytes")
-    return cache

@@ -139,7 +139,7 @@ def test_04_probe_row_exactness():
             )
             ps = attention.probe_attention(q, probe, k, 1.0 / np.sqrt(d))
             full = attention.causal_scores(q, k, 1.0 / np.sqrt(d))
-            assert np.max(np.abs(ps.scores - full.scores[probe.indices])) <= 1e-6
+            assert np.max(np.abs(ps.scores - full.scores[probe])) <= 1e-6
 
         # a probe set covering every row reproduces the exact pipeline
         config = engine.ModelConfig(

@@ -19,7 +19,8 @@ class TestCausalScores:
     def test_matches_naive_attention(self):
         q, k, v = random_qkv(12, 5, seed=3)
         scale = 1.0 / np.sqrt(5)
-        out, scores = attention.dense_attention(q, k, v, scale)
+        scores = attention.causal_scores(q, k, scale)
+        out = scores.scores @ v
         ref_out, ref_w = oracles.naive_causal_attention(q, k, v, scale)
         assert np.max(np.abs(scores.scores - ref_w)) <= 1e-5
         assert np.max(np.abs(out - ref_out)) <= 1e-5
@@ -52,7 +53,7 @@ class TestCausalScores:
 class TestRestrictedAttention:
     def test_full_index_set_equals_dense(self):
         q, k, v = random_qkv(10, 4, seed=5)
-        dense_out, _ = attention.dense_attention(q, k, v, 0.5)
+        dense_out = attention.causal_scores(q, k, 0.5).scores @ v
         sub_out, _ = attention.restricted_attention(q, k, v, 0.5, np.arange(10))
         assert np.array_equal(sub_out, dense_out)
 
@@ -130,24 +131,24 @@ class TestScoreStats:
 class TestProbeSet:
     def test_recent_block_always_present(self):
         probe = attention.select_probe_set(100, recent=10, random=5, seed=1)
-        assert set(range(90, 100)) <= set(probe.indices.tolist())
-        assert probe.indices.size == 15
-        assert np.all(np.diff(probe.indices) > 0)
+        assert set(range(90, 100)) <= set(probe.tolist())
+        assert probe.size == 15
+        assert np.all(np.diff(probe) > 0)
 
     def test_covers_everything_when_counts_exceed_n(self):
         probe = attention.select_probe_set(8, recent=64, random=64, seed=1)
-        assert probe.indices.tolist() == list(range(8))
+        assert probe.tolist() == list(range(8))
 
     def test_recent_plus_random_covering_exactly(self):
         probe = attention.select_probe_set(128, recent=64, random=64, seed=9)
-        assert probe.indices.tolist() == list(range(128))
+        assert probe.tolist() == list(range(128))
 
     def test_deterministic_in_seed(self):
         a = attention.select_probe_set(50, 5, 10, seed=3)
         b = attention.select_probe_set(50, 5, 10, seed=3)
         c = attention.select_probe_set(50, 5, 10, seed=4)
-        assert np.array_equal(a.indices, b.indices)
-        assert not np.array_equal(a.indices, c.indices)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_domain_errors(self):
         with pytest.raises(EmptySequenceError):
@@ -165,8 +166,7 @@ class TestProbeSet:
     )
     @settings(max_examples=100, deadline=None)
     def test_property_sorted_unique_in_range(self, n, recent, random, seed):
-        probe = attention.select_probe_set(n, recent, random, seed)
-        idx = probe.indices
+        idx = attention.select_probe_set(n, recent, random, seed)
         assert idx.size == min(recent, n) + min(random, max(0, n - min(recent, n)))
         assert np.all(np.diff(idx) > 0)
         assert idx.min() >= 0 and idx.max() < n
@@ -180,11 +180,11 @@ class TestProbeAttention:
         probe = attention.select_probe_set(40, recent=6, random=6, seed=2)
         ps = attention.probe_attention(q, probe, k, 1.0 / np.sqrt(8))
         full = attention.causal_scores(q, k, 1.0 / np.sqrt(8))
-        assert np.array_equal(ps.scores, full.scores[probe.indices])
+        assert np.array_equal(ps.scores, full.scores[probe])
 
     def test_probe_mass_equals_probe_row_count(self):
         q, k, _ = random_qkv(30, 4, seed=14)
         probe = attention.select_probe_set(30, recent=4, random=8, seed=5)
         acc = attention.accumulated_scores(attention.probe_attention(q, probe, k, 0.5))
         mass = float(acc.sum(dtype=np.float64))
-        assert abs(mass - probe.indices.size) <= 1e-3 * probe.indices.size
+        assert abs(mass - probe.size) <= 1e-3 * probe.size

