@@ -36,10 +36,13 @@ class AttentionScores:
 def causal_scores(
     q: np.ndarray, k: np.ndarray, scale: float, row_positions: np.ndarray | None = None
 ) -> AttentionScores:
-    """Masked softmax scores for the given query rows against all keys.
+    """Causal softmax scores for the given query rows against all keys.
 
     row_positions=None means all rows. Rows are always gathered into a fresh
     contiguous array so full and subset calls share the exact same float path.
+    The softmax runs in row blocks (numkit.causal_softmax_rows): each row's
+    exp-sum spans all n columns, zeros past its position included, which
+    keeps the bits of a softmax over the masked n x n logits.
     """
     q = numkit.as_matrix(q)
     k = numkit.as_matrix(k)
@@ -53,9 +56,7 @@ def causal_scores(
         if row_positions.size and row_positions.max() >= q.shape[0]:
             raise BoundsError("row position beyond query rows")
     q_rows = np.ascontiguousarray(q[row_positions])
-    logits = (q_rows @ k.T) * numkit.FLOAT(scale)
-    mask = numkit.causal_row_mask(row_positions, n)
-    scores = numkit.masked_softmax_rows(logits, mask)
+    scores = numkit.causal_softmax_rows(q_rows, k, scale, row_positions)
     return AttentionScores(scores=scores, row_positions=row_positions, n_total=n)
 
 
@@ -68,14 +69,15 @@ def restricted_attention(
     indices[j] <= indices[i]. With ascending indices that is a plain lower
     triangle, so no weight ever flows from a later position to an earlier
     one. Returns (outputs over the subset, weight matrix) in subset order.
+    The weights come from numkit.causal_softmax_rows over subset positions,
+    whose row sums span the whole subset width; the outputs are one
+    `weights @ v` product, since BLAS rounds a row-blocked product differently.
     """
     idx = np.asarray(indices, dtype=np.int64)
     q_s = np.ascontiguousarray(numkit.as_matrix(q)[idx])
     k_s = np.ascontiguousarray(numkit.as_matrix(k)[idx])
     v_s = np.ascontiguousarray(numkit.as_matrix(v)[idx])
-    logits = (q_s @ k_s.T) * numkit.FLOAT(scale)
-    mask = np.tril(np.ones((idx.size, idx.size), dtype=bool))
-    weights = numkit.masked_softmax_rows(logits, mask)
+    weights = numkit.causal_softmax_rows(q_s, k_s, scale, np.arange(idx.size))
     return weights @ v_s, weights
 
 
@@ -94,13 +96,16 @@ def structural_nnz(scores: AttentionScores) -> np.ndarray:
     return scores.n_rows - np.searchsorted(scores.row_positions, cols, side="left")
 
 
-def normalized_scores(scores: AttentionScores) -> np.ndarray:
-    """Accumulated score per token divided by its visible-entry count."""
-    acc = accumulated_scores(scores)
+def normalized_scores(scores: AttentionScores, accumulated: np.ndarray) -> np.ndarray:
+    """Accumulated score per token divided by its visible-entry count.
+
+    `accumulated` is accumulated_scores(scores); the caller passes the one it
+    already has, so the column mass is summed once per head.
+    """
     nnz = structural_nnz(scores)
     out = np.zeros(scores.n_total, dtype=numkit.FLOAT)
     seen = nnz > 0
-    out[seen] = acc[seen] / nnz[seen]
+    out[seen] = accumulated[seen] / nnz[seen]
     return out
 
 

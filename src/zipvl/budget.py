@@ -97,11 +97,12 @@ def partition_tokens(normalized: np.ndarray, p: int) -> TokenPartition:
 
 def plan_layer(
     mode: str,
-    size_by: np.ndarray,
-    rank_by: np.ndarray,
+    size_by: np.ndarray | None,
+    rank_by: np.ndarray | None,
     tau: float,
     fixed_ratio: float,
     keep_last: int,
+    n: int | None = None,
 ) -> tuple[LayerBudget, TokenPartition]:
     """Size one layer's budget from size_by, then fill it by rank_by.
 
@@ -109,17 +110,19 @@ def plan_layer(
     the share of size_by's mass those top tokens cover, and any other mode
     takes the adaptive budget for tau. The last keep_last tokens are always
     kept, raising the kept count above the budget's p when they must.
+    n is the token count, np.size(rank_by) when omitted; dense reads no
+    score, so a dense layer may pass None for both vectors and give n.
     """
-    n = np.size(rank_by)
+    n = np.size(rank_by) if n is None else n
     if mode == "dense":
-        lb = LayerBudget(n=n, p=n, retained_mass_fraction=1.0)
+        everything = TokenPartition(important=np.arange(n, dtype=np.int64), n=n)
+        return LayerBudget(n=n, p=n, retained_mass_fraction=1.0), everything
+    mass = float(np.sum(size_by, dtype=np.float64))
+    if mode == "fixed":
+        lb = fixed_budget(n, fixed_ratio)
+        lb = replace(lb, retained_mass_fraction=top_mass_fraction(size_by, lb.p, mass))
     else:
-        mass = float(np.sum(size_by, dtype=np.float64))
-        if mode == "fixed":
-            lb = fixed_budget(n, fixed_ratio)
-            lb = replace(lb, retained_mass_fraction=top_mass_fraction(size_by, lb.p, mass))
-        else:
-            lb = adaptive_budget(size_by, tau, mass)
+        lb = adaptive_budget(size_by, tau, mass)
     ident = np.array(rank_by, dtype=np.float64)
     n_prot = min(keep_last, n)
     if n_prot:

@@ -192,9 +192,15 @@ def _build_model(cfg: ExperimentConfig) -> engine.TinyTransformer | None:
     """The model a command runs on, or None for a score workload.
 
     The model depends only on the global seed, so a command builds it once
-    and hands it to every run_experiment call.
+    and hands it to every run_experiment call. A prompt plus its decode
+    steps longer than max_seq is rejected here, before any prefill.
     """
-    return engine.init_model(_model_config(cfg)) if cfg.workload == "model" else None
+    if cfg.workload != "model":
+        return None
+    config = _model_config(cfg)
+    if cfg.n + cfg.steps > config.max_seq:
+        raise BoundsError(f"n={cfg.n} + steps={cfg.steps} exceeds max_seq={config.max_seq}")
+    return engine.init_model(config)
 
 
 def run_experiment(

@@ -14,8 +14,10 @@ Four attention pipelines share one code path:
 Per layer the prefill pass scores token importance, picks an important set,
 computes attention only among that set (everything else receives a zero
 attention output and rides the residual stream), and caches K/V for the
-important tokens only. Decode appends unconditionally and attends to the
-whole cache.
+important tokens only. Dense layers (mode dense, and the first
+dense_first_layers layers of any mode) keep every token, so they compute no
+scores at all. Decode appends unconditionally and attends to the whole
+cache, up to max_seq positions.
 """
 
 from __future__ import annotations
@@ -199,6 +201,34 @@ def _check_tokens(tokens: np.ndarray, config: ModelConfig) -> np.ndarray:
     return tokens
 
 
+def _token_scores(
+    q: np.ndarray, k: np.ndarray, scale: float, mode: str, policy: SparsityPolicy, seed: int,
+    layer: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """A scored layer's head-mean accumulated and normalized scores, and its probe row count.
+
+    zipvl-probe scores the layer's probe rows, every other mode all rows.
+    Each head's column mass is summed once and feeds both statistics.
+    """
+    n, heads = k.shape[1], k.shape[0]
+    if mode == "zipvl-probe":
+        probe = attention.select_probe_set(
+            n, policy.probe_recent, policy.probe_random, numkit.derive_seed(seed, layer)
+        )
+        per_head = [attention.probe_attention(q[i], probe, k[i], scale) for i in range(heads)]
+        probe_rows = int(probe.size)
+    else:
+        per_head = [attention.causal_scores(q[i], k[i], scale) for i in range(heads)]
+        probe_rows = 0
+    acc = [attention.accumulated_scores(s) for s in per_head]
+    norm = [attention.normalized_scores(s, a) for s, a in zip(per_head, acc)]
+    return (
+        np.mean(acc, axis=0, dtype=np.float64).astype(np.float32),
+        np.mean(norm, axis=0, dtype=np.float64).astype(np.float32),
+        probe_rows,
+    )
+
+
 def prefill(
     model: TinyTransformer,
     tokens: np.ndarray,
@@ -211,7 +241,9 @@ def prefill(
     its important set; with the set equal to all tokens that path is the
     dense computation. Tokens outside the set get a zero attention output,
     which the no-bias output projection keeps exactly zero, so their
-    residual stream passes through the attention sublayer unchanged.
+    residual stream passes through the attention sublayer unchanged. A
+    dense layer computes no scores; its trace entry carries None for
+    accumulated and normalized.
     """
     config = model.config
     policy.validate()
@@ -231,21 +263,10 @@ def prefill(
         k = _split_heads(x @ lw.wk, config.heads, d_head)
         v = _split_heads(x @ lw.wv, config.heads, d_head)
 
-        if mode == "zipvl-probe":
-            probe = attention.select_probe_set(
-                n, policy.probe_recent, policy.probe_random, numkit.derive_seed(config.seed, layer)
-            )
-            per_head = [attention.probe_attention(q[i], probe, k[i], scale) for i in range(config.heads)]
-            probe_rows = int(probe.size)
+        if mode == "dense":
+            acc, norm, probe_rows = None, None, 0
         else:
-            per_head = [attention.causal_scores(q[i], k[i], scale) for i in range(config.heads)]
-            probe_rows = 0
-
-        acc = np.mean([attention.accumulated_scores(s) for s in per_head], axis=0, dtype=np.float64)
-        norm = np.mean([attention.normalized_scores(s) for s in per_head], axis=0, dtype=np.float64)
-        acc = acc.astype(np.float32)
-        norm = norm.astype(np.float32)
-
+            acc, norm, probe_rows = _token_scores(q, k, scale, mode, policy, config.seed, layer)
         metric = {"accumulated": acc, "normalized": norm}
         lb, part = budget.plan_layer(
             mode,
@@ -254,6 +275,7 @@ def prefill(
             policy.tau,
             policy.fixed_ratio,
             policy.keep_last,
+            n=n,
         )
         partitions.append(part)
         imp = part.important
@@ -292,8 +314,8 @@ def prefill(
                     "h_before": h_before.copy(),
                     "h_after_attn": h_after_attn.copy(),
                     "partition": part,
-                    "accumulated": acc.copy(),
-                    "normalized": norm.copy(),
+                    "accumulated": None if acc is None else acc.copy(),
+                    "normalized": None if norm is None else norm.copy(),
                     "probe_rows": probe_rows,
                 }
             )
@@ -342,10 +364,17 @@ def decode(
     steps: int,
     policy: SparsityPolicy,
 ) -> tuple[list[int], metrics.RunReport]:
-    """`steps` greedy decode steps on from prefill's result; returns all tokens plus a report."""
+    """`steps` greedy decode steps on from prefill's result; returns all tokens plus a report.
+
+    Raises BoundsError before the first step when prompt + steps exceeds max_seq.
+    """
     if steps < 0:
         raise BoundsError("steps must be >= 0")
     prompt = _check_tokens(prompt, model.config)
+    if prompt.size + steps > model.config.max_seq:
+        raise BoundsError(
+            f"prompt length {prompt.size} + {steps} steps exceeds max_seq {model.config.max_seq}"
+        )
     logits, cache, reports = prefilled
     tokens = [int(t) for t in prompt]
     cur = logits[-1]

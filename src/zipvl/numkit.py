@@ -20,6 +20,10 @@ from .errors import BoundsError, DegenerateMaskError, DomainError, ShapeError
 
 FLOAT = np.float32
 
+# rows per block of causal_softmax_rows: of 16 to 256, 64 was fastest at n=2048
+# and tied at n=1024 (d_head 16, one BLAS thread)
+CAUSAL_BLOCK = 64
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; same seed gives the same stream."""
@@ -76,6 +80,55 @@ def masked_softmax_rows(logits: np.ndarray, mask: np.ndarray | None) -> np.ndarr
     shifted -= shifted.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return (e / e.sum(axis=1, keepdims=True)).astype(FLOAT)
+
+
+def causal_softmax_rows(
+    q_rows: np.ndarray, k: np.ndarray, scale: float, row_positions: np.ndarray
+) -> np.ndarray:
+    """Causal softmax of (q_rows @ k.T) * scale, one block of rows at a time.
+
+    Row r sees keys 0..row_positions[r]; positions must ascend and lie in
+    [0, n). Returns float32 (rows, n) weights, exactly 0.0 past each row's
+    position, with the same bits as masked_softmax_rows on the same logits
+    and causal_row_mask. The logits come from one product into the output
+    array. Each block of CAUSAL_BLOCK rows is then copied into a float64
+    tile up to its last position, masked on the diagonal in place, run
+    through max, exp and divide in place and written back, so no n x n
+    float64 array or mask is ever built.
+
+    The tile is n wide, zeros past the block's last position included,
+    because numpy's pairwise sum groups terms by row length: a shorter row
+    sums to other bits. The product is not split by block either: BLAS
+    picks its kernel by row and column count, so a row block's logits
+    against only its visible keys can differ in the last bit. The same
+    holds for `weights @ v` split into row blocks.
+    """
+    q_rows = as_matrix(q_rows)
+    k = as_matrix(k)
+    pos = np.asarray(row_positions, dtype=np.int64)
+    m, n = q_rows.shape[0], k.shape[0]
+    if pos.shape != (m,):
+        raise ShapeError(f"{pos.shape} row positions for {m} query rows")
+    if m and (pos[0] < 0 or pos[-1] >= n or np.any(np.diff(pos) < 0)):
+        raise BoundsError(f"row positions must ascend within [0, {n})")
+    out = q_rows @ k.T
+    out *= FLOAT(scale)
+    tile = np.zeros((min(CAUSAL_BLOCK, m), n), dtype=np.float64)
+    for r0 in range(0, m, CAUSAL_BLOCK):
+        blk = pos[r0 : r0 + CAUSAL_BLOCK]
+        rows = out[r0 : r0 + blk.size]
+        lo, hi = int(blk[0]) + 1, int(blk[-1]) + 1
+        # the tile's columns past hi stay zero: hi only grows from block to block
+        t = tile[: blk.size]
+        w = t[:, :hi]
+        w[...] = rows[:, :hi]
+        np.putmask(w[:, lo:], ~causal_row_mask(blk - lo, hi - lo), -np.inf)
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+        w /= t.sum(axis=1, keepdims=True)
+        rows[:, :hi] = w
+        rows[:, hi:] = 0.0
+    return out
 
 
 def topk_indices(values: np.ndarray, k: int) -> np.ndarray:

@@ -65,6 +65,17 @@ class TestRestrictedAttention:
         assert np.max(np.abs(out - ref_out)) <= 1e-5
         assert np.max(np.abs(w - ref_w)) <= 1e-5
 
+    @pytest.mark.parametrize("p", [numkit.CAUSAL_BLOCK + 1, 2 * numkit.CAUSAL_BLOCK + 3])
+    def test_matches_naive_across_blocks(self, p):
+        n = 3 * p
+        q, k, v = random_qkv(n, 8, seed=p)
+        idx = np.sort(numkit.make_rng(p).permutation(n)[:p])
+        out, w = attention.restricted_attention(q, k, v, 0.5, idx)
+        ref_out, ref_w = oracles.naive_restricted_attention(q, k, v, 0.5, idx)
+        assert np.max(np.abs(out - ref_out)) <= 1e-5
+        assert np.max(np.abs(w - ref_w)) <= 1e-5
+        assert np.all(w[np.triu_indices(p, k=1)] == 0.0)
+
     def test_no_weight_flows_backward(self):
         q, k, v = random_qkv(12, 4, seed=7)
         idx = np.array([0, 4, 8, 11])
@@ -101,7 +112,7 @@ class TestScoreStats:
         q, k, _ = random_qkv(8, 3, seed=12)
         scores = attention.causal_scores(q, k, 0.5, row_positions=np.array([2, 5]))
         acc = attention.accumulated_scores(scores)
-        norm = attention.normalized_scores(scores)
+        norm = attention.normalized_scores(scores, acc)
         nnz = attention.structural_nnz(scores)
         assert np.all(norm[nnz == 0] == 0.0)
         seen = nnz > 0
@@ -123,7 +134,7 @@ class TestScoreStats:
             scores=w, row_positions=np.arange(4), n_total=4
         )
         acc = attention.accumulated_scores(scores)
-        norm = attention.normalized_scores(scores)
+        norm = attention.normalized_scores(scores, acc)
         assert numkit.topk_indices(acc, 1).tolist() == [0]
         assert numkit.topk_indices(norm, 1).tolist() == [3]
 

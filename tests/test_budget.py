@@ -153,6 +153,12 @@ class TestPlanLayer:
         assert (lb.p, lb.retained_mass_fraction) == (6, 1.0)
         assert part.important.tolist() == list(range(6))
 
+    def test_dense_needs_only_the_token_count(self):
+        lb, part = budget.plan_layer("dense", None, None, 0.5, 0.5, 3, n=6)
+        assert lb == budget.plan_layer("dense", self.v, self.v, 0.5, 0.5, 3)[0]
+        assert part.important.dtype == np.int64
+        assert (part.n, part.important.tolist()) == (6, list(range(6)))
+
     def test_adaptive_and_fixed_match_their_budgets(self):
         mass = float(self.v.sum(dtype=np.float64))
         lb, part = budget.plan_layer("zipvl-exact", self.v, self.v, 0.75, 0.5, 0)

@@ -103,6 +103,26 @@ class TestExitCodes:
         rc, _, _ = run_cli(capsys, "gen-workload")
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep-tau"])
+    def test_decode_past_max_seq_is_bounds_error_before_prefill(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        prefills = []
+        monkeypatch.setattr(engine, "prefill", lambda *a, **k: prefills.append(1))
+        path = tmp_path / "c.cfg"
+        path.write_text("max_seq=16\nn=16\nsteps=8\nlayers=1\nd_model=8\nheads=1\n")
+        rc, out, err = run_cli(capsys, "--config", str(path), command)
+        assert rc == 9
+        assert "max_seq" in err and out == ""
+        assert prefills == []
+
+    def test_decode_up_to_max_seq_succeeds(self, capsys, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("max_seq=24\nn=16\nsteps=8\nlayers=1\nd_model=8\nheads=1\n")
+        rc, out, _ = run_cli(capsys, "--config", str(path), "run")
+        assert rc == 0
+        assert len(json.loads(out)["generated"]) == 8
+
     def test_success_is_zero(self, capsys):
         rc, out, _ = run_cli(capsys, "run", "--workload-file", WORKLOAD)
         assert rc == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from zipvl import engine, kvcache, metrics, numkit
+from zipvl import attention, engine, kvcache, metrics, numkit
 from zipvl.errors import (
     BoundsError,
     ConfigError,
@@ -203,6 +203,59 @@ class TestSparsityMechanics:
         assert all(0.0 < r.retained_mass <= 1.0 for r in reports)
 
 
+def _count_calls(monkeypatch, module, *names):
+    """Wrap module.name for each name; returns the dict of call counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestScoringWork:
+    SCORING = ("causal_scores", "probe_attention", "accumulated_scores", "normalized_scores")
+
+    @pytest.mark.parametrize("policy", [
+        engine.SparsityPolicy(mode="dense"),
+        engine.SparsityPolicy(mode="zipvl-exact", dense_first_layers=CFG.layers),
+        engine.SparsityPolicy(mode="zipvl-probe", dense_first_layers=CFG.layers),
+    ])
+    def test_dense_layers_score_nothing(self, model, prompt, monkeypatch, policy):
+        counts = _count_calls(monkeypatch, attention, *self.SCORING)
+        _, _, reports = engine.prefill(model, prompt, policy)
+        assert counts == dict.fromkeys(self.SCORING, 0)
+        assert all(r.p == len(prompt) and r.retained_mass == 1.0 for r in reports)
+
+    @pytest.mark.parametrize("mode", ["zipvl-exact", "zipvl-probe", "fixed"])
+    def test_scored_layers_sum_each_head_once(self, model, prompt, monkeypatch, mode):
+        counts = _count_calls(monkeypatch, attention, *self.SCORING)
+        pol = engine.SparsityPolicy(mode=mode, dense_first_layers=1, probe_recent=8, probe_random=8)
+        engine.prefill(model, prompt, pol)
+        scored = CFG.heads * (CFG.layers - 1)
+        assert counts["accumulated_scores"] == scored
+        assert counts["normalized_scores"] == scored
+        # probe_attention reaches causal_scores once per call
+        assert counts["causal_scores"] == scored
+        assert counts["probe_attention"] == (scored if mode == "zipvl-probe" else 0)
+
+    def test_dense_trace_entry_has_no_score_vectors(self, model, prompt):
+        trace: list = []
+        pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.8, dense_first_layers=1)
+        engine.prefill(model, prompt, pol, trace=trace)
+        dense, scored = trace[0], trace[1]
+        assert dense["accumulated"] is None and dense["normalized"] is None
+        assert dense["probe_rows"] == 0
+        assert dense["partition"].important.tolist() == list(range(len(prompt)))
+        assert dense["h_before"].shape == dense["h_after_attn"].shape == (len(prompt), CFG.d_model)
+        assert not np.array_equal(dense["h_before"], dense["h_after_attn"])
+        assert scored["accumulated"].shape == scored["normalized"].shape == (len(prompt),)
+
+
 class TestQuantizedPipeline:
     def test_keeps_all_rows_with_smaller_footprint(self, model, prompt):
         pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.8, quantize=True, group_size=8)
@@ -353,6 +406,19 @@ class TestGenerate:
     def test_negative_steps_rejected(self, model, prompt):
         with pytest.raises(BoundsError):
             engine.generate(model, prompt, -1, engine.SparsityPolicy())
+
+    def test_decode_past_max_seq_rejected_before_the_first_step(self, model, prompt, monkeypatch):
+        pol = engine.SparsityPolicy()
+        prefilled = engine.prefill(model, prompt, pol)
+        fits = CFG.max_seq - len(prompt)
+        steps = []
+        monkeypatch.setattr(engine, "decode_step", lambda *a, **k: steps.append(1))
+        with pytest.raises(BoundsError):
+            engine.decode(model, prompt, prefilled, fits + 1, pol)
+        assert steps == []
+        monkeypatch.undo()
+        tokens, _ = engine.decode(model, prompt, prefilled, fits, pol)
+        assert len(tokens) == CFG.max_seq
 
     def test_greedy_repeatable(self, model, prompt):
         pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.9)

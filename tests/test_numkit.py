@@ -93,6 +93,54 @@ class TestMaskedSoftmax:
             numkit.masked_softmax_rows(np.zeros((2, 0), dtype=np.float32), None)
 
 
+B = numkit.CAUSAL_BLOCK
+
+
+def _probe_positions(n):
+    """Ascending rows that start past 0, skip whole blocks, then run to n - 1."""
+    early = np.arange(3, min(n, B + 5), 2)
+    late = np.arange(max(0, n - B - 7), n)
+    return np.unique(np.concatenate([early[early < n], late]))
+
+
+class TestCausalSoftmax:
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    @pytest.mark.parametrize("d", [8, 16, 32])
+    @pytest.mark.parametrize("rows", ["all", "probe"])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3, 4 * B + 29])
+    def test_equals_masked_softmax_bitwise(self, n, rows, d, scale):
+        rng = numkit.make_rng(n * 100 + d)
+        q = rng.normal(size=(n, d)).astype(np.float32)
+        k = rng.normal(size=(n, d)).astype(np.float32)
+        pos = np.arange(n) if rows == "all" else _probe_positions(n)
+        q_rows = np.ascontiguousarray(q[pos])
+        s = numkit.FLOAT(scale / np.sqrt(d))
+        # at scale 1e4 a masked column leaking into the max or the sum moves every row
+        ref = numkit.masked_softmax_rows((q_rows @ k.T) * s, numkit.causal_row_mask(pos, n))
+        out = numkit.causal_softmax_rows(q_rows, k, s, pos)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, ref)
+
+    def test_probe_rows_skip_blocks(self):
+        pos = _probe_positions(4 * B + 29)
+        assert pos[0] > 0 and np.diff(pos).max() > B
+
+    def test_no_rows(self):
+        out = numkit.causal_softmax_rows(np.zeros((0, 4)), np.ones((5, 4)), 1.0, np.arange(0))
+        assert out.shape == (0, 5)
+
+    def test_bad_positions_raise(self):
+        q = np.ones((3, 2), dtype=np.float32)
+        with pytest.raises(ShapeError):
+            numkit.causal_softmax_rows(q, q, 1.0, np.arange(2))
+        with pytest.raises(BoundsError):
+            numkit.causal_softmax_rows(q, q, 1.0, np.array([0, 2, 1]))
+        with pytest.raises(BoundsError):
+            numkit.causal_softmax_rows(q, q, 1.0, np.array([0, 1, 3]))
+        with pytest.raises(BoundsError):
+            numkit.causal_softmax_rows(q, q, 1.0, np.array([-1, 0, 1]))
+
+
 class TestTopk:
     def test_matches_oracle_with_ties(self):
         values = np.array([1.0, 3.0, 3.0, 0.5, 3.0, 2.0], dtype=np.float32)
