@@ -1,7 +1,7 @@
 """Time prefill per mode on the default model and append the rows to BENCH_prefill.json.
 
 Each row holds one (n, mode) pair: the measured prefill time (min over
---repeats runs), the modeled prefill attention flops (the sum of the layer
+REPEATS runs), the modeled prefill attention flops (the sum of the layer
 reports' attn_flops), and the measured and modeled speedup over dense at
 the same n. Rows of one invocation form a row set under --label; the file
 keeps every row set, so the trajectory across changes can be read. The
@@ -10,7 +10,7 @@ policy knobs (tau 0.975, fixed_ratio 0.5, probes 64 + 64); numpy runs on
 one BLAS thread.
 
 Usage:
-    PYTHONPATH=src python3 scripts/bench_prefill.py --label NAME [--repeats 3]
+    PYTHONPATH=src python3 scripts/bench_prefill.py --label NAME
 """
 
 import os
@@ -29,11 +29,12 @@ import numpy as np
 from zipvl import engine
 
 SIZES = (128, 512, 2048)
+REPEATS = 3
 LAYERS, HEADS, D_MODEL, VOCAB, SEED = 4, 4, 64, 256, 1234
 OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_prefill.json"
 
 
-def measure(n: int, repeats: int) -> list[dict]:
+def measure(n: int) -> list[dict]:
     model = engine.init_model(
         engine.ModelConfig(
             layers=LAYERS, heads=HEADS, d_model=D_MODEL, vocab_size=VOCAB, max_seq=n, seed=SEED
@@ -44,7 +45,7 @@ def measure(n: int, repeats: int) -> list[dict]:
     for mode in engine.MODES:
         policy = engine.SparsityPolicy(mode=mode)
         times = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             t0 = time.perf_counter()
             _, _, reports = engine.prefill(model, prompt, policy)
             times.append(time.perf_counter() - t0)
@@ -67,23 +68,20 @@ def measure(n: int, repeats: int) -> list[dict]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True, help="name of this row set, e.g. a commit")
-    parser.add_argument("--repeats", type=int, default=3, help="runs per (n, mode); min is kept")
-    parser.add_argument("--out", default=str(OUT), help="JSON file to append the row set to")
     args = parser.parse_args()
-    path = pathlib.Path(args.out)
-    doc = json.loads(path.read_text()) if path.exists() else {"row_sets": []}
-    rows = [row for n in SIZES for row in measure(n, args.repeats)]
+    doc = json.loads(OUT.read_text()) if OUT.exists() else {"row_sets": []}
+    rows = [row for n in SIZES for row in measure(n)]
     doc["row_sets"].append(
         {
             "label": args.label,
-            "repeats": args.repeats,
+            "repeats": REPEATS,
             "blas_threads": 1,
             "model": {"layers": LAYERS, "heads": HEADS, "d_model": D_MODEL, "vocab_size": VOCAB},
             "machine": f"{platform.machine()}, {os.cpu_count()} cpus, numpy {np.__version__}",
             "rows": rows,
         }
     )
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    OUT.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for r in rows:
         print(
             f"n={r['n']:<5} {r['mode']:<12} {r['prefill_ms']:>9.1f} ms  "

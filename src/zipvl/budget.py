@@ -97,23 +97,21 @@ def partition_tokens(normalized: np.ndarray, p: int) -> TokenPartition:
 
 def plan_layer(
     mode: str,
+    n: int,
     size_by: np.ndarray | None,
     rank_by: np.ndarray | None,
     tau: float,
     fixed_ratio: float,
     keep_last: int,
-    n: int | None = None,
 ) -> tuple[LayerBudget, TokenPartition]:
-    """Size one layer's budget from size_by, then fill it by rank_by.
+    """Size one layer's n-token budget from size_by, then fill it by rank_by.
 
     dense keeps every token, fixed keeps round(fixed_ratio * n) and records
     the share of size_by's mass those top tokens cover, and any other mode
     takes the adaptive budget for tau. The last keep_last tokens are always
     kept, raising the kept count above the budget's p when they must.
-    n is the token count, np.size(rank_by) when omitted; dense reads no
-    score, so a dense layer may pass None for both vectors and give n.
+    dense reads no score, so a dense layer passes None for both vectors.
     """
-    n = np.size(rank_by) if n is None else n
     if mode == "dense":
         everything = TokenPartition(important=np.arange(n, dtype=np.int64), n=n)
         return LayerBudget(n=n, p=n, retained_mass_fraction=1.0), everything

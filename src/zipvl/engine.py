@@ -202,8 +202,7 @@ def _check_tokens(tokens: np.ndarray, config: ModelConfig) -> np.ndarray:
 
 
 def _token_scores(
-    q: np.ndarray, k: np.ndarray, scale: float, mode: str, policy: SparsityPolicy, seed: int,
-    layer: int,
+    q: np.ndarray, k: np.ndarray, scale: float, policy: SparsityPolicy, seed: int, layer: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """A scored layer's head-mean accumulated and normalized scores, and its probe row count.
 
@@ -211,7 +210,7 @@ def _token_scores(
     Each head's column mass is summed once and feeds both statistics.
     """
     n, heads = k.shape[1], k.shape[0]
-    if mode == "zipvl-probe":
+    if policy.mode == "zipvl-probe":
         probe = attention.select_probe_set(
             n, policy.probe_recent, policy.probe_random, numkit.derive_seed(seed, layer)
         )
@@ -266,16 +265,16 @@ def prefill(
         if mode == "dense":
             acc, norm, probe_rows = None, None, 0
         else:
-            acc, norm, probe_rows = _token_scores(q, k, scale, mode, policy, config.seed, layer)
+            acc, norm, probe_rows = _token_scores(q, k, scale, policy, config.seed, layer)
         metric = {"accumulated": acc, "normalized": norm}
         lb, part = budget.plan_layer(
             mode,
+            n,
             metric[policy.budget_metric],
             metric[policy.identify_metric],
             policy.tau,
             policy.fixed_ratio,
             policy.keep_last,
-            n=n,
         )
         partitions.append(part)
         imp = part.important

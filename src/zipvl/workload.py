@@ -123,7 +123,7 @@ def evaluate_score_workload(scores: np.ndarray, policy) -> list:
     n = scores.shape[1]
     for layer, vec in enumerate(scores):
         lb, part = budget.plan_layer(
-            policy.layer_mode(layer), vec, vec, policy.tau, policy.fixed_ratio, policy.keep_last
+            policy.layer_mode(layer), n, vec, vec, policy.tau, policy.fixed_ratio, policy.keep_last
         )
         p = int(part.important.size)
         reports.append(

@@ -149,42 +149,42 @@ class TestPlanLayer:
     v = np.array([0.5, 4.0, 0.25, 2.0, 1.0, 0.25], dtype=np.float32)
 
     def test_dense_keeps_everything(self):
-        lb, part = budget.plan_layer("dense", self.v, self.v, 0.5, 0.5, 0)
+        lb, part = budget.plan_layer("dense", 6, self.v, self.v, 0.5, 0.5, 0)
         assert (lb.p, lb.retained_mass_fraction) == (6, 1.0)
         assert part.important.tolist() == list(range(6))
 
     def test_dense_needs_only_the_token_count(self):
-        lb, part = budget.plan_layer("dense", None, None, 0.5, 0.5, 3, n=6)
-        assert lb == budget.plan_layer("dense", self.v, self.v, 0.5, 0.5, 3)[0]
+        lb, part = budget.plan_layer("dense", 6, None, None, 0.5, 0.5, 3)
+        assert lb == budget.plan_layer("dense", 6, self.v, self.v, 0.5, 0.5, 3)[0]
         assert part.important.dtype == np.int64
         assert (part.n, part.important.tolist()) == (6, list(range(6)))
 
     def test_adaptive_and_fixed_match_their_budgets(self):
         mass = float(self.v.sum(dtype=np.float64))
-        lb, part = budget.plan_layer("zipvl-exact", self.v, self.v, 0.75, 0.5, 0)
+        lb, part = budget.plan_layer("zipvl-exact", 6, self.v, self.v, 0.75, 0.5, 0)
         assert lb == budget.adaptive_budget(self.v, 0.75, mass)
         assert part.important.tolist() == [1, 3]
-        lb, part = budget.plan_layer("fixed", self.v, self.v, 0.75, 0.5, 0)
+        lb, part = budget.plan_layer("fixed", 6, self.v, self.v, 0.75, 0.5, 0)
         assert lb.p == 3
         assert lb.retained_mass_fraction == budget.top_mass_fraction(self.v, 3, mass)
         assert part.important.tolist() == [1, 3, 4]
 
     def test_sizes_and_ranks_by_separate_vectors(self):
         rank = self.v[::-1].copy()
-        lb, part = budget.plan_layer("zipvl-exact", self.v, rank, 0.75, 0.5, 0)
+        lb, part = budget.plan_layer("zipvl-exact", 6, self.v, rank, 0.75, 0.5, 0)
         assert lb.p == 2
         assert part.important.tolist() == [2, 4]
 
     def test_keep_last_protects_the_trailing_window(self):
         # the window counts toward p: it displaces the weakest pick, and a
         # window wider than the budget raises the kept count to its width
-        lb, part = budget.plan_layer("zipvl-exact", self.v, self.v, 0.75, 0.5, 1)
+        lb, part = budget.plan_layer("zipvl-exact", 6, self.v, self.v, 0.75, 0.5, 1)
         assert lb.p == 2
         assert part.important.tolist() == [1, 5]
-        lb, part = budget.plan_layer("zipvl-exact", self.v, self.v, 0.75, 0.5, 3)
+        lb, part = budget.plan_layer("zipvl-exact", 6, self.v, self.v, 0.75, 0.5, 3)
         assert lb.p == 2
         assert part.important.tolist() == [3, 4, 5]
-        _, part = budget.plan_layer("zipvl-exact", self.v, self.v, 0.75, 0.5, 99)
+        _, part = budget.plan_layer("zipvl-exact", 6, self.v, self.v, 0.75, 0.5, 99)
         assert part.important.tolist() == list(range(6))
 
 

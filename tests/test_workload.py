@@ -128,7 +128,7 @@ class TestEvaluate:
         for layer, r in enumerate(workload.evaluate_score_workload(scores, pol)):
             assert r.p == r.kv_rows == 64
             assert r.kv_bytes == 2 * 64 * 4
-            _, part = budget.plan_layer(pol.mode, scores[layer], scores[layer], 0.5, 0.5, 64)
+            _, part = budget.plan_layer(pol.mode, 256, scores[layer], scores[layer], 0.5, 0.5, 64)
             assert part.important.tolist() == list(range(192, 256))
 
     def test_retained_mass_is_the_budgets_top_mass(self):
