@@ -60,7 +60,6 @@ from .metrics import (
     attn_flops_dense,
     attn_flops_sparse,
     build_run_report,
-    report_to_dict,
 )
 from .workload import evaluate_score_workload, generate_workload
 

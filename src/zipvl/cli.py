@@ -192,12 +192,15 @@ def _build_model(cfg: ExperimentConfig) -> engine.TinyTransformer | None:
     """The model a command runs on, or None for a score workload.
 
     The model depends only on the global seed, so a command builds it once
-    and hands it to every run_experiment call. A prompt plus its decode
-    steps longer than max_seq is rejected here, before any prefill.
+    and hands it to every run_experiment call. Negative steps, or a prompt
+    plus its decode steps longer than max_seq, are rejected here, before any
+    prefill, by every command, although only run decodes.
     """
     if cfg.workload != "model":
         return None
     config = _model_config(cfg)
+    if cfg.steps < 0:
+        raise BoundsError("steps must be >= 0")
     if cfg.n + cfg.steps > config.max_seq:
         raise BoundsError(f"n={cfg.n} + steps={cfg.steps} exceeds max_seq={config.max_seq}")
     return engine.init_model(config)
@@ -207,17 +210,19 @@ def run_experiment(
     cfg: ExperimentConfig,
     model: engine.TinyTransformer | None,
     policy: engine.SparsityPolicy,
-    repeat=0,
+    repeat: int = 0,
+    steps: int = 0,
 ):
     """Run one experiment; returns (report, prefill_logits_or_None, prompt).
 
     `model` comes from _build_model(cfg); the prompt or generated workload
-    varies with the repeat index. A model workload prefills once, then decodes.
+    varies with the repeat index. A model workload prefills once, then
+    decodes `steps` tokens.
     """
     if model is not None:
         prompt = _prompt_tokens(cfg, repeat)
         prefilled = engine.prefill(model, prompt, policy)
-        _, report = engine.decode(model, prompt, prefilled, cfg.steps, policy)
+        _, report = engine.decode(model, prompt, prefilled, steps, policy)
         return report, prefilled[0], [int(t) for t in prompt]
     reports = workload.evaluate_score_workload(_load_scores(cfg, repeat), policy)
     report = metrics.build_run_report(
@@ -234,63 +239,49 @@ def _summary(report: metrics.RunReport) -> dict:
         "kv_reduction": report.kv_reduction,
         "min_retained_mass": min(rm),
         "retained_mass": rm,
-        "ratio_profile": metrics.ratio_profile(report.layer_reports),
+        "ratio_profile": [r.ratio for r in report.layer_reports],
     }
 
 
+def _single_repeat(cfg: ExperimentConfig, command: str) -> None:
+    if cfg.repeats > 1:
+        raise ConfigError(f"repeats applies to run only, not {command}")
+
+
 def cmd_run(cfg: ExperimentConfig) -> dict:
+    """One report per repeat; a single repeat is returned bare, without a repeat key."""
     policy = _policy(cfg)
     model = _build_model(cfg)
-    if cfg.repeats == 1:
-        report, _, prompt = run_experiment(cfg, model, policy)
-        out = metrics.report_to_dict(report)
-        out["prompt"] = prompt
-        _print_summary(report.mean_ratio, report.flops_reduction, report.kv_reduction)
-        return out
     reports, entries = [], []
     for repeat in range(cfg.repeats):
-        report, _, prompt = run_experiment(cfg, model, policy, repeat=repeat)
-        entry = metrics.report_to_dict(report)
-        entry["prompt"] = prompt
-        entry["repeat"] = repeat
+        report, _, prompt = run_experiment(cfg, model, policy, repeat, cfg.steps)
         reports.append(report)
-        entries.append(entry)
-    _print_summary(
-        float(np.mean([r.mean_ratio for r in reports])),
-        float(np.mean([r.flops_reduction for r in reports])),
-        float(np.mean([r.kv_reduction for r in reports])),
-    )
-    return {"repeats": entries}
-
-
-def _print_summary(mean_ratio: float, flops_reduction: float, kv_reduction: float) -> None:
+        entries.append({**dataclasses.asdict(report), "prompt": prompt, "repeat": repeat})
     # goes to stderr so stdout stays a pure, byte-stable artifact
-    print(
-        f"summary: mean_ratio={mean_ratio!r} flops_reduction={flops_reduction!r} "
-        f"kv_reduction={kv_reduction!r}",
-        file=sys.stderr,
+    means = " ".join(
+        f"{key}={float(np.mean([getattr(r, key) for r in reports]))!r}"
+        for key in ("mean_ratio", "flops_reduction", "kv_reduction")
     )
+    print(f"summary: {means}", file=sys.stderr)
+    if cfg.repeats == 1:
+        del entries[0]["repeat"]
+        return entries[0]
+    return {"repeats": entries}
 
 
 def cmd_sweep_tau(cfg: ExperimentConfig) -> list[dict]:
     taus = [float(t) for t in cfg.taus.split(",") if t.strip()]
     if not taus:
         raise ConfigError("taus is empty")
+    _single_repeat(cfg, "sweep-tau")
     mode = _adaptive_mode(cfg)
     model = _build_model(cfg)
+    keys = ("mean_ratio", "flops_reduction", "kv_reduction", "min_retained_mass")
     rows = []
     for tau in taus:
         report, _, _ = run_experiment(cfg, model, _policy(cfg, mode=mode, tau=tau))
         s = _summary(report)
-        rows.append(
-            {
-                "tau": tau,
-                "mean_ratio": s["mean_ratio"],
-                "flops_reduction": s["flops_reduction"],
-                "kv_reduction": s["kv_reduction"],
-                "min_retained_mass": s["min_retained_mass"],
-            }
-        )
+        rows.append({"tau": tau, **{key: s[key] for key in keys}})
     return rows
 
 
@@ -310,6 +301,7 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     for name in names:
         if name not in engine.MODES:
             raise ConfigError(f"unknown mode {name!r} in modes; expected one of {engine.MODES}")
+    _single_repeat(cfg, "compare")
 
     model = _build_model(cfg)
     dense_report, logits_dense, _ = run_experiment(cfg, model, _policy(cfg, mode="dense"))
@@ -317,13 +309,11 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     for name in names:
         if name not in runs and name != "fixed":
             runs[name] = run_experiment(cfg, model, _policy(cfg, mode=name))[:2]
-    matched_ratio = next(
-        (runs[m][0].mean_ratio for m in names if m.startswith("zipvl")), None
-    )
+    adaptive = next((m for m in names if m.startswith("zipvl")), None)
+    fixed_ratio = cfg.fixed_ratio if adaptive is None else runs[adaptive][0].mean_ratio
     if "fixed" in names:
-        ratio = matched_ratio if matched_ratio is not None else cfg.fixed_ratio
         runs["fixed"] = run_experiment(
-            cfg, model, _policy(cfg, mode="fixed", fixed_ratio=ratio)
+            cfg, model, _policy(cfg, mode="fixed", fixed_ratio=fixed_ratio)
         )[:2]
 
     def delta(logits):
@@ -342,18 +332,13 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
         )
         entries.append(entry)
 
-    def first(prefix):
-        return next((e for e in entries if e["mode"].startswith(prefix)), None)
-
-    adaptive_entry, fixed_entry = first("zipvl"), first("fixed")
+    below_tau = {e["mode"]: e["layers_below_tau"] for e in entries}
     out = {"tau": tau, "modes": entries}
-    if fixed_entry is not None:
-        out["fixed_ratio_used"] = (
-            matched_ratio if matched_ratio is not None else cfg.fixed_ratio
-        )
-        out["fixed_layers_below_tau"] = fixed_entry["layers_below_tau"]
-    if adaptive_entry is not None:
-        out["adaptive_layers_below_tau"] = adaptive_entry["layers_below_tau"]
+    if "fixed" in names:
+        out["fixed_ratio_used"] = fixed_ratio
+        out["fixed_layers_below_tau"] = below_tau["fixed"]
+    if adaptive is not None:
+        out["adaptive_layers_below_tau"] = below_tau[adaptive]
     return out
 
 
@@ -469,17 +454,17 @@ def main(argv=None) -> int:
         if getattr(args, "workload_file", None):
             overrides["workload"] = "file"
         cfg = build_config(raw, overrides)
-        if args.command == "run":
-            res = cmd_run(cfg)
-            text = _emit_json(res) if args.format == "json" else _emit_csv(res)
-        elif args.command == "sweep-tau":
-            rows = cmd_sweep_tau(cfg)
-            text = _emit_json(rows) if args.format == "json" else _emit_csv(rows)
-        elif args.command == "compare":
-            res = cmd_compare(cfg)
-            text = _emit_json(res) if args.format == "json" else _emit_csv(res)
-        else:
-            text = cmd_gen_workload(cfg)
+        # looked up per call, so a wrapper set on a cmd_* attribute sees it
+        command = {
+            "run": cmd_run,
+            "sweep-tau": cmd_sweep_tau,
+            "compare": cmd_compare,
+            "gen-workload": cmd_gen_workload,
+        }[args.command]
+        res = command(cfg)
+        # gen-workload's result is already its CSV text
+        emit = {"json": _emit_json, "csv": _emit_csv}[args.format]
+        text = res if isinstance(res, str) else emit(res)
         _write_out(text, args.out)
     except ZipvlError as exc:
         print(f"error: {exc}", file=sys.stderr)

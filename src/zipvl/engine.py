@@ -178,12 +178,9 @@ def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = x[pos] / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = x[~pos] * ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows: x / (1 + e^-x) for x >= 0, x e^x / (1 + e^x) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, x / (1.0 + e), x * e / (1.0 + e))
 
 
 def _split_heads(x: np.ndarray, heads: int, d_head: int) -> np.ndarray:

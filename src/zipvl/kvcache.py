@@ -197,28 +197,21 @@ def _dequantize(qt: QuantizedTensor, group_size: int) -> np.ndarray:
 
 
 def quantize_mixed(
-    cache: KVCache,
-    partition: TokenPartition | Sequence[TokenPartition],
-    group_size: int,
+    cache: KVCache, partitions: Sequence[TokenPartition], group_size: int
 ) -> QuantizedKV:
     """Quantize a cache: 4 bits for important rows, 2 bits for the rest.
 
-    `partition` is either one TokenPartition applied to every layer or a
-    per-layer sequence. Importance is matched by original position.
+    `partitions` holds one TokenPartition per layer. Importance is matched
+    by original position.
     """
     if group_size < 1:
         raise DomainError("group_size must be >= 1")
-    parts = (
-        list(partition)
-        if isinstance(partition, (list, tuple))
-        else [partition] * cache.num_layers
-    )
-    if len(parts) != cache.num_layers:
-        raise ShapeError(f"expected {cache.num_layers} partitions, got {len(parts)}")
+    if len(partitions) != cache.num_layers:
+        raise ShapeError(f"expected {cache.num_layers} partitions, got {len(partitions)}")
     layers = []
     for layer in range(cache.num_layers):
         pos = cache.positions[layer]
-        important = np.isin(pos, np.asarray(parts[layer].important, dtype=np.int64))
+        important = np.isin(pos, np.asarray(partitions[layer].important, dtype=np.int64))
         bits = np.where(important, 4, 2).astype(np.uint8)
         levels = ((1 << bits) - 1)[:, None]
         layers.append(

@@ -26,10 +26,6 @@ def attn_flops_sparse(p: int, n: int, d_head: int, heads: int, probe_rows: int =
     return 4 * p * p * d_head * heads + 2 * probe_rows * n * d_head * heads
 
 
-def ratio_profile(layer_reports) -> list[float]:
-    return [r.ratio for r in layer_reports]
-
-
 @dataclass(frozen=True)
 class RunReport:
     """Aggregate of one run: policy echo plus per-layer outcomes."""
@@ -63,12 +59,7 @@ def build_run_report(
         kv_bytes_dense=kv_dense,
         kv_bytes_actual=kv_actual,
         kv_reduction=1.0 - kv_actual / kv_dense,
-        mean_ratio=float(np.mean(ratio_profile(layer_reports))),
+        mean_ratio=float(np.mean([r.ratio for r in layer_reports])),
         decode_attn_flops=decode_attn_flops,
         generated=[int(t) for t in generated],
     )
-
-
-def report_to_dict(report: RunReport) -> dict:
-    """Plain-dict form with layer reports expanded, ready for JSON."""
-    return dataclasses.asdict(report)

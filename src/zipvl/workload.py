@@ -21,6 +21,7 @@ import io
 import numpy as np
 
 from . import budget, metrics, numkit
+from .engine import LayerReport
 from .errors import ConfigError, DomainError, FormatError
 
 KINDS = ("peaked", "diffuse")
@@ -109,8 +110,6 @@ def evaluate_score_workload(scores: np.ndarray, policy) -> list:
     dense_first_layers apply as in prefill; probe mode needs real attention
     rows and quantization needs a KV cache, so both are rejected.
     """
-    from .engine import LayerReport  # local import to keep engine -> metrics one-way
-
     policy.validate()
     if policy.mode == "zipvl-probe":
         raise ConfigError("probe mode requires a model workload")

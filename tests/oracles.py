@@ -122,3 +122,16 @@ def accumulated_oracle(weights) -> np.ndarray:
             acc += float(w[i, j])
         out[j] = acc
     return out
+
+
+def silu_two_branch(x) -> np.ndarray:
+    """SiLU computed per sign on boolean-gathered copies, exp only of -|x|.
+
+    x / (1 + exp(-x)) where x >= 0, x * exp(x) / (1 + exp(x)) elsewhere.
+    """
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = x[pos] / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = x[~pos] * ex / (1.0 + ex)
+    return out

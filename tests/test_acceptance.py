@@ -175,7 +175,7 @@ def test_05_quantization_half_step_bound():
         )
         p = t // 2
         part = TokenPartition(important=np.arange(p, dtype=np.int64), n=t)
-        restored = kvcache.dequantize(kvcache.quantize_mixed(cache, part, group_size=gs))
+        restored = kvcache.dequantize(kvcache.quantize_mixed(cache, [part], group_size=gs))
         groups_checked = 0
         for name in ("keys", "values"):
             orig = getattr(cache, name)[0].astype(np.float64)
@@ -204,13 +204,13 @@ def test_05_quantization_half_step_bound():
             part2 = TokenPartition(
                 important=np.arange(40 if bits == 4 else 0, dtype=np.int64), n=40
             )
-            back2 = kvcache.dequantize(kvcache.quantize_mixed(c2, part2, group_size=8))
+            back2 = kvcache.dequantize(kvcache.quantize_mixed(c2, [part2], group_size=8))
             assert np.array_equal(back2.keys[0], exact_vals)
         const = np.full((1, 10, 8), -3.75, dtype=np.float32)
         c3 = kvcache.KVCache(1, 1, 8)
         c3.set_layer(0, const, const.copy(), np.arange(10, dtype=np.int64))
         part3 = TokenPartition(important=np.arange(5, dtype=np.int64), n=10)
-        back3 = kvcache.dequantize(kvcache.quantize_mixed(c3, part3, group_size=8))
+        back3 = kvcache.dequantize(kvcache.quantize_mixed(c3, [part3], group_size=8))
         assert np.array_equal(back3.values[0], const)
 
 

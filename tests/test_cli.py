@@ -1,6 +1,7 @@
 """CLI tests: config parsing, subcommands, exit codes, golden outputs."""
 
 import dataclasses
+import importlib.util
 import json
 import pathlib
 import re
@@ -13,6 +14,18 @@ from zipvl.errors import ConfigError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 WORKLOAD = str(GOLDEN / "workload.csv")
+
+
+def _load_script(name):
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the argv scripts/update_golden.py writes each golden file with
+GOLDEN_COMMANDS = _load_script("update_golden").COMMANDS
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +129,19 @@ class TestExitCodes:
         assert "max_seq" in err and out == ""
         assert prefills == []
 
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep-tau"])
+    def test_negative_steps_is_bounds_error_before_prefill(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        prefills = []
+        monkeypatch.setattr(engine, "prefill", lambda *a, **k: prefills.append(1))
+        path = tmp_path / "c.cfg"
+        path.write_text("n=16\nsteps=-1\nlayers=1\nd_model=8\nheads=1\n")
+        rc, out, err = run_cli(capsys, "--config", str(path), command)
+        assert rc == 9
+        assert err == "error: steps must be >= 0\n" and out == ""
+        assert prefills == []
+
     def test_decode_up_to_max_seq_succeeds(self, capsys, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("max_seq=24\nn=16\nsteps=8\nlayers=1\nd_model=8\nheads=1\n")
@@ -181,41 +207,32 @@ class TestDeterminism:
 
 
 class TestGolden:
-    def test_run_json(self, capsys):
-        rc, out, _ = run_cli(capsys, "run", "--workload-file", WORKLOAD, "--tau", "0.9")
+    """Each golden file against the command that regenerates it."""
+
+    def check(self, capsys, name):
+        rc, out, _ = run_cli(capsys, *GOLDEN_COMMANDS[name])
         assert rc == 0
-        assert out == (GOLDEN / "run.json").read_text()
+        assert out == (GOLDEN / name).read_text()
+
+    def test_run_json(self, capsys):
+        self.check(capsys, "run.json")
 
     def test_run_csv(self, capsys):
-        rc, out, _ = run_cli(
-            capsys, "--format", "csv", "run", "--workload-file", WORKLOAD, "--tau", "0.9"
-        )
-        assert rc == 0
-        assert out == (GOLDEN / "run.csv").read_text()
+        self.check(capsys, "run.csv")
 
     def test_sweep_json(self, capsys):
-        rc, out, _ = run_cli(
-            capsys,
-            "sweep-tau",
-            "--workload-file",
-            WORKLOAD,
-            "--taus",
-            "0.5,0.75,0.9,0.975,1.0",
-        )
-        assert rc == 0
-        assert out == (GOLDEN / "sweep.json").read_text()
+        self.check(capsys, "sweep.json")
 
     def test_compare_json(self, capsys):
-        rc, out, _ = run_cli(capsys, "compare", "--workload-file", WORKLOAD, "--tau", "0.9")
-        assert rc == 0
-        assert out == (GOLDEN / "compare.json").read_text()
+        self.check(capsys, "compare.json")
 
     def test_gen_workload_golden(self, capsys):
-        rc, out, _ = run_cli(
-            capsys, "gen-workload", "--kind", "peaked", "--n", "16", "--layers", "2"
-        )
-        assert rc == 0
-        assert out == (GOLDEN / "gen_workload.csv").read_text()
+        self.check(capsys, "gen_workload.csv")
+
+    def test_every_command_is_checked(self):
+        checked = {"run.json", "run.csv", "sweep.json", "compare.json", "gen_workload.csv"}
+        assert set(GOLDEN_COMMANDS) == checked
+        assert {p.name for p in GOLDEN.iterdir()} == checked | {"workload.csv"}
 
 
 class TestSubcommandSemantics:
@@ -316,6 +333,31 @@ class TestSubcommandSemantics:
         assert len(built) == 1
         assert len(used) >= 3 and all(m is built[0] for m in used)
 
+    @pytest.mark.parametrize(
+        "command, overrides, decodes_per_repeat",
+        [
+            (cli.cmd_compare, {"modes": "zipvl-probe,zipvl-exact,fixed,dense"}, 0),
+            (cli.cmd_sweep_tau, {"taus": "0.5,0.9,1.0"}, 0),
+            (cli.cmd_run, {"repeats": 1}, 3),
+            (cli.cmd_run, {"repeats": 2}, 3),
+        ],
+    )
+    def test_only_run_decodes(self, monkeypatch, command, overrides, decodes_per_repeat):
+        steps = []
+        decode_step = engine.decode_step
+
+        def counted(model, token, cache, position):
+            steps.append(position)
+            return decode_step(model, token, cache, position)
+
+        monkeypatch.setattr(engine, "decode_step", counted)
+        cfg = cli.build_config(
+            {}, {"n": 24, "steps": 3, "layers": 2, "d_model": 32, "heads": 2,
+                 "vocab_size": 64, **overrides},
+        )
+        command(cfg)
+        assert steps == [24, 25, 26][:decodes_per_repeat] * cfg.repeats
+
     def test_compare_rejects_unknown_mode(self, capsys):
         rc, _, err = run_cli(
             capsys, "compare", "--workload-file", WORKLOAD, "--modes", "zipvl-exact,turbo"
@@ -375,6 +417,16 @@ class TestRepeats:
     def test_repeats_must_be_positive(self):
         with pytest.raises(ConfigError):
             cli.build_config({"repeats": "0"})
+
+    @pytest.mark.parametrize("command", ["sweep-tau", "compare"])
+    def test_repeats_rejected_outside_run(self, capsys, tmp_path, command):
+        path = tmp_path / "c.cfg"
+        path.write_text("repeats=3\n")
+        rc, out, err = run_cli(
+            capsys, "--config", str(path), command, "--workload-file", WORKLOAD
+        )
+        assert rc == 2
+        assert "repeats" in err and out == ""
 
     def test_repeats_vary_prompt_but_not_model(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -203,6 +203,57 @@ class TestSparsityMechanics:
         assert all(0.0 < r.retained_mass <= 1.0 for r in reports)
 
 
+# signed zeros, non-finite values, the edges of float32 exp's range and its underflow
+SILU_SPECIALS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e4, -1e4, 87.0, -87.0, 90.0, -90.0,
+     104.0, -104.0, 1e-30, -1e-30, 1e-45, -1e-45],
+    dtype=np.float32,
+)
+
+
+def _silu_inputs(shape, seed):
+    """Both signs, magnitudes log-uniform from 1e-8 up to 1e4, specials first."""
+    rng = numkit.make_rng(seed)
+    x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 4, size=shape)
+    x = x.astype(np.float32)
+    head = min(x.size, SILU_SPECIALS.size)
+    x.reshape(-1)[:head] = SILU_SPECIALS[:head]
+    return x
+
+
+def _fp_error(fn, x):
+    try:
+        with np.errstate(all="raise"):
+            fn(x)
+    except FloatingPointError as exc:
+        return str(exc)
+    return None
+
+
+class TestSilu:
+    @pytest.mark.parametrize("shape", [(1024, 256), (48, 256), (256,), (7,), (0, 256)])
+    def test_bitwise_equal_to_two_branch_oracle(self, shape):
+        x = _silu_inputs(shape, seed=sum(shape) + 1)
+        with np.errstate(all="ignore"):
+            want = oracles.silu_two_branch(x)
+            got = engine._silu(x)
+        assert got.dtype == want.dtype == np.float32
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("value", [float(v) for v in SILU_SPECIALS if np.isfinite(v)])
+    def test_finite_input_raises_what_the_oracle_raises(self, value):
+        x = np.full(256, value, dtype=np.float32)
+        assert _fp_error(engine._silu, x) == _fp_error(oracles.silu_two_branch, x)
+
+    def test_no_error_where_exp_stays_normal(self):
+        rng = numkit.make_rng(3)
+        x = rng.choice([-1.0, 1.0], size=(64, 256)) * 10.0 ** rng.uniform(-30, 1.9, (64, 256))
+        x = x.astype(np.float32)
+        assert _fp_error(oracles.silu_two_branch, x) is None
+        assert _fp_error(engine._silu, x) is None
+
+
 def _count_calls(monkeypatch, module, *names):
     """Wrap module.name for each name; returns the dict of call counts."""
     counts = dict.fromkeys(names, 0)

@@ -160,7 +160,7 @@ class TestQuantization:
         cache = filled_cache(layers=2, heads=2, t=16, d=8, seed=3)
         part = make_partition(16, range(8))
         group = 4
-        q = kvcache.quantize_mixed(cache, part, group_size=group)
+        q = kvcache.quantize_mixed(cache, [part] * cache.num_layers, group_size=group)
         restored = kvcache.dequantize(q)
         for layer in range(2):
             for name in ("keys", "values"):
@@ -174,7 +174,7 @@ class TestQuantization:
     def test_important_rows_get_finer_grid(self):
         cache = filled_cache(layers=1, heads=1, t=32, d=16, seed=4)
         part = make_partition(32, range(16))
-        q = kvcache.quantize_mixed(cache, part, group_size=16)
+        q = kvcache.quantize_mixed(cache, [part], group_size=16)
         restored = kvcache.dequantize(q)
         err = np.abs(cache.keys[0] - restored.keys[0])
         assert err[:, :16].max() < err[:, 16:].max()
@@ -182,14 +182,14 @@ class TestQuantization:
     def test_bits_follow_partition(self):
         cache = filled_cache(layers=1, t=6)
         part = make_partition(6, [1, 4])
-        q = kvcache.quantize_mixed(cache, part, group_size=4)
+        q = kvcache.quantize_mixed(cache, [part], group_size=4)
         assert q.layers[0].bits_per_row.tolist() == [2, 4, 2, 2, 4, 2]
 
     def test_constant_group_is_exact(self):
         cache = kvcache.KVCache(1, 1, 4)
         k = np.full((1, 3, 4), 7.5, dtype=np.float32)
         cache.set_layer(0, k, k.copy(), np.arange(3))
-        q = kvcache.quantize_mixed(cache, make_partition(3, [0]), group_size=4)
+        q = kvcache.quantize_mixed(cache, [make_partition(3, [0])], group_size=4)
         restored = kvcache.dequantize(q)
         assert np.array_equal(restored.keys[0], k)
         assert np.array_equal(restored.values[0], k)
@@ -197,12 +197,18 @@ class TestQuantization:
     def test_group_size_validation(self):
         cache = filled_cache(layers=1)
         with pytest.raises(DomainError):
-            kvcache.quantize_mixed(cache, make_partition(10, [0]), group_size=0)
+            kvcache.quantize_mixed(cache, [make_partition(10, [0])], group_size=0)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_partition_per_layer(self, count):
+        cache = filled_cache(layers=2)
+        with pytest.raises(ShapeError):
+            kvcache.quantize_mixed(cache, [make_partition(10, [0])] * count, group_size=4)
 
     def test_memory_shrinks_and_is_positive(self):
         cache = filled_cache(layers=2, heads=2, t=64, d=32, seed=5)
         part = make_partition(64, range(16))
-        q = kvcache.quantize_mixed(cache, part, group_size=32)
+        q = kvcache.quantize_mixed(cache, [part] * cache.num_layers, group_size=32)
         dense_bytes = sum(kvcache.layer_memory_bytes(cache, i) for i in range(2))
         q_bytes = sum(kvcache.layer_memory_bytes(q, i) for i in range(2))
         assert 0 < q_bytes < dense_bytes
@@ -239,7 +245,7 @@ class TestQuantization:
 
     def test_one_two_bit_channel_takes_a_whole_byte(self):
         cache = filled_cache(layers=1, heads=1, t=1, d=1)
-        q = kvcache.quantize_mixed(cache, make_partition(1, []), group_size=4)
+        q = kvcache.quantize_mixed(cache, [make_partition(1, [])], group_size=4)
         # K and V: 1 code byte + 4-byte scale + 4-byte zero-point each
         assert kvcache.layer_memory_bytes(q, 0) == 18
 
@@ -248,7 +254,8 @@ class TestQuantization:
         cache = filled_cache(layers=2, heads=2, t=9, d=8, seed=9)
         cache.retain(1, make_partition(9, [0, 4, 5, 8]))
         assert not cache.keys[1].flags.c_contiguous
-        restored = kvcache.dequantize(kvcache.quantize_mixed(cache, make_partition(9, [4]), 4))
+        parts = [make_partition(9, [4])] * cache.num_layers
+        restored = kvcache.dequantize(kvcache.quantize_mixed(cache, parts, 4))
         for layer in range(2):
             assert restored.keys[layer].flags.c_contiguous
             assert restored.values[layer].flags.c_contiguous
@@ -273,7 +280,7 @@ class TestQuantization:
         )
         p = data.draw(st.integers(1, t))
         part = make_partition(t, range(p))
-        q = kvcache.quantize_mixed(cache, part, group_size=group)
+        q = kvcache.quantize_mixed(cache, [part], group_size=group)
         restored = kvcache.dequantize(q)
         g = min(group, d)
         for name in ("keys", "values"):

@@ -65,7 +65,8 @@ class TestRunReport:
         assert run.total_attn_flops_dense == 2 * metrics.attn_flops_dense(100, 4, 2)
         assert run.generated == [1, 2]
 
-    def test_report_to_dict_is_json_ready(self):
+    def test_asdict_is_json_ready(self):
+        import dataclasses
         import json
 
         run = metrics.build_run_report(
@@ -75,7 +76,7 @@ class TestRunReport:
             heads=2,
             generated=[],
         )
-        blob = json.dumps(metrics.report_to_dict(run), sort_keys=True)
+        blob = json.dumps(dataclasses.asdict(run), sort_keys=True)
         assert '"mean_ratio"' in blob
         assert '"layer_reports"' in blob
 
