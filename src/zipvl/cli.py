@@ -175,29 +175,29 @@ def _prompt_tokens(cfg: ExperimentConfig, repeat: int = 0) -> np.ndarray:
     return rng.integers(0, cfg.vocab_size, size=cfg.n, dtype=np.int64)
 
 
-def _load_scores(cfg: ExperimentConfig, repeat: int = 0) -> np.ndarray:
+def _build_subject(
+    cfg: ExperimentConfig, repeat: int = 0
+) -> engine.TinyTransformer | np.ndarray:
+    """What a command runs its policies on: the model, or repeat's score array.
+
+    The model depends only on the global seed, and a file workload only on
+    the file, so a command builds its subject once and hands it to every
+    run_experiment call; only a generated workload changes with the repeat.
+    Negative steps, or a prompt plus its decode steps longer than max_seq,
+    are rejected here, before any prefill, by every command, although only
+    run decodes.
+    """
     if cfg.workload == "file":
         try:
             with open(cfg.workload_file, "r", newline="") as fh:
                 return workload.read_workload_csv(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read workload file: {exc}") from exc
-    return workload.generate_workload(
-        cfg.workload, cfg.n, cfg.layers, cfg.concentration,
-        numkit.derive_seed(cfg.seed, _WORKLOAD_TAG, repeat),
-    )
-
-
-def _build_model(cfg: ExperimentConfig) -> engine.TinyTransformer | None:
-    """The model a command runs on, or None for a score workload.
-
-    The model depends only on the global seed, so a command builds it once
-    and hands it to every run_experiment call. Negative steps, or a prompt
-    plus its decode steps longer than max_seq, are rejected here, before any
-    prefill, by every command, although only run decodes.
-    """
     if cfg.workload != "model":
-        return None
+        return workload.generate_workload(
+            cfg.workload, cfg.n, cfg.layers, cfg.concentration,
+            numkit.derive_seed(cfg.seed, _WORKLOAD_TAG, repeat),
+        )
     config = _model_config(cfg)
     if cfg.steps < 0:
         raise BoundsError("steps must be >= 0")
@@ -208,23 +208,23 @@ def _build_model(cfg: ExperimentConfig) -> engine.TinyTransformer | None:
 
 def run_experiment(
     cfg: ExperimentConfig,
-    model: engine.TinyTransformer | None,
+    subject: engine.TinyTransformer | np.ndarray,
     policy: engine.SparsityPolicy,
     repeat: int = 0,
     steps: int = 0,
 ):
     """Run one experiment; returns (report, prefill_logits_or_None, prompt).
 
-    `model` comes from _build_model(cfg); the prompt or generated workload
-    varies with the repeat index. A model workload prefills once, then
-    decodes `steps` tokens.
+    `subject` comes from _build_subject(cfg, repeat). A model workload
+    prefills a prompt drawn for the repeat index once, then decodes `steps`
+    tokens.
     """
-    if model is not None:
+    if cfg.workload == "model":
         prompt = _prompt_tokens(cfg, repeat)
-        prefilled = engine.prefill(model, prompt, policy)
-        _, report = engine.decode(model, prompt, prefilled, steps, policy)
+        prefilled = engine.prefill(subject, prompt, policy)
+        _, report = engine.decode(subject, prompt, prefilled, steps, policy)
         return report, prefilled[0], [int(t) for t in prompt]
-    reports = workload.evaluate_score_workload(_load_scores(cfg, repeat), policy)
+    reports = workload.evaluate_score_workload(subject, policy)
     report = metrics.build_run_report(
         policy=policy, layer_reports=reports, d_head=1, heads=1, generated=[]
     )
@@ -251,10 +251,12 @@ def _single_repeat(cfg: ExperimentConfig, command: str) -> None:
 def cmd_run(cfg: ExperimentConfig) -> dict:
     """One report per repeat; a single repeat is returned bare, without a repeat key."""
     policy = _policy(cfg)
-    model = _build_model(cfg)
+    subject = _build_subject(cfg)
     reports, entries = [], []
     for repeat in range(cfg.repeats):
-        report, _, prompt = run_experiment(cfg, model, policy, repeat, cfg.steps)
+        if repeat and cfg.workload in workload.KINDS:
+            subject = _build_subject(cfg, repeat)
+        report, _, prompt = run_experiment(cfg, subject, policy, repeat, cfg.steps)
         reports.append(report)
         entries.append({**dataclasses.asdict(report), "prompt": prompt, "repeat": repeat})
     # goes to stderr so stdout stays a pure, byte-stable artifact
@@ -275,11 +277,11 @@ def cmd_sweep_tau(cfg: ExperimentConfig) -> list[dict]:
         raise ConfigError("taus is empty")
     _single_repeat(cfg, "sweep-tau")
     mode = _adaptive_mode(cfg)
-    model = _build_model(cfg)
+    subject = _build_subject(cfg)
     keys = ("mean_ratio", "flops_reduction", "kv_reduction", "min_retained_mass")
     rows = []
     for tau in taus:
-        report, _, _ = run_experiment(cfg, model, _policy(cfg, mode=mode, tau=tau))
+        report, _, _ = run_experiment(cfg, subject, _policy(cfg, mode=mode, tau=tau))
         s = _summary(report)
         rows.append({"tau": tau, **{key: s[key] for key in keys}})
     return rows
@@ -303,17 +305,17 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
             raise ConfigError(f"unknown mode {name!r} in modes; expected one of {engine.MODES}")
     _single_repeat(cfg, "compare")
 
-    model = _build_model(cfg)
-    dense_report, logits_dense, _ = run_experiment(cfg, model, _policy(cfg, mode="dense"))
+    subject = _build_subject(cfg)
+    dense_report, logits_dense, _ = run_experiment(cfg, subject, _policy(cfg, mode="dense"))
     runs: dict = {"dense": (dense_report, logits_dense)}
     for name in names:
         if name not in runs and name != "fixed":
-            runs[name] = run_experiment(cfg, model, _policy(cfg, mode=name))[:2]
+            runs[name] = run_experiment(cfg, subject, _policy(cfg, mode=name))[:2]
     adaptive = next((m for m in names if m.startswith("zipvl")), None)
     fixed_ratio = cfg.fixed_ratio if adaptive is None else runs[adaptive][0].mean_ratio
     if "fixed" in names:
         runs["fixed"] = run_experiment(
-            cfg, model, _policy(cfg, mode="fixed", fixed_ratio=fixed_ratio)
+            cfg, subject, _policy(cfg, mode="fixed", fixed_ratio=fixed_ratio)
         )[:2]
 
     def delta(logits):
@@ -342,10 +344,11 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def cmd_gen_workload(cfg: ExperimentConfig) -> str:
+def cmd_gen_workload(cfg: ExperimentConfig) -> np.ndarray:
+    """The generated (layers, n) scores; main writes them as workload CSV."""
     if cfg.workload not in ("peaked", "diffuse"):
         raise ConfigError("gen-workload needs workload=peaked or workload=diffuse")
-    return workload.workload_to_csv_text(_load_scores(cfg))
+    return _build_subject(cfg)
 
 
 def _emit_json(obj) -> str:
@@ -383,12 +386,13 @@ def _emit_csv(obj) -> str:
     return buf.getvalue()
 
 
-def _write_out(text: str, out_path: str | None) -> None:
+def _write_out(write, out_path: str | None) -> None:
+    """Call write(fh) on the file at out_path, or on stdout without one."""
     if out_path:
         with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def _exit_code_doc() -> str:
@@ -462,10 +466,11 @@ def main(argv=None) -> int:
             "gen-workload": cmd_gen_workload,
         }[args.command]
         res = command(cfg)
-        # gen-workload's result is already its CSV text
-        emit = {"json": _emit_json, "csv": _emit_csv}[args.format]
-        text = res if isinstance(res, str) else emit(res)
-        _write_out(text, args.out)
+        if isinstance(res, np.ndarray):  # gen-workload's scores, streamed out layer by layer
+            _write_out(lambda fh: workload.write_workload_csv(fh, res), args.out)
+        else:
+            text = {"json": _emit_json, "csv": _emit_csv}[args.format](res)
+            _write_out(lambda fh: fh.write(text), args.out)
     except ZipvlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for klass, code in EXIT_CODES:

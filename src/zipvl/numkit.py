@@ -134,15 +134,23 @@ def causal_softmax_rows(
 def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest values, sorted ascending.
 
-    Ties are broken toward the smaller index.
+    Ties are broken toward the smaller index, and values compare as float64,
+    so integers that round to the same float64 tie. NaN ranks below -inf.
+    The k-th largest value comes from a partition, not a full sort: every
+    value above it is kept, then the tied values with the smallest indices
+    until k are kept.
     """
-    v = np.asarray(values)
+    v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ShapeError("topk_indices expects a 1-D vector")
     if not 1 <= k <= v.size:
         raise BoundsError(f"k={k} out of range for length {v.size}")
-    order = np.argsort(-v.astype(np.float64), kind="stable")
-    return np.sort(order[:k])
+    if np.isnan(v).any():  # partition ranks NaN above every number; argsort of -v ranks it last
+        return np.sort(np.argsort(-v, kind="stable")[:k])
+    kth = np.partition(v, v.size - k)[v.size - k]
+    keep = v > kth
+    keep[np.flatnonzero(v == kth)[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def cumsum_desc(values: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from files and spliced together.
 from __future__ import annotations
 
 import csv
-import io
 
 import numpy as np
 
@@ -51,18 +50,97 @@ def generate_workload(
 
 
 def write_workload_csv(fh, scores: np.ndarray) -> None:
-    """Emit layer,token,score rows; floats use shortest round-trip repr."""
+    """Emit layer,token,score rows; floats use shortest round-trip repr.
+
+    Each layer's rows are joined into one string and written at once.
+    """
+    scores = np.asarray(scores, dtype=np.float32)
     fh.write("layer,token,score\n")
-    for layer, row in enumerate(np.asarray(scores, dtype=np.float32).tolist()):
-        fh.writelines(f"{layer},{token},{v!r}\n" for token, v in enumerate(row))
+    tokens = [f",{token}," for token in range(scores.shape[1])]
+    for layer, row in enumerate(scores.tolist()):
+        fh.write("".join([f"{layer}{t}{v!r}\n" for t, v in zip(tokens, row)]))
+
+
+# numpy's parser gets the lines about this many characters at a time. The
+# whole file as one str would be widened to four bytes a character, and
+# batches of 1 << 20 left score-sweep's peak RSS 8 MB above these, no faster
+_BATCH_CHARS = 1 << 16
+_HEADER_LINES = ("layer,token,score\n", "layer,token,score\r\n")
+# numpy's parser only gets lines made of these characters. Over them it reads
+# a subset of what int() and float() read, to the same values; beyond them it
+# reads some control and non-ASCII characters as blanks or digits where int()
+# fails (\x1c1 as 1, \u01fe1 as 4621)
+_PLAIN = b"0123456789,.+-eE\r\n"
+_RECORD = np.dtype([("layer", np.int64), ("token", np.int64), ("score", np.float64)])
 
 
 def read_workload_csv(fh) -> np.ndarray:
     """Parse a workload CSV back into a (layers, n) array.
 
     Rows must be layer-major, token-ascending and rectangular, and every
-    score finite and nonnegative.
+    score finite and nonnegative. Fields are read as the csv module splits
+    them and int() and float() read them. numpy's parser reads a valid
+    workload from a seekable input; input it cannot vouch for is read
+    again from the start, row by row, which names the first bad line.
     """
+    if fh.seekable():
+        start = fh.tell()
+        scores = _read_valid(fh)
+        if scores is not None:
+            return scores
+        fh.seek(start)
+    return _read_rows(fh)
+
+
+def _read_valid(fh) -> np.ndarray | None:
+    """The workload in fh if numpy's parser reads it as a valid one, else None.
+
+    Each batch is checked against the grid as it is read, and only its
+    float32 scores are kept. numpy skips blank lines (warning on a batch
+    of nothing else), where the row parser rejects them, so a line shorter
+    than the shortest row, "0,0,0", is not vouched for, and neither is a
+    batch with fewer records than lines.
+    """
+    if fh.readline() not in _HEADER_LINES:
+        return None
+    parts = []
+    rows, n = 0, None  # n stays None until a row of layer 1 or later shows it
+    while lines := fh.readlines(_BATCH_CHARS):
+        text = "".join(lines)
+        if not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
+            return None
+        if min(map(len, lines)) < 5:
+            return None
+        try:
+            recs = np.loadtxt(
+                lines, delimiter=",", dtype=_RECORD, comments=None, quotechar=None, ndmin=1
+            )
+        except ValueError:
+            return None
+        if recs.size != len(lines):
+            return None
+        if n is None and recs["layer"].any():
+            n = rows + int(np.flatnonzero(recs["layer"])[0])
+            if n == 0:
+                return None
+        index = np.arange(rows, rows + recs.size)
+        layer, token = (0, index) if n is None else np.divmod(index, n)
+        if not np.all((recs["layer"] == layer) & (recs["token"] == token)):
+            return None
+        with np.errstate(over="ignore"):
+            part = recs["score"].astype(np.float32)
+        if not np.all(np.isfinite(part) & (part >= 0)):
+            return None
+        parts.append(part)
+        rows += recs.size
+    n = n or rows
+    if not rows or rows % n:
+        return None
+    return np.concatenate(parts).reshape(-1, n)
+
+
+def _read_rows(fh) -> np.ndarray:
+    """read_workload_csv one csv row at a time; every FormatError comes from here."""
     reader = csv.reader(fh)
     header = next(reader, None)
     if header != ["layer", "token", "score"]:
@@ -76,15 +154,20 @@ def read_workload_csv(fh) -> np.ndarray:
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
         if layer == len(rows):
+            _check_not_short(rows, lineno)
             rows.append([])
         if layer != len(rows) - 1 or token != len(rows[-1]):
             raise FormatError(f"line {lineno}: rows out of order at layer={layer} token={token}")
+        if layer and token == len(rows[0]):
+            raise FormatError(
+                f"line {lineno}: workload rows are ragged: layer {layer} runs past "
+                f"layer 0's {token} tokens"
+            )
         rows[-1].append(score)
     if not rows:
         raise FormatError("workload has no score rows")
+    _check_not_short(rows, lineno + 1)
     n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise FormatError("workload rows are ragged")
     with np.errstate(over="ignore"):  # overflow to inf is reported below
         scores = np.asarray(rows, dtype=np.float32)
     bad = np.flatnonzero(~(np.isfinite(scores) & (scores >= 0)))
@@ -96,10 +179,13 @@ def read_workload_csv(fh) -> np.ndarray:
     return scores
 
 
-def workload_to_csv_text(scores: np.ndarray) -> str:
-    buf = io.StringIO()
-    write_workload_csv(buf, scores)
-    return buf.getvalue()
+def _check_not_short(rows: list, lineno: int) -> None:
+    """Reject, at lineno, a last layer that ends before layer 0's token count."""
+    if len(rows) > 1 and len(rows[-1]) < len(rows[0]):
+        raise FormatError(
+            f"line {lineno}: workload rows are ragged: layer {len(rows) - 1} ends after "
+            f"{len(rows[-1])} of layer 0's {len(rows[0])} tokens"
+        )
 
 
 def evaluate_score_workload(scores: np.ndarray, policy) -> list:

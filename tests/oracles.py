@@ -35,6 +35,22 @@ def topk_oracle(values, k) -> list:
     return sorted(order[:k])
 
 
+def topk_argsort(values, k) -> np.ndarray:
+    """Indices of the k largest values by a full stable sort of the float64 negation.
+
+    NaN negates to NaN, which argsort places last.
+    """
+    order = np.argsort(-np.asarray(values).astype(np.float64), kind="stable")
+    return np.sort(order[:k])
+
+
+def write_workload_csv_rowwise(fh, scores) -> None:
+    """A workload CSV written one f-string row at a time."""
+    fh.write("layer,token,score\n")
+    for layer, row in enumerate(np.asarray(scores, dtype=np.float32).tolist()):
+        fh.writelines(f"{layer},{token},{v!r}\n" for token, v in enumerate(row))
+
+
 def naive_causal_attention(q, k, v, scale):
     """Row-at-a-time float64 causal softmax attention.
 

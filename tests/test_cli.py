@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from zipvl import cli, engine
+from zipvl import cli, engine, workload
 from zipvl.errors import ConfigError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -107,6 +107,15 @@ class TestExitCodes:
         rc, _, err = run_cli(capsys, "run", "--workload-file", str(path))
         assert rc == 10
         assert "line 5" in err
+
+    def test_ragged_workload_names_the_line(self, capsys, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("layer,token,score\n0,0,1.0\n0,1,2.0\n1,0,0.5\n2,0,1.0\n2,1,1.0\n")
+        rc, out, err = run_cli(capsys, "run", "--workload-file", str(path))
+        assert (rc, out) == (10, "")
+        assert err == (
+            "error: line 5: workload rows are ragged: layer 1 ends after 1 of layer 0's 2 tokens\n"
+        )
 
     def test_bad_concentration_is_domain_error(self, capsys):
         rc, _, _ = run_cli(capsys, "gen-workload", "--kind", "peaked", "--concentration", "0")
@@ -332,6 +341,34 @@ class TestSubcommandSemantics:
         command(cfg)
         assert len(built) == 1
         assert len(used) >= 3 and all(m is built[0] for m in used)
+
+    @pytest.mark.parametrize(
+        "command, overrides, generated",
+        [
+            (cli.cmd_compare, {}, 1),
+            (cli.cmd_sweep_tau, {}, 1),
+            (cli.cmd_run, {}, 1),
+            (cli.cmd_run, {"repeats": 3}, 3),  # each repeat draws its own workload
+        ],
+    )
+    @pytest.mark.parametrize("source", ["file", "peaked"])
+    def test_scores_loaded_once_per_command(
+        self, monkeypatch, command, overrides, generated, source
+    ):
+        loader = "read_workload_csv" if source == "file" else "generate_workload"
+        calls = []
+        load = getattr(workload, loader)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(workload, loader, counted)
+        cfg = cli.build_config(
+            {}, {"workload": source, "workload_file": WORKLOAD, "n": 32, "layers": 3, **overrides}
+        )
+        command(cfg)
+        assert len(calls) == (1 if source == "file" else generated)
 
     @pytest.mark.parametrize(
         "command, overrides, decodes_per_repeat",

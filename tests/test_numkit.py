@@ -170,6 +170,43 @@ class TestTopk:
         assert len(set(got)) == k
 
 
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, 2.5, np.inf, -np.inf, np.nan])
+            | st.floats(width=32),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_stable_argsort_for_every_k(self, dtype, xs):
+        values = np.array(xs, dtype=dtype)
+        for k in range(1, values.size + 1):
+            got = numkit.topk_indices(values, k)
+            assert got.tolist() == oracles.topk_argsort(values, k).tolist()
+
+    def test_keep_last_window_and_ties_at_scale(self):
+        # plan_layer's shape: a long float64 row with heavy ties, the last
+        # tokens raised to +inf so they are always kept
+        rng = np.random.default_rng(3)
+        values = rng.integers(0, 50, size=4096).astype(np.float64)
+        values[-64:] = np.inf
+        for k in (1, 63, 64, 65, 1000, 2048, 4095, 4096):
+            got = numkit.topk_indices(values, k)
+            assert got.tolist() == oracles.topk_argsort(values, k).tolist()
+        assert numkit.topk_indices(values, 64).tolist() == list(range(4032, 4096))
+
+    def test_integers_compare_as_float64(self):
+        values = np.array([2**53, 2**53 + 1], dtype=np.int64)  # equal as float64
+        assert numkit.topk_indices(values, 1).tolist() == [0]
+
+    def test_nan_ranks_last(self):
+        values = np.array([np.nan, -np.inf, 1.0, np.nan, 1.0])
+        assert numkit.topk_indices(values, 3).tolist() == [1, 2, 4]
+        assert numkit.topk_indices(values, 4).tolist() == [0, 1, 2, 4]
+
+
 class TestCumsumDesc:
     def test_negative_raises(self):
         with pytest.raises(DomainError):
