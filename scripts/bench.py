@@ -1,0 +1,165 @@
+"""Time prefill and decode on the default model; append a row set to each BENCH_*.json file.
+
+Prefill: one row per (n, mode) pair, n in SIZES: the measured prefill time
+(min over REPEATS runs), the modeled prefill attention flops (the sum of the
+layer reports' attn_flops), and the measured and modeled speedup over dense
+at the same n.
+
+Decode: one row per cache policy in DECODE_POLICIES (dense, fixed 0.25,
+fixed 0.05, zipvl-probe with quantize), each a PROMPT-token prefill followed
+by STEPS greedy engine.decode steps: the mean cache rows per layer when
+decode starts, the measured ms per step and tokens per second (min over
+REPEATS runs, prefill untimed), the modeled decode attention flops, and the
+measured and modeled speedup over dense.
+
+Rows of one invocation form a row set under --label in each file; the files
+keep every row set, so the trajectory across changes can be read. The model
+is the CLI default, 4 layers x 4 heads x d_model 64, with the default policy
+knobs (tau 0.975, fixed_ratio 0.5, probes 64 + 64); numpy runs on one BLAS
+thread.
+
+Usage:
+    PYTHONPATH=src python3 scripts/bench.py --label NAME
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import pathlib
+import platform
+import time
+
+import numpy as np
+
+from zipvl import engine
+
+SIZES = (128, 512, 2048)
+PROMPT, STEPS = 2048, 256
+REPEATS = 3
+LAYERS, HEADS, D_MODEL, VOCAB, SEED = 4, 4, 64, 256, 1234
+DECODE_POLICIES = (
+    ("dense", {"mode": "dense"}),
+    ("fixed 0.25", {"mode": "fixed", "fixed_ratio": 0.25}),
+    ("fixed 0.05", {"mode": "fixed", "fixed_ratio": 0.05}),
+    ("zipvl-probe quantize", {"mode": "zipvl-probe", "quantize": True}),
+)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PREFILL_OUT = ROOT / "BENCH_prefill.json"
+DECODE_OUT = ROOT / "BENCH_decode.json"
+
+
+def _model(max_seq: int) -> engine.TinyTransformer:
+    return engine.init_model(
+        engine.ModelConfig(
+            layers=LAYERS, heads=HEADS, d_model=D_MODEL, vocab_size=VOCAB, max_seq=max_seq,
+            seed=SEED,
+        )
+    )
+
+
+def _add_speedups(rows: list[dict], time_key: str, flops_key: str) -> None:
+    """Speedups over the first row, the dense one."""
+    dense = rows[0]
+    for r in rows:
+        r["speedup_measured"] = round(dense[time_key] / r[time_key], 3)
+        r["speedup_modeled"] = round(dense[flops_key] / r[flops_key], 3)
+
+
+def measure_prefill(n: int) -> list[dict]:
+    model = _model(n)
+    prompt = np.random.default_rng(SEED + n).integers(0, VOCAB, size=n)
+    rows = []
+    for mode in engine.MODES:
+        policy = engine.SparsityPolicy(mode=mode)
+        times = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            _, _, reports = engine.prefill(model, prompt, policy)
+            times.append(time.perf_counter() - t0)
+        rows.append(
+            {
+                "n": n,
+                "mode": mode,
+                "prefill_ms": round(1e3 * min(times), 1),
+                "attn_flops": sum(r.attn_flops for r in reports),
+                "mean_ratio": float(np.mean([r.ratio for r in reports])),
+            }
+        )
+    _add_speedups(rows, "prefill_ms", "attn_flops")
+    return rows
+
+
+def measure_decode() -> list[dict]:
+    model = _model(PROMPT + STEPS)
+    prompt = np.random.default_rng(SEED + PROMPT).integers(0, VOCAB, size=PROMPT)
+    rows = []
+    for name, knobs in DECODE_POLICIES:
+        policy = engine.SparsityPolicy(**knobs)
+        times = []
+        for _ in range(REPEATS):
+            prefilled = engine.prefill(model, prompt, policy)
+            cache = prefilled[1]
+            cache_rows = float(np.mean([cache.rows(i) for i in range(LAYERS)]))
+            t0 = time.perf_counter()
+            _, report = engine.decode(model, prompt, prefilled, STEPS, policy)
+            times.append(time.perf_counter() - t0)
+        ms_per_step = 1e3 * min(times) / STEPS
+        rows.append(
+            {
+                "policy": name,
+                "prompt": PROMPT,
+                "steps": STEPS,
+                "cache_rows": cache_rows,
+                "ms_per_step": round(ms_per_step, 4),
+                "tok_per_s": round(1e3 / ms_per_step, 1),
+                "decode_attn_flops": report.decode_attn_flops,
+            }
+        )
+    _add_speedups(rows, "ms_per_step", "decode_attn_flops")
+    return rows
+
+
+def _append_row_set(path: pathlib.Path, label: str, rows: list[dict]) -> None:
+    doc = json.loads(path.read_text()) if path.exists() else {"row_sets": []}
+    doc["row_sets"].append(
+        {
+            "label": label,
+            "repeats": REPEATS,
+            "blas_threads": 1,
+            "model": {"layers": LAYERS, "heads": HEADS, "d_model": D_MODEL, "vocab_size": VOCAB},
+            "machine": f"{platform.machine()}, {os.cpu_count()} cpus, numpy {np.__version__}",
+            "rows": rows,
+        }
+    )
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--label", required=True, help="name of this row set, e.g. a commit")
+    args = parser.parse_args(argv)
+
+    prefill = [row for n in SIZES for row in measure_prefill(n)]
+    _append_row_set(PREFILL_OUT, args.label, prefill)
+    for r in prefill:
+        print(
+            f"prefill n={r['n']:<5} {r['mode']:<12} {r['prefill_ms']:>9.1f} ms  "
+            f"x{r['speedup_measured']:<6} measured  x{r['speedup_modeled']:<6} modeled"
+        )
+    decode = measure_decode()
+    _append_row_set(DECODE_OUT, args.label, decode)
+    for r in decode:
+        print(
+            f"decode {r['policy']:<21} {r['cache_rows']:>7.1f} rows "
+            f"{r['ms_per_step']:>8.4f} ms/step {r['tok_per_s']:>7.1f} tok/s  "
+            f"x{r['speedup_measured']:<6} measured  "
+            f"x{r['speedup_modeled']:<6} modeled"
+        )
+
+
+if __name__ == "__main__":
+    main()

@@ -22,6 +22,7 @@ cache, up to max_seq positions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,7 +38,7 @@ from .errors import (
 MODES = ("dense", "zipvl-exact", "zipvl-probe", "fixed")
 METRIC_NAMES = ("accumulated", "normalized")
 
-_NORM_EPS = 1e-5
+_NORM_EPS = np.float32(1e-5)
 
 
 @dataclass(frozen=True)
@@ -124,9 +125,9 @@ class LayerReport:
 
 @dataclass
 class LayerWeights:
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
+    """One layer's weights; wqkv is wq, wk and wv side by side, (d, 3d)."""
+
+    wqkv: np.ndarray
     wo: np.ndarray
     w_up: np.ndarray
     w_down: np.ndarray
@@ -150,7 +151,9 @@ def init_model(config: ModelConfig) -> TinyTransformer:
     """Build a model with weights drawn uniformly in +-1/sqrt(fan_in).
 
     Draw order: embedding, then per layer wq, wk, wv, wo, w_up, w_down.
-    Norm gains start at one.
+    wq, wk and wv are stored concatenated as wqkv, so one product projects
+    all three; each of its columns is the dot product the separate
+    projection would compute. Norm gains start at one.
     """
     config.validate()
     rng = numkit.make_rng(config.seed)
@@ -159,9 +162,7 @@ def init_model(config: ModelConfig) -> TinyTransformer:
     for _ in range(config.layers):
         model.layers.append(
             LayerWeights(
-                wq=_uniform(rng, d, d),
-                wk=_uniform(rng, d, d),
-                wv=_uniform(rng, d, d),
+                wqkv=np.concatenate([_uniform(rng, d, d) for _ in range(3)], axis=1),
                 wo=_uniform(rng, d, d),
                 w_up=_uniform(rng, d, ff),
                 w_down=_uniform(rng, ff, d),
@@ -173,18 +174,33 @@ def init_model(config: ModelConfig) -> TinyTransformer:
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    scale = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + np.float32(_NORM_EPS))
-    return (x * scale * gain).astype(np.float32)
+    """x / sqrt(mean(x^2) + eps) * gain over the last axis, float32 throughout.
+
+    A matrix (prefill) runs the ufuncs np.mean runs for a float32 mean,
+    without its wrapper: a float32 sum of squares true-divided by the intp
+    count (a float64 quotient rounded to float32), then + eps, sqrt and the
+    reciprocal. A single row (decode) makes the same roundings on scalars,
+    with far fewer numpy calls; its sqrt is taken in float64 and rounded to
+    float32, which is the float32 sqrt, since 53 >= 2 * 24 + 2 bits make
+    that double rounding exact.
+    """
+    if x.ndim == 1:
+        ms = np.float32(float(np.add.reduce(np.square(x))) / x.size) + _NORM_EPS
+        scale = 1.0 / np.float32(math.sqrt(ms))
+    else:
+        ms = np.add.reduce(np.square(x), axis=-1, keepdims=True)
+        np.true_divide(ms, np.intp(x.shape[-1]), out=ms, casting="unsafe")
+        ms += _NORM_EPS
+        scale = 1.0 / np.sqrt(ms, out=ms)
+    out = x * scale
+    out *= gain
+    return out
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows: x / (1 + e^-x) for x >= 0, x e^x / (1 + e^x) below
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, x / (1.0 + e), x * e / (1.0 + e))
-
-
-def _split_heads(x: np.ndarray, heads: int, d_head: int) -> np.ndarray:
-    return x.reshape(x.shape[0], heads, d_head).transpose(1, 0, 2)
+    return np.where(x >= 0, x, x * e) / (1.0 + e)
 
 
 def _check_tokens(tokens: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -254,10 +270,9 @@ def prefill(
     for layer, lw in enumerate(model.layers):
         mode = policy.layer_mode(layer)
         h_before = h
-        x = _rms_norm(h, lw.gain_attn)
-        q = _split_heads(x @ lw.wq, config.heads, d_head)
-        k = _split_heads(x @ lw.wk, config.heads, d_head)
-        v = _split_heads(x @ lw.wv, config.heads, d_head)
+        # (n, 3d) -> (3, heads, n, d_head) views: q, k and v split by head
+        qkv = _rms_norm(h, lw.gain_attn) @ lw.wqkv
+        q, k, v = qkv.reshape(n, 3, config.heads, d_head).transpose(1, 2, 0, 3)
 
         if mode == "dense":
             acc, norm, probe_rows = None, None, 0
@@ -323,8 +338,7 @@ def prefill(
             replace(r, kv_bytes=kvcache.layer_memory_bytes(quantized, r.layer)) for r in reports
         ]
 
-    logits = (h @ model.embedding.T).astype(np.float32)
-    return logits, cache, reports
+    return h @ model.embedding.T, cache, reports
 
 
 def decode_step(
@@ -334,23 +348,19 @@ def decode_step(
     config = model.config
     if not 0 <= token < config.vocab_size:
         raise VocabError(f"token id {token} outside vocabulary")
-    d_head = config.d_head
-    scale = 1.0 / np.sqrt(d_head)
+    qkv_shape = (3, config.heads, config.d_head)
+    scale = np.float32(1.0 / np.sqrt(config.d_head))
     h = model.embedding[int(token)]
     for layer, lw in enumerate(model.layers):
-        x = _rms_norm(h, lw.gain_attn)
-        q = (x @ lw.wq).reshape(config.heads, d_head)
-        k = (x @ lw.wk).reshape(config.heads, d_head)
-        v = (x @ lw.wv).reshape(config.heads, d_head)
+        q, k, v = (_rms_norm(h, lw.gain_attn) @ lw.wqkv).reshape(qkv_shape)
         cache.append(layer, k, v, position)
-        keys, values = cache.keys[layer], cache.values[layer]
-        logits = (keys @ q[:, :, None])[:, :, 0] * np.float32(scale)
+        logits = (cache.keys[layer] @ q[:, :, None])[:, :, 0]
+        logits *= scale
         weights = numkit.masked_softmax_rows(logits, None)
-        out = (weights[:, None, :] @ values)[:, 0, :]
+        out = (weights[:, None, :] @ cache.values[layer])[:, 0, :]
         h = h + out.reshape(config.d_model) @ lw.wo
-        x2 = _rms_norm(h, lw.gain_mlp)
-        h = h + _silu(x2 @ lw.w_up) @ lw.w_down
-    return (h @ model.embedding.T).astype(np.float32), cache
+        h = h + _silu(_rms_norm(h, lw.gain_mlp) @ lw.w_up) @ lw.w_down
+    return h @ model.embedding.T, cache
 
 
 def decode(
@@ -373,16 +383,16 @@ def decode(
         )
     logits, cache, reports = prefilled
     tokens = [int(t) for t in prompt]
+    config = model.config
+    # step s attends over each layer's prefill rows + s + 1: 4 flops per row, channel and head
+    rows = sum(cache.rows(layer) for layer in range(config.layers))
+    visited = steps * rows + config.layers * steps * (steps + 1) // 2
+    decode_flops = 4 * visited * config.d_head * config.heads
     cur = logits[-1]
-    decode_flops = 0
     for step in range(steps):
         nxt = int(np.argmax(cur))
         tokens.append(nxt)
         cur, cache = decode_step(model, nxt, cache, position=prompt.size + step)
-        decode_flops += sum(
-            4 * cache.rows(layer) * model.config.d_head * model.config.heads
-            for layer in range(model.config.layers)
-        )
     report = metrics.build_run_report(
         policy=policy,
         layer_reports=reports,

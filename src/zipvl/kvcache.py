@@ -6,14 +6,14 @@ layer always share one position list. A cache instance belongs to a single
 inference session and is mutated in place; whole caches may be handed
 between threads.
 
-Prefill (set_layer, retain) installs exact-size arrays. Decode appends
-write one row in place into a per-layer buffer whose capacity doubles when
-full, so a step copies nothing but the new row and, now and then, the
-layer once. `keys[layer]`, `values[layer]` and `positions[layer]` are views
-of the live rows. Memory accounting (layer_memory_bytes,
-`engine.LayerReport.kv_bytes`, `.nbytes` of the views) counts those rows,
-not the spare capacity, so after decode the memory held can reach twice
-the rows counted.
+Prefill (set_layer, retain) installs exact-size arrays. A decode append
+takes one (heads, d_head) K row and V row and writes them in place into a
+per-layer buffer whose capacity doubles when full, so a step copies
+nothing but the new row and, now and then, the layer once. `keys[layer]`,
+`values[layer]` and `positions[layer]` are views of the live rows. Memory
+accounting (layer_memory_bytes, `engine.LayerReport.kv_bytes`, `.nbytes`
+of the views) counts those rows, not the spare capacity, so after decode
+the memory held can reach twice the rows counted.
 
 Quantization is uniform asymmetric per channel group within each token row:
 scale = (max - min) / (2^b - 1), zero-point = min. Important rows get 4
@@ -104,36 +104,31 @@ class KVCache:
     def append(
         self, layer: int, k_row: np.ndarray, v_row: np.ndarray, position: int
     ) -> "KVCache":
-        """Append one token's K/V row to every head of the layer, in place."""
-        layer = self._check_layer(layer)
-        pos = self.positions[layer]
-        if pos.size and position <= pos[-1]:
-            raise OrderingError(f"position {position} not beyond cached {int(pos[-1])}")
-        k_row = np.asarray(k_row, dtype=np.float32)
-        v_row = np.asarray(v_row, dtype=np.float32)
-        if k_row.size != self.heads * self.d_head or v_row.size != k_row.size:
-            raise ShapeError(
-                f"expected {self.heads}x{self.d_head} K/V rows, got {k_row.shape}/{v_row.shape}"
-            )
-        rows = pos.size
-        kbuf, vbuf, pbuf = self._buffers[layer]
+        """Append one token's (heads, d_head) K and V rows to the layer, in place."""
+        kbuf, vbuf, pbuf = self._buffers[self._check_layer(layer)]
+        rows = self.positions[layer].size
+        if rows and position <= pbuf[rows - 1]:
+            raise OrderingError(f"position {position} not beyond cached {int(pbuf[rows - 1])}")
+        shape = (self.heads, self.d_head)
+        if np.shape(k_row) != shape or np.shape(v_row) != shape:
+            raise ShapeError(f"expected {shape} K/V rows, got {np.shape(k_row)}/{np.shape(v_row)}")
         if rows == pbuf.size:
             cap = max(2 * rows, 1)
-            shape = (self.heads, cap, self.d_head)
             # empty_like keeps the layer's layout (C order or token axis outermost)
-            kbuf = np.empty_like(self.keys[layer], shape=shape)
-            vbuf = np.empty_like(self.values[layer], shape=shape)
+            kbuf = np.empty_like(kbuf, shape=(self.heads, cap, self.d_head))
+            vbuf = np.empty_like(vbuf, shape=(self.heads, cap, self.d_head))
             pbuf = np.empty(cap, dtype=np.int64)
             kbuf[:, :rows] = self.keys[layer]
             vbuf[:, :rows] = self.values[layer]
-            pbuf[:rows] = pos
+            pbuf[:rows] = self.positions[layer]
             self._buffers[layer] = (kbuf, vbuf, pbuf)
-        kbuf[:, rows] = k_row.reshape(self.heads, self.d_head)
-        vbuf[:, rows] = v_row.reshape(self.heads, self.d_head)
+        kbuf[:, rows] = k_row
+        vbuf[:, rows] = v_row
         pbuf[rows] = position
-        self.keys[layer] = kbuf[:, : rows + 1]
-        self.values[layer] = vbuf[:, : rows + 1]
-        self.positions[layer] = pbuf[: rows + 1]
+        rows += 1
+        self.keys[layer] = kbuf[:, :rows]
+        self.values[layer] = vbuf[:, :rows]
+        self.positions[layer] = pbuf[:rows]
         return self
 
 

@@ -61,7 +61,9 @@ def masked_softmax_rows(logits: np.ndarray, mask: np.ndarray | None) -> np.ndarr
     to 1. Stabilized by subtracting the per-row max over visible columns;
     exp/sum run in float64, the result is float32. `mask=None` means every
     column is visible; it gives the same bits as an all-true mask without
-    building or checking one.
+    building or checking one. The float64 copy is shifted and exponentiated
+    in place, and the division writes float32 directly: the float64 quotient
+    is rounded once, as astype would.
     """
     logits = as_matrix(logits)
     if mask is None:
@@ -77,9 +79,10 @@ def masked_softmax_rows(logits: np.ndarray, mask: np.ndarray | None) -> np.ndarr
             bad = int(np.argmin(visible_per_row))
             raise DegenerateMaskError(f"row {bad} has no visible column")
         shifted = np.where(mask, logits.astype(np.float64), -np.inf)
-    shifted -= shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return (e / e.sum(axis=1, keepdims=True)).astype(FLOAT)
+    shifted -= np.maximum.reduce(shifted, axis=1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    total = np.add.reduce(shifted, axis=1, keepdims=True)
+    return np.divide(shifted, total, out=np.empty(shifted.shape, FLOAT), casting="unsafe")
 
 
 def causal_softmax_rows(
@@ -91,17 +94,18 @@ def causal_softmax_rows(
     [0, n). Returns float32 (rows, n) weights, exactly 0.0 past each row's
     position, with the same bits as masked_softmax_rows on the same logits
     and causal_row_mask. The logits come from one product into the output
-    array. Each block of CAUSAL_BLOCK rows is then copied into a float64
-    tile up to its last position, masked on the diagonal in place, run
-    through max, exp and divide in place and written back, so no n x n
-    float64 array or mask is ever built.
+    array. Each block of CAUSAL_BLOCK rows is then copied up to its last
+    position into a contiguous float64 work array, masked on the diagonal in
+    place, run through max, exp and divide in place and written back, so no
+    n x n float64 array or mask is ever built.
 
-    The tile is n wide, zeros past the block's last position included,
-    because numpy's pairwise sum groups terms by row length: a shorter row
-    sums to other bits. The product is not split by block either: BLAS
-    picks its kernel by row and column count, so a row block's logits
-    against only its visible keys can differ in the last bit. The same
-    holds for `weights @ v` split into row blocks.
+    The row sums alone are taken over an n-wide tile, the exponentials
+    copied in and zeros past the block's last position, because numpy's
+    pairwise sum groups terms by row length: a shorter row sums to other
+    bits. The product is not split by block either: BLAS picks its kernel
+    by row and column count, so a row block's logits against only its
+    visible keys can differ in the last bit. The same holds for
+    `weights @ v` split into row blocks.
     """
     q_rows = as_matrix(q_rows)
     k = as_matrix(k)
@@ -114,17 +118,19 @@ def causal_softmax_rows(
     out = q_rows @ k.T
     out *= FLOAT(scale)
     tile = np.zeros((min(CAUSAL_BLOCK, m), n), dtype=np.float64)
+    work = np.empty(tile.size, dtype=np.float64)
     for r0 in range(0, m, CAUSAL_BLOCK):
         blk = pos[r0 : r0 + CAUSAL_BLOCK]
         rows = out[r0 : r0 + blk.size]
         lo, hi = int(blk[0]) + 1, int(blk[-1]) + 1
-        # the tile's columns past hi stay zero: hi only grows from block to block
-        t = tile[: blk.size]
-        w = t[:, :hi]
+        w = work[: blk.size * hi].reshape(blk.size, hi)
         w[...] = rows[:, :hi]
         np.putmask(w[:, lo:], ~causal_row_mask(blk - lo, hi - lo), -np.inf)
         w -= w.max(axis=1, keepdims=True)
         np.exp(w, out=w)
+        # the tile's columns past hi stay zero: hi only grows from block to block
+        t = tile[: blk.size]
+        t[:, :hi] = w
         w /= t.sum(axis=1, keepdims=True)
         rows[:, :hi] = w
         rows[:, hi:] = 0.0

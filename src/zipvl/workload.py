@@ -141,12 +141,12 @@ def _read_valid(fh) -> np.ndarray | None:
 
 def _read_rows(fh) -> np.ndarray:
     """read_workload_csv one csv row at a time; every FormatError comes from here."""
-    reader = csv.reader(fh)
-    header = next(reader, None)
+    records = _csv_records(csv.reader(fh))
+    header = next(records, None)
     if header != ["layer", "token", "score"]:
         raise FormatError(f"bad workload header: {header}")
     rows: list[list[float]] = []
-    for lineno, rec in enumerate(reader, start=2):
+    for lineno, rec in enumerate(records, start=2):
         if len(rec) != 3:
             raise FormatError(f"line {lineno}: expected 3 fields, got {len(rec)}")
         try:
@@ -156,7 +156,7 @@ def _read_rows(fh) -> np.ndarray:
         if layer == len(rows):
             _check_not_short(rows, lineno)
             rows.append([])
-        if layer != len(rows) - 1 or token != len(rows[-1]):
+        if not rows or layer != len(rows) - 1 or token != len(rows[-1]):
             raise FormatError(f"line {lineno}: rows out of order at layer={layer} token={token}")
         if layer and token == len(rows[0]):
             raise FormatError(
@@ -177,6 +177,15 @@ def _read_rows(fh) -> np.ndarray:
             f"line {2 + bad[0]}: score {rows[layer][token]!r} is negative or not finite"
         )
     return scores
+
+
+def _csv_records(reader):
+    """The reader's records; a csv.Error, such as a field over the csv module's
+    field size limit, becomes a FormatError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FormatError(f"line {reader.line_num}: {exc}") from exc
 
 
 def _check_not_short(rows: list, lineno: int) -> None:

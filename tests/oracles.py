@@ -151,3 +151,47 @@ def silu_two_branch(x) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = x[~pos] * ex / (1.0 + ex)
     return out
+
+
+def rms_norm_mean(x, gain, eps=1e-5) -> np.ndarray:
+    """RMS norm through np.mean, then a float32 astype copy."""
+    scale = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + np.float32(eps))
+    return (x * scale * gain).astype(np.float32)
+
+
+def softmax_rows_masked(logits, mask) -> np.ndarray:
+    """Row softmax over visible columns: a float64 copy with -inf where masked,
+    shifted by the row max, exponentiated into a new array, divided by the row
+    sum and cast to float32."""
+    shifted = np.where(mask, np.asarray(logits, dtype=np.float32).astype(np.float64), -np.inf)
+    shifted -= shifted.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+
+
+def decode_step_reference(model, token, cache, position) -> np.ndarray:
+    """One decode step with separate q, k and v products and one head at a time.
+
+    wq, wk and wv are copied out of the model's wqkv, each row's softmax
+    masks nothing, and the norm and SiLU are the np.mean and two-branch
+    forms above. Appends to `cache` like the engine does; returns the logits.
+    """
+    config = model.config
+    d, heads, d_head = config.d_model, config.heads, config.d_head
+    scale = np.float32(1.0 / np.sqrt(d_head))
+    h = model.embedding[int(token)]
+    for layer, lw in enumerate(model.layers):
+        wq, wk, wv = (np.ascontiguousarray(lw.wqkv[:, i * d : (i + 1) * d]) for i in range(3))
+        x = rms_norm_mean(h, lw.gain_attn)
+        q = (x @ wq).reshape(heads, d_head)
+        k = (x @ wk).reshape(heads, d_head)
+        v = (x @ wv).reshape(heads, d_head)
+        cache.append(layer, k, v, position)
+        keys, values = cache.keys[layer], cache.values[layer]
+        out = np.empty((heads, d_head), dtype=np.float32)
+        for i in range(heads):
+            logits = ((keys[i] @ q[i]) * scale)[None, :]
+            out[i] = softmax_rows_masked(logits, np.ones(logits.shape, dtype=bool))[0] @ values[i]
+        h = h + out.reshape(d) @ lw.wo
+        h = h + silu_two_branch(rms_norm_mean(h, lw.gain_mlp) @ lw.w_up) @ lw.w_down
+    return (h @ model.embedding.T).astype(np.float32)

@@ -1,0 +1,38 @@
+"""scripts/bench.py at a tiny size: one row set per invocation in each file."""
+
+import importlib.util
+import json
+import pathlib
+
+from zipvl import engine
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
+
+
+def test_each_run_appends_a_prefill_and_a_decode_row_set(monkeypatch, tmp_path):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the script pins these on import; undone after the test
+    spec = importlib.util.spec_from_file_location("bench", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for name, value in [("SIZES", (8,)), ("PROMPT", 8), ("STEPS", 3), ("REPEATS", 1)]:
+        monkeypatch.setattr(bench, name, value)
+    monkeypatch.setattr(bench, "PREFILL_OUT", tmp_path / "prefill.json")
+    monkeypatch.setattr(bench, "DECODE_OUT", tmp_path / "decode.json")
+    bench.main(["--label", "a"])
+    bench.main(["--label", "b"])
+
+    prefill = json.loads((tmp_path / "prefill.json").read_text())["row_sets"]
+    assert [s["label"] for s in prefill] == ["a", "b"]
+    assert [(r["n"], r["mode"]) for r in prefill[1]["rows"]] == [(8, m) for m in engine.MODES]
+    assert all(r["prefill_ms"] >= 0 and r["attn_flops"] > 0 for r in prefill[1]["rows"])
+
+    decode = json.loads((tmp_path / "decode.json").read_text())["row_sets"]
+    assert [s["label"] for s in decode] == ["a", "b"]
+    rows = decode[1]["rows"]
+    assert [r["policy"] for r in rows] == [name for name, _ in bench.DECODE_POLICIES]
+    assert all(r["prompt"] == 8 and r["steps"] == 3 and r["tok_per_s"] > 0 for r in rows)
+    dense, fixed_quarter, fixed_twentieth, probe = (r["cache_rows"] for r in rows)
+    assert dense == probe == 8.0 and dense > fixed_quarter >= fixed_twentieth >= 1
+    assert rows[0]["speedup_measured"] == rows[0]["speedup_modeled"] == 1.0
+    assert rows[2]["speedup_modeled"] > 1.0

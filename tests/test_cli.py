@@ -117,6 +117,21 @@ class TestExitCodes:
             "error: line 5: workload rows are ragged: layer 1 ends after 1 of layer 0's 2 tokens\n"
         )
 
+    def test_negative_first_layer_names_line_2(self, capsys, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("layer,token,score\n-1,0,1\n")
+        rc, out, err = run_cli(capsys, "run", "--workload-file", str(path))
+        assert (rc, out) == (10, "")
+        assert err == "error: line 2: rows out of order at layer=-1 token=0\n"
+
+    def test_field_over_csv_limit_names_the_line(self, capsys, tmp_path):
+        # the csv module refuses fields over 131072 characters
+        path = tmp_path / "w.csv"
+        path.write_text("layer,token,score\n0,0,1.0\n0,1," + "1" * 200000 + "\n")
+        rc, out, err = run_cli(capsys, "run", "--workload-file", str(path))
+        assert (rc, out) == (10, "")
+        assert err.startswith("error: line 3: field larger than field limit")
+
     def test_bad_concentration_is_domain_error(self, capsys):
         rc, _, _ = run_cli(capsys, "gen-workload", "--kind", "peaked", "--concentration", "0")
         assert rc == 4

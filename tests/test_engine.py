@@ -32,8 +32,33 @@ class TestInitAndCheckpoint:
         b = engine.init_model(CFG)
         assert np.array_equal(a.embedding, b.embedding)
         for la, lb in zip(a.layers, b.layers):
-            assert np.array_equal(la.wq, lb.wq)
+            assert np.array_equal(la.wqkv, lb.wqkv)
             assert np.array_equal(la.w_down, lb.w_down)
+
+    def test_wqkv_holds_the_q_k_v_draws_in_order(self):
+        # draw order: embedding, then per layer wq, wk, wv, wo, w_up, w_down
+        model = engine.init_model(CFG)
+        rng = numkit.make_rng(CFG.seed)
+        d, ff = CFG.d_model, CFG.d_ff
+        assert np.array_equal(model.embedding, engine._uniform(rng, d, CFG.vocab_size).T)
+        for lw in model.layers:
+            wq, wk, wv, wo = (engine._uniform(rng, d, d) for _ in range(4))
+            assert lw.wqkv.shape == (d, 3 * d) and lw.wqkv.flags.c_contiguous
+            assert np.array_equal(lw.wqkv, np.concatenate([wq, wk, wv], axis=1))
+            assert np.array_equal(lw.wo, wo)
+            assert np.array_equal(lw.w_up, engine._uniform(rng, d, ff))
+            assert np.array_equal(lw.w_down, engine._uniform(rng, ff, d))
+
+    @pytest.mark.parametrize("d", [8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("n", [None, 1, 2, 7, 64, 65, 300])
+    def test_fused_qkv_product_equals_three_products_bitwise(self, d, n):
+        # n None is decode's one-dimensional row
+        rng = numkit.make_rng(d)
+        w = [engine._uniform(rng, d, d) for _ in range(3)]
+        x = rng.normal(size=(d,) if n is None else (n, d)).astype(np.float32)
+        fused = x @ np.concatenate(w, axis=1)
+        for i, wi in enumerate(w):
+            assert np.array_equal(fused[..., i * d : (i + 1) * d], x @ wi)
 
     def test_different_seed_different_weights(self):
         other = engine.init_model(engine.ModelConfig(**{**CFG.__dict__, "seed": 12}))
@@ -254,6 +279,23 @@ class TestSilu:
         assert _fp_error(engine._silu, x) is None
 
 
+class TestRmsNorm:
+    @pytest.mark.parametrize("shape", [(64,), (1, 64), (300, 64), (7, 256), (3,), (0, 64)])
+    def test_bitwise_equal_to_mean_oracle(self, shape):
+        # magnitudes 1e-20 to 1e19: some rows' sums of squares underflow, some overflow to inf
+        rng = numkit.make_rng(sum(shape) + 3)
+        x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-20, 19, size=shape)
+        x = x.astype(np.float32)
+        x.reshape(-1)[: min(x.size, 3)] = 0.0
+        gain = rng.uniform(0.5, 2.0, size=shape[-1]).astype(np.float32)
+        with np.errstate(all="ignore"):
+            want = oracles.rms_norm_mean(x, gain)
+            got = engine._rms_norm(x, gain)
+        assert got.dtype == want.dtype == np.float32
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 def _count_calls(monkeypatch, module, *names):
     """Wrap module.name for each name; returns the dict of call counts."""
     counts = dict.fromkeys(names, 0)
@@ -333,32 +375,6 @@ class TestQuantizedPipeline:
         assert 0.0 < report.kv_reduction < 1.0
 
 
-def _per_head_decode_step(model, token, cache, position):
-    """decode_step attending one head at a time: the reference for the batched heads."""
-    config = model.config
-    d_head = config.d_head
-    scale = 1.0 / np.sqrt(d_head)
-    h = model.embedding[int(token)]
-    for layer, lw in enumerate(model.layers):
-        x = engine._rms_norm(h, lw.gain_attn)
-        q = (x @ lw.wq).reshape(config.heads, d_head)
-        k = (x @ lw.wk).reshape(config.heads, d_head)
-        v = (x @ lw.wv).reshape(config.heads, d_head)
-        cache.append(layer, k, v, position)
-        keys, values = cache.keys[layer], cache.values[layer]
-        out = np.empty((config.heads, d_head), dtype=np.float32)
-        for i in range(config.heads):
-            logits = (keys[i] @ q[i]) * np.float32(scale)
-            weights = numkit.masked_softmax_rows(
-                logits[None, :], np.ones((1, logits.size), dtype=bool)
-            )
-            out[i] = weights[0] @ values[i]
-        h = h + out.reshape(config.d_model) @ lw.wo
-        x2 = engine._rms_norm(h, lw.gain_mlp)
-        h = h + engine._silu(x2 @ lw.w_up) @ lw.w_down
-    return (h @ model.embedding.T).astype(np.float32)
-
-
 def _concatenate_append(self, layer, k_row, v_row, position):
     """KVCache.append as an exact-size cache does it: copy the layer on every token."""
     pos = self.positions[layer]
@@ -417,9 +433,35 @@ class TestDecode:
         cur = logits[-1]
         for step in range(6):
             token = int(np.argmax(cur))
-            ref = _per_head_decode_step(model, token, ref_cache, toks.size + step)
+            ref = oracles.decode_step_reference(model, token, ref_cache, toks.size + step)
             cur, cache = engine.decode_step(model, token, cache, position=toks.size + step)
             assert np.array_equal(cur, ref)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4, 8])
+    @pytest.mark.parametrize("d_head", [8, 16])
+    @pytest.mark.parametrize("mode", engine.MODES)
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_decode_step_matches_reference_bitwise(self, heads, d_head, mode, quantize):
+        cfg = engine.ModelConfig(
+            layers=2, heads=heads, d_model=heads * d_head, vocab_size=64, max_seq=64, seed=d_head
+        )
+        model = engine.init_model(cfg)
+        toks = numkit.make_rng(heads).integers(0, cfg.vocab_size, size=16, dtype=np.int64)
+        pol = engine.SparsityPolicy(
+            mode=mode, tau=0.9, probe_recent=4, probe_random=4, quantize=quantize,
+            group_size=8, dense_first_layers=1,
+        )
+        logits, cache, _ = engine.prefill(model, toks, pol)
+        _, ref_cache, _ = engine.prefill(model, toks, pol)
+        prefill_rows = [cache.rows(layer) for layer in range(cfg.layers)]
+        cur = logits[-1]
+        for step in range(40):
+            token = int(np.argmax(cur))
+            ref = oracles.decode_step_reference(model, token, ref_cache, toks.size + step)
+            cur, cache = engine.decode_step(model, token, cache, position=toks.size + step)
+            assert np.array_equal(cur.view(np.uint32), ref.view(np.uint32)), step
+        # the first append grows a prefill layer to twice its rows; going past that grows it again
+        assert all(cache.rows(i) > 2 * r for i, r in enumerate(prefill_rows))
 
     @pytest.mark.parametrize("mode", ["zipvl-exact", "dense"])
     @pytest.mark.parametrize("quantize", [False, True])
@@ -483,6 +525,17 @@ class TestGenerate:
         tokens, report = engine.decode(model, prompt, prefilled, 6, pol)
         assert (tokens, report) == engine.generate(model, prompt, 6, pol)
         assert report.layer_reports == prefilled[2]
+
+    @pytest.mark.parametrize("mode", ["dense", "fixed"])
+    def test_decode_flops_count_the_cache_rows_of_every_step(self, model, prompt, mode):
+        pol = engine.SparsityPolicy(mode=mode, fixed_ratio=0.25)
+        prefilled = engine.prefill(model, prompt, pol)
+        rows = [prefilled[1].rows(layer) for layer in range(CFG.layers)]
+        _, report = engine.decode(model, prompt, prefilled, 7, pol)
+        # step s (from 1) attends over each layer's prefill rows + s: 4 flops per row,
+        # channel and head
+        want = sum(4 * (r + s) * CFG.d_head * CFG.heads for s in range(1, 8) for r in rows)
+        assert report.decode_attn_flops == want
 
     def test_report_accounting_consistency(self, model, prompt):
         pol = engine.SparsityPolicy(mode="zipvl-probe", tau=0.9, probe_recent=8, probe_random=8)

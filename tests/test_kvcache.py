@@ -149,8 +149,13 @@ class TestGrowth:
         row = np.zeros((2, 4), np.float32)
         with pytest.raises(OrderingError):
             cache.append(0, row, row, int(before_p[-1]))
-        with pytest.raises(ShapeError):
-            cache.append(0, np.zeros((2, 5), np.float32), row, int(before_p[-1]) + 1)
+        # rows are (heads, d_head): a wrong size, a flat row and a row that would
+        # broadcast over the heads are all refused
+        for bad in (np.zeros((2, 5), np.float32), row.reshape(-1), row[0]):
+            with pytest.raises(ShapeError):
+                cache.append(0, bad, row, int(before_p[-1]) + 1)
+            with pytest.raises(ShapeError):
+                cache.append(0, row, bad, int(before_p[-1]) + 1)
         assert cache.rows(0) == rows
         assert np.array_equal(cache.positions[0], before_p)
 

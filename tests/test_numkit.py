@@ -88,6 +88,20 @@ class TestMaskedSoftmax:
         assert out.dtype == np.float32
         assert np.array_equal(out, ref)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 513), (8, 300), (4, 2560)])
+    def test_equals_new_array_oracle_bitwise(self, shape, masked):
+        # the float64 copy is worked in place and divided straight into float32
+        rng = numkit.make_rng(shape[1] + masked)
+        logits = (rng.normal(size=shape) * 30.0).astype(np.float32)
+        before = logits.copy()
+        mask = rng.random(shape) < 0.7 if masked else np.ones(shape, dtype=bool)
+        mask[:, 0] = True
+        out = numkit.masked_softmax_rows(logits, mask if masked else None)
+        ref = oracles.softmax_rows_masked(logits, mask)
+        assert np.array_equal(out.view(np.uint32), ref.view(np.uint32))
+        assert np.array_equal(logits, before)
+
     def test_no_mask_without_columns_raises(self):
         with pytest.raises(DegenerateMaskError):
             numkit.masked_softmax_rows(np.zeros((2, 0), dtype=np.float32), None)
