@@ -2,8 +2,9 @@
 
 Prefill: one row per (n, mode) pair, n in SIZES: the measured prefill time
 (min over REPEATS runs), the modeled prefill attention flops (the sum of the
-layer reports' attn_flops), and the measured and modeled speedup over dense
-at the same n.
+layer reports' attn_flops), the measured and modeled speedup over dense at
+the same n, and peak_mib, the tracemalloc peak of one more, untimed prefill:
+the memory numpy allocates during it, the returned logits and cache included.
 
 Decode: one row per cache policy in DECODE_POLICIES (dense, fixed 0.25,
 fixed 0.05, zipvl-probe with quantize), each a PROMPT-token prefill followed
@@ -32,6 +33,7 @@ import json
 import pathlib
 import platform
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -80,11 +82,18 @@ def measure_prefill(n: int) -> list[dict]:
             t0 = time.perf_counter()
             _, _, reports = engine.prefill(model, prompt, policy)
             times.append(time.perf_counter() - t0)
+        tracemalloc.start()
+        try:
+            engine.prefill(model, prompt, policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         rows.append(
             {
                 "n": n,
                 "mode": mode,
                 "prefill_ms": round(1e3 * min(times), 1),
+                "peak_mib": round(peak / 2**20, 3),
                 "attn_flops": sum(r.attn_flops for r in reports),
                 "mean_ratio": float(np.mean([r.ratio for r in reports])),
             }
@@ -147,7 +156,8 @@ def main(argv: list[str] | None = None) -> None:
     _append_row_set(PREFILL_OUT, args.label, prefill)
     for r in prefill:
         print(
-            f"prefill n={r['n']:<5} {r['mode']:<12} {r['prefill_ms']:>9.1f} ms  "
+            f"prefill n={r['n']:<5} {r['mode']:<12} {r['prefill_ms']:>9.1f} ms "
+            f"{r['peak_mib']:>8.2f} MiB  "
             f"x{r['speedup_measured']:<6} measured  x{r['speedup_modeled']:<6} modeled"
         )
     decode = measure_decode()

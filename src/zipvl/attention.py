@@ -2,6 +2,10 @@
 
 Everything here is single-head: q, k, v are (n, d_head) float32 matrices.
 Multi-head aggregation happens in the engine. All functions are pure.
+
+Scoring (causal_scores, probe_attention) returns only the column mass the
+importance stats read, summed one block of rows at a time, never the score
+matrix. Restricted attention holds its p x p weights for one call.
 """
 
 from __future__ import annotations
@@ -16,33 +20,35 @@ from .errors import BoundsError, DomainError, EmptySequenceError, ShapeError
 
 @dataclass(frozen=True)
 class AttentionScores:
-    """A (possibly partial) row-stochastic causal score matrix.
+    """Column mass of a (possibly partial) row-stochastic causal score matrix.
 
-    scores has one row per computed query position and n_total columns.
-    row_positions holds the original position of each row, sorted ascending;
-    entries at columns j > row_position are exactly zero. When rows cover
-    every position this is the full attention matrix.
+    mass[j] is the float64 sum, in row order, of the float32 weights that
+    the computed query rows give key j. row_positions holds the original
+    position of each of the n_rows rows, sorted ascending; a row gives zero
+    weight to every column past its position. When the rows cover every
+    position this is the column mass of the full attention matrix. The
+    matrix itself is never kept.
     """
 
-    scores: np.ndarray
+    mass: np.ndarray
     row_positions: np.ndarray
     n_total: int
 
     @property
     def n_rows(self) -> int:
-        return self.scores.shape[0]
+        return self.row_positions.size
 
 
 def causal_scores(
     q: np.ndarray, k: np.ndarray, scale: float, row_positions: np.ndarray | None = None
 ) -> AttentionScores:
-    """Causal softmax scores for the given query rows against all keys.
+    """Column mass of the causal softmax of the given query rows against all keys.
 
     row_positions=None means all rows. Rows are always gathered into a fresh
     contiguous array so full and subset calls share the exact same float path.
-    The softmax runs in row blocks (numkit.causal_softmax_rows): each row's
-    exp-sum spans all n columns, zeros past its position included, which
-    keeps the bits of a softmax over the masked n x n logits.
+    numkit.causal_column_mass scores one block of rows at a time, so no
+    (rows, n) array is built; the sums have the bits of the column sums of
+    numkit.causal_softmax_rows over the same rows.
     """
     q = numkit.as_matrix(q)
     k = numkit.as_matrix(k)
@@ -56,34 +62,34 @@ def causal_scores(
         if row_positions.size and row_positions.max() >= q.shape[0]:
             raise BoundsError("row position beyond query rows")
     q_rows = np.ascontiguousarray(q[row_positions])
-    scores = numkit.causal_softmax_rows(q_rows, k, scale, row_positions)
-    return AttentionScores(scores=scores, row_positions=row_positions, n_total=n)
+    mass = numkit.causal_column_mass(q_rows, k, scale, row_positions)
+    return AttentionScores(mass=mass, row_positions=row_positions, n_total=n)
 
 
 def restricted_attention(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Causal attention computed only among the tokens in `indices`.
 
     Causality uses original positions: row i may attend to row j iff
     indices[j] <= indices[i]. With ascending indices that is a plain lower
     triangle, so no weight ever flows from a later position to an earlier
-    one. Returns (outputs over the subset, weight matrix) in subset order.
-    The weights come from numkit.causal_softmax_rows over subset positions,
-    whose row sums span the whole subset width; the outputs are one
-    `weights @ v` product, since BLAS rounds a row-blocked product differently.
+    one. Returns the outputs over the subset, in subset order. The weights
+    come from numkit.causal_softmax_rows over subset positions, whose row
+    sums span the whole subset width; the outputs are one `weights @ v`
+    product, since BLAS rounds a row-blocked product differently. So one
+    p x p float32 weight array is held per call and freed on return.
     """
     idx = np.asarray(indices, dtype=np.int64)
     q_s = np.ascontiguousarray(numkit.as_matrix(q)[idx])
     k_s = np.ascontiguousarray(numkit.as_matrix(k)[idx])
     v_s = np.ascontiguousarray(numkit.as_matrix(v)[idx])
-    weights = numkit.causal_softmax_rows(q_s, k_s, scale, np.arange(idx.size))
-    return weights @ v_s, weights
+    return numkit.causal_softmax_rows(q_s, k_s, scale, np.arange(idx.size)) @ v_s
 
 
 def accumulated_scores(scores: AttentionScores) -> np.ndarray:
-    """Total attention received per token: column sums over available rows."""
-    return scores.scores.sum(axis=0, dtype=np.float64).astype(numkit.FLOAT)
+    """Total attention received per token, column sums over available rows, as float32."""
+    return scores.mass.astype(numkit.FLOAT)
 
 
 def structural_nnz(scores: AttentionScores) -> np.ndarray:
@@ -134,5 +140,5 @@ def select_probe_set(n: int, recent: int, random: int, seed: int) -> np.ndarray:
 def probe_attention(
     q: np.ndarray, probe: np.ndarray, k: np.ndarray, scale: float
 ) -> AttentionScores:
-    """Exact scores for the probe rows only; causality follows original positions."""
+    """Exact column mass of the probe rows only; causality follows original positions."""
     return causal_scores(q, k, scale, row_positions=probe)

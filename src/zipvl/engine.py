@@ -293,8 +293,7 @@ def prefill(
 
         attn = np.zeros((config.heads, n, d_head), dtype=np.float32)
         for i in range(config.heads):
-            out_sub, _ = attention.restricted_attention(q[i], k[i], v[i], scale, imp)
-            attn[i, imp, :] = out_sub
+            attn[i, imp, :] = attention.restricted_attention(q[i], k[i], v[i], scale, imp)
         proj = attn.transpose(1, 0, 2).reshape(n, config.d_model) @ lw.wo
         h = h + proj
         h_after_attn = h

@@ -8,6 +8,12 @@ helpers keep float64.
 Randomness comes from numpy's PCG64 bit generator. For a fixed seed and a
 fixed numpy version the stream is bit-identical across platforms.
 
+The causal row softmax runs one block of CAUSAL_BLOCK query rows at a time,
+so it never builds an n x n float64 array or mask. causal_softmax_rows
+still returns the float32 (rows, n) weights; causal_column_mass returns only
+their float64 column sums and holds one block of rows at a time, so scoring
+a layer costs memory linear in n.
+
 All functions here are pure; Rng instances must stay confined to a single
 thread.
 """
@@ -23,6 +29,8 @@ FLOAT = np.float32
 # rows per block of causal_softmax_rows: of 16 to 256, 64 was fastest at n=2048
 # and tied at n=1024 (d_head 16, one BLAS thread)
 CAUSAL_BLOCK = 64
+# fewest rows in causal_column_mass's last block; a shorter tail joins the block before
+TAIL_MIN = 16
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -85,6 +93,42 @@ def masked_softmax_rows(logits: np.ndarray, mask: np.ndarray | None) -> np.ndarr
     return np.divide(shifted, total, out=np.empty(shifted.shape, FLOAT), casting="unsafe")
 
 
+def _check_rows(q_rows, k, row_positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coerce the operands of a causal row softmax and check the row positions."""
+    q_rows = as_matrix(q_rows)
+    k = as_matrix(k)
+    pos = np.asarray(row_positions, dtype=np.int64)
+    m, n = q_rows.shape[0], k.shape[0]
+    if pos.shape != (m,):
+        raise ShapeError(f"{pos.shape} row positions for {m} query rows")
+    if m and (pos[0] < 0 or pos[-1] >= n or np.any(np.diff(pos) < 0)):
+        raise BoundsError(f"row positions must ascend within [0, {n})")
+    return q_rows, k, pos
+
+
+def _causal_block(logits: np.ndarray, blk: np.ndarray, tile: np.ndarray, work: np.ndarray) -> int:
+    """Causal softmax of one block of scaled logit rows, over logits[:, :hi] in place.
+
+    Row r sees columns 0..blk[r]; hi is one past the block's last position,
+    and it is returned. The rows up to hi are copied into the contiguous
+    float64 `work`, masked on the diagonal, run through max and exp in place,
+    and divided straight into float32, which rounds the float64 quotient
+    once. The row sums are taken over `tile`, (rows, n) float64 that must be
+    zero past hi: numpy's pairwise sum groups terms by row length, so the
+    sum over n columns, zeros included, keeps the bits of a softmax over the
+    masked n-wide logits. logits[:, hi:] is left as it was.
+    """
+    lo, hi = int(blk[0]) + 1, int(blk[-1]) + 1
+    w = work[: blk.size * hi].reshape(blk.size, hi)
+    w[...] = logits[:, :hi]
+    np.putmask(w[:, lo:], ~causal_row_mask(blk - lo, hi - lo), -np.inf)
+    w -= w.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    tile[:, :hi] = w
+    np.divide(w, tile.sum(axis=1, keepdims=True), out=logits[:, :hi], casting="unsafe")
+    return hi
+
+
 def causal_softmax_rows(
     q_rows: np.ndarray, k: np.ndarray, scale: float, row_positions: np.ndarray
 ) -> np.ndarray:
@@ -94,47 +138,60 @@ def causal_softmax_rows(
     [0, n). Returns float32 (rows, n) weights, exactly 0.0 past each row's
     position, with the same bits as masked_softmax_rows on the same logits
     and causal_row_mask. The logits come from one product into the output
-    array. Each block of CAUSAL_BLOCK rows is then copied up to its last
-    position into a contiguous float64 work array, masked on the diagonal in
-    place, run through max, exp and divide in place and written back, so no
-    n x n float64 array or mask is ever built.
-
-    The row sums alone are taken over an n-wide tile, the exponentials
-    copied in and zeros past the block's last position, because numpy's
-    pairwise sum groups terms by row length: a shorter row sums to other
-    bits. The product is not split by block either: BLAS picks its kernel
-    by row and column count, so a row block's logits against only its
-    visible keys can differ in the last bit. The same holds for
-    `weights @ v` split into row blocks.
+    array; each block of CAUSAL_BLOCK rows then goes through _causal_block,
+    so no n x n float64 array or mask is ever built. The product is not
+    split by block: BLAS picks its kernel by row and column count, so a
+    block's logits against only its visible keys can differ in the last bit.
+    The same holds for `weights @ v` split into row blocks.
     """
-    q_rows = as_matrix(q_rows)
-    k = as_matrix(k)
-    pos = np.asarray(row_positions, dtype=np.int64)
+    q_rows, k, pos = _check_rows(q_rows, k, row_positions)
     m, n = q_rows.shape[0], k.shape[0]
-    if pos.shape != (m,):
-        raise ShapeError(f"{pos.shape} row positions for {m} query rows")
-    if m and (pos[0] < 0 or pos[-1] >= n or np.any(np.diff(pos) < 0)):
-        raise BoundsError(f"row positions must ascend within [0, {n})")
     out = q_rows @ k.T
     out *= FLOAT(scale)
+    # the tile's columns past hi stay zero: hi only grows from block to block
     tile = np.zeros((min(CAUSAL_BLOCK, m), n), dtype=np.float64)
     work = np.empty(tile.size, dtype=np.float64)
     for r0 in range(0, m, CAUSAL_BLOCK):
         blk = pos[r0 : r0 + CAUSAL_BLOCK]
         rows = out[r0 : r0 + blk.size]
-        lo, hi = int(blk[0]) + 1, int(blk[-1]) + 1
-        w = work[: blk.size * hi].reshape(blk.size, hi)
-        w[...] = rows[:, :hi]
-        np.putmask(w[:, lo:], ~causal_row_mask(blk - lo, hi - lo), -np.inf)
-        w -= w.max(axis=1, keepdims=True)
-        np.exp(w, out=w)
-        # the tile's columns past hi stay zero: hi only grows from block to block
-        t = tile[: blk.size]
-        t[:, :hi] = w
-        w /= t.sum(axis=1, keepdims=True)
-        rows[:, :hi] = w
+        hi = _causal_block(rows, blk, tile[: blk.size], work)
         rows[:, hi:] = 0.0
     return out
+
+
+def causal_column_mass(
+    q_rows: np.ndarray, k: np.ndarray, scale: float, row_positions: np.ndarray
+) -> np.ndarray:
+    """Float64 column sums of causal_softmax_rows(q_rows, k, scale, row_positions).
+
+    The sums have the bits of `.sum(axis=0, dtype=np.float64)` over that
+    float32 matrix, yet only one block of rows is ever held. Each block gets
+    its own (rows, d) @ (d, n) product and goes through _causal_block. Its
+    float32 weights, widened, then sit in rows 1.. of a float64 buffer whose
+    row 0 holds the running sums, and one add.reduce down the columns adds
+    them in row order, as the sum over the whole matrix does. The buffer's
+    rows double as the row-sum tile, zero past hi. A tail block shorter than
+    TAIL_MIN rows joins the block before it: BLAS multiplies a single row
+    with gemv, and for some head sizes a few rows with another kernel, which
+    can round the logits differently from the rows of a larger product.
+    """
+    q_rows, k, pos = _check_rows(q_rows, k, row_positions)
+    m, n = q_rows.shape[0], k.shape[0]
+    starts = list(range(0, m, CAUSAL_BLOCK))
+    if len(starts) > 1 and m - starts[-1] < TAIL_MIN:
+        starts.pop()
+    ends = starts[1:] + [m]
+    width = max((r1 - r0 for r0, r1 in zip(starts, ends)), default=0)
+    buf = np.zeros((width + 1, n), dtype=np.float64)
+    work = np.empty(width * n, dtype=np.float64)
+    for r0, r1 in zip(starts, ends):
+        logits = q_rows[r0:r1] @ k.T
+        logits *= FLOAT(scale)
+        rows = buf[: r1 - r0 + 1]
+        hi = _causal_block(logits, pos[r0:r1], rows[1:], work)
+        rows[1:, :hi] = logits[:, :hi]
+        buf[0, :hi] = np.add.reduce(rows[:, :hi], axis=0)
+    return buf[0].copy()
 
 
 def topk_indices(values: np.ndarray, k: int) -> np.ndarray:

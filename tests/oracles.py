@@ -1,12 +1,17 @@
 """Slow reference implementations the fast paths are checked against.
 
 Everything here favors obviousness over speed: python loops, python floats,
-no vectorized shortcuts shared with the code under test.
+no vectorized shortcuts shared with the code under test. The matrix forms
+of scoring and restricted attention are the exception: they build the whole
+weight matrix with numkit.causal_softmax_rows, which the naive loops check,
+so the blocked column sums can be checked against it bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from zipvl import numkit
 
 
 def budget_oracle(values, tau, mass_total) -> int:
@@ -71,6 +76,35 @@ def naive_causal_attention(q, k, v, scale):
             weights[i, j] = e[j] / s
             out[i] += weights[i, j] * v[j]
     return out, weights
+
+
+def causal_score_matrix(q, k, scale, row_positions=None) -> np.ndarray:
+    """Float32 causal weights of the chosen query rows against all keys, one row per position.
+
+    The rows are gathered into a contiguous array as attention.causal_scores
+    gathers them; row_positions=None means every row.
+    """
+    q = np.asarray(q, dtype=np.float32)
+    pos = np.arange(q.shape[0]) if row_positions is None else np.asarray(row_positions, np.int64)
+    return numkit.causal_softmax_rows(np.ascontiguousarray(q[pos]), k, scale, pos)
+
+
+def column_mass_from_matrix(q_rows, k, scale, row_positions) -> np.ndarray:
+    """numkit.causal_column_mass through the whole (rows, n) weight matrix."""
+    return numkit.causal_softmax_rows(q_rows, k, scale, row_positions).sum(axis=0, dtype=np.float64)
+
+
+def restricted_attention_weights(q, k, v, scale, indices):
+    """(outputs, weights) of attention among `indices`, in subset order.
+
+    The p x p weights are numkit.causal_softmax_rows over subset positions,
+    and the outputs one `weights @ v` product, as in
+    attention.restricted_attention, which returns only the outputs.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    q_s, k_s, v_s = (np.ascontiguousarray(np.asarray(a, np.float32)[idx]) for a in (q, k, v))
+    weights = numkit.causal_softmax_rows(q_s, k_s, scale, np.arange(idx.size))
+    return weights @ v_s, weights
 
 
 def naive_restricted_attention(q, k, v, scale, indices):

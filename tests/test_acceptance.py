@@ -120,10 +120,11 @@ def test_03_attention_mass_identity():
             d = int(rng.choice([4, 8, 16]))
             q = rng.normal(size=(n, d)).astype(np.float32)
             k = rng.normal(size=(n, d)).astype(np.float32)
-            scores = attention.causal_scores(q, k, 1.0 / np.sqrt(d))
-            acc = attention.accumulated_scores(scores)
+            acc = attention.accumulated_scores(attention.causal_scores(q, k, 1.0 / np.sqrt(d)))
+            weights = oracles.causal_score_matrix(q, k, 1.0 / np.sqrt(d))
             assert abs(float(np.sum(acc, dtype=np.float64)) - n) <= 1e-3 * n
-            assert np.max(np.abs(scores.scores.sum(axis=1) - 1.0)) <= 1e-6
+            assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-6
+            assert np.array_equal(acc, weights.sum(axis=0, dtype=np.float64).astype(np.float32))
 
 
 def test_04_probe_row_exactness():
@@ -138,8 +139,10 @@ def test_04_probe_row_exactness():
                 n, recent=int(rng.integers(1, 9)), random=int(rng.integers(0, 9)), seed=trial
             )
             ps = attention.probe_attention(q, probe, k, 1.0 / np.sqrt(d))
-            full = attention.causal_scores(q, k, 1.0 / np.sqrt(d))
-            assert np.max(np.abs(ps.scores - full.scores[probe])) <= 1e-6
+            rows = oracles.causal_score_matrix(q, k, 1.0 / np.sqrt(d), probe)
+            full = oracles.causal_score_matrix(q, k, 1.0 / np.sqrt(d))
+            assert np.max(np.abs(rows - full[probe])) <= 1e-6
+            assert np.array_equal(ps.mass, rows.sum(axis=0, dtype=np.float64))
 
         # a probe set covering every row reproduces the exact pipeline
         config = engine.ModelConfig(

@@ -1,5 +1,7 @@
 """Tests for causal/restricted/probe attention and the score statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,23 +21,26 @@ class TestCausalScores:
     def test_matches_naive_attention(self):
         q, k, v = random_qkv(12, 5, seed=3)
         scale = 1.0 / np.sqrt(5)
-        scores = attention.causal_scores(q, k, scale)
-        out = scores.scores @ v
+        w = oracles.causal_score_matrix(q, k, scale)
         ref_out, ref_w = oracles.naive_causal_attention(q, k, v, scale)
-        assert np.max(np.abs(scores.scores - ref_w)) <= 1e-5
-        assert np.max(np.abs(out - ref_out)) <= 1e-5
+        assert np.max(np.abs(w - ref_w)) <= 1e-5
+        assert np.max(np.abs(w @ v - ref_out)) <= 1e-5
+        mass = attention.causal_scores(q, k, scale).mass
+        assert np.max(np.abs(mass - ref_w.sum(axis=0))) <= 1e-5
 
     def test_strict_upper_triangle_is_zero(self):
         q, k, _ = random_qkv(9, 4, seed=1)
-        scores = attention.causal_scores(q, k, 0.5)
-        assert np.all(scores.scores[np.triu_indices(9, k=1)] == 0.0)
+        w = oracles.causal_score_matrix(q, k, 0.5)
+        assert np.all(w[np.triu_indices(9, k=1)] == 0.0)
 
     def test_row_subset_rows_equal_full_rows_bitwise(self):
         q, k, _ = random_qkv(16, 6, seed=2)
-        full = attention.causal_scores(q, k, 0.4)
+        full = oracles.causal_score_matrix(q, k, 0.4)
         rows = np.array([0, 3, 7, 15])
+        assert np.array_equal(oracles.causal_score_matrix(q, k, 0.4, rows), full[rows])
         sub = attention.causal_scores(q, k, 0.4, row_positions=rows)
-        assert np.array_equal(sub.scores, full.scores[rows])
+        assert np.array_equal(sub.mass, full[rows].sum(axis=0, dtype=np.float64))
+        assert (sub.n_rows, sub.n_total) == (4, 16)
 
     def test_head_dim_mismatch(self):
         with pytest.raises(ShapeError):
@@ -45,22 +50,22 @@ class TestCausalScores:
     @settings(max_examples=40, deadline=None)
     def test_property_rows_sum_to_one(self, n, d, seed):
         q, k, _ = random_qkv(n, d, seed)
-        scores = attention.causal_scores(q, k, 1.0 / np.sqrt(d))
-        sums = scores.scores.sum(axis=1)
+        sums = oracles.causal_score_matrix(q, k, 1.0 / np.sqrt(d)).sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-6
 
 
 class TestRestrictedAttention:
     def test_full_index_set_equals_dense(self):
         q, k, v = random_qkv(10, 4, seed=5)
-        dense_out = attention.causal_scores(q, k, 0.5).scores @ v
-        sub_out, _ = attention.restricted_attention(q, k, v, 0.5, np.arange(10))
+        dense_out = oracles.causal_score_matrix(q, k, 0.5) @ v
+        sub_out = attention.restricted_attention(q, k, v, 0.5, np.arange(10))
         assert np.array_equal(sub_out, dense_out)
 
     def test_matches_naive_on_subset(self):
         q, k, v = random_qkv(14, 4, seed=6)
         idx = np.array([1, 2, 5, 9, 13])
-        out, w = attention.restricted_attention(q, k, v, 0.5, idx)
+        out, w = oracles.restricted_attention_weights(q, k, v, 0.5, idx)
+        assert np.array_equal(attention.restricted_attention(q, k, v, 0.5, idx), out)
         ref_out, ref_w = oracles.naive_restricted_attention(q, k, v, 0.5, idx)
         assert np.max(np.abs(out - ref_out)) <= 1e-5
         assert np.max(np.abs(w - ref_w)) <= 1e-5
@@ -70,7 +75,8 @@ class TestRestrictedAttention:
         n = 3 * p
         q, k, v = random_qkv(n, 8, seed=p)
         idx = np.sort(numkit.make_rng(p).permutation(n)[:p])
-        out, w = attention.restricted_attention(q, k, v, 0.5, idx)
+        out, w = oracles.restricted_attention_weights(q, k, v, 0.5, idx)
+        assert np.array_equal(attention.restricted_attention(q, k, v, 0.5, idx), out)
         ref_out, ref_w = oracles.naive_restricted_attention(q, k, v, 0.5, idx)
         assert np.max(np.abs(out - ref_out)) <= 1e-5
         assert np.max(np.abs(w - ref_w)) <= 1e-5
@@ -79,7 +85,7 @@ class TestRestrictedAttention:
     def test_no_weight_flows_backward(self):
         q, k, v = random_qkv(12, 4, seed=7)
         idx = np.array([0, 4, 8, 11])
-        _, w = attention.restricted_attention(q, k, v, 0.5, idx)
+        _, w = oracles.restricted_attention_weights(q, k, v, 0.5, idx)
         assert np.all(w[np.triu_indices(4, k=1)] == 0.0)
         assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-6
 
@@ -87,9 +93,8 @@ class TestRestrictedAttention:
 class TestScoreStats:
     def test_accumulated_matches_oracle(self):
         q, k, _ = random_qkv(11, 4, seed=8)
-        scores = attention.causal_scores(q, k, 0.5)
-        acc = attention.accumulated_scores(scores)
-        ref = oracles.accumulated_oracle(scores.scores)
+        acc = attention.accumulated_scores(attention.causal_scores(q, k, 0.5))
+        ref = oracles.accumulated_oracle(oracles.causal_score_matrix(q, k, 0.5))
         assert np.max(np.abs(acc - ref)) <= 1e-6
 
     def test_total_mass_equals_row_count(self):
@@ -131,7 +136,7 @@ class TestScoreStats:
             dtype=np.float32,
         )
         scores = attention.AttentionScores(
-            scores=w, row_positions=np.arange(4), n_total=4
+            mass=w.sum(axis=0, dtype=np.float64), row_positions=np.arange(4), n_total=4
         )
         acc = attention.accumulated_scores(scores)
         norm = attention.normalized_scores(scores, acc)
@@ -190,8 +195,10 @@ class TestProbeAttention:
         q, k, _ = random_qkv(40, 8, seed=13)
         probe = attention.select_probe_set(40, recent=6, random=6, seed=2)
         ps = attention.probe_attention(q, probe, k, 1.0 / np.sqrt(8))
-        full = attention.causal_scores(q, k, 1.0 / np.sqrt(8))
-        assert np.array_equal(ps.scores, full.scores[probe])
+        full = oracles.causal_score_matrix(q, k, 1.0 / np.sqrt(8))
+        assert np.array_equal(oracles.causal_score_matrix(q, k, 1.0 / np.sqrt(8), probe), full[probe])
+        assert np.array_equal(ps.mass, full[probe].sum(axis=0, dtype=np.float64))
+        assert ps.n_rows == probe.size
 
     def test_probe_mass_equals_probe_row_count(self):
         q, k, _ = random_qkv(30, 4, seed=14)
@@ -199,3 +206,22 @@ class TestProbeAttention:
         acc = attention.accumulated_scores(attention.probe_attention(q, probe, k, 0.5))
         mass = float(acc.sum(dtype=np.float64))
         assert abs(mass - probe.size) <= 1e-3 * probe.size
+
+
+class TestScoringMemory:
+    @staticmethod
+    def peak_bytes(n: int) -> int:
+        """tracemalloc peak of one causal_scores call over n rows, d_head 16."""
+        q, k, _ = random_qkv(n, 16, seed=n)
+        tracemalloc.start()
+        try:
+            attention.causal_scores(q, k, 0.25)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_workspace_grows_linearly_in_n(self):
+        small, large = self.peak_bytes(1024), self.peak_bytes(2048)
+        # one n x n float32 score matrix at n = 2048 is 16 MiB
+        assert large < 8 * 2**20
+        assert large <= 2.5 * small

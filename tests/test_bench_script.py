@@ -26,6 +26,8 @@ def test_each_run_appends_a_prefill_and_a_decode_row_set(monkeypatch, tmp_path):
     assert [s["label"] for s in prefill] == ["a", "b"]
     assert [(r["n"], r["mode"]) for r in prefill[1]["rows"]] == [(8, m) for m in engine.MODES]
     assert all(r["prefill_ms"] >= 0 and r["attn_flops"] > 0 for r in prefill[1]["rows"])
+    # the traced prefill holds at least its logits, 8 x VOCAB float32
+    assert all(r["peak_mib"] >= 8 * bench.VOCAB * 4 / 2**20 for r in prefill[1]["rows"])
 
     decode = json.loads((tmp_path / "decode.json").read_text())["row_sets"]
     assert [s["label"] for s in decode] == ["a", "b"]

@@ -336,6 +336,31 @@ class TestScoringWork:
         assert counts["causal_scores"] == scored
         assert counts["probe_attention"] == (scored if mode == "zipvl-probe" else 0)
 
+    # n = 79 and 136 end in a short tail block that joins the block before it
+    @pytest.mark.parametrize("d_head, n", [(16, 79), (64, 136), (32, 150)])
+    @pytest.mark.parametrize("mode", engine.MODES)
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_blocked_scoring_matches_matrix_scoring_bitwise(
+        self, monkeypatch, d_head, n, mode, quantize
+    ):
+        cfg = engine.ModelConfig(
+            layers=3, heads=2, d_model=2 * d_head, vocab_size=64, max_seq=n, seed=n
+        )
+        model = engine.init_model(cfg)
+        toks = numkit.make_rng(n).integers(0, cfg.vocab_size, size=n, dtype=np.int64)
+        pol = engine.SparsityPolicy(
+            mode=mode, tau=0.9, probe_recent=70, probe_random=20, quantize=quantize,
+            group_size=8, dense_first_layers=1,
+        )
+        blocked = engine.prefill(model, toks, pol)
+        monkeypatch.setattr(numkit, "causal_column_mass", oracles.column_mass_from_matrix)
+        matrix = engine.prefill(model, toks, pol)
+        assert np.array_equal(blocked[0], matrix[0])
+        assert blocked[2] == matrix[2]
+        for name in ("keys", "values", "positions"):
+            for got, want in zip(getattr(blocked[1], name), getattr(matrix[1], name)):
+                assert np.array_equal(got, want)
+
     def test_dense_trace_entry_has_no_score_vectors(self, model, prompt):
         trace: list = []
         pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.8, dense_first_layers=1)
@@ -466,9 +491,10 @@ class TestDecode:
     @pytest.mark.parametrize("mode", ["zipvl-exact", "dense"])
     @pytest.mark.parametrize("quantize", [False, True])
     def test_growing_cache_matches_concatenate_cache_bitwise(self, monkeypatch, mode, quantize):
-        # the buffers must keep each layer's memory layout, or BLAS rounds
-        # the stacked decode matmuls differently from an exact-size cache
-        # (d_head 8 is a size where the layout reaches the rounding)
+        # the buffers must keep each layer's C-order layout, which prefill
+        # installs, or BLAS rounds the stacked decode matmuls differently from
+        # an exact-size cache (d_head 8 is a size where the layout reaches the
+        # rounding)
         cfg = engine.ModelConfig(layers=2, heads=8, d_model=64, vocab_size=64, max_seq=128, seed=3)
         model = engine.init_model(cfg)
         toks = numkit.make_rng(3).integers(0, cfg.vocab_size, size=60, dtype=np.int64)

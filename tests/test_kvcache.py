@@ -38,6 +38,8 @@ class TestRetention:
         assert cache.rows(0) == 3
         assert cache.positions[0].tolist() == [0, 3, 7]
         assert np.array_equal(cache.keys[0], before_k[:, [0, 3, 7], :])
+        # C order: the decode matmuls over the token axis run slower with it outermost
+        assert cache.keys[0].flags.c_contiguous and cache.values[0].flags.c_contiguous
         # other layer untouched
         assert cache.rows(1) == 10
 
@@ -257,7 +259,8 @@ class TestQuantization:
     def test_dequantized_cache_is_c_contiguous(self):
         # decode rounding depends on the layout, so it must not follow the source's
         cache = filled_cache(layers=2, heads=2, t=9, d=8, seed=9)
-        cache.retain(1, make_partition(9, [0, 4, 5, 8]))
+        for tensors in (cache.keys, cache.values):  # a source with the token axis outermost
+            tensors[1] = np.ascontiguousarray(tensors[1].transpose(1, 0, 2)).transpose(1, 0, 2)
         assert not cache.keys[1].flags.c_contiguous
         parts = [make_partition(9, [4])] * cache.num_layers
         restored = kvcache.dequantize(kvcache.quantize_mixed(cache, parts, 4))

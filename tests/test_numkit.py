@@ -142,17 +142,41 @@ class TestCausalSoftmax:
     def test_no_rows(self):
         out = numkit.causal_softmax_rows(np.zeros((0, 4)), np.ones((5, 4)), 1.0, np.arange(0))
         assert out.shape == (0, 5)
+        mass = numkit.causal_column_mass(np.zeros((0, 4)), np.ones((5, 4)), 1.0, np.arange(0))
+        assert mass.dtype == np.float64 and mass.tolist() == [0.0] * 5
 
     def test_bad_positions_raise(self):
         q = np.ones((3, 2), dtype=np.float32)
-        with pytest.raises(ShapeError):
-            numkit.causal_softmax_rows(q, q, 1.0, np.arange(2))
-        with pytest.raises(BoundsError):
-            numkit.causal_softmax_rows(q, q, 1.0, np.array([0, 2, 1]))
-        with pytest.raises(BoundsError):
-            numkit.causal_softmax_rows(q, q, 1.0, np.array([0, 1, 3]))
-        with pytest.raises(BoundsError):
-            numkit.causal_softmax_rows(q, q, 1.0, np.array([-1, 0, 1]))
+        for fn in (numkit.causal_softmax_rows, numkit.causal_column_mass):
+            with pytest.raises(ShapeError):
+                fn(q, q, 1.0, np.arange(2))
+            with pytest.raises(BoundsError):
+                fn(q, q, 1.0, np.array([0, 2, 1]))
+            with pytest.raises(BoundsError):
+                fn(q, q, 1.0, np.array([0, 1, 3]))
+            with pytest.raises(BoundsError):
+                fn(q, q, 1.0, np.array([-1, 0, 1]))
+
+
+# row counts ending in a tail of 0 to 15 rows after one or two full blocks, then short
+# and long ones; BLAS rounds a product of 1 row, or a few at d 32 and 64, differently
+COLUMN_MASS_ROWS = [1, 2, 15, 16, B - 1] + [j * B + t for j in (1, 2) for t in range(16)]
+
+
+class TestCausalColumnMass:
+    @pytest.mark.parametrize("d", [8, 16, 32, 64])
+    @pytest.mark.parametrize("rows", ["all", "subset"])
+    def test_equals_matrix_column_sums_bitwise(self, d, rows):
+        for m in COLUMN_MASS_ROWS + [15 * B + 1 if rows == "subset" else 16 * B + 1]:
+            n = m if rows == "all" else min(m + 37, 16 * B + 1)
+            rng = numkit.make_rng(m * 100 + d)
+            q = rng.normal(size=(n, d)).astype(np.float32)
+            k = rng.normal(size=(n, d)).astype(np.float32)
+            pos = np.arange(n) if rows == "all" else np.sort(rng.permutation(n)[:m])
+            q_rows = np.ascontiguousarray(q[pos])
+            s = numkit.FLOAT(1.0 / np.sqrt(d))
+            ref = oracles.column_mass_from_matrix(q_rows, k, s, pos)
+            assert np.array_equal(numkit.causal_column_mass(q_rows, k, s, pos), ref), m
 
 
 class TestTopk:
