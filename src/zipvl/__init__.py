@@ -18,8 +18,6 @@ from .attention import (
     structural_nnz,
 )
 from .budget import (
-    LayerBudget,
-    TokenPartition,
     adaptive_budget,
     fixed_budget,
     partition_tokens,
@@ -51,7 +49,6 @@ from .errors import (
 )
 from .kvcache import (
     KVCache,
-    QuantizedKV,
     dequantize,
     quantize_mixed,
 )

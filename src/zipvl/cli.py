@@ -145,6 +145,8 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError("workload=file needs workload_file=<path>")
     if cfg.repeats < 1:
         raise ConfigError("repeats must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed={cfg.seed} must be >= 0")
     return cfg
 
 
@@ -199,6 +201,8 @@ def _build_subject(
             numkit.derive_seed(cfg.seed, _WORKLOAD_TAG, repeat),
         )
     config = _model_config(cfg)
+    if cfg.n < 0:
+        raise ConfigError(f"n={cfg.n} must be >= 0")
     if cfg.steps < 0:
         raise BoundsError("steps must be >= 0")
     if cfg.n + cfg.steps > config.max_seq:
@@ -272,7 +276,7 @@ def cmd_run(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_sweep_tau(cfg: ExperimentConfig) -> list[dict]:
-    taus = [float(t) for t in cfg.taus.split(",") if t.strip()]
+    taus = [_coerce("taus", float, t) for t in cfg.taus.split(",") if t.strip()]
     if not taus:
         raise ConfigError("taus is empty")
     _single_repeat(cfg, "sweep-tau")

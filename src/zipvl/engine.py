@@ -14,16 +14,17 @@ Four attention pipelines share one code path:
 Per layer the prefill pass scores token importance, picks an important set,
 computes attention only among that set (everything else receives a zero
 attention output and rides the residual stream), and caches K/V for the
-important tokens only. Dense layers (mode dense, and the first
-dense_first_layers layers of any mode) keep every token, so they compute no
-scores at all. Decode appends unconditionally and attends to the whole
+important tokens only; with quantize it caches every token instead, at 4
+bits if important and 2 if not, quantized as the layer is written. Dense
+layers (mode dense, and the first dense_first_layers layers of any mode)
+keep every token, so they compute no scores at all. Decode appends unconditionally and attends to the whole
 cache, up to max_seq positions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -266,7 +267,6 @@ def prefill(
     h = model.embedding[tokens]
     cache = kvcache.KVCache(config.layers, config.heads, d_head)
     reports: list[LayerReport] = []
-    partitions: list[budget.TokenPartition] = []
     for layer, lw in enumerate(model.layers):
         mode = policy.layer_mode(layer)
         h_before = h
@@ -279,7 +279,7 @@ def prefill(
         else:
             acc, norm, probe_rows = _token_scores(q, k, scale, policy, config.seed, layer)
         metric = {"accumulated": acc, "normalized": norm}
-        lb, part = budget.plan_layer(
+        imp, retained_mass = budget.plan_layer(
             mode,
             n,
             metric[policy.budget_metric],
@@ -288,8 +288,6 @@ def prefill(
             policy.fixed_ratio,
             policy.keep_last,
         )
-        partitions.append(part)
-        imp = part.important
 
         attn = np.zeros((config.heads, n, d_head), dtype=np.float32)
         for i in range(config.heads):
@@ -301,8 +299,10 @@ def prefill(
         h = h + _silu(x2 @ lw.w_up) @ lw.w_down
 
         cache.set_layer(layer, k, v, np.arange(n, dtype=np.int64))
-        if not policy.quantize:
-            cache.retain(layer, part)
+        if policy.quantize:
+            kv_bytes = kvcache.quantize_mixed(cache, layer, imp, policy.group_size)
+        else:
+            kv_bytes = kvcache.layer_memory_bytes(cache.retain(layer, imp), layer)
         p_kept = int(imp.size)
         reports.append(
             LayerReport(
@@ -310,11 +310,11 @@ def prefill(
                 n=n,
                 p=p_kept,
                 ratio=p_kept / n,
-                retained_mass=float(lb.retained_mass_fraction),
+                retained_mass=retained_mass,
                 attn_flops=metrics.attn_flops_sparse(p_kept, n, d_head, config.heads, probe_rows),
                 kv_rows=cache.rows(layer),
                 probe_rows=probe_rows,
-                kv_bytes=kvcache.layer_memory_bytes(cache, layer),
+                kv_bytes=kv_bytes,
             )
         )
         if trace is not None:
@@ -323,19 +323,12 @@ def prefill(
                     "layer": layer,
                     "h_before": h_before.copy(),
                     "h_after_attn": h_after_attn.copy(),
-                    "partition": part,
+                    "important": imp,
                     "accumulated": None if acc is None else acc.copy(),
                     "normalized": None if norm is None else norm.copy(),
                     "probe_rows": probe_rows,
                 }
             )
-
-    if policy.quantize:
-        quantized = kvcache.quantize_mixed(cache, partitions, policy.group_size)
-        cache = kvcache.dequantize(quantized)
-        reports = [
-            replace(r, kv_bytes=kvcache.layer_memory_bytes(quantized, r.layer)) for r in reports
-        ]
 
     return h @ model.embedding.T, cache, reports
 

@@ -4,7 +4,9 @@ A cache holds, per layer, (heads, rows, d_head) float32 key and value
 tensors plus the original sequence position of every row. All heads of a
 layer always share one position list. A cache instance belongs to a single
 inference session and is mutated in place; whole caches may be handed
-between threads.
+between threads. A layer's important tokens arrive as one sorted int64
+array of original positions: retain keeps those rows and evicts the rest,
+quantize_mixed keeps every row at a precision set by that array.
 
 Prefill (set_layer, retain) installs exact-size C-order arrays. A decode append
 takes one (heads, d_head) K row and V row and writes them in place into a
@@ -17,20 +19,19 @@ the memory held can reach twice the rows counted.
 
 Quantization is uniform asymmetric per channel group within each token row:
 scale = (max - min) / (2^b - 1), zero-point = min. Important rows get 4
-bits, the rest 2. Codes are kept one per byte and never bit-packed: prefill
-dequantizes them at once into a float32 cache. The packed size they stand
-for, ceil(len * b / 8) code bytes plus 8 bytes for the float32 scale and
-zero-point per group, is what layer_memory_bytes reports, in closed form.
+bits, the rest 2. quantize_mixed works on one layer, as prefill writes it:
+it quantizes the layer's K and V and installs their dequantized float32
+values in its place, so codes are never kept or bit-packed. The packed
+size they stand for, ceil(len * b / 8) code bytes plus 8 bytes for the
+float32 scale and zero-point per group, is what it returns, in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .budget import TokenPartition
 from .errors import BoundsError, DomainError, OrderingError, ShapeError
 
 
@@ -85,12 +86,12 @@ class KVCache:
             raise OrderingError("positions must be strictly increasing")
         self._install(layer, keys.copy(), values.copy(), positions.copy())
 
-    def retain(self, layer: int, partition: TokenPartition) -> "KVCache":
-        """Keep only rows whose original position is in the important set."""
+    def retain(self, layer: int, important: np.ndarray) -> "KVCache":
+        """Keep only rows whose original position is in `important`."""
         layer = self._check_layer(layer)
-        keep = np.asarray(partition.important, dtype=np.int64)
+        keep = np.asarray(important, dtype=np.int64)
         if not np.isin(keep, self.positions[layer]).all():
-            raise BoundsError("partition refers to positions not present in the layer")
+            raise BoundsError("important refers to positions not present in the layer")
         rows = np.flatnonzero(np.isin(self.positions[layer], keep))
         # take installs C order; a boolean index would leave the token axis
         # outermost, where the decode matmuls run about a fifth slower
@@ -149,24 +150,6 @@ class QuantizedTensor:
     zeros: np.ndarray
 
 
-@dataclass(frozen=True)
-class QuantizedLayer:
-    positions: np.ndarray
-    bits_per_row: np.ndarray
-    keys: QuantizedTensor
-    values: QuantizedTensor
-
-
-@dataclass(frozen=True)
-class QuantizedKV:
-    """A quantized cache: codes one per byte, sized as packed by layer_memory_bytes."""
-
-    layers: list
-    heads: int
-    d_head: int
-    group_size: int
-
-
 def _group_of(d: int, group_size: int) -> np.ndarray:
     """Quantization group of each of d channels."""
     return np.arange(d) // group_size
@@ -184,7 +167,8 @@ def _quantize(x: np.ndarray, levels: np.ndarray, group_size: int) -> QuantizedTe
     return QuantizedTensor(codes.astype(np.uint8), scale.astype(np.float32), mn.astype(np.float32))
 
 
-def _dequantize(qt: QuantizedTensor, group_size: int) -> np.ndarray:
+def dequantize(qt: QuantizedTensor, group_size: int) -> np.ndarray:
+    """Reconstruct float32 values, shaped like the quantized tensor."""
     group_of = _group_of(qt.codes.shape[-1], group_size)
     return (
         qt.codes.astype(np.float64) * qt.scales[..., group_of].astype(np.float64)
@@ -192,64 +176,35 @@ def _dequantize(qt: QuantizedTensor, group_size: int) -> np.ndarray:
     ).astype(np.float32)
 
 
-def quantize_mixed(
-    cache: KVCache, partitions: Sequence[TokenPartition], group_size: int
-) -> QuantizedKV:
-    """Quantize a cache: 4 bits for important rows, 2 bits for the rest.
+def quantize_mixed(cache: KVCache, layer: int, important: np.ndarray, group_size: int) -> int:
+    """Quantize one layer in place: 4 bits for important rows, 2 bits for the rest.
 
-    `partitions` holds one TokenPartition per layer. Importance is matched
-    by original position.
+    Importance is matched by original position. The layer's K and V are
+    replaced by their dequantized values, installed in C order. Returns the
+    layer's packed size in bytes: per tensor, heads x the sum over rows and
+    channel groups of ceil(len * bits / 8) code bytes plus 8 bytes for the
+    float32 scale and zero-point.
     """
     if group_size < 1:
         raise DomainError("group_size must be >= 1")
-    if len(partitions) != cache.num_layers:
-        raise ShapeError(f"expected {cache.num_layers} partitions, got {len(partitions)}")
-    layers = []
-    for layer in range(cache.num_layers):
-        pos = cache.positions[layer]
-        important = np.isin(pos, np.asarray(partitions[layer].important, dtype=np.int64))
-        bits = np.where(important, 4, 2).astype(np.uint8)
-        levels = ((1 << bits) - 1)[:, None]
-        layers.append(
-            QuantizedLayer(
-                positions=pos.copy(),
-                bits_per_row=bits,
-                keys=_quantize(cache.keys[layer], levels, group_size),
-                values=_quantize(cache.values[layer], levels, group_size),
-            )
-        )
-    return QuantizedKV(
-        layers=layers, heads=cache.heads, d_head=cache.d_head, group_size=group_size
+    pos = cache.positions[cache._check_layer(layer)]
+    bits = np.where(np.isin(pos, np.asarray(important, dtype=np.int64)), 4, 2).astype(np.uint8)
+    levels = ((1 << bits) - 1)[:, None]
+    cache.set_layer(
+        layer,
+        dequantize(_quantize(cache.keys[layer], levels, group_size), group_size),
+        dequantize(_quantize(cache.values[layer], levels, group_size), group_size),
+        pos,
     )
-
-
-def dequantize(q: QuantizedKV) -> KVCache:
-    """Reconstruct a float32 cache; shapes and positions are preserved exactly."""
-    cache = KVCache(len(q.layers), q.heads, q.d_head)
-    for layer, ql in enumerate(q.layers):
-        cache.set_layer(
-            layer,
-            _dequantize(ql.keys, q.group_size),
-            _dequantize(ql.values, q.group_size),
-            ql.positions,
-        )
-    return cache
-
-
-def layer_memory_bytes(cache: KVCache | QuantizedKV, layer: int) -> int:
-    """Storage footprint of one layer in bytes.
-
-    Unquantized: 2 tensors x heads x rows x d_head x 4 bytes, counting live
-    rows only, not the spare capacity append leaves behind.
-    Quantized: the packed size, in closed form. Per tensor that is heads x
-    the sum over rows and channel groups of ceil(len * bits / 8) code bytes
-    plus 8 bytes for the float32 scale and zero-point.
-    """
-    if isinstance(cache, KVCache):
-        return 2 * cache.heads * cache.rows(layer) * cache.d_head * 4
-    if not 0 <= layer < len(cache.layers):
-        raise BoundsError(f"layer {layer} out of range")
-    lengths = np.bincount(_group_of(cache.d_head, cache.group_size))
-    bits = cache.layers[layer].bits_per_row.astype(np.int64)
+    lengths = np.bincount(_group_of(cache.d_head, group_size))
     code_bytes = -(-np.outer(bits, lengths) // 8)
     return 2 * cache.heads * int(code_bytes.sum() + 8 * code_bytes.size)
+
+
+def layer_memory_bytes(cache: KVCache, layer: int) -> int:
+    """Storage footprint of one unquantized layer in bytes.
+
+    2 tensors x heads x rows x d_head x 4 bytes, counting live rows only,
+    not the spare capacity append leaves behind.
+    """
+    return 2 * cache.heads * cache.rows(layer) * cache.d_head * 4

@@ -216,17 +216,17 @@ def evaluate_score_workload(scores: np.ndarray, policy) -> list:
     reports = []
     n = scores.shape[1]
     for layer, vec in enumerate(scores):
-        lb, part = budget.plan_layer(
+        important, retained_mass = budget.plan_layer(
             policy.layer_mode(layer), n, vec, vec, policy.tau, policy.fixed_ratio, policy.keep_last
         )
-        p = int(part.important.size)
+        p = int(important.size)
         reports.append(
             LayerReport(
                 layer=layer,
                 n=n,
                 p=p,
                 ratio=p / n,
-                retained_mass=float(lb.retained_mass_fraction),
+                retained_mass=retained_mass,
                 attn_flops=metrics.attn_flops_sparse(p, n, d_head=1, heads=1),
                 kv_rows=p,
                 probe_rows=0,

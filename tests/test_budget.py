@@ -1,4 +1,4 @@
-"""Tests for adaptive/fixed budgets and token partitioning."""
+"""Tests for adaptive/fixed budgets and the important-token array."""
 
 import numpy as np
 import pytest
@@ -20,36 +20,34 @@ class TestAdaptiveBudget:
     def test_simple_hand_case(self):
         # sorted desc: 5, 3, 1, 1; mass 10; tau=0.8 -> need 8 -> p=2 (5+3)
         v = np.array([3.0, 1.0, 5.0, 1.0], dtype=np.float32)
-        lb = budget.adaptive_budget(v, 0.8, 10.0)
-        assert lb.p == 2
-        assert abs(lb.retained_mass_fraction - 0.8) <= 1e-12
+        p, retained = budget.adaptive_budget(v, 0.8, 10.0)
+        assert p == 2
+        assert abs(retained - 0.8) <= 1e-12
 
     def test_threshold_met_exactly_is_enough(self):
         v = np.array([4.0, 4.0, 2.0], dtype=np.float32)
-        assert budget.adaptive_budget(v, 0.4, 10.0).p == 1
-        assert budget.adaptive_budget(v, 0.8, 10.0).p == 2
+        assert budget.adaptive_budget(v, 0.4, 10.0)[0] == 1
+        assert budget.adaptive_budget(v, 0.8, 10.0)[0] == 2
 
     def test_single_heavy_hitter_keeps_one_token(self):
         # one token owns ~99.999% of the mass, so any tau below that keeps p=1
         v = np.full(512, 1e-4, dtype=np.float32)
         v[137] = 4096.0
         mass = float(np.sum(v.astype(np.float64)))
-        lb = budget.adaptive_budget(v, 0.975, mass)
-        assert lb.p == 1
-        assert lb.retained_mass_fraction >= 0.975
+        p, retained = budget.adaptive_budget(v, 0.975, mass)
+        assert p == 1
+        assert retained >= 0.975
 
     def test_tau_one_keeps_everything(self):
         v = np.array([1.0, 2.0, 3.0], dtype=np.float32)
         mass = float(np.sum(v.astype(np.float64)))
-        lb = budget.adaptive_budget(v, 1.0, mass)
-        assert lb.p == 3
-        assert lb.retained_mass_fraction >= 1.0 - 1e-12
+        p, retained = budget.adaptive_budget(v, 1.0, mass)
+        assert p == 3
+        assert retained >= 1.0 - 1e-12
 
     def test_p_at_least_one(self):
         v = np.zeros(5, dtype=np.float32)
-        lb = budget.adaptive_budget(v, 0.5, 0.0)
-        assert lb.p == 1
-        assert lb.retained_mass_fraction == 1.0
+        assert budget.adaptive_budget(v, 0.5, 0.0) == (1, 1.0)
 
     def test_domain_errors(self):
         with pytest.raises(EmptySequenceError):
@@ -65,8 +63,8 @@ class TestAdaptiveBudget:
     @settings(max_examples=200, deadline=None)
     def test_property_matches_oracle(self, v, tau):
         mass = float(np.sum(v, dtype=np.float64))
-        lb = budget.adaptive_budget(v, tau, mass)
-        assert lb.p == oracles.budget_oracle(v, tau, mass)
+        p, _ = budget.adaptive_budget(v, tau, mass)
+        assert p == oracles.budget_oracle(v, tau, mass)
 
     @given(score_vectors)
     @settings(max_examples=100, deadline=None)
@@ -74,19 +72,19 @@ class TestAdaptiveBudget:
         mass = float(np.sum(v, dtype=np.float64))
         taus = [0.2, 0.5, 0.8, 0.95, 1.0]
         budgets = [budget.adaptive_budget(v, t, mass) for t in taus]
-        ps = [lb.p for lb in budgets]
+        ps = [p for p, _ in budgets]
         assert ps == sorted(ps)
         # tau=1.0 must still cover the full mass
-        assert budgets[-1].retained_mass_fraction >= 1.0 - 1e-12
+        assert budgets[-1][1] >= 1.0 - 1e-12
 
     @given(score_vectors, st.floats(min_value=0.01, max_value=1.0, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_property_retained_mass_reaches_tau(self, v, tau):
         mass = float(np.sum(v, dtype=np.float64))
-        lb = budget.adaptive_budget(v, tau, mass)
-        if mass > 0 and lb.p < v.size:
+        p, retained = budget.adaptive_budget(v, tau, mass)
+        if mass > 0 and p < v.size:
             # below n the threshold must have been reached
-            assert lb.retained_mass_fraction >= tau - 1e-12
+            assert retained >= tau - 1e-12
 
     @given(score_vectors, st.floats(min_value=0.01, max_value=0.999, allow_nan=False))
     @settings(max_examples=100, deadline=None)
@@ -94,28 +92,26 @@ class TestAdaptiveBudget:
         # below tau=1.0 (where full retention is definitional) the budget
         # is the smallest p reaching the threshold
         mass = float(np.sum(v, dtype=np.float64))
-        lb = budget.adaptive_budget(v, tau, mass)
-        if lb.p > 1 and mass > 0:
-            assert budget.top_mass_fraction(v, lb.p - 1, mass) < tau
+        p, _ = budget.adaptive_budget(v, tau, mass)
+        if p > 1 and mass > 0:
+            assert budget.top_mass_fraction(v, p - 1, mass) < tau
 
     @given(score_vectors)
     @settings(max_examples=50, deadline=None)
     def test_property_tau_one_keeps_all(self, v):
         mass = float(np.sum(v, dtype=np.float64))
-        assert budget.adaptive_budget(v, 1.0, mass).p == v.size
+        assert budget.adaptive_budget(v, 1.0, mass)[0] == v.size
 
 
 class TestFixedBudget:
     def test_half_ratio_even_n(self):
-        lb = budget.fixed_budget(128, 0.5)
-        assert (lb.p, lb.n) == (64, 128)
-        assert lb.retained_mass_fraction is None
+        assert budget.fixed_budget(128, 0.5) == 64
 
     def test_rounding_half_away_from_zero(self):
-        assert budget.fixed_budget(5, 0.5).p == 3  # 2.5 rounds up
-        assert budget.fixed_budget(5, 0.49).p == 2
-        assert budget.fixed_budget(3, 0.1).p == 1  # floor at one
-        assert budget.fixed_budget(7, 1.0).p == 7
+        assert budget.fixed_budget(5, 0.5) == 3  # 2.5 rounds up
+        assert budget.fixed_budget(5, 0.49) == 2
+        assert budget.fixed_budget(3, 0.1) == 1  # floor at one
+        assert budget.fixed_budget(7, 1.0) == 7
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -128,8 +124,7 @@ class TestFixedBudget:
     @given(st.integers(1, 500), st.floats(min_value=0.001, max_value=1.0, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_property_in_range(self, n, ratio):
-        lb = budget.fixed_budget(n, ratio)
-        assert 1 <= lb.p <= n
+        assert 1 <= budget.fixed_budget(n, ratio) <= n
 
 
 class TestTopMassFraction:
@@ -149,68 +144,73 @@ class TestPlanLayer:
     v = np.array([0.5, 4.0, 0.25, 2.0, 1.0, 0.25], dtype=np.float32)
 
     def test_dense_keeps_everything(self):
-        lb, part = budget.plan_layer("dense", 6, self.v, self.v, 0.5, 0.5, 0)
-        assert (lb.p, lb.retained_mass_fraction) == (6, 1.0)
-        assert part.important.tolist() == list(range(6))
+        important, retained = budget.plan_layer("dense", 6, self.v, self.v, 0.5, 0.5, 0)
+        assert (important.size, retained) == (6, 1.0)
+        assert important.tolist() == list(range(6))
 
     def test_dense_needs_only_the_token_count(self):
-        lb, part = budget.plan_layer("dense", 6, None, None, 0.5, 0.5, 3)
-        assert lb == budget.plan_layer("dense", 6, self.v, self.v, 0.5, 0.5, 3)[0]
-        assert part.important.dtype == np.int64
-        assert (part.n, part.important.tolist()) == (6, list(range(6)))
+        important, retained = budget.plan_layer("dense", 6, None, None, 0.5, 0.5, 3)
+        scored, scored_retained = budget.plan_layer("dense", 6, self.v, self.v, 0.5, 0.5, 3)
+        assert retained == scored_retained
+        assert np.array_equal(important, scored)
+        assert important.dtype == np.int64
+        assert important.tolist() == list(range(6))
 
     def test_adaptive_and_fixed_match_their_budgets(self):
         mass = float(self.v.sum(dtype=np.float64))
-        lb, part = budget.plan_layer("zipvl-exact", 6, self.v, self.v, 0.75, 0.5, 0)
-        assert lb == budget.adaptive_budget(self.v, 0.75, mass)
-        assert part.important.tolist() == [1, 3]
-        lb, part = budget.plan_layer("fixed", 6, self.v, self.v, 0.75, 0.5, 0)
-        assert lb.p == 3
-        assert lb.retained_mass_fraction == budget.top_mass_fraction(self.v, 3, mass)
-        assert part.important.tolist() == [1, 3, 4]
+        important, retained = budget.plan_layer("zipvl-exact", 6, self.v, self.v, 0.75, 0.5, 0)
+        assert (important.size, retained) == budget.adaptive_budget(self.v, 0.75, mass)
+        assert important.tolist() == [1, 3]
+        important, retained = budget.plan_layer("fixed", 6, self.v, self.v, 0.75, 0.5, 0)
+        assert important.size == 3
+        assert retained == budget.top_mass_fraction(self.v, 3, mass)
+        assert important.tolist() == [1, 3, 4]
 
     def test_sizes_and_ranks_by_separate_vectors(self):
         rank = self.v[::-1].copy()
-        lb, part = budget.plan_layer("zipvl-exact", 6, self.v, rank, 0.75, 0.5, 0)
-        assert lb.p == 2
-        assert part.important.tolist() == [2, 4]
+        important, _ = budget.plan_layer("zipvl-exact", 6, self.v, rank, 0.75, 0.5, 0)
+        assert important.size == 2
+        assert important.tolist() == [2, 4]
 
     def test_keep_last_protects_the_trailing_window(self):
         # the window counts toward p: it displaces the weakest pick, and a
         # window wider than the budget raises the kept count to its width
-        lb, part = budget.plan_layer("zipvl-exact", 6, self.v, self.v, 0.75, 0.5, 1)
-        assert lb.p == 2
-        assert part.important.tolist() == [1, 5]
-        lb, part = budget.plan_layer("zipvl-exact", 6, self.v, self.v, 0.75, 0.5, 3)
-        assert lb.p == 2
-        assert part.important.tolist() == [3, 4, 5]
-        _, part = budget.plan_layer("zipvl-exact", 6, self.v, self.v, 0.75, 0.5, 99)
-        assert part.important.tolist() == list(range(6))
+        # the retained share stays the budget's: p = 2 holds exactly 6 of the mass 8
+        mass = float(self.v.sum(dtype=np.float64))
+        assert budget.top_mass_fraction(self.v, 2, mass) == 0.75
+        important, retained = budget.plan_layer("zipvl-exact", 6, self.v, self.v, 0.75, 0.5, 1)
+        assert retained == 0.75
+        assert important.tolist() == [1, 5]
+        important, retained = budget.plan_layer("zipvl-exact", 6, self.v, self.v, 0.75, 0.5, 3)
+        assert retained == 0.75
+        assert important.tolist() == [3, 4, 5]
+        important, _ = budget.plan_layer("zipvl-exact", 6, self.v, self.v, 0.75, 0.5, 99)
+        assert important.tolist() == list(range(6))
 
 
 class TestPartition:
     def test_partition_contents(self):
         v = np.array([0.1, 0.9, 0.5, 0.7], dtype=np.float32)
-        part = budget.partition_tokens(v, 2)
-        assert part.important.tolist() == [1, 3]
-        assert np.setdiff1d(np.arange(4), part.important).tolist() == [0, 2]
+        important = budget.partition_tokens(v, 2)
+        assert important.tolist() == [1, 3]
+        assert np.setdiff1d(np.arange(4), important).tolist() == [0, 2]
 
     def test_tie_break_prefers_small_index(self):
         v = np.array([0.5, 0.5, 0.5], dtype=np.float32)
-        part = budget.partition_tokens(v, 2)
-        assert part.important.tolist() == [0, 1]
+        assert budget.partition_tokens(v, 2).tolist() == [0, 1]
 
     @given(score_vectors, st.data())
     @settings(max_examples=100, deadline=None)
     def test_property_disjoint_cover_sorted(self, v, data):
         p = data.draw(st.integers(1, v.size))
-        part = budget.partition_tokens(v, p)
-        assert part.important.size == p
-        assert part.n == v.size
-        dropped = np.setdiff1d(np.arange(v.size), part.important)
-        both = np.concatenate([part.important, dropped])
+        important = budget.partition_tokens(v, p)
+        assert important.size == p
+        assert important.dtype == np.int64
+        assert 0 <= important.min() and important.max() < v.size
+        dropped = np.setdiff1d(np.arange(v.size), important)
+        both = np.concatenate([important, dropped])
         assert sorted(both.tolist()) == list(range(v.size))
-        assert np.all(np.diff(part.important) > 0)
+        assert np.all(np.diff(important) > 0)
         # every kept score >= every dropped score
         if dropped.size:
-            assert v[part.important].min() >= v[dropped].max()
+            assert v[important].min() >= v[dropped].max()

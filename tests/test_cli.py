@@ -132,6 +132,30 @@ class TestExitCodes:
         assert (rc, out) == (10, "")
         assert err.startswith("error: line 3: field larger than field limit")
 
+    @pytest.mark.parametrize(
+        "config, argv, message",
+        [
+            ("", ["--seed", "-1", "run", "--workload-file", WORKLOAD], "seed=-1 must be >= 0"),
+            ("seed=-5\n", ["run", "--workload-file", WORKLOAD], "seed=-5 must be >= 0"),
+            ("n=-1\nlayers=1\nd_model=8\nheads=1\n", ["run"], "n=-1 must be >= 0"),
+            ("", ["sweep-tau", "--taus", "0.5,abc", "--workload-file", WORKLOAD], "taus"),
+        ],
+        ids=["seed-flag", "seed-config", "model-n", "taus"],
+    )
+    def test_bad_value_is_config_error(self, capsys, tmp_path, config, argv, message):
+        path = tmp_path / "c.cfg"
+        path.write_text(config)
+        rc, out, err = run_cli(capsys, "--config", str(path), *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("workload, code", [("model", 6), ("peaked", 4)])
+    def test_zero_n_keeps_its_exit_code(self, capsys, tmp_path, workload, code):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"n=0\nworkload={workload}\nlayers=1\nd_model=8\nheads=1\n")
+        rc, out, _ = run_cli(capsys, "--config", str(path), "run")
+        assert (rc, out) == (code, "")
+
     def test_bad_concentration_is_domain_error(self, capsys):
         rc, _, _ = run_cli(capsys, "gen-workload", "--kind", "peaked", "--concentration", "0")
         assert rc == 4

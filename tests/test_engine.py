@@ -1,5 +1,7 @@
 """End-to-end tests for the tiny transformer and its sparsity pipelines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,14 +151,13 @@ class TestSparsityMechanics:
         )
         any_dropped = False
         for entry in trace:
-            part = entry["partition"]
-            u = np.setdiff1d(np.arange(part.n), part.important)
+            imp = entry["important"]
+            u = np.setdiff1d(np.arange(len(prompt)), imp)
             if u.size:
                 any_dropped = True
                 assert np.array_equal(
                     entry["h_after_attn"][u], entry["h_before"][u]
                 )
-                imp = part.important
                 assert not np.array_equal(
                     entry["h_after_attn"][imp], entry["h_before"][imp]
                 )
@@ -193,9 +194,9 @@ class TestSparsityMechanics:
             trace=trace,
         )
         for entry in trace:
-            part = entry["partition"]
-            got = part.important.tolist()
-            expected = oracles.topk_oracle(entry["normalized"], part.important.size)
+            imp = entry["important"]
+            got = imp.tolist()
+            expected = oracles.topk_oracle(entry["normalized"], imp.size)
             assert got == expected
 
     def test_keep_last_forces_recent_tokens(self, model, prompt):
@@ -208,7 +209,7 @@ class TestSparsityMechanics:
         )
         n = len(prompt)
         for entry in trace:
-            kept = set(entry["partition"].important.tolist())
+            kept = set(entry["important"].tolist())
             assert {n - 4, n - 3, n - 2, n - 1} <= kept
 
     def test_dense_first_layers(self, model, prompt):
@@ -368,10 +369,69 @@ class TestScoringWork:
         dense, scored = trace[0], trace[1]
         assert dense["accumulated"] is None and dense["normalized"] is None
         assert dense["probe_rows"] == 0
-        assert dense["partition"].important.tolist() == list(range(len(prompt)))
+        assert dense["important"].tolist() == list(range(len(prompt)))
         assert dense["h_before"].shape == dense["h_after_attn"].shape == (len(prompt), CFG.d_model)
         assert not np.array_equal(dense["h_before"], dense["h_after_attn"])
         assert scored["accumulated"].shape == scored["normalized"].shape == (len(prompt),)
+
+
+class TestUniformAttentionOracle:
+    """With wq = 0 every logit is 0, so causal row i gives each of its i + 1 keys 1 / (i + 1).
+
+    Column j then holds H(n) - H(j) of the mass, H the harmonic numbers, over
+    n - j visible rows, and the adaptive budget has a closed-form check.
+    """
+
+    N, TAU = 257, 0.975
+
+    @pytest.fixture(scope="class")
+    def traced(self):
+        cfg = engine.ModelConfig(
+            layers=2, heads=2, d_model=32, vocab_size=64, max_seq=self.N, seed=29
+        )
+        model = engine.init_model(cfg)
+        for lw in model.layers:
+            lw.wqkv[:, : cfg.d_model] = 0.0
+        toks = numkit.make_rng(29).integers(0, cfg.vocab_size, size=self.N, dtype=np.int64)
+        trace: list = []
+        _, _, reports = engine.prefill(
+            model, toks, engine.SparsityPolicy(mode="zipvl-exact", tau=self.TAU), trace=trace
+        )
+        return trace, reports
+
+    def harmonic_tail(self) -> np.ndarray:
+        """H(n) - H(j) for j in [0, n), python floats summed from the smallest term."""
+        tail, out = 0.0, []
+        for j in range(self.N - 1, -1, -1):
+            tail += 1.0 / (j + 1)
+            out.append(tail)
+        return np.array(out[::-1])
+
+    def test_accumulated_is_the_harmonic_tail(self, traced):
+        want = self.harmonic_tail()
+        for entry in traced[0]:
+            got = entry["accumulated"].astype(np.float64)
+            assert np.max(np.abs(got - want) / want) <= np.finfo(np.float32).eps
+
+    def test_normalized_divides_by_the_visible_rows(self, traced):
+        want = self.harmonic_tail() / (self.N - np.arange(self.N))
+        for entry in traced[0]:
+            got = entry["normalized"].astype(np.float64)
+            assert np.max(np.abs(got - want) / want) <= np.finfo(np.float32).eps
+
+    def test_budget_is_the_oracle_minimum(self, traced):
+        # x(1 - ln x) = tau is the continuum share of tokens the budget needs
+        lo, hi = 1e-9, 1.0
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if mid * (1 - np.log(mid)) < self.TAU else (lo, mid)
+        for entry, r in zip(*traced):
+            acc = entry["accumulated"]
+            p = oracles.budget_oracle(acc, self.TAU, float(np.sum(acc, dtype=np.float64)))
+            assert r.p == p == 203
+            assert abs(p - lo * self.N) < 2
+            # both scores fall with position, so the budget keeps the prefix
+            assert entry["important"].tolist() == list(range(p))
 
 
 class TestQuantizedPipeline:
@@ -392,6 +452,50 @@ class TestQuantizedPipeline:
         _, dcache, _ = engine.prefill(model, prompt, dense_pol)
         delta = np.max(np.abs(qcache.keys[0] - dcache.keys[0]))
         assert 0 < delta < 1.0  # quantized but close
+        # layer 0 sees the same input in every mode, so the dense run holds its K/V;
+        # its bits come from the important set the unquantized run traces
+        trace: list = []
+        engine.prefill(model, prompt, dataclasses.replace(pol, quantize=False), trace=trace)
+        important = set(trace[0]["important"].tolist())
+        bits = [4 if j in important else 2 for j in range(len(prompt))]
+        assert 2 in bits and 4 in bits
+        for name in ("keys", "values"):
+            want = oracles.group_fake_quantize(getattr(dcache, name)[0], bits, 8)
+            assert np.array_equal(getattr(qcache, name)[0], want)
+
+    @pytest.mark.parametrize("mode", ["zipvl-exact", "zipvl-probe", "fixed"])
+    @pytest.mark.parametrize("group_size", [8, 5])
+    def test_each_layer_matches_the_oracle_and_packed_bytes(
+        self, monkeypatch, model, prompt, mode, group_size
+    ):
+        # the unquantized run of the same policy, with retain keeping every
+        # row, holds each layer's full K/V and traces its important set
+        pol = engine.SparsityPolicy(
+            mode=mode, tau=0.8, probe_recent=8, probe_random=8, quantize=True,
+            group_size=group_size, dense_first_layers=1,
+        )
+        logits_q, qcache, reports = engine.prefill(model, prompt, pol)
+        trace: list = []
+        with monkeypatch.context() as m:
+            m.setattr(kvcache.KVCache, "retain", lambda self, layer, important: self)
+            logits_u, full, _ = engine.prefill(
+                model, prompt, dataclasses.replace(pol, quantize=False),
+                trace=trace,
+            )
+        # quantizing a layer as prefill writes it feeds nothing back into the pass
+        assert np.array_equal(logits_q, logits_u)
+        n = len(prompt)
+        lengths = [min(group_size, CFG.d_head - s) for s in range(0, CFG.d_head, group_size)]
+        for layer, (entry, r) in enumerate(zip(trace, reports)):
+            important = set(entry["important"].tolist())
+            bits = [4 if j in important else 2 for j in range(n)]
+            assert (bits.count(4) == n) == (layer == 0)
+            assert qcache.positions[layer].tolist() == list(range(n))
+            for name in ("keys", "values"):
+                want = oracles.group_fake_quantize(getattr(full, name)[layer], bits, group_size)
+                assert np.array_equal(getattr(qcache, name)[layer], want)
+            packed = sum((length * b + 7) // 8 + 8 for b in bits for length in lengths)
+            assert r.kv_bytes == 2 * CFG.heads * packed
 
     def test_generation_runs_end_to_end(self, model, prompt):
         pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.8, quantize=True)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import oracles
 from zipvl import kvcache, numkit
-from zipvl.budget import TokenPartition, partition_tokens
 from zipvl.errors import BoundsError, DomainError, OrderingError, ShapeError
 
 
@@ -24,17 +23,21 @@ def filled_cache(layers=2, heads=2, t=10, d=4, seed=0):
     return cache
 
 
-def make_partition(t, important):
-    imp = np.asarray(sorted(important), dtype=np.int64)
-    return TokenPartition(important=imp, n=t)
+def kept(positions):
+    """A layer's important tokens as budget.plan_layer gives them: sorted int64 positions."""
+    return np.asarray(sorted(positions), dtype=np.int64)
+
+
+def originals(cache):
+    """Copies of every layer's K and V, taken before quantize_mixed replaces them."""
+    return [(k.copy(), v.copy()) for k, v in zip(cache.keys, cache.values)]
 
 
 class TestRetention:
     def test_retain_keeps_exactly_the_partition(self):
         cache = filled_cache(t=10)
         before_k = cache.keys[0].copy()
-        part = make_partition(10, [0, 3, 7])
-        cache.retain(0, part)
+        cache.retain(0, kept([0, 3, 7]))
         assert cache.rows(0) == 3
         assert cache.positions[0].tolist() == [0, 3, 7]
         assert np.array_equal(cache.keys[0], before_k[:, [0, 3, 7], :])
@@ -45,10 +48,9 @@ class TestRetention:
 
     def test_retain_of_unknown_position_raises(self):
         cache = filled_cache(t=5)
-        part = make_partition(5, [1, 2])
-        cache.retain(0, part)
+        cache.retain(0, kept([1, 2]))
         with pytest.raises(BoundsError):
-            cache.retain(0, make_partition(5, [3]))
+            cache.retain(0, kept([3]))
 
     def test_set_layer_shape_checks(self):
         cache = kvcache.KVCache(1, 2, 4)
@@ -79,7 +81,7 @@ class TestAppend:
 
     def test_append_after_eviction_keeps_gap(self):
         cache = filled_cache(layers=1, t=6)
-        cache.retain(0, make_partition(6, [0, 5]))
+        cache.retain(0, kept([0, 5]))
         cache.append(0, np.zeros((2, 4), np.float32), np.zeros((2, 4), np.float32), 6)
         assert cache.positions[0].tolist() == [0, 5, 6]
 
@@ -94,9 +96,8 @@ class TestAppend:
         cache = filled_cache(layers=1, t=4)
         cache.append(0, np.ones((2, 4), np.float32), np.ones((2, 4), np.float32), 4)
         # retention is a prefill-time operation; decode rows stay unless the
-        # partition explicitly includes their positions
-        part = make_partition(5, [0, 4])
-        cache.retain(0, part)
+        # important array explicitly includes their positions
+        cache.retain(0, kept([0, 4]))
         assert cache.positions[0].tolist() == [0, 4]
 
 
@@ -123,7 +124,7 @@ class TestGrowth:
     def test_matches_concatenate_across_growths(self, evict):
         cache = filled_cache(layers=1, heads=3, t=6, d=5)
         if evict:
-            cache.retain(0, make_partition(6, [1, 2, 4]))
+            cache.retain(0, kept([1, 2, 4]))
         start = cache.rows(0)
         # capacity doubles from `start`, so 8x start rows takes three growths
         ref_k, ref_v, ref_p = self.grow(cache, 7 * start + 1)
@@ -165,14 +166,14 @@ class TestGrowth:
 class TestQuantization:
     def test_roundtrip_error_within_half_step(self):
         cache = filled_cache(layers=2, heads=2, t=16, d=8, seed=3)
-        part = make_partition(16, range(8))
+        before = originals(cache)
         group = 4
-        q = kvcache.quantize_mixed(cache, [part] * cache.num_layers, group_size=group)
-        restored = kvcache.dequantize(q)
+        for layer in range(cache.num_layers):
+            kvcache.quantize_mixed(cache, layer, kept(range(8)), group_size=group)
         for layer in range(2):
-            for name in ("keys", "values"):
-                orig = getattr(cache, name)[layer]
-                back = getattr(restored, name)[layer]
+            for i, name in enumerate(("keys", "values")):
+                orig = before[layer][i]
+                back = getattr(cache, name)[layer]
                 imp_err = np.max(np.abs(orig[:, :8] - back[:, :8]))
                 unimp_err = np.max(np.abs(orig[:, 8:] - back[:, 8:]))
                 assert imp_err <= oracles.group_quantization_bound(orig[:, :8], 4, group) + 1e-6
@@ -180,58 +181,74 @@ class TestQuantization:
 
     def test_important_rows_get_finer_grid(self):
         cache = filled_cache(layers=1, heads=1, t=32, d=16, seed=4)
-        part = make_partition(32, range(16))
-        q = kvcache.quantize_mixed(cache, [part], group_size=16)
-        restored = kvcache.dequantize(q)
-        err = np.abs(cache.keys[0] - restored.keys[0])
+        orig = cache.keys[0].copy()
+        kvcache.quantize_mixed(cache, 0, kept(range(16)), group_size=16)
+        err = np.abs(orig - cache.keys[0])
         assert err[:, :16].max() < err[:, 16:].max()
 
     def test_bits_follow_partition(self):
         cache = filled_cache(layers=1, t=6)
-        part = make_partition(6, [1, 4])
-        q = kvcache.quantize_mixed(cache, [part], group_size=4)
-        assert q.layers[0].bits_per_row.tolist() == [2, 4, 2, 2, 4, 2]
+        [(k, v)] = originals(cache)
+        kvcache.quantize_mixed(cache, 0, kept([1, 4]), group_size=4)
+        bits = [2, 4, 2, 2, 4, 2]
+        assert np.array_equal(cache.keys[0], oracles.group_fake_quantize(k, bits, 4))
+        assert np.array_equal(cache.values[0], oracles.group_fake_quantize(v, bits, 4))
 
     def test_constant_group_is_exact(self):
         cache = kvcache.KVCache(1, 1, 4)
         k = np.full((1, 3, 4), 7.5, dtype=np.float32)
         cache.set_layer(0, k, k.copy(), np.arange(3))
-        q = kvcache.quantize_mixed(cache, [make_partition(3, [0])], group_size=4)
-        restored = kvcache.dequantize(q)
-        assert np.array_equal(restored.keys[0], k)
-        assert np.array_equal(restored.values[0], k)
+        kvcache.quantize_mixed(cache, 0, kept([0]), group_size=4)
+        assert np.array_equal(cache.keys[0], k)
+        assert np.array_equal(cache.values[0], k)
 
     def test_group_size_validation(self):
         cache = filled_cache(layers=1)
         with pytest.raises(DomainError):
-            kvcache.quantize_mixed(cache, [make_partition(10, [0])], group_size=0)
+            kvcache.quantize_mixed(cache, 0, kept([0]), group_size=0)
+
+    def test_layer_out_of_range(self):
+        cache = filled_cache(layers=2)
+        with pytest.raises(BoundsError):
+            kvcache.quantize_mixed(cache, 2, kept([0]), group_size=4)
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_one_partition_per_layer(self, count):
-        cache = filled_cache(layers=2)
-        with pytest.raises(ShapeError):
-            kvcache.quantize_mixed(cache, [make_partition(10, [0])] * count, group_size=4)
+        # each layer is quantized by its own array; later layers stay exact until their turn
+        cache = filled_cache(layers=count, t=10)
+        before = originals(cache)
+        for layer in range(count):
+            kvcache.quantize_mixed(cache, layer, kept([layer]), group_size=4)
+            for later in range(layer + 1, count):
+                assert np.array_equal(cache.keys[later], before[later][0])
+                assert np.array_equal(cache.values[later], before[later][1])
+        for layer in range(count):
+            bits = [4 if row == layer else 2 for row in range(10)]
+            for i, name in enumerate(("keys", "values")):
+                want = oracles.group_fake_quantize(before[layer][i], bits, 4)
+                assert np.array_equal(getattr(cache, name)[layer], want)
 
     def test_memory_shrinks_and_is_positive(self):
         cache = filled_cache(layers=2, heads=2, t=64, d=32, seed=5)
-        part = make_partition(64, range(16))
-        q = kvcache.quantize_mixed(cache, [part] * cache.num_layers, group_size=32)
         dense_bytes = sum(kvcache.layer_memory_bytes(cache, i) for i in range(2))
-        q_bytes = sum(kvcache.layer_memory_bytes(q, i) for i in range(2))
+        q_bytes = sum(
+            kvcache.quantize_mixed(cache, i, kept(range(16)), group_size=32) for i in range(2)
+        )
         assert 0 < q_bytes < dense_bytes
 
     @pytest.mark.parametrize("d, group", [(12, 8), (3, 4), (1, 1), (16, 64)])
     def test_matches_row_by_row_oracle_bitwise(self, d, group):
         cache = filled_cache(layers=2, heads=2, t=9, d=d, seed=10)
-        cache.retain(1, make_partition(9, [0, 2, 5, 8]))
-        parts = [make_partition(9, [1, 3, 4]), make_partition(9, [5])]
-        q = kvcache.quantize_mixed(cache, parts, group_size=group)
-        restored = kvcache.dequantize(q)
+        cache.retain(1, kept([0, 2, 5, 8]))
+        before = originals(cache)
+        kvcache.quantize_mixed(cache, 0, kept([1, 3, 4]), group_size=group)
+        kvcache.quantize_mixed(cache, 1, kept([5]), group_size=group)
+        # layer 1 holds positions 0, 2, 5 and 8, so position 5 is its third row
+        bits = [[2, 4, 2, 4, 4, 2, 2, 2, 2], [2, 2, 4, 2]]
         for layer in range(2):
-            bits = q.layers[layer].bits_per_row
-            for name in ("keys", "values"):
-                want = oracles.group_fake_quantize(getattr(cache, name)[layer], bits, group)
-                assert np.array_equal(getattr(restored, name)[layer], want)
+            for i, name in enumerate(("keys", "values")):
+                want = oracles.group_fake_quantize(before[layer][i], bits[layer], group)
+                assert np.array_equal(getattr(cache, name)[layer], want)
 
     @staticmethod
     def packed_bytes(heads, bits_per_row, d, group):
@@ -242,19 +259,24 @@ class TestQuantization:
     @pytest.mark.parametrize("d, group", [(12, 8), (3, 4), (1, 1), (1, 16), (16, 5)])
     def test_bytes_equal_packed_closed_form(self, d, group):
         cache = filled_cache(layers=2, heads=3, t=7, d=d, seed=8)
-        cache.retain(1, make_partition(7, [0, 2, 3, 6]))
-        parts = [make_partition(7, [1, 4, 5]), make_partition(7, [2, 6])]
-        q = kvcache.quantize_mixed(cache, parts, group_size=group)
+        cache.retain(1, kept([0, 2, 3, 6]))
+        before = originals(cache)
+        got = [
+            kvcache.quantize_mixed(cache, 0, kept([1, 4, 5]), group_size=group),
+            kvcache.quantize_mixed(cache, 1, kept([2, 6]), group_size=group),
+        ]
+        bits = [[2, 4, 2, 2, 4, 4, 2], [2, 4, 2, 4]]
         for layer in range(2):
-            bits = q.layers[layer].bits_per_row.tolist()
-            assert sorted(set(bits)) == [2, 4]
-            assert kvcache.layer_memory_bytes(q, layer) == self.packed_bytes(3, bits, d, group)
+            assert sorted(set(bits[layer])) == [2, 4]
+            # the bits charged are the bits the layer was quantized at
+            want = oracles.group_fake_quantize(before[layer][0], bits[layer], group)
+            assert np.array_equal(cache.keys[layer], want)
+            assert got[layer] == self.packed_bytes(3, bits[layer], d, group)
 
     def test_one_two_bit_channel_takes_a_whole_byte(self):
         cache = filled_cache(layers=1, heads=1, t=1, d=1)
-        q = kvcache.quantize_mixed(cache, [make_partition(1, [])], group_size=4)
         # K and V: 1 code byte + 4-byte scale + 4-byte zero-point each
-        assert kvcache.layer_memory_bytes(q, 0) == 18
+        assert kvcache.quantize_mixed(cache, 0, kept([]), group_size=4) == 18
 
     def test_dequantized_cache_is_c_contiguous(self):
         # decode rounding depends on the layout, so it must not follow the source's
@@ -262,11 +284,11 @@ class TestQuantization:
         for tensors in (cache.keys, cache.values):  # a source with the token axis outermost
             tensors[1] = np.ascontiguousarray(tensors[1].transpose(1, 0, 2)).transpose(1, 0, 2)
         assert not cache.keys[1].flags.c_contiguous
-        parts = [make_partition(9, [4])] * cache.num_layers
-        restored = kvcache.dequantize(kvcache.quantize_mixed(cache, parts, 4))
+        for layer in range(cache.num_layers):
+            kvcache.quantize_mixed(cache, layer, kept([4]), 4)
         for layer in range(2):
-            assert restored.keys[layer].flags.c_contiguous
-            assert restored.values[layer].flags.c_contiguous
+            assert cache.keys[layer].flags.c_contiguous
+            assert cache.values[layer].flags.c_contiguous
 
     @given(
         st.integers(1, 3),
@@ -287,13 +309,12 @@ class TestQuantization:
             np.arange(t, dtype=np.int64),
         )
         p = data.draw(st.integers(1, t))
-        part = make_partition(t, range(p))
-        q = kvcache.quantize_mixed(cache, [part], group_size=group)
-        restored = kvcache.dequantize(q)
+        before = originals(cache)
+        kvcache.quantize_mixed(cache, 0, kept(range(p)), group_size=group)
         g = min(group, d)
-        for name in ("keys", "values"):
-            orig = getattr(cache, name)[0]
-            back = getattr(restored, name)[0]
+        for i, name in enumerate(("keys", "values")):
+            orig = before[0][i]
+            back = getattr(cache, name)[0]
             for rows, bits in ((range(p), 4), (range(p, t), 2)):
                 rows = list(rows)
                 if not rows:

@@ -291,8 +291,10 @@ class TestEvaluate:
         for layer, r in enumerate(workload.evaluate_score_workload(scores, pol)):
             assert r.p == r.kv_rows == 64
             assert r.kv_bytes == 2 * 64 * 4
-            _, part = budget.plan_layer(pol.mode, 256, scores[layer], scores[layer], 0.5, 0.5, 64)
-            assert part.important.tolist() == list(range(192, 256))
+            important, _ = budget.plan_layer(
+                pol.mode, 256, scores[layer], scores[layer], 0.5, 0.5, 64
+            )
+            assert important.tolist() == list(range(192, 256))
 
     def test_retained_mass_is_the_budgets_top_mass(self):
         # the keep_last window outgrows the budget: p counts the kept tokens,
@@ -302,7 +304,7 @@ class TestEvaluate:
         for layer, r in enumerate(workload.evaluate_score_workload(scores, pol)):
             vec = scores[layer]
             mass = float(np.sum(vec, dtype=np.float64))
-            budget_p = budget.adaptive_budget(vec, 0.5, mass).p
+            budget_p, _ = budget.adaptive_budget(vec, 0.5, mass)
             assert budget_p < r.p == 64
             assert r.retained_mass == budget.top_mass_fraction(vec, budget_p, mass)
             kept_mass = float(np.sum(vec[-64:], dtype=np.float64)) / mass
