@@ -17,8 +17,8 @@ attention output and rides the residual stream), and caches K/V for the
 important tokens only; with quantize it caches every token instead, at 4
 bits if important and 2 if not, quantized as the layer is written. Dense
 layers (mode dense, and the first dense_first_layers layers of any mode)
-keep every token, so they compute no scores at all. Decode appends unconditionally and attends to the whole
-cache, up to max_seq positions.
+keep every token, so they compute no scores at all. Decode appends
+unconditionally and attends to the whole cache, up to max_seq positions.
 """
 
 from __future__ import annotations
