@@ -391,12 +391,19 @@ def _emit_csv(obj) -> str:
 
 
 def _write_out(write, out_path: str | None) -> None:
-    """Call write(fh) on the file at out_path, or on stdout without one."""
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            write(fh)
-    else:
+    """Call write(fh) on the file at out_path, or on stdout without one.
+
+    A path that cannot be opened for writing is a ConfigError.
+    """
+    if not out_path:
         write(sys.stdout)
+        return
+    try:
+        fh = open(out_path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+    with fh:
+        write(fh)
 
 
 def _exit_code_doc() -> str:

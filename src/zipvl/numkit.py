@@ -62,31 +62,23 @@ def causal_row_mask(row_positions: np.ndarray, n_cols: int) -> np.ndarray:
     return np.arange(n_cols)[None, :] <= pos[:, None]
 
 
-def masked_softmax_rows(logits: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Row softmax restricted to visible columns.
+def masked_softmax_rows(logits: np.ndarray, mask: None) -> np.ndarray:
+    """Row softmax over every column of logits; mask must be None.
 
-    Masked entries come out exactly 0.0 and each row of visible entries sums
-    to 1. Stabilized by subtracting the per-row max over visible columns;
-    exp/sum run in float64, the result is float32. `mask=None` means every
-    column is visible; it gives the same bits as an all-true mask without
-    building or checking one. The float64 copy is shifted and exponentiated
-    in place, and the division writes float32 directly: the float64 quotient
-    is rounded once, as astype would.
+    Each row sums to 1, and a -inf logit comes out exactly 0.0. Stabilized
+    by subtracting the row max; exp/sum run in float64, the result is
+    float32. The float64 copy is shifted and exponentiated in place, and
+    the division writes float32 directly: the float64 quotient is rounded
+    once, as astype would. The masked form lives in the tests as the oracle
+    softmax_rows_masked, whose all-true mask gives these bits; the mask
+    argument stays for the callers and tracers that pass it.
     """
+    if mask is not None:
+        raise TypeError("masked_softmax_rows takes mask=None; every column is visible")
     logits = as_matrix(logits)
-    if mask is None:
-        if logits.shape[1] == 0:
-            raise DegenerateMaskError("logits have no column")
-        shifted = logits.astype(np.float64)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != logits.shape:
-            raise ShapeError(f"mask shape {mask.shape} != logits shape {logits.shape}")
-        visible_per_row = mask.sum(axis=1)
-        if np.any(visible_per_row == 0):
-            bad = int(np.argmin(visible_per_row))
-            raise DegenerateMaskError(f"row {bad} has no visible column")
-        shifted = np.where(mask, logits.astype(np.float64), -np.inf)
+    if logits.shape[1] == 0:
+        raise DegenerateMaskError("logits have no column")
+    shifted = logits.astype(np.float64)
     shifted -= np.maximum.reduce(shifted, axis=1, keepdims=True)
     np.exp(shifted, out=shifted)
     total = np.add.reduce(shifted, axis=1, keepdims=True)
@@ -136,13 +128,14 @@ def causal_softmax_rows(
 
     Row r sees keys 0..row_positions[r]; positions must ascend and lie in
     [0, n). Returns float32 (rows, n) weights, exactly 0.0 past each row's
-    position, with the same bits as masked_softmax_rows on the same logits
-    and causal_row_mask. The logits come from one product into the output
-    array; each block of CAUSAL_BLOCK rows then goes through _causal_block,
-    so no n x n float64 array or mask is ever built. The product is not
-    split by block: BLAS picks its kernel by row and column count, so a
-    block's logits against only its visible keys can differ in the last bit.
-    The same holds for `weights @ v` split into row blocks.
+    position, with the same bits as the masked softmax oracle of the tests
+    (oracles.softmax_rows_masked) on the same logits and causal_row_mask.
+    The logits come from one product into the output array; each block of
+    CAUSAL_BLOCK rows then goes through _causal_block, so no n x n float64
+    array or mask is ever built. The product is not split by block: BLAS
+    picks its kernel by row and column count, so a block's logits against
+    only its visible keys can differ in the last bit. The same holds for
+    `weights @ v` split into row blocks.
     """
     q_rows, k, pos = _check_rows(q_rows, k, row_positions)
     m, n = q_rows.shape[0], k.shape[0]

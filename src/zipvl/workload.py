@@ -38,27 +38,37 @@ def generate_workload(
     rng = numkit.make_rng(seed)
     rows = np.empty((layers, n), dtype=np.float32)
     for i in range(layers):
-        if kind == "peaked":
-            vals = rng.gamma(shape=1.0 / concentration, scale=1.0, size=n)
-            vals = np.maximum(vals, np.finfo(np.float64).tiny)
-        elif np.isinf(concentration):
-            vals = np.ones(n, dtype=np.float64)
-        else:
-            vals = 1.0 + rng.uniform(0.0, 1.0, size=n) / concentration
-        rows[i] = (vals * (n / vals.sum())).astype(np.float32)
+        # a tiny concentration overflows the draws or their sum; the check below names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if kind == "peaked":
+                vals = rng.gamma(shape=1.0 / concentration, scale=1.0, size=n)
+                vals = np.maximum(vals, np.finfo(np.float64).tiny)
+            elif np.isinf(concentration):
+                vals = np.ones(n, dtype=np.float64)
+            else:
+                vals = 1.0 + rng.uniform(0.0, 1.0, size=n) / concentration
+            rows[i] = (vals * (n / vals.sum())).astype(np.float32)
+        if not (np.isfinite(rows[i]).all() and rows[i].any()):
+            raise DomainError(
+                f"concentration={concentration} overflows the {kind} draws: "
+                f"layer {i} has no finite nonzero mass"
+            )
     return rows
 
 
 def write_workload_csv(fh, scores: np.ndarray) -> None:
     """Emit layer,token,score rows; floats use shortest round-trip repr.
 
-    Each layer's rows are joined into one string and written at once.
+    One row template, "@,token,%r\n" over every token, is built per file.
+    Each layer gets the template with its number in place of "@" and one
+    `%` call over its scores as Python floats (`%r` is repr), and is written
+    at once, so only one layer of floats is held at a time.
     """
     scores = np.asarray(scores, dtype=np.float32)
     fh.write("layer,token,score\n")
-    tokens = [f",{token}," for token in range(scores.shape[1])]
-    for layer, row in enumerate(scores.tolist()):
-        fh.write("".join([f"{layer}{t}{v!r}\n" for t, v in zip(tokens, row)]))
+    template = "".join([f"@,{token},%r\n" for token in range(scores.shape[1])])
+    for layer, row in enumerate(scores):
+        fh.write(template.replace("@", str(layer)) % tuple(row.tolist()))
 
 
 # numpy's parser gets the lines about this many characters at a time. The

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from zipvl import numkit
+from zipvl.errors import DegenerateMaskError, ShapeError
 
 
 def budget_oracle(values, tau, mass_total) -> int:
@@ -196,8 +197,18 @@ def rms_norm_mean(x, gain, eps=1e-5) -> np.ndarray:
 def softmax_rows_masked(logits, mask) -> np.ndarray:
     """Row softmax over visible columns: a float64 copy with -inf where masked,
     shifted by the row max, exponentiated into a new array, divided by the row
-    sum and cast to float32."""
-    shifted = np.where(mask, np.asarray(logits, dtype=np.float32).astype(np.float64), -np.inf)
+    sum and cast to float32. Masked entries come out exactly 0.0. A mask of
+    another shape is a ShapeError, a row with no visible column a
+    DegenerateMaskError."""
+    logits = numkit.as_matrix(logits)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != logits.shape:
+        raise ShapeError(f"mask shape {mask.shape} != logits shape {logits.shape}")
+    visible_per_row = mask.sum(axis=1)
+    if np.any(visible_per_row == 0):
+        bad = int(np.argmin(visible_per_row))
+        raise DegenerateMaskError(f"row {bad} has no visible column")
+    shifted = np.where(mask, logits.astype(np.float64), -np.inf)
     shifted -= shifted.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)

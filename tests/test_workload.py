@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,11 @@ class TestGenerate:
             workload.generate_workload("peaked", 0, 1, 1.0, seed=0)
         with pytest.raises(DomainError):
             workload.generate_workload("peaked", 10, 1, 0.0, seed=0)
+        # a tiny concentration overflows the draws (NaN rows) or the row sum (all-zero rows)
+        for kind in workload.KINDS:
+            for n, concentration in [(16, 1e-320), (16384, 1e-306)]:
+                with pytest.raises(DomainError, match="layer 0 has no finite nonzero mass"):
+                    workload.generate_workload(kind, n, 2, concentration, seed=0)
 
 
 class TestCsvRoundTrip:
@@ -220,7 +226,29 @@ def grid_shapes(min_side):
     return hnp.array_shapes(min_dims=2, max_dims=2, min_side=min_side, max_side=12)
 
 
+class _CountingSink:
+    """A text sink that keeps only the number of characters written."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
 class TestWriter:
+    def test_holds_one_layer_of_floats_at_a_time(self):
+        scores = workload.generate_workload("peaked", 16384, 32, 8.0, seed=3)
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            workload.write_workload_csv(sink, scores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars == len(_csv_text(scores))
+        # the whole array as Python floats is 32 x 16384 x 24 B = 12 MiB, plus the lists
+        assert peak < 4 * 2**20
+
     @given(hnp.arrays(np.float32, grid_shapes(0), elements=special_scores | st.floats(width=32)))
     @settings(max_examples=100, deadline=None)
     def test_property_bytes_match_rowwise_writer(self, scores):
