@@ -15,9 +15,11 @@ measured and modeled speedup over dense.
 
 Rows of one invocation form a row set under --label in each file; the files
 keep every row set, so the trajectory across changes can be read. The model
-is the CLI default, 4 layers x 4 heads x d_model 64, with the default policy
-knobs (tau 0.975, fixed_ratio 0.5, probes 64 + 64); numpy runs on one BLAS
-thread.
+has the CLI default shape, 4 layers x 4 heads x d_model 64 with a 256-token
+vocabulary, but not the CLI's weights: it seeds init_model with 1234
+directly, where the CLI derives its model seed from the global seed. The
+policies keep the default knobs (tau 0.975, fixed_ratio 0.5, probes
+64 + 64); numpy runs on one BLAS thread.
 
 Usage:
     PYTHONPATH=src python3 scripts/bench.py --label NAME

@@ -34,7 +34,6 @@ from .engine import (
     init_model,
     prefill,
 )
-from .engine import LayerReport
 from .errors import (
     BoundsError,
     ConfigError,
@@ -53,6 +52,7 @@ from .kvcache import (
     quantize_mixed,
 )
 from .metrics import (
+    LayerReport,
     RunReport,
     attn_flops_dense,
     attn_flops_sparse,

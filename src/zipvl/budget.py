@@ -5,8 +5,9 @@ accumulated scores reach a fraction tau of the total attention mass. The
 fixed budget keeps a constant fraction regardless of the score shape.
 A layer's important tokens are one sorted int64 array of positions in
 [0, n); every other token is unimportant. plan_layer is the one place a
-layer's mode turns scores into that array and the mass share its budget
-retains; model prefill and score workloads both go through it.
+policy's mode and knobs turn a layer's scores into that array and the mass
+share its budget retains; model prefill and score workloads both go
+through it.
 """
 
 from __future__ import annotations
@@ -73,33 +74,32 @@ def partition_tokens(normalized: np.ndarray, p: int) -> np.ndarray:
 
 
 def plan_layer(
-    mode: str,
-    n: int,
-    size_by: np.ndarray | None,
-    rank_by: np.ndarray | None,
-    tau: float,
-    fixed_ratio: float,
-    keep_last: int,
+    policy, layer: int, n: int, accumulated: np.ndarray | None, normalized: np.ndarray | None
 ) -> tuple[np.ndarray, float]:
-    """Size one layer's n-token budget from size_by, then fill it by rank_by.
+    """Plan one layer's n-token budget under a SparsityPolicy.
 
-    Returns the important positions, sorted ascending, and the share of
-    size_by's mass the budget's top tokens cover. dense keeps every token
-    with share 1.0, fixed keeps round(fixed_ratio * n), and any other mode
-    takes the adaptive budget for tau. The last keep_last tokens are always
-    kept, raising the kept count above the budget's p when they must.
-    dense reads no score, so a dense layer passes None for both vectors.
+    Sizes the budget from the policy's budget_metric score and fills it by
+    its identify_metric score. Returns the important positions, sorted
+    ascending, and the share of the sizing score's mass the budget's top
+    tokens cover. A layer in dense mode (policy.layer_mode) keeps every
+    token with share 1.0, fixed keeps round(fixed_ratio * n), and the
+    adaptive modes take the budget for tau. The last keep_last tokens are
+    always kept, raising the kept count above the budget's p when they
+    must. dense reads no score, so a dense layer passes None for both.
     """
+    mode = policy.layer_mode(layer)
     if mode == "dense":
         return np.arange(n, dtype=np.int64), 1.0
+    metric = {"accumulated": accumulated, "normalized": normalized}
+    size_by = metric[policy.budget_metric]
     mass = float(np.sum(size_by, dtype=np.float64))
     if mode == "fixed":
-        p = fixed_budget(n, fixed_ratio)
+        p = fixed_budget(n, policy.fixed_ratio)
         retained = top_mass_fraction(size_by, p, mass)
     else:
-        p, retained = adaptive_budget(size_by, tau, mass)
-    ident = np.array(rank_by, dtype=np.float64)
-    n_prot = min(keep_last, n)
+        p, retained = adaptive_budget(size_by, policy.tau, mass)
+    ident = np.array(metric[policy.identify_metric], dtype=np.float64)
+    n_prot = min(policy.keep_last, n)
     if n_prot:
         ident[n - n_prot :] = np.inf
     return partition_tokens(ident, max(p, n_prot)), retained

@@ -304,9 +304,11 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
         names = [_adaptive_mode(cfg), "fixed", "dense"]
     if len(names) < 2:
         raise ConfigError("compare needs at least 2 modes")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in engine.MODES:
             raise ConfigError(f"unknown mode {name!r} in modes; expected one of {engine.MODES}")
+        if name in names[:i]:
+            raise ConfigError(f"mode {name!r} repeated in modes")
     _single_repeat(cfg, "compare")
 
     subject = _build_subject(cfg)

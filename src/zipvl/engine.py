@@ -86,11 +86,11 @@ class SparsityPolicy:
     def validate(self) -> "SparsityPolicy":
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.mode in ("zipvl-exact", "zipvl-probe") and not 0.0 < self.tau <= 1.0:
+        if not 0.0 < self.tau <= 1.0:
             raise ConfigError(f"tau={self.tau} outside (0, 1]")
-        if self.mode == "fixed" and not 0.0 < self.fixed_ratio <= 1.0:
+        if not 0.0 < self.fixed_ratio <= 1.0:
             raise ConfigError(f"fixed_ratio={self.fixed_ratio} outside (0, 1]")
-        if self.mode == "zipvl-probe" and self.probe_recent < 1:
+        if self.probe_recent < 1:
             raise ConfigError("probe_recent must be >= 1")
         if self.probe_random < 0 or self.keep_last < 0 or self.dense_first_layers < 0:
             raise ConfigError("counts must be nonnegative")
@@ -103,25 +103,6 @@ class SparsityPolicy:
     def layer_mode(self, layer: int) -> str:
         """The mode a layer runs in: the first dense_first_layers run dense."""
         return "dense" if layer < self.dense_first_layers else self.mode
-
-
-@dataclass(frozen=True)
-class LayerReport:
-    """Per-layer outcome of one prefill pass.
-
-    retained_mass is the budget_metric mass share of the budget's top tokens,
-    taken before keep_last; the kept set, ranked by identify_metric, can hold less.
-    """
-
-    layer: int
-    n: int
-    p: int
-    ratio: float
-    retained_mass: float
-    attn_flops: int
-    kv_rows: int
-    probe_rows: int = 0
-    kv_bytes: int = 0
 
 
 @dataclass
@@ -247,7 +228,7 @@ def prefill(
     tokens: np.ndarray,
     policy: SparsityPolicy,
     trace: list | None = None,
-) -> tuple[np.ndarray, kvcache.KVCache, list[LayerReport]]:
+) -> tuple[np.ndarray, kvcache.KVCache, list[metrics.LayerReport]]:
     """Run the full-prompt pass, returning logits, the KV cache and reports.
 
     Every pipeline computes attention through the same restricted path over
@@ -266,28 +247,18 @@ def prefill(
     scale = 1.0 / np.sqrt(d_head)
     h = model.embedding[tokens]
     cache = kvcache.KVCache(config.layers, config.heads, d_head)
-    reports: list[LayerReport] = []
+    reports: list[metrics.LayerReport] = []
     for layer, lw in enumerate(model.layers):
-        mode = policy.layer_mode(layer)
         h_before = h
         # (n, 3d) -> (3, heads, n, d_head) views: q, k and v split by head
         qkv = _rms_norm(h, lw.gain_attn) @ lw.wqkv
         q, k, v = qkv.reshape(n, 3, config.heads, d_head).transpose(1, 2, 0, 3)
 
-        if mode == "dense":
+        if policy.layer_mode(layer) == "dense":
             acc, norm, probe_rows = None, None, 0
         else:
             acc, norm, probe_rows = _token_scores(q, k, scale, policy, config.seed, layer)
-        metric = {"accumulated": acc, "normalized": norm}
-        imp, retained_mass = budget.plan_layer(
-            mode,
-            n,
-            metric[policy.budget_metric],
-            metric[policy.identify_metric],
-            policy.tau,
-            policy.fixed_ratio,
-            policy.keep_last,
-        )
+        imp, retained_mass = budget.plan_layer(policy, layer, n, acc, norm)
 
         attn = np.zeros((config.heads, n, d_head), dtype=np.float32)
         for i in range(config.heads):
@@ -302,19 +273,12 @@ def prefill(
         if policy.quantize:
             kv_bytes = kvcache.quantize_mixed(cache, layer, imp, policy.group_size)
         else:
-            kv_bytes = kvcache.layer_memory_bytes(cache.retain(layer, imp), layer)
-        p_kept = int(imp.size)
+            kv_bytes = metrics.kv_bytes(cache.retain(layer, imp).rows(layer), d_head, config.heads)
         reports.append(
-            LayerReport(
-                layer=layer,
-                n=n,
-                p=p_kept,
-                ratio=p_kept / n,
-                retained_mass=retained_mass,
-                attn_flops=metrics.attn_flops_sparse(p_kept, n, d_head, config.heads, probe_rows),
-                kv_rows=cache.rows(layer),
-                probe_rows=probe_rows,
-                kv_bytes=kv_bytes,
+            metrics.layer_report(
+                layer=layer, n=n, p=int(imp.size), retained_mass=retained_mass,
+                d_head=d_head, heads=config.heads, probe_rows=probe_rows,
+                kv_rows=cache.rows(layer), kv_bytes=kv_bytes,
             )
         )
         if trace is not None:
@@ -358,7 +322,7 @@ def decode_step(
 def decode(
     model: TinyTransformer,
     prompt: np.ndarray,
-    prefilled: tuple[np.ndarray, kvcache.KVCache, list[LayerReport]],
+    prefilled: tuple[np.ndarray, kvcache.KVCache, list[metrics.LayerReport]],
     steps: int,
     policy: SparsityPolicy,
 ) -> tuple[list[int], metrics.RunReport]:
@@ -375,11 +339,6 @@ def decode(
         )
     logits, cache, reports = prefilled
     tokens = [int(t) for t in prompt]
-    config = model.config
-    # step s attends over each layer's prefill rows + s + 1: 4 flops per row, channel and head
-    rows = sum(cache.rows(layer) for layer in range(config.layers))
-    visited = steps * rows + config.layers * steps * (steps + 1) // 2
-    decode_flops = 4 * visited * config.d_head * config.heads
     cur = logits[-1]
     for step in range(steps):
         nxt = int(np.argmax(cur))
@@ -391,7 +350,6 @@ def decode(
         d_head=model.config.d_head,
         heads=model.config.heads,
         generated=tokens[prompt.size :],
-        decode_attn_flops=decode_flops,
     )
     return tokens, report
 

@@ -13,9 +13,9 @@ takes one (heads, d_head) K row and V row and writes them in place into a
 per-layer buffer whose capacity doubles when full, so a step copies
 nothing but the new row and, now and then, the layer once. `keys[layer]`,
 `values[layer]` and `positions[layer]` are views of the live rows. Memory
-accounting (layer_memory_bytes, `engine.LayerReport.kv_bytes`, `.nbytes`
-of the views) counts those rows, not the spare capacity, so after decode
-the memory held can reach twice the rows counted.
+accounting (`metrics.kv_bytes`, `.nbytes` of the views) counts those rows,
+not the spare capacity, so after decode the memory held can reach twice
+the rows counted.
 
 Quantization is uniform asymmetric per channel group within each token row:
 scale = (max - min) / (2^b - 1), zero-point = min. Important rows get 4
@@ -199,12 +199,3 @@ def quantize_mixed(cache: KVCache, layer: int, important: np.ndarray, group_size
     lengths = np.bincount(_group_of(cache.d_head, group_size))
     code_bytes = -(-np.outer(bits, lengths) // 8)
     return 2 * cache.heads * int(code_bytes.sum() + 8 * code_bytes.size)
-
-
-def layer_memory_bytes(cache: KVCache, layer: int) -> int:
-    """Storage footprint of one unquantized layer in bytes.
-
-    2 tensors x heads x rows x d_head x 4 bytes, counting live rows only,
-    not the spare capacity append leaves behind.
-    """
-    return 2 * cache.heads * cache.rows(layer) * cache.d_head * 4

@@ -1,11 +1,17 @@
 """FLOP and KV-memory accounting for sparse-attention runs.
 
-Conventions: one fused multiply-add counts as two FLOPs; attention cost per
-head over r query rows and c key columns is 4*r*c*d_head (scores plus the
-weighted value sum); only prefill attention enters the reduction figures,
-so a fixed retention ratio maps to exact reduction numbers. Probe scoring
-is charged at 2*probe_rows*n*d_head per head (scores only; the probe pass
-produces no value outputs).
+This module owns every charge a report carries. Conventions: one fused
+multiply-add counts as two FLOPs; attention cost per head over r query rows
+and c key columns is 4*r*c*d_head (scores plus the weighted value sum).
+Prefill attention over a layer's p important tokens is charged 4*p*p*d_head
+per head, and probe scoring 2*probe_rows*n*d_head per head (scores only;
+the probe pass produces no value outputs). Decode step s, counted from 1,
+is charged 4*(kv_rows + s)*d_head per head and layer: the prefill rows plus
+the s rows decode has appended. Only prefill attention enters the reduction
+figures, so a fixed retention ratio maps to exact reduction numbers. Not
+charged: projections, the MLP, norms, and the scoring pass over all n rows
+that zipvl-exact and fixed layers make. Cache bytes are float32 K and V,
+2*heads*rows*d_head*4, unless a quantizer reports its packed size instead.
 """
 
 from __future__ import annotations
@@ -26,6 +32,39 @@ def attn_flops_sparse(p: int, n: int, d_head: int, heads: int, probe_rows: int =
     return 4 * p * p * d_head * heads + 2 * probe_rows * n * d_head * heads
 
 
+def kv_bytes(rows: int, d_head: int, heads: int) -> int:
+    """Float32 K and V bytes of one layer's `rows` live cache rows (not spare capacity)."""
+    return 2 * heads * rows * d_head * 4
+
+
+@dataclass(frozen=True)
+class LayerReport:
+    """Per-layer outcome of one prefill pass.
+
+    retained_mass is the budget_metric mass share of the budget's top tokens,
+    taken before keep_last; the kept set, ranked by identify_metric, can hold less.
+    """
+
+    layer: int
+    n: int
+    p: int
+    ratio: float
+    retained_mass: float
+    attn_flops: int
+    kv_rows: int
+    probe_rows: int
+    kv_bytes: int
+
+
+def layer_report(
+    layer: int, n: int, p: int, retained_mass: float, d_head: int, heads: int,
+    probe_rows: int, kv_rows: int, kv_bytes: int,
+) -> LayerReport:
+    """The report of a layer that kept p of its n tokens, with its ratio and prefill flops."""
+    flops = attn_flops_sparse(p, n, d_head, heads, probe_rows)
+    return LayerReport(layer, n, p, p / n, retained_mass, flops, kv_rows, probe_rows, kv_bytes)
+
+
 @dataclass(frozen=True)
 class RunReport:
     """Aggregate of one run: policy echo plus per-layer outcomes."""
@@ -43,13 +82,16 @@ class RunReport:
     generated: list
 
 
-def build_run_report(
-    policy, layer_reports, d_head: int, heads: int, generated, decode_attn_flops: int = 0
-) -> RunReport:
+def build_run_report(policy, layer_reports, d_head: int, heads: int, generated) -> RunReport:
+    """Sum the layer reports; each generated token is charged as one decode step."""
     dense = sum(attn_flops_dense(r.n, d_head, heads) for r in layer_reports)
     actual = sum(r.attn_flops for r in layer_reports)
-    kv_dense = sum(2 * heads * r.n * d_head * 4 for r in layer_reports)
+    kv_dense = sum(kv_bytes(r.n, d_head, heads) for r in layer_reports)
     kv_actual = sum(r.kv_bytes for r in layer_reports)
+    steps = len(generated)
+    # step s (from 1) attends over each layer's prefill rows + s
+    visited = steps * sum(r.kv_rows for r in layer_reports)
+    visited += len(layer_reports) * steps * (steps + 1) // 2
     return RunReport(
         policy=dataclasses.asdict(policy),
         layer_reports=list(layer_reports),
@@ -60,6 +102,6 @@ def build_run_report(
         kv_bytes_actual=kv_actual,
         kv_reduction=1.0 - kv_actual / kv_dense,
         mean_ratio=float(np.mean([r.ratio for r in layer_reports])),
-        decode_attn_flops=decode_attn_flops,
+        decode_attn_flops=4 * visited * d_head * heads,
         generated=[int(t) for t in generated],
     )

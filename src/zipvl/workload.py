@@ -20,7 +20,6 @@ import csv
 import numpy as np
 
 from . import budget, metrics, numkit
-from .engine import LayerReport
 from .errors import ConfigError, DomainError, FormatError
 
 KINDS = ("peaked", "diffuse")
@@ -226,21 +225,12 @@ def evaluate_score_workload(scores: np.ndarray, policy) -> list:
     reports = []
     n = scores.shape[1]
     for layer, vec in enumerate(scores):
-        important, retained_mass = budget.plan_layer(
-            policy.layer_mode(layer), n, vec, vec, policy.tau, policy.fixed_ratio, policy.keep_last
-        )
+        important, retained_mass = budget.plan_layer(policy, layer, n, vec, vec)
         p = int(important.size)
         reports.append(
-            LayerReport(
-                layer=layer,
-                n=n,
-                p=p,
-                ratio=p / n,
-                retained_mass=retained_mass,
-                attn_flops=metrics.attn_flops_sparse(p, n, d_head=1, heads=1),
-                kv_rows=p,
-                probe_rows=0,
-                kv_bytes=2 * p * 4,
+            metrics.layer_report(
+                layer=layer, n=n, p=p, retained_mass=retained_mass, d_head=1, heads=1,
+                probe_rows=0, kv_rows=p, kv_bytes=metrics.kv_bytes(p, d_head=1, heads=1),
             )
         )
     return reports

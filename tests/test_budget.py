@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from zipvl import budget, numkit
+from zipvl.engine import SparsityPolicy
 from zipvl.errors import BoundsError, DomainError, EmptySequenceError
 
 score_vectors = st.lists(
@@ -144,33 +145,49 @@ class TestPlanLayer:
     v = np.array([0.5, 4.0, 0.25, 2.0, 1.0, 0.25], dtype=np.float32)
 
     def test_dense_keeps_everything(self):
-        important, retained = budget.plan_layer("dense", 6, self.v, self.v, 0.5, 0.5, 0)
+        pol = SparsityPolicy(mode="dense", tau=0.5)
+        important, retained = budget.plan_layer(pol, 0, 6, self.v, self.v)
         assert (important.size, retained) == (6, 1.0)
         assert important.tolist() == list(range(6))
 
     def test_dense_needs_only_the_token_count(self):
-        important, retained = budget.plan_layer("dense", 6, None, None, 0.5, 0.5, 3)
-        scored, scored_retained = budget.plan_layer("dense", 6, self.v, self.v, 0.5, 0.5, 3)
-        assert retained == scored_retained
-        assert np.array_equal(important, scored)
-        assert important.dtype == np.int64
-        assert important.tolist() == list(range(6))
+        # dense mode, and a layer below dense_first_layers in any mode
+        for pol in (
+            SparsityPolicy(mode="dense", tau=0.5, keep_last=3),
+            SparsityPolicy(mode="zipvl-exact", tau=0.5, keep_last=3, dense_first_layers=1),
+        ):
+            important, retained = budget.plan_layer(pol, 0, 6, None, None)
+            scored, scored_retained = budget.plan_layer(pol, 0, 6, self.v, self.v)
+            assert retained == scored_retained
+            assert np.array_equal(important, scored)
+            assert important.dtype == np.int64
+            assert important.tolist() == list(range(6))
 
     def test_adaptive_and_fixed_match_their_budgets(self):
         mass = float(self.v.sum(dtype=np.float64))
-        important, retained = budget.plan_layer("zipvl-exact", 6, self.v, self.v, 0.75, 0.5, 0)
+        pol = SparsityPolicy(mode="zipvl-exact", tau=0.75, fixed_ratio=0.5)
+        important, retained = budget.plan_layer(pol, 0, 6, self.v, self.v)
         assert (important.size, retained) == budget.adaptive_budget(self.v, 0.75, mass)
         assert important.tolist() == [1, 3]
-        important, retained = budget.plan_layer("fixed", 6, self.v, self.v, 0.75, 0.5, 0)
+        pol = SparsityPolicy(mode="fixed", tau=0.75, fixed_ratio=0.5)
+        important, retained = budget.plan_layer(pol, 0, 6, self.v, self.v)
         assert important.size == 3
         assert retained == budget.top_mass_fraction(self.v, 3, mass)
         assert important.tolist() == [1, 3, 4]
 
     def test_sizes_and_ranks_by_separate_vectors(self):
+        # the policy's budget_metric sizes the budget and its identify_metric fills it
         rank = self.v[::-1].copy()
-        important, _ = budget.plan_layer("zipvl-exact", 6, self.v, rank, 0.75, 0.5, 0)
-        assert important.size == 2
-        assert important.tolist() == [2, 4]
+        pol = SparsityPolicy(mode="zipvl-exact", tau=0.75)
+        swapped = SparsityPolicy(
+            mode="zipvl-exact", tau=0.75, budget_metric="normalized", identify_metric="accumulated"
+        )
+        for important, _ in (
+            budget.plan_layer(pol, 0, 6, self.v, rank),
+            budget.plan_layer(swapped, 0, 6, rank, self.v),
+        ):
+            assert important.size == 2
+            assert important.tolist() == [2, 4]
 
     def test_keep_last_protects_the_trailing_window(self):
         # the window counts toward p: it displaces the weakest pick, and a
@@ -178,13 +195,18 @@ class TestPlanLayer:
         # the retained share stays the budget's: p = 2 holds exactly 6 of the mass 8
         mass = float(self.v.sum(dtype=np.float64))
         assert budget.top_mass_fraction(self.v, 2, mass) == 0.75
-        important, retained = budget.plan_layer("zipvl-exact", 6, self.v, self.v, 0.75, 0.5, 1)
+
+        def plan(keep_last):
+            pol = SparsityPolicy(mode="zipvl-exact", tau=0.75, keep_last=keep_last)
+            return budget.plan_layer(pol, 0, 6, self.v, self.v)
+
+        important, retained = plan(1)
         assert retained == 0.75
         assert important.tolist() == [1, 5]
-        important, retained = budget.plan_layer("zipvl-exact", 6, self.v, self.v, 0.75, 0.5, 3)
+        important, retained = plan(3)
         assert retained == 0.75
         assert important.tolist() == [3, 4, 5]
-        important, _ = budget.plan_layer("zipvl-exact", 6, self.v, self.v, 0.75, 0.5, 99)
+        important, _ = plan(99)
         assert important.tolist() == list(range(6))
 
 

@@ -28,6 +28,15 @@ def _load_script(name):
 GOLDEN_COMMANDS = _load_script("update_golden").COMMANDS
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -139,8 +148,38 @@ class TestExitCodes:
             ("seed=-5\n", ["run", "--workload-file", WORKLOAD], "seed=-5 must be >= 0"),
             ("n=-1\nlayers=1\nd_model=8\nheads=1\n", ["run"], "n=-1 must be >= 0"),
             ("", ["sweep-tau", "--taus", "0.5,abc", "--workload-file", WORKLOAD], "taus"),
+            # tau, fixed_ratio and probe_recent are checked whatever the mode
+            (
+                "",
+                ["run", "--mode", "fixed", "--tau", "nan", "--workload-file", WORKLOAD],
+                "tau=nan outside (0, 1]",
+            ),
+            (
+                "",
+                ["compare", "--modes", "fixed,dense", "--tau", "7", "--workload-file", WORKLOAD],
+                "tau=7.0 outside (0, 1]",
+            ),
+            (
+                "fixed_ratio=0\n",
+                ["run", "--mode", "zipvl-exact", "--workload-file", WORKLOAD],
+                "fixed_ratio=0.0 outside (0, 1]",
+            ),
+            (
+                "probe_recent=0\n",
+                ["run", "--mode", "dense", "--workload-file", WORKLOAD],
+                "probe_recent must be >= 1",
+            ),
+            (
+                "",
+                ["compare", "--modes", "dense,dense", "--workload-file", WORKLOAD],
+                "mode 'dense' repeated in modes",
+            ),
         ],
-        ids=["seed-flag", "seed-config", "model-n", "taus"],
+        ids=[
+            "seed-flag", "seed-config", "model-n", "taus", "tau-nan-fixed-run",
+            "tau-compare-without-adaptive", "fixed-ratio-adaptive", "probe-recent-dense",
+            "repeated-mode",
+        ],
     )
     def test_bad_value_is_config_error(self, capsys, tmp_path, config, argv, message):
         path = tmp_path / "c.cfg"
@@ -213,7 +252,7 @@ class TestExitCodes:
         path.write_text("max_seq=24\nn=16\nsteps=8\nlayers=1\nd_model=8\nheads=1\n")
         rc, out, _ = run_cli(capsys, "--config", str(path), "run")
         assert rc == 0
-        assert len(json.loads(out)["generated"]) == 8
+        assert len(strict_json(out)["generated"]) == 8
 
     def test_success_is_zero(self, capsys):
         rc, out, _ = run_cli(capsys, "run", "--workload-file", WORKLOAD)
@@ -248,6 +287,7 @@ class TestDeterminism:
         rc2, out2, _ = run_cli(capsys, "run", "--workload-file", WORKLOAD, "--tau", "0.9")
         assert rc1 == rc2 == 0
         assert out1 == out2
+        strict_json(out1)
 
     def test_model_run_twice_byte_identical(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -256,6 +296,7 @@ class TestDeterminism:
         rc2, out2, _ = run_cli(capsys, "--config", str(cfg), "run", "--tau", "0.9")
         assert rc1 == rc2 == 0
         assert out1 == out2
+        strict_json(out1)
 
     def test_seed_changes_model_run(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -279,6 +320,8 @@ class TestGolden:
         rc, out, _ = run_cli(capsys, *GOLDEN_COMMANDS[name])
         assert rc == 0
         assert out == (GOLDEN / name).read_text()
+        if name.endswith(".json"):
+            strict_json(out)
 
     def test_run_json(self, capsys):
         self.check(capsys, "run.json")
@@ -309,20 +352,20 @@ class TestSubcommandSemantics:
         )
         assert rc == 0
         assert out == ""
-        assert json.loads(out_path.read_text())["mean_ratio"] > 0
+        assert strict_json(out_path.read_text())["mean_ratio"] > 0
 
     def test_sweep_monotone_and_terminates_at_one(self, capsys):
         rc, out, _ = run_cli(
             capsys, "sweep-tau", "--workload-file", WORKLOAD, "--taus", "0.5,0.9,1.0"
         )
-        rows = json.loads(out)
+        rows = strict_json(out)
         ratios = [r["mean_ratio"] for r in rows]
         assert ratios == sorted(ratios)
         assert ratios[-1] == 1.0
 
     def test_compare_adaptive_meets_tau_fixed_does_not(self, capsys):
         rc, out, _ = run_cli(capsys, "compare", "--workload-file", WORKLOAD, "--tau", "0.9")
-        res = json.loads(out)
+        res = strict_json(out)
         assert res["adaptive_layers_below_tau"] == 0
         assert res["fixed_layers_below_tau"] >= 1
         by_mode = {e["mode"]: e for e in res["modes"]}
@@ -332,7 +375,7 @@ class TestSubcommandSemantics:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("n=24\nsteps=0\nlayers=2\nd_model=32\nheads=2\nvocab_size=64\n")
         rc, out, _ = run_cli(capsys, "--config", str(cfg), "compare", "--tau", "0.9")
-        res = json.loads(out)
+        res = strict_json(out)
         assert rc == 0
         by_mode = {e["mode"]: e for e in res["modes"]}
         assert by_mode["zipvl-exact"]["logit_delta_vs_dense"] >= 0.0
@@ -346,7 +389,7 @@ class TestSubcommandSemantics:
             capsys, "--config", str(cfg), "compare",
             "--modes", "zipvl-probe,dense", "--tau", "0.9",
         )
-        res = json.loads(out)
+        res = strict_json(out)
         assert rc == 0
         assert [e["mode"] for e in res["modes"]] == ["zipvl-probe", "dense"]
         assert "fixed_ratio_used" not in res
@@ -476,7 +519,7 @@ class TestSubcommandSemantics:
         assert rc == 0
         rc, out, _ = run_cli(capsys, "run", "--workload-file", str(w_path), "--tau", "0.9")
         assert rc == 0
-        res = json.loads(out)
+        res = strict_json(out)
         assert len(res["layer_reports"]) == 3
         assert all(r["n"] == 32 for r in res["layer_reports"])
 
@@ -487,7 +530,7 @@ class TestSubcommandSemantics:
             "mode=zipvl-probe\nprobe_recent=8\nprobe_random=8\n"
         )
         rc, out, _ = run_cli(capsys, "--config", str(cfg), "run")
-        res = json.loads(out)
+        res = strict_json(out)
         assert rc == 0
         assert all(r["probe_rows"] == 16 for r in res["layer_reports"])
 
@@ -504,7 +547,7 @@ class TestSubcommandSemantics:
              "heads": "2", "vocab_size": "64"}
         )
         res = cli.cmd_run(cfg)
-        assert json.loads(json.dumps(res)) == res
+        assert strict_json(json.dumps(res)) == res
 
 
 class TestRepeats:
@@ -528,7 +571,7 @@ class TestRepeats:
             "n=16\nsteps=0\nlayers=2\nd_model=32\nheads=2\nvocab_size=64\nrepeats=3\n"
         )
         rc, out, _ = run_cli(capsys, "--config", str(cfg), "run")
-        res = json.loads(out)
+        res = strict_json(out)
         assert rc == 0
         entries = res["repeats"]
         assert [e["repeat"] for e in entries] == [0, 1, 2]
@@ -550,3 +593,4 @@ class TestRepeats:
         a = run_cli(capsys, "run", "--workload-file", WORKLOAD, "--repeats", "2")
         b = run_cli(capsys, "run", "--workload-file", WORKLOAD, "--repeats", "2")
         assert a == b
+        strict_json(a[1])

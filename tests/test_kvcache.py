@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from zipvl import kvcache, numkit
+from zipvl import kvcache, metrics, numkit
 from zipvl.errors import BoundsError, DomainError, OrderingError, ShapeError
 
 
@@ -230,7 +230,9 @@ class TestQuantization:
 
     def test_memory_shrinks_and_is_positive(self):
         cache = filled_cache(layers=2, heads=2, t=64, d=32, seed=5)
-        dense_bytes = sum(kvcache.layer_memory_bytes(cache, i) for i in range(2))
+        dense_bytes = sum(
+            metrics.kv_bytes(cache.rows(i), cache.d_head, cache.heads) for i in range(2)
+        )
         q_bytes = sum(
             kvcache.quantize_mixed(cache, i, kept(range(16)), group_size=32) for i in range(2)
         )

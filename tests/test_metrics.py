@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zipvl import metrics
-from zipvl.engine import LayerReport, SparsityPolicy
+from zipvl.engine import SparsityPolicy
 
 
 def make_report(layer, n, p, probe_rows=0, d_head=4, heads=2):
-    return LayerReport(
+    return metrics.LayerReport(
         layer=layer,
         n=n,
         p=p,
@@ -47,6 +47,20 @@ class TestFlopsFormulas:
         assert metrics.attn_flops_sparse(p, n, d_head, heads) <= metrics.attn_flops_dense(
             n, d_head, heads
         )
+
+
+class TestLayerReport:
+    def test_derives_ratio_and_flops(self):
+        got = metrics.layer_report(
+            layer=3, n=40, p=10, retained_mass=1.0, d_head=4, heads=2, probe_rows=5,
+            kv_rows=10, kv_bytes=metrics.kv_bytes(10, d_head=4, heads=2),
+        )
+        assert got == make_report(3, 40, 10, probe_rows=5)
+        assert got.ratio == 0.25
+
+    def test_kv_bytes_formula(self):
+        assert metrics.kv_bytes(10, d_head=8, heads=3) == 2 * 3 * 10 * 8 * 4
+        assert metrics.kv_bytes(0, d_head=8, heads=3) == 0
 
 
 class TestRunReport:
@@ -87,3 +101,23 @@ class TestRunReport:
         )
         assert run.policy["mode"] == "zipvl-probe"
         assert run.policy["probe_recent"] == 7
+
+    @given(
+        st.lists(st.integers(1, 64), min_size=1, max_size=6),
+        st.integers(0, 12),
+        st.integers(1, 16),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_decode_flops_charge_each_step(self, kept, steps, d_head, heads):
+        # step s (from 1) attends over each layer's prefill rows + the s rows decode appended
+        reports = [make_report(i, 64, p, d_head=d_head, heads=heads) for i, p in enumerate(kept)]
+        run = metrics.build_run_report(
+            SparsityPolicy(), reports, d_head, heads, generated=list(range(steps))
+        )
+        want = sum(
+            4 * (r.kv_rows + s) * d_head * heads for s in range(1, steps + 1) for r in reports
+        )
+        assert run.decode_attn_flops == want
+        idle = metrics.build_run_report(SparsityPolicy(), reports, d_head, heads, generated=[])
+        assert idle.decode_attn_flops == 0

@@ -319,9 +319,7 @@ class TestEvaluate:
         for layer, r in enumerate(workload.evaluate_score_workload(scores, pol)):
             assert r.p == r.kv_rows == 64
             assert r.kv_bytes == 2 * 64 * 4
-            important, _ = budget.plan_layer(
-                pol.mode, 256, scores[layer], scores[layer], 0.5, 0.5, 64
-            )
+            important, _ = budget.plan_layer(pol, layer, 256, scores[layer], scores[layer])
             assert important.tolist() == list(range(192, 256))
 
     def test_retained_mass_is_the_budgets_top_mass(self):
