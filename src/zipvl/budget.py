@@ -74,31 +74,28 @@ def partition_tokens(normalized: np.ndarray, p: int) -> np.ndarray:
 
 
 def plan_layer(
-    policy, layer: int, n: int, accumulated: np.ndarray | None, normalized: np.ndarray | None
+    policy, n: int, accumulated: np.ndarray | None, normalized: np.ndarray | None
 ) -> tuple[np.ndarray, float]:
     """Plan one layer's n-token budget under a SparsityPolicy.
 
-    Sizes the budget from the policy's budget_metric score and fills it by
-    its identify_metric score. Returns the important positions, sorted
-    ascending, and the share of the sizing score's mass the budget's top
-    tokens cover. A layer in dense mode (policy.layer_mode) keeps every
-    token with share 1.0, fixed keeps round(fixed_ratio * n), and the
-    adaptive modes take the budget for tau. The last keep_last tokens are
-    always kept, raising the kept count above the budget's p when they
-    must. dense reads no score, so a dense layer passes None for both.
+    Sizes the budget from the accumulated score and fills it by the
+    normalized one. Returns the important positions, sorted ascending, and
+    the share of the accumulated mass the budget's top tokens cover. Mode
+    dense keeps every token with share 1.0, fixed keeps
+    round(fixed_ratio * n), and the adaptive modes take the budget for tau.
+    The last keep_last tokens are always kept, raising the kept count above
+    the budget's p when they must. dense reads no score, so mode dense
+    passes None for both.
     """
-    mode = policy.layer_mode(layer)
-    if mode == "dense":
+    if policy.mode == "dense":
         return np.arange(n, dtype=np.int64), 1.0
-    metric = {"accumulated": accumulated, "normalized": normalized}
-    size_by = metric[policy.budget_metric]
-    mass = float(np.sum(size_by, dtype=np.float64))
-    if mode == "fixed":
+    mass = float(np.sum(accumulated, dtype=np.float64))
+    if policy.mode == "fixed":
         p = fixed_budget(n, policy.fixed_ratio)
-        retained = top_mass_fraction(size_by, p, mass)
+        retained = top_mass_fraction(accumulated, p, mass)
     else:
-        p, retained = adaptive_budget(size_by, policy.tau, mass)
-    ident = np.array(metric[policy.identify_metric], dtype=np.float64)
+        p, retained = adaptive_budget(accumulated, policy.tau, mass)
+    ident = np.array(normalized, dtype=np.float64)
     n_prot = min(policy.keep_last, n)
     if n_prot:
         ident[n - n_prot :] = np.inf

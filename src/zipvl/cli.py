@@ -79,12 +79,9 @@ class ExperimentConfig:
     fixed_ratio: float = 0.5
     probe_recent: int = 64
     probe_random: int = 64
-    budget_metric: str = "accumulated"
-    identify_metric: str = "normalized"
     keep_last: int = 0
     quantize: bool = False
     group_size: int = 64
-    dense_first_layers: int = 0
     # shared
     seed: int = 1234
     repeats: int = 1
@@ -354,6 +351,7 @@ def cmd_gen_workload(cfg: ExperimentConfig) -> np.ndarray:
     """The generated (layers, n) scores; main writes them as workload CSV."""
     if cfg.workload not in ("peaked", "diffuse"):
         raise ConfigError("gen-workload needs workload=peaked or workload=diffuse")
+    _single_repeat(cfg, "gen-workload")
     return _build_subject(cfg)
 
 

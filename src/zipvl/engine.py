@@ -15,9 +15,9 @@ Per layer the prefill pass scores token importance, picks an important set,
 computes attention only among that set (everything else receives a zero
 attention output and rides the residual stream), and caches K/V for the
 important tokens only; with quantize it caches every token instead, at 4
-bits if important and 2 if not, quantized as the layer is written. Dense
-layers (mode dense, and the first dense_first_layers layers of any mode)
-keep every token, so they compute no scores at all. Decode appends
+bits if important and 2 if not, quantized as the layer is written. Every
+layer of a run runs the policy's mode; in mode dense each layer keeps
+every token, so it computes no scores at all. Decode appends
 unconditionally and attends to the whole cache, up to max_seq positions.
 """
 
@@ -37,7 +37,6 @@ from .errors import (
 )
 
 MODES = ("dense", "zipvl-exact", "zipvl-probe", "fixed")
-METRIC_NAMES = ("accumulated", "normalized")
 
 _NORM_EPS = np.float32(1e-5)
 
@@ -76,12 +75,9 @@ class SparsityPolicy:
     fixed_ratio: float = 0.5
     probe_recent: int = 64
     probe_random: int = 64
-    budget_metric: str = "accumulated"
-    identify_metric: str = "normalized"
     keep_last: int = 0
     quantize: bool = False
     group_size: int = 64
-    dense_first_layers: int = 0
 
     def validate(self) -> "SparsityPolicy":
         if self.mode not in MODES:
@@ -92,17 +88,11 @@ class SparsityPolicy:
             raise ConfigError(f"fixed_ratio={self.fixed_ratio} outside (0, 1]")
         if self.probe_recent < 1:
             raise ConfigError("probe_recent must be >= 1")
-        if self.probe_random < 0 or self.keep_last < 0 or self.dense_first_layers < 0:
+        if self.probe_random < 0 or self.keep_last < 0:
             raise ConfigError("counts must be nonnegative")
-        if self.budget_metric not in METRIC_NAMES or self.identify_metric not in METRIC_NAMES:
-            raise ConfigError(f"metrics must be one of {METRIC_NAMES}")
         if self.group_size < 1:
             raise ConfigError("group_size must be >= 1")
         return self
-
-    def layer_mode(self, layer: int) -> str:
-        """The mode a layer runs in: the first dense_first_layers run dense."""
-        return "dense" if layer < self.dense_first_layers else self.mode
 
 
 @dataclass
@@ -235,9 +225,9 @@ def prefill(
     its important set; with the set equal to all tokens that path is the
     dense computation. Tokens outside the set get a zero attention output,
     which the no-bias output projection keeps exactly zero, so their
-    residual stream passes through the attention sublayer unchanged. A
-    dense layer computes no scores; its trace entry carries None for
-    accumulated and normalized.
+    residual stream passes through the attention sublayer unchanged. Mode
+    dense computes no scores; its trace entries carry None for accumulated
+    and normalized.
     """
     config = model.config
     policy.validate()
@@ -254,11 +244,11 @@ def prefill(
         qkv = _rms_norm(h, lw.gain_attn) @ lw.wqkv
         q, k, v = qkv.reshape(n, 3, config.heads, d_head).transpose(1, 2, 0, 3)
 
-        if policy.layer_mode(layer) == "dense":
+        if policy.mode == "dense":
             acc, norm, probe_rows = None, None, 0
         else:
             acc, norm, probe_rows = _token_scores(q, k, scale, policy, config.seed, layer)
-        imp, retained_mass = budget.plan_layer(policy, layer, n, acc, norm)
+        imp, retained_mass = budget.plan_layer(policy, n, acc, norm)
 
         attn = np.zeros((config.heads, n, d_head), dtype=np.float32)
         for i in range(config.heads):

@@ -41,8 +41,8 @@ def kv_bytes(rows: int, d_head: int, heads: int) -> int:
 class LayerReport:
     """Per-layer outcome of one prefill pass.
 
-    retained_mass is the budget_metric mass share of the budget's top tokens,
-    taken before keep_last; the kept set, ranked by identify_metric, can hold less.
+    retained_mass is the accumulated mass share of the budget's top tokens,
+    taken before keep_last; the kept set, ranked by normalized score, can hold less.
     """
 
     layer: int

@@ -209,10 +209,10 @@ def _check_not_short(rows: list, lineno: int) -> None:
 def evaluate_score_workload(scores: np.ndarray, policy) -> list:
     """Apply a budgeting policy directly to score vectors, one per layer.
 
-    The score row stands in for both importance metrics, so this path
-    exercises budgeting and accounting without a model. keep_last and
-    dense_first_layers apply as in prefill; probe mode needs real attention
-    rows and quantization needs a KV cache, so both are rejected.
+    The score row stands in for both the accumulated and the normalized
+    score, so this path exercises budgeting and accounting without a model.
+    keep_last applies as in prefill; probe mode needs real attention rows
+    and quantization needs a KV cache, so both are rejected.
     """
     policy.validate()
     if policy.mode == "zipvl-probe":
@@ -225,7 +225,7 @@ def evaluate_score_workload(scores: np.ndarray, policy) -> list:
     reports = []
     n = scores.shape[1]
     for layer, vec in enumerate(scores):
-        important, retained_mass = budget.plan_layer(policy, layer, n, vec, vec)
+        important, retained_mass = budget.plan_layer(policy, n, vec, vec)
         p = int(important.size)
         reports.append(
             metrics.layer_report(

@@ -146,48 +146,38 @@ class TestPlanLayer:
 
     def test_dense_keeps_everything(self):
         pol = SparsityPolicy(mode="dense", tau=0.5)
-        important, retained = budget.plan_layer(pol, 0, 6, self.v, self.v)
+        important, retained = budget.plan_layer(pol, 6, self.v, self.v)
         assert (important.size, retained) == (6, 1.0)
         assert important.tolist() == list(range(6))
 
     def test_dense_needs_only_the_token_count(self):
-        # dense mode, and a layer below dense_first_layers in any mode
-        for pol in (
-            SparsityPolicy(mode="dense", tau=0.5, keep_last=3),
-            SparsityPolicy(mode="zipvl-exact", tau=0.5, keep_last=3, dense_first_layers=1),
-        ):
-            important, retained = budget.plan_layer(pol, 0, 6, None, None)
-            scored, scored_retained = budget.plan_layer(pol, 0, 6, self.v, self.v)
-            assert retained == scored_retained
-            assert np.array_equal(important, scored)
-            assert important.dtype == np.int64
-            assert important.tolist() == list(range(6))
+        pol = SparsityPolicy(mode="dense", tau=0.5, keep_last=3)
+        important, retained = budget.plan_layer(pol, 6, None, None)
+        scored, scored_retained = budget.plan_layer(pol, 6, self.v, self.v)
+        assert retained == scored_retained
+        assert np.array_equal(important, scored)
+        assert important.dtype == np.int64
+        assert important.tolist() == list(range(6))
 
     def test_adaptive_and_fixed_match_their_budgets(self):
         mass = float(self.v.sum(dtype=np.float64))
         pol = SparsityPolicy(mode="zipvl-exact", tau=0.75, fixed_ratio=0.5)
-        important, retained = budget.plan_layer(pol, 0, 6, self.v, self.v)
+        important, retained = budget.plan_layer(pol, 6, self.v, self.v)
         assert (important.size, retained) == budget.adaptive_budget(self.v, 0.75, mass)
         assert important.tolist() == [1, 3]
         pol = SparsityPolicy(mode="fixed", tau=0.75, fixed_ratio=0.5)
-        important, retained = budget.plan_layer(pol, 0, 6, self.v, self.v)
+        important, retained = budget.plan_layer(pol, 6, self.v, self.v)
         assert important.size == 3
         assert retained == budget.top_mass_fraction(self.v, 3, mass)
         assert important.tolist() == [1, 3, 4]
 
     def test_sizes_and_ranks_by_separate_vectors(self):
-        # the policy's budget_metric sizes the budget and its identify_metric fills it
+        # the accumulated score sizes the budget and the normalized score fills it
         rank = self.v[::-1].copy()
         pol = SparsityPolicy(mode="zipvl-exact", tau=0.75)
-        swapped = SparsityPolicy(
-            mode="zipvl-exact", tau=0.75, budget_metric="normalized", identify_metric="accumulated"
-        )
-        for important, _ in (
-            budget.plan_layer(pol, 0, 6, self.v, rank),
-            budget.plan_layer(swapped, 0, 6, rank, self.v),
-        ):
-            assert important.size == 2
-            assert important.tolist() == [2, 4]
+        important, _ = budget.plan_layer(pol, 6, self.v, rank)
+        assert important.size == 2
+        assert important.tolist() == [2, 4]
 
     def test_keep_last_protects_the_trailing_window(self):
         # the window counts toward p: it displaces the weakest pick, and a
@@ -198,7 +188,7 @@ class TestPlanLayer:
 
         def plan(keep_last):
             pol = SparsityPolicy(mode="zipvl-exact", tau=0.75, keep_last=keep_last)
-            return budget.plan_layer(pol, 0, 6, self.v, self.v)
+            return budget.plan_layer(pol, 6, self.v, self.v)
 
         important, retained = plan(1)
         assert retained == 0.75

@@ -89,6 +89,19 @@ class TestExitCodes:
         assert rc == 2
         assert "bogus" in err
 
+    # keys of policy knobs that no longer exist: every layer runs the policy's
+    # mode, sized by accumulated and ranked by normalized score
+    @pytest.mark.parametrize("line", [
+        "budget_metric=accumulated", "identify_metric=normalized", "dense_first_layers=0",
+    ])
+    def test_removed_policy_key_is_unknown(self, capsys, tmp_path, line):
+        path = tmp_path / "c.cfg"
+        path.write_text(line + "\n")
+        rc, out, err = run_cli(capsys, "--config", str(path), "run", "--workload-file", WORKLOAD)
+        assert rc == 2
+        assert out == ""
+        assert f"unknown config key {line.split('=')[0]!r}" in err
+
     def test_missing_config_file(self, capsys):
         rc, _, _ = run_cli(capsys, "--config", "/no/such/file.cfg", "run")
         assert rc == 2
@@ -220,6 +233,15 @@ class TestExitCodes:
     def test_gen_workload_needs_kind(self, capsys):
         rc, _, _ = run_cli(capsys, "gen-workload")
         assert rc == 2
+
+    def test_gen_workload_rejects_repeats(self, capsys, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("repeats=3\n")
+        rc, out, err = run_cli(
+            capsys, "--config", str(path), "gen-workload", "--kind", "peaked", "--n", "4"
+        )
+        assert rc == 2
+        assert "repeats" in err and out == ""
 
     @pytest.mark.parametrize("command", ["run", "compare", "sweep-tau"])
     def test_decode_past_max_seq_is_bounds_error_before_prefill(

@@ -184,14 +184,10 @@ class TestSparsityMechanics:
             assert r.kv_bytes == 2 * CFG.heads * r.p * CFG.d_head * 4
 
     def test_partition_uses_identify_metric(self, model, prompt):
+        # the normalized score ranks the tokens that fill the budget
         trace: list = []
         engine.prefill(
-            model,
-            prompt,
-            engine.SparsityPolicy(
-                mode="zipvl-exact", tau=0.8, identify_metric="normalized"
-            ),
-            trace=trace,
+            model, prompt, engine.SparsityPolicy(mode="zipvl-exact", tau=0.8), trace=trace
         )
         for entry in trace:
             imp = entry["important"]
@@ -211,15 +207,6 @@ class TestSparsityMechanics:
         for entry in trace:
             kept = set(entry["important"].tolist())
             assert {n - 4, n - 3, n - 2, n - 1} <= kept
-
-    def test_dense_first_layers(self, model, prompt):
-        _, _, reports = engine.prefill(
-            model,
-            prompt,
-            engine.SparsityPolicy(mode="zipvl-exact", tau=0.5, dense_first_layers=2),
-        )
-        assert reports[0].p == len(prompt) and reports[1].p == len(prompt)
-        assert reports[2].p < len(prompt)
 
     def test_fixed_mode_constant_ratio(self, model, prompt):
         _, _, reports = engine.prefill(
@@ -314,23 +301,18 @@ def _count_calls(monkeypatch, module, *names):
 class TestScoringWork:
     SCORING = ("causal_scores", "probe_attention", "accumulated_scores", "normalized_scores")
 
-    @pytest.mark.parametrize("policy", [
-        engine.SparsityPolicy(mode="dense"),
-        engine.SparsityPolicy(mode="zipvl-exact", dense_first_layers=CFG.layers),
-        engine.SparsityPolicy(mode="zipvl-probe", dense_first_layers=CFG.layers),
-    ])
-    def test_dense_layers_score_nothing(self, model, prompt, monkeypatch, policy):
+    def test_dense_layers_score_nothing(self, model, prompt, monkeypatch):
         counts = _count_calls(monkeypatch, attention, *self.SCORING)
-        _, _, reports = engine.prefill(model, prompt, policy)
+        _, _, reports = engine.prefill(model, prompt, engine.SparsityPolicy(mode="dense"))
         assert counts == dict.fromkeys(self.SCORING, 0)
         assert all(r.p == len(prompt) and r.retained_mass == 1.0 for r in reports)
 
     @pytest.mark.parametrize("mode", ["zipvl-exact", "zipvl-probe", "fixed"])
     def test_scored_layers_sum_each_head_once(self, model, prompt, monkeypatch, mode):
         counts = _count_calls(monkeypatch, attention, *self.SCORING)
-        pol = engine.SparsityPolicy(mode=mode, dense_first_layers=1, probe_recent=8, probe_random=8)
+        pol = engine.SparsityPolicy(mode=mode, probe_recent=8, probe_random=8)
         engine.prefill(model, prompt, pol)
-        scored = CFG.heads * (CFG.layers - 1)
+        scored = CFG.heads * CFG.layers
         assert counts["accumulated_scores"] == scored
         assert counts["normalized_scores"] == scored
         # probe_attention reaches causal_scores once per call
@@ -350,8 +332,7 @@ class TestScoringWork:
         model = engine.init_model(cfg)
         toks = numkit.make_rng(n).integers(0, cfg.vocab_size, size=n, dtype=np.int64)
         pol = engine.SparsityPolicy(
-            mode=mode, tau=0.9, probe_recent=70, probe_random=20, quantize=quantize,
-            group_size=8, dense_first_layers=1,
+            mode=mode, tau=0.9, probe_recent=70, probe_random=20, quantize=quantize, group_size=8
         )
         blocked = engine.prefill(model, toks, pol)
         monkeypatch.setattr(numkit, "causal_column_mass", oracles.column_mass_from_matrix)
@@ -363,10 +344,12 @@ class TestScoringWork:
                 assert np.array_equal(got, want)
 
     def test_dense_trace_entry_has_no_score_vectors(self, model, prompt):
-        trace: list = []
-        pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.8, dense_first_layers=1)
-        engine.prefill(model, prompt, pol, trace=trace)
-        dense, scored = trace[0], trace[1]
+        dense_trace: list = []
+        scored_trace: list = []
+        engine.prefill(model, prompt, engine.SparsityPolicy(mode="dense"), trace=dense_trace)
+        pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.8)
+        engine.prefill(model, prompt, pol, trace=scored_trace)
+        dense, scored = dense_trace[0], scored_trace[0]
         assert dense["accumulated"] is None and dense["normalized"] is None
         assert dense["probe_rows"] == 0
         assert dense["important"].tolist() == list(range(len(prompt)))
@@ -463,7 +446,7 @@ class TestQuantizedPipeline:
             want = oracles.group_fake_quantize(getattr(dcache, name)[0], bits, 8)
             assert np.array_equal(getattr(qcache, name)[0], want)
 
-    @pytest.mark.parametrize("mode", ["zipvl-exact", "zipvl-probe", "fixed"])
+    @pytest.mark.parametrize("mode", engine.MODES)
     @pytest.mark.parametrize("group_size", [8, 5])
     def test_each_layer_matches_the_oracle_and_packed_bytes(
         self, monkeypatch, model, prompt, mode, group_size
@@ -472,7 +455,7 @@ class TestQuantizedPipeline:
         # row, holds each layer's full K/V and traces its important set
         pol = engine.SparsityPolicy(
             mode=mode, tau=0.8, probe_recent=8, probe_random=8, quantize=True,
-            group_size=group_size, dense_first_layers=1,
+            group_size=group_size,
         )
         logits_q, qcache, reports = engine.prefill(model, prompt, pol)
         trace: list = []
@@ -489,7 +472,7 @@ class TestQuantizedPipeline:
         for layer, (entry, r) in enumerate(zip(trace, reports)):
             important = set(entry["important"].tolist())
             bits = [4 if j in important else 2 for j in range(n)]
-            assert (bits.count(4) == n) == (layer == 0)
+            assert (bits.count(4) == n) == (mode == "dense")
             assert qcache.positions[layer].tolist() == list(range(n))
             for name in ("keys", "values"):
                 want = oracles.group_fake_quantize(getattr(full, name)[layer], bits, group_size)
@@ -577,8 +560,7 @@ class TestDecode:
         model = engine.init_model(cfg)
         toks = numkit.make_rng(heads).integers(0, cfg.vocab_size, size=16, dtype=np.int64)
         pol = engine.SparsityPolicy(
-            mode=mode, tau=0.9, probe_recent=4, probe_random=4, quantize=quantize,
-            group_size=8, dense_first_layers=1,
+            mode=mode, tau=0.9, probe_recent=4, probe_random=4, quantize=quantize, group_size=8
         )
         logits, cache, _ = engine.prefill(model, toks, pol)
         _, ref_cache, _ = engine.prefill(model, toks, pol)

@@ -143,6 +143,29 @@ def _replace_line(i, line):
     return mutate
 
 
+def _join_line(i, sep):
+    """End line i with sep instead of its newline, so it runs on into line i + 1."""
+
+    def mutate(text):
+        lines = text.splitlines(keepends=True)
+        lines[i] = lines[i][:-1] + sep
+        return "".join(lines)
+
+    return mutate
+
+
+# str.splitlines ends a line at each of these; readlines and csv do not
+SPLITLINES_ONLY = {
+    "vertical tab": "\x0b",
+    "form feed": "\x0c",
+    "file separator": "\x1c",
+    "group separator": "\x1d",
+    "record separator": "\x1e",
+    "next line": "\x85",
+    "line separator": "\u2028",
+    "paragraph separator": "\u2029",
+}
+
 # each turns a valid 3x4 workload CSV into one the batched parser must read
 # as the row parser does; rows 1-4 are layer 0, rows 5-8 layer 1
 MUTATIONS = {
@@ -179,6 +202,7 @@ MUTATIONS = {
     "header only": lambda t: t.splitlines(keepends=True)[0],
     "quoted header": lambda t: t.replace("layer,token,score", '"layer","token","score"', 1),
     "bad header": lambda t: t.replace("layer", "layers", 1),
+    **{f"{name} between rows": _join_line(3, sep) for name, sep in SPLITLINES_ONLY.items()},
 }
 
 
@@ -203,6 +227,15 @@ class TestBatchedReader:
         path.write_bytes(text.encode())
         with open(path, "r", newline="") as fh:
             assert _same(_read_outcome(fh), _read_outcome(_Unseekable(text, newline="")))
+
+    @pytest.mark.parametrize("sep", SPLITLINES_ONLY.values())
+    def test_splitlines_only_separator_joins_two_rows(self, sep):
+        # one line of 5 fields, not two rows, so a reader that splits with
+        # str.splitlines would accept what the row parser rejects
+        text = _join_line(3, sep)(self.BASE)
+        assert workload._read_valid(io.StringIO(text, newline="")) is None
+        with pytest.raises(FormatError, match="^line 4: expected 3 fields, got 5$"):
+            workload.read_workload_csv(io.StringIO(text, newline=""))
 
     @pytest.mark.parametrize("batch_chars", [40, workload._BATCH_CHARS])
     def test_valid_file_skips_the_row_parser(self, monkeypatch, batch_chars):
@@ -319,7 +352,7 @@ class TestEvaluate:
         for layer, r in enumerate(workload.evaluate_score_workload(scores, pol)):
             assert r.p == r.kv_rows == 64
             assert r.kv_bytes == 2 * 64 * 4
-            important, _ = budget.plan_layer(pol, layer, 256, scores[layer], scores[layer])
+            important, _ = budget.plan_layer(pol, 256, scores[layer], scores[layer])
             assert important.tolist() == list(range(192, 256))
 
     def test_retained_mass_is_the_budgets_top_mass(self):
@@ -340,13 +373,6 @@ class TestEvaluate:
         scores = workload.generate_workload("peaked", 16, 1, 4.0, seed=8)
         with pytest.raises(ConfigError):
             workload.evaluate_score_workload(scores, SparsityPolicy(quantize=True))
-
-    def test_dense_first_layers_apply(self):
-        scores = workload.generate_workload("peaked", 64, 3, 8.0, seed=12)
-        pol = SparsityPolicy(mode="zipvl-exact", tau=0.5, dense_first_layers=2)
-        reports = workload.evaluate_score_workload(scores, pol)
-        assert [r.p for r in reports[:2]] == [64, 64]
-        assert reports[2].p < 64
 
     @given(st.integers(2, 60), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
