@@ -15,11 +15,12 @@ measured and modeled speedup over dense.
 
 Rows of one invocation form a row set under --label in each file; the files
 keep every row set, so the trajectory across changes can be read. The model
-has the CLI default shape, 4 layers x 4 heads x d_model 64 with a 256-token
-vocabulary, but not the CLI's weights: it seeds init_model with 1234
-directly, where the CLI derives its model seed from the global seed. The
-policies keep the default knobs (tau 0.975, fixed_ratio 0.5, probes
-64 + 64); numpy runs on one BLAS thread.
+has the CLI default shape, read from cli.ExperimentConfig (4 layers x 4
+heads x d_model 64 with a 256-token vocabulary), but not the CLI's
+weights: it seeds init_model with 1234 directly, where the CLI derives its
+model seed from the global seed. The policies keep the default knobs
+(tau 0.975, fixed_ratio 0.5, probes 64 + 64); numpy runs on one BLAS
+thread.
 
 Usage:
     PYTHONPATH=src python3 scripts/bench.py --label NAME
@@ -39,12 +40,14 @@ import tracemalloc
 
 import numpy as np
 
-from zipvl import engine
+from zipvl import cli, engine
 
 SIZES = (128, 512, 2048)
 PROMPT, STEPS = 2048, 256
 REPEATS = 3
-LAYERS, HEADS, D_MODEL, VOCAB, SEED = 4, 4, 64, 256, 1234
+_SHAPE = cli.ExperimentConfig()
+LAYERS, HEADS, D_MODEL, VOCAB = _SHAPE.layers, _SHAPE.heads, _SHAPE.d_model, _SHAPE.vocab_size
+SEED = 1234
 DECODE_POLICIES = (
     ("dense", {"mode": "dense"}),
     ("fixed 0.25", {"mode": "fixed", "fixed_ratio": 0.25}),

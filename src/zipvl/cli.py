@@ -7,9 +7,10 @@ Subcommands:
   gen-workload  write a synthetic score workload CSV
 
 Configuration comes from an optional key=value file (--config) overlaid by
-a few direct flags; unknown keys are errors. All output is deterministic:
-keys are sorted, floats use shortest round-trip repr, and nothing records
-time or environment.
+the flags, each of which sets the config key its argparse dest names;
+unknown keys are errors. All output is deterministic: keys are sorted,
+floats use shortest round-trip repr, and nothing records time or
+environment.
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ _MODEL_TAG = 1
 _WORKLOAD_TAG = 2
 _PROMPT_TAG = 3
 
-WORKLOAD_SOURCES = ("model", "peaked", "diffuse", "file")
+WORKLOAD_SOURCES = ("model", *workload.KINDS, "file")
+
+_DEFAULT_POLICY = engine.SparsityPolicy()
 
 
 @dataclass
@@ -73,15 +76,15 @@ class ExperimentConfig:
     steps: int = 16
     concentration: float = 8.0
     workload_file: str = ""
-    # sparsity policy
+    # sparsity policy: SparsityPolicy's defaults, except the mode
     mode: str = "zipvl-exact"
-    tau: float = 0.975
-    fixed_ratio: float = 0.5
-    probe_recent: int = 64
-    probe_random: int = 64
-    keep_last: int = 0
-    quantize: bool = False
-    group_size: int = 64
+    tau: float = _DEFAULT_POLICY.tau
+    fixed_ratio: float = _DEFAULT_POLICY.fixed_ratio
+    probe_recent: int = _DEFAULT_POLICY.probe_recent
+    probe_random: int = _DEFAULT_POLICY.probe_random
+    keep_last: int = _DEFAULT_POLICY.keep_last
+    quantize: bool = _DEFAULT_POLICY.quantize
+    group_size: int = _DEFAULT_POLICY.group_size
     # shared
     seed: int = 1234
     repeats: int = 1
@@ -109,9 +112,13 @@ def _coerce(name: str, kind: type, raw: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse key=value lines ('#' comments allowed) into raw string values."""
+    """Parse key=value lines ('#' comments allowed) into raw string values.
+
+    A line ends at "\n" only; a "\r" before it is stripped with the rest of
+    the line's surrounding whitespace.
+    """
     raw: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -126,6 +133,12 @@ def parse_config_text(text: str) -> dict:
 
 
 def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
+    """The defaults, overlaid by the raw config values, then by the overrides that are not None.
+
+    An overriding workload_file implies workload=file unless the overrides
+    name a workload. workload=file needs a workload_file, and a
+    workload_file needs workload=file.
+    """
     fields = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
     types = {"int": int, "float": float, "str": str, "bool": bool}
     cfg = ExperimentConfig()
@@ -133,13 +146,17 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         if key not in fields:
             raise ConfigError(f"unknown config key {key!r}")
         setattr(cfg, key, _coerce(key, types[fields[key]], value))
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            setattr(cfg, key, value)
+    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+    if overrides.get("workload_file"):
+        overrides.setdefault("workload", "file")
+    for key, value in overrides.items():
+        setattr(cfg, key, value)
     if cfg.workload not in WORKLOAD_SOURCES:
         raise ConfigError(f"workload must be one of {WORKLOAD_SOURCES}")
     if cfg.workload == "file" and not cfg.workload_file:
         raise ConfigError("workload=file needs workload_file=<path>")
+    if cfg.workload_file and cfg.workload != "file":
+        raise ConfigError(f"workload_file needs workload=file, not workload={cfg.workload}")
     if cfg.repeats < 1:
         raise ConfigError("repeats must be >= 1")
     if cfg.seed < 0:
@@ -147,26 +164,19 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     return cfg
 
 
+def _validated(klass, cfg: ExperimentConfig, **changes):
+    """klass built from cfg's keys of its field names, `changes` applied on top, validated."""
+    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(klass)}
+    return klass(**{**values, **changes}).validate()
+
+
 def _policy(cfg: ExperimentConfig, **changes) -> engine.SparsityPolicy:
-    """The policy named by cfg's sparsity keys, with `changes` applied on top."""
-    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(engine.SparsityPolicy)}
-    return engine.SparsityPolicy(**{**values, **changes}).validate()
+    return _validated(engine.SparsityPolicy, cfg, **changes)
 
 
 def _adaptive_mode(cfg: ExperimentConfig) -> str:
-    """The adaptive mode sweep-tau and compare run: cfg.mode if adaptive, else zipvl-exact."""
-    return cfg.mode if cfg.mode in ("zipvl-exact", "zipvl-probe") else "zipvl-exact"
-
-
-def _model_config(cfg: ExperimentConfig) -> engine.ModelConfig:
-    return engine.ModelConfig(
-        layers=cfg.layers,
-        heads=cfg.heads,
-        d_model=cfg.d_model,
-        vocab_size=cfg.vocab_size,
-        max_seq=cfg.max_seq,
-        seed=numkit.derive_seed(cfg.seed, _MODEL_TAG),
-    ).validate()
+    """The adaptive mode sweep-tau and compare run: cfg.mode if adaptive, else the first one."""
+    return cfg.mode if cfg.mode in engine.ADAPTIVE_MODES else engine.ADAPTIVE_MODES[0]
 
 
 def _prompt_tokens(cfg: ExperimentConfig, repeat: int = 0) -> np.ndarray:
@@ -183,8 +193,8 @@ def _build_subject(
     the file, so a command builds its subject once and hands it to every
     run_experiment call; only a generated workload changes with the repeat.
     Negative steps, or a prompt plus its decode steps longer than max_seq,
-    are rejected here, before any prefill, by every command, although only
-    run decodes.
+    are rejected here (engine.check_length), before any prefill, by every
+    command, although only run decodes.
     """
     if cfg.workload == "file":
         try:
@@ -197,13 +207,10 @@ def _build_subject(
             cfg.workload, cfg.n, cfg.layers, cfg.concentration,
             numkit.derive_seed(cfg.seed, _WORKLOAD_TAG, repeat),
         )
-    config = _model_config(cfg)
+    config = _validated(engine.ModelConfig, cfg, seed=numkit.derive_seed(cfg.seed, _MODEL_TAG))
     if cfg.n < 0:
         raise ConfigError(f"n={cfg.n} must be >= 0")
-    if cfg.steps < 0:
-        raise BoundsError("steps must be >= 0")
-    if cfg.n + cfg.steps > config.max_seq:
-        raise BoundsError(f"n={cfg.n} + steps={cfg.steps} exceeds max_seq={config.max_seq}")
+    engine.check_length(cfg.n, cfg.steps, config.max_seq)
     return engine.init_model(config)
 
 
@@ -314,7 +321,7 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     for name in names:
         if name not in runs and name != "fixed":
             runs[name] = run_experiment(cfg, subject, _policy(cfg, mode=name))[:2]
-    adaptive = next((m for m in names if m.startswith("zipvl")), None)
+    adaptive = next((m for m in names if m in engine.ADAPTIVE_MODES), None)
     fixed_ratio = cfg.fixed_ratio if adaptive is None else runs[adaptive][0].mean_ratio
     if "fixed" in names:
         runs["fixed"] = run_experiment(
@@ -349,8 +356,9 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
 
 def cmd_gen_workload(cfg: ExperimentConfig) -> np.ndarray:
     """The generated (layers, n) scores; main writes them as workload CSV."""
-    if cfg.workload not in ("peaked", "diffuse"):
-        raise ConfigError("gen-workload needs workload=peaked or workload=diffuse")
+    if cfg.workload not in workload.KINDS:
+        kinds = " or ".join(f"workload={kind}" for kind in workload.KINDS)
+        raise ConfigError(f"gen-workload needs {kinds}")
     _single_repeat(cfg, "gen-workload")
     return _build_subject(cfg)
 
@@ -438,7 +446,7 @@ def make_parser() -> argparse.ArgumentParser:
     comp.add_argument("--modes", help="comma-separated mode list")
     comp.add_argument("--workload-file", dest="workload_file")
     gen = sub.add_parser("gen-workload", help="write a synthetic score workload CSV")
-    gen.add_argument("--kind", choices=("peaked", "diffuse"))
+    gen.add_argument("--kind", dest="workload", choices=workload.KINDS)
     gen.add_argument("--n", type=int)
     gen.add_argument("--layers", type=int)
     gen.add_argument("--concentration", type=float)
@@ -457,18 +465,8 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot read config: {exc}") from exc
             raw = parse_config_text(text)
-        overrides = {
-            key: getattr(args, key, None)
-            for key in (
-                "seed", "mode", "tau", "taus", "modes", "repeats",
-                "workload_file", "n", "layers", "concentration",
-            )
-        }
-        if getattr(args, "kind", None):
-            overrides["workload"] = args.kind
-        if getattr(args, "workload_file", None):
-            overrides["workload"] = "file"
-        cfg = build_config(raw, overrides)
+        keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        cfg = build_config(raw, {k: v for k, v in vars(args).items() if k in keys})
         # looked up per call, so a wrapper set on a cmd_* attribute sees it
         command = {
             "run": cmd_run,

@@ -1,9 +1,10 @@
 """Tiny deterministic multi-layer causal transformer with pluggable sparsity.
 
-The model is pre-norm with RMS norms, a 2-layer SiLU MLP, no biases, no
-positional embedding (position enters only through the causal mask), and an
-output head tied to the token embedding. Weights are drawn from a seeded
-generator in a fixed order, so a config reproduces the model bit-exactly.
+The model is pre-norm with gainless RMS norms, a 2-layer SiLU MLP, no
+biases, no positional embedding (position enters only through the causal
+mask), and an output head tied to the token embedding. Weights are drawn
+from a seeded generator in a fixed order, so a config reproduces the model
+bit-exactly.
 
 Four attention pipelines share one code path:
   dense        full attention, nothing evicted
@@ -36,7 +37,8 @@ from .errors import (
     VocabError,
 )
 
-MODES = ("dense", "zipvl-exact", "zipvl-probe", "fixed")
+ADAPTIVE_MODES = ("zipvl-exact", "zipvl-probe")
+MODES = ("dense", *ADAPTIVE_MODES, "fixed")
 
 _NORM_EPS = np.float32(1e-5)
 
@@ -103,8 +105,6 @@ class LayerWeights:
     wo: np.ndarray
     w_up: np.ndarray
     w_down: np.ndarray
-    gain_attn: np.ndarray
-    gain_mlp: np.ndarray
 
 
 @dataclass
@@ -125,7 +125,7 @@ def init_model(config: ModelConfig) -> TinyTransformer:
     Draw order: embedding, then per layer wq, wk, wv, wo, w_up, w_down.
     wq, wk and wv are stored concatenated as wqkv, so one product projects
     all three; each of its columns is the dot product the separate
-    projection would compute. Norm gains start at one.
+    projection would compute.
     """
     config.validate()
     rng = numkit.make_rng(config.seed)
@@ -138,41 +138,39 @@ def init_model(config: ModelConfig) -> TinyTransformer:
                 wo=_uniform(rng, d, d),
                 w_up=_uniform(rng, d, ff),
                 w_down=_uniform(rng, ff, d),
-                gain_attn=np.ones(d, dtype=np.float32),
-                gain_mlp=np.ones(d, dtype=np.float32),
             )
         )
     return model
 
 
-def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    """x / sqrt(mean(x^2) + eps) * gain over the last axis, float32 throughout.
+def _rms_norm(x: np.ndarray) -> np.ndarray:
+    """x / sqrt(mean(x^2) + eps) over the last axis, float32 throughout.
 
-    A matrix (prefill) runs the ufuncs np.mean runs for a float32 mean,
-    without its wrapper: a float32 sum of squares true-divided by the intp
-    count (a float64 quotient rounded to float32), then + eps, sqrt and the
-    reciprocal. A single row (decode) makes the same roundings on scalars,
-    with far fewer numpy calls; its sqrt is taken in float64 and rounded to
-    float32, which is the float32 sqrt, since 53 >= 2 * 24 + 2 bits make
-    that double rounding exact.
+    A matrix (prefill) takes np.mean of the squares: a float32 sum
+    true-divided by the intp count (a float64 quotient rounded to float32),
+    then + eps, sqrt and the reciprocal. A single row (decode) makes the
+    same roundings on scalars, with far fewer numpy calls; its sqrt is
+    taken in float64 and rounded to float32, which is the float32 sqrt,
+    since 53 >= 2 * 24 + 2 bits make that double rounding exact.
     """
     if x.ndim == 1:
         ms = np.float32(float(np.add.reduce(np.square(x))) / x.size) + _NORM_EPS
-        scale = 1.0 / np.float32(math.sqrt(ms))
-    else:
-        ms = np.add.reduce(np.square(x), axis=-1, keepdims=True)
-        np.true_divide(ms, np.intp(x.shape[-1]), out=ms, casting="unsafe")
-        ms += _NORM_EPS
-        scale = 1.0 / np.sqrt(ms, out=ms)
-    out = x * scale
-    out *= gain
-    return out
+        return x * (1.0 / np.float32(math.sqrt(ms)))
+    return x * (1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + _NORM_EPS))
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows: x / (1 + e^-x) for x >= 0, x e^x / (1 + e^x) below
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, x, x * e) / (1.0 + e)
+
+
+def check_length(n: int, steps: int, max_seq: int) -> None:
+    """BoundsError unless steps >= 0 and an n-token prompt plus its steps fits max_seq."""
+    if steps < 0:
+        raise BoundsError("steps must be >= 0")
+    if n + steps > max_seq:
+        raise BoundsError(f"n={n} + steps={steps} exceeds max_seq={max_seq}")
 
 
 def _check_tokens(tokens: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -241,7 +239,7 @@ def prefill(
     for layer, lw in enumerate(model.layers):
         h_before = h
         # (n, 3d) -> (3, heads, n, d_head) views: q, k and v split by head
-        qkv = _rms_norm(h, lw.gain_attn) @ lw.wqkv
+        qkv = _rms_norm(h) @ lw.wqkv
         q, k, v = qkv.reshape(n, 3, config.heads, d_head).transpose(1, 2, 0, 3)
 
         if policy.mode == "dense":
@@ -256,8 +254,7 @@ def prefill(
         proj = attn.transpose(1, 0, 2).reshape(n, config.d_model) @ lw.wo
         h = h + proj
         h_after_attn = h
-        x2 = _rms_norm(h, lw.gain_mlp)
-        h = h + _silu(x2 @ lw.w_up) @ lw.w_down
+        h = h + _silu(_rms_norm(h) @ lw.w_up) @ lw.w_down
 
         cache.set_layer(layer, k, v, np.arange(n, dtype=np.int64))
         if policy.quantize:
@@ -298,14 +295,14 @@ def decode_step(
     scale = np.float32(1.0 / np.sqrt(config.d_head))
     h = model.embedding[int(token)]
     for layer, lw in enumerate(model.layers):
-        q, k, v = (_rms_norm(h, lw.gain_attn) @ lw.wqkv).reshape(qkv_shape)
+        q, k, v = (_rms_norm(h) @ lw.wqkv).reshape(qkv_shape)
         cache.append(layer, k, v, position)
         logits = (cache.keys[layer] @ q[:, :, None])[:, :, 0]
         logits *= scale
         weights = numkit.masked_softmax_rows(logits, None)
         out = (weights[:, None, :] @ cache.values[layer])[:, 0, :]
         h = h + out.reshape(config.d_model) @ lw.wo
-        h = h + _silu(_rms_norm(h, lw.gain_mlp) @ lw.w_up) @ lw.w_down
+        h = h + _silu(_rms_norm(h) @ lw.w_up) @ lw.w_down
     return h @ model.embedding.T, cache
 
 
@@ -320,13 +317,8 @@ def decode(
 
     Raises BoundsError before the first step when prompt + steps exceeds max_seq.
     """
-    if steps < 0:
-        raise BoundsError("steps must be >= 0")
+    check_length(np.size(prompt), steps, model.config.max_seq)
     prompt = _check_tokens(prompt, model.config)
-    if prompt.size + steps > model.config.max_seq:
-        raise BoundsError(
-            f"prompt length {prompt.size} + {steps} steps exceeds max_seq {model.config.max_seq}"
-        )
     logits, cache, reports = prefilled
     tokens = [int(t) for t in prompt]
     cur = logits[-1]

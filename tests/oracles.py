@@ -188,10 +188,10 @@ def silu_two_branch(x) -> np.ndarray:
     return out
 
 
-def rms_norm_mean(x, gain, eps=1e-5) -> np.ndarray:
+def rms_norm_mean(x, eps=1e-5) -> np.ndarray:
     """RMS norm through np.mean, then a float32 astype copy."""
     scale = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + np.float32(eps))
-    return (x * scale * gain).astype(np.float32)
+    return (x * scale).astype(np.float32)
 
 
 def softmax_rows_masked(logits, mask) -> np.ndarray:
@@ -227,7 +227,7 @@ def decode_step_reference(model, token, cache, position) -> np.ndarray:
     h = model.embedding[int(token)]
     for layer, lw in enumerate(model.layers):
         wq, wk, wv = (np.ascontiguousarray(lw.wqkv[:, i * d : (i + 1) * d]) for i in range(3))
-        x = rms_norm_mean(h, lw.gain_attn)
+        x = rms_norm_mean(h)
         q = (x @ wq).reshape(heads, d_head)
         k = (x @ wk).reshape(heads, d_head)
         v = (x @ wv).reshape(heads, d_head)
@@ -238,5 +238,5 @@ def decode_step_reference(model, token, cache, position) -> np.ndarray:
             logits = ((keys[i] @ q[i]) * scale)[None, :]
             out[i] = softmax_rows_masked(logits, np.ones(logits.shape, dtype=bool))[0] @ values[i]
         h = h + out.reshape(d) @ lw.wo
-        h = h + silu_two_branch(rms_norm_mean(h, lw.gain_mlp) @ lw.w_up) @ lw.w_down
+        h = h + silu_two_branch(rms_norm_mean(h) @ lw.w_up) @ lw.w_down
     return (h @ model.embedding.T).astype(np.float32)

@@ -1,5 +1,6 @@
 """CLI tests: config parsing, subcommands, exit codes, golden outputs."""
 
+import argparse
 import dataclasses
 import importlib.util
 import json
@@ -56,6 +57,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cli.parse_config_text("just some words\n")
 
+    # each character str.splitlines ends a line at, besides \n and \r
+    @pytest.mark.parametrize(
+        "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_lines_end_at_newline_only(self, capsys, tmp_path, sep):
+        raw = cli.parse_config_text(f"workload_file=a{sep}b.csv\nmode=dense{sep}tau=0.5\n")
+        assert raw == {"workload_file": f"a{sep}b.csv", "mode": f"dense{sep}tau=0.5"}
+        with pytest.raises(ConfigError, match="config line 2:"):
+            cli.parse_config_text(f"tau=0.9{sep}x\nno equals sign\n")
+        path = tmp_path / "c.cfg"
+        path.write_text(f"mode=dense{sep}tau=0.5\n", encoding="utf-8")
+        rc, out, err = run_cli(capsys, "--config", str(path), "run", "--workload-file", WORKLOAD)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: unknown mode 'dense")
+
+    def test_crlf_lines_parse(self, capsys, tmp_path):
+        assert cli.parse_config_text("tau=0.9\r\nlayers=8\r\n") == {"tau": "0.9", "layers": "8"}
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"tau=0.9\r\nlayers=2\r\n")
+        rc, out, _ = run_cli(capsys, "--config", str(path), "run", "--workload-file", WORKLOAD)
+        assert rc == 0 and strict_json(out)["policy"]["tau"] == 0.9
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             cli.build_config({"no_such_knob": "1"})
@@ -105,6 +128,29 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         rc, _, _ = run_cli(capsys, "--config", "/no/such/file.cfg", "run")
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            (f"workload_file={WORKLOAD}\n", ["run"]),
+            (f"workload=peaked\nworkload_file={WORKLOAD}\n", ["run"]),
+            (f"workload_file={WORKLOAD}\n", ["gen-workload", "--kind", "peaked"]),
+            ("workload=file\n", ["run"]),
+        ],
+        ids=["file-only", "peaked-with-file", "gen-workload-with-file", "file-without-path"],
+    )
+    def test_workload_file_pairs_with_workload_file_source(self, capsys, tmp_path, config, argv):
+        path = tmp_path / "c.cfg"
+        path.write_text(config)
+        rc, out, err = run_cli(capsys, "--config", str(path), *argv)
+        assert (rc, out) == (2, "")
+        assert "workload=file" in err
+
+    def test_workload_file_flag_implies_file_source(self, capsys, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("workload=peaked\n")
+        rc, out, _ = run_cli(capsys, "--config", str(path), "run", "--workload-file", WORKLOAD)
+        assert rc == 0 and strict_json(out)["prompt"] == []
 
     def test_missing_workload_file(self, capsys):
         rc, _, err = run_cli(capsys, "run", "--workload-file", "/no/such/w.csv")
@@ -293,6 +339,31 @@ def test_formats_config_table_lists_every_config_key():
     table = doc.split("| key ", 1)[1].split("\n\n", 1)[0]
     documented = re.findall(r"^\| `(\w+)`", table, flags=re.MULTILINE)
     assert documented == [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+
+
+def test_formats_config_table_defaults_are_the_config_defaults():
+    doc = (pathlib.Path(__file__).parent.parent / "docs" / "FORMATS.md").read_text()
+    table = doc.split("| key ", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\| \w+ +\| ([^|]*?) +\|", table, flags=re.MULTILINE)
+    documented = {key: "" if cell == "empty" else cell.strip("`") for key, cell in rows}
+    assert list(documented) == [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+    assert cli.build_config(documented) == cli.ExperimentConfig()
+
+
+def test_every_flag_sets_a_config_key():
+    # main hands build_config every parsed option whose dest is a config key
+    keys = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+    parser = cli.make_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {
+        (name, action.dest)
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.option_strings and action.dest != "help"
+    }
+    assert {name for name, _ in dests} == set(subparsers.choices)
+    assert {d for d in dests if d[1] not in keys} == set()
+    assert [a.dest for a in parser._actions if a.dest in keys] == ["seed"]
 
 
 def test_formats_exit_code_table_matches_exit_codes():
@@ -486,9 +557,8 @@ class TestSubcommandSemantics:
             return load(*args, **kwargs)
 
         monkeypatch.setattr(workload, loader, counted)
-        cfg = cli.build_config(
-            {}, {"workload": source, "workload_file": WORKLOAD, "n": 32, "layers": 3, **overrides}
-        )
+        files = {"workload_file": WORKLOAD} if source == "file" else {}
+        cfg = cli.build_config({}, {"workload": source, **files, "n": 32, "layers": 3, **overrides})
         command(cfg)
         assert len(calls) == (1 if source == "file" else generated)
 
