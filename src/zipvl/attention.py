@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import BoundsError, DomainError, EmptySequenceError, ShapeError
+from .errors import BoundsError, DomainError, EmptySequenceError, OrderingError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,19 @@ def restricted_attention(
     sums span the whole subset width; the outputs are one `weights @ v`
     product, since BLAS rounds a row-blocked product differently. So one
     p x p float32 weight array is held per call and freed on return.
+    Indices that are not strictly ascending raise OrderingError, and
+    indices outside [0, n) raise BoundsError.
     """
+    q, k, v = numkit.as_matrix(q), numkit.as_matrix(k), numkit.as_matrix(v)
     idx = np.asarray(indices, dtype=np.int64)
-    q_s = np.ascontiguousarray(numkit.as_matrix(q)[idx])
-    k_s = np.ascontiguousarray(numkit.as_matrix(k)[idx])
-    v_s = np.ascontiguousarray(numkit.as_matrix(v)[idx])
+    if np.any(np.diff(idx) <= 0):
+        raise OrderingError("indices must be strictly ascending")
+    n = min(q.shape[0], k.shape[0], v.shape[0])
+    if idx.size and (idx[0] < 0 or idx[-1] >= n):
+        raise BoundsError(f"indices must lie in [0, {n})")
+    q_s = np.ascontiguousarray(q[idx])
+    k_s = np.ascontiguousarray(k[idx])
+    v_s = np.ascontiguousarray(v[idx])
     return numkit.causal_softmax_rows(q_s, k_s, scale, np.arange(idx.size)) @ v_s
 
 

@@ -84,7 +84,6 @@ class ExperimentConfig:
     probe_random: int = _DEFAULT_POLICY.probe_random
     keep_last: int = _DEFAULT_POLICY.keep_last
     quantize: bool = _DEFAULT_POLICY.quantize
-    group_size: int = _DEFAULT_POLICY.group_size
     # shared
     seed: int = 1234
     repeats: int = 1
@@ -257,7 +256,12 @@ def _single_repeat(cfg: ExperimentConfig, command: str) -> None:
 
 
 def cmd_run(cfg: ExperimentConfig) -> dict:
-    """One report per repeat; a single repeat is returned bare, without a repeat key."""
+    """One report per repeat; a single repeat is returned bare, without a repeat key.
+
+    A workload file gives every repeat the same scores, so it takes one repeat.
+    """
+    if cfg.workload == "file" and cfg.repeats > 1:
+        raise ConfigError("repeats needs a model or generated workload, not workload=file")
     policy = _policy(cfg)
     subject = _build_subject(cfg)
     reports, entries = [], []

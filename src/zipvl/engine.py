@@ -79,7 +79,6 @@ class SparsityPolicy:
     probe_random: int = 64
     keep_last: int = 0
     quantize: bool = False
-    group_size: int = 64
 
     def validate(self) -> "SparsityPolicy":
         if self.mode not in MODES:
@@ -92,8 +91,6 @@ class SparsityPolicy:
             raise ConfigError("probe_recent must be >= 1")
         if self.probe_random < 0 or self.keep_last < 0:
             raise ConfigError("counts must be nonnegative")
-        if self.group_size < 1:
-            raise ConfigError("group_size must be >= 1")
         return self
 
 
@@ -258,7 +255,7 @@ def prefill(
 
         cache.set_layer(layer, k, v, np.arange(n, dtype=np.int64))
         if policy.quantize:
-            kv_bytes = kvcache.quantize_mixed(cache, layer, imp, policy.group_size)
+            kv_bytes = kvcache.quantize_mixed(cache, layer, imp)
         else:
             kv_bytes = metrics.kv_bytes(cache.retain(layer, imp).rows(layer), d_head, config.heads)
         reports.append(

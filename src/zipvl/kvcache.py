@@ -17,13 +17,14 @@ accounting (`metrics.kv_bytes`, `.nbytes` of the views) counts those rows,
 not the spare capacity, so after decode the memory held can reach twice
 the rows counted.
 
-Quantization is uniform asymmetric per channel group within each token row:
-scale = (max - min) / (2^b - 1), zero-point = min. Important rows get 4
-bits, the rest 2. quantize_mixed works on one layer, as prefill writes it:
-it quantizes the layer's K and V and installs their dequantized float32
-values in its place, so codes are never kept or bit-packed. The packed
-size they stand for, ceil(len * b / 8) code bytes plus 8 bytes for the
-float32 scale and zero-point per group, is what it returns, in closed form.
+Quantization is uniform asymmetric, and its group is one head row (the
+d_head channels of one token in one head): scale = (max - min) / (2^b - 1),
+zero-point = min. Important rows get 4 bits, the rest 2. quantize_mixed
+works on one layer, as prefill writes it: it quantizes the layer's K and V
+and installs their dequantized float32 values in its place, so codes are
+never kept or bit-packed. The packed size they stand for, ceil(d_head * b / 8)
+code bytes plus 8 bytes for the float32 scale and zero-point per head row,
+is what it returns, in closed form.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, DomainError, OrderingError, ShapeError
+from .errors import BoundsError, OrderingError, ShapeError
 
 
 class KVCache:
@@ -86,13 +87,17 @@ class KVCache:
             raise OrderingError("positions must be strictly increasing")
         self._install(layer, keys.copy(), values.copy(), positions.copy())
 
+    def _match(self, layer: int, important: np.ndarray) -> np.ndarray:
+        """Mask of the layer's rows whose original position is in `important`."""
+        positions = self.positions[self._check_layer(layer)]
+        important = np.asarray(important, dtype=np.int64)
+        if not np.isin(important, positions).all():
+            raise BoundsError("important refers to positions not present in the layer")
+        return np.isin(positions, important)
+
     def retain(self, layer: int, important: np.ndarray) -> "KVCache":
         """Keep only rows whose original position is in `important`."""
-        layer = self._check_layer(layer)
-        keep = np.asarray(important, dtype=np.int64)
-        if not np.isin(keep, self.positions[layer]).all():
-            raise BoundsError("important refers to positions not present in the layer")
-        rows = np.flatnonzero(np.isin(self.positions[layer], keep))
+        rows = np.flatnonzero(self._match(layer, important))
         # take installs C order; a boolean index would leave the token axis
         # outermost, where the decode matmuls run about a fifth slower
         self._install(
@@ -142,7 +147,7 @@ class QuantizedTensor:
     """One K or V tensor of one layer: codes with their scales and zero-points.
 
     codes is (heads, rows, d_head) uint8, one unpacked code per channel;
-    scales and zeros are (heads, rows, groups) float32.
+    scales and zeros are (heads, rows, 1) float32, one pair per head row.
     """
 
     codes: np.ndarray
@@ -150,52 +155,37 @@ class QuantizedTensor:
     zeros: np.ndarray
 
 
-def _group_of(d: int, group_size: int) -> np.ndarray:
-    """Quantization group of each of d channels."""
-    return np.arange(d) // group_size
-
-
-def _quantize(x: np.ndarray, levels: np.ndarray, group_size: int) -> QuantizedTensor:
+def _quantize(x: np.ndarray, levels: np.ndarray) -> QuantizedTensor:
     """Quantize (heads, rows, d) values; levels is (rows, 1), 2^bits - 1 per row."""
-    group_of = _group_of(x.shape[-1], group_size)
-    starts = np.arange(0, x.shape[-1], group_size)
     x = x.astype(np.float64)
-    mn = np.minimum.reduceat(x, starts, axis=-1)
-    scale = (np.maximum.reduceat(x, starts, axis=-1) - mn) / levels
+    mn = x.min(axis=-1, keepdims=True)
+    scale = (x.max(axis=-1, keepdims=True) - mn) / levels
     safe = np.where(scale > 0, scale, 1.0)
-    codes = np.clip(np.rint((x - mn[..., group_of]) / safe[..., group_of]), 0, levels)
+    codes = np.clip(np.rint((x - mn) / safe), 0, levels)
     return QuantizedTensor(codes.astype(np.uint8), scale.astype(np.float32), mn.astype(np.float32))
 
 
-def dequantize(qt: QuantizedTensor, group_size: int) -> np.ndarray:
+def dequantize(qt: QuantizedTensor) -> np.ndarray:
     """Reconstruct float32 values, shaped like the quantized tensor."""
-    group_of = _group_of(qt.codes.shape[-1], group_size)
-    return (
-        qt.codes.astype(np.float64) * qt.scales[..., group_of].astype(np.float64)
-        + qt.zeros[..., group_of].astype(np.float64)
-    ).astype(np.float32)
+    return (qt.codes.astype(np.float64) * qt.scales + qt.zeros).astype(np.float32)
 
 
-def quantize_mixed(cache: KVCache, layer: int, important: np.ndarray, group_size: int) -> int:
+def quantize_mixed(cache: KVCache, layer: int, important: np.ndarray) -> int:
     """Quantize one layer in place: 4 bits for important rows, 2 bits for the rest.
 
-    Importance is matched by original position. The layer's K and V are
-    replaced by their dequantized values, installed in C order. Returns the
-    layer's packed size in bytes: per tensor, heads x the sum over rows and
-    channel groups of ceil(len * bits / 8) code bytes plus 8 bytes for the
-    float32 scale and zero-point.
+    Importance is matched by original position; a position the layer lacks
+    raises BoundsError. The layer's K and V are replaced by their dequantized
+    values, installed in C order. Returns the layer's packed size in bytes:
+    per tensor, heads x the sum over rows of ceil(d_head * bits / 8) code
+    bytes plus 8 bytes for the float32 scale and zero-point.
     """
-    if group_size < 1:
-        raise DomainError("group_size must be >= 1")
-    pos = cache.positions[cache._check_layer(layer)]
-    bits = np.where(np.isin(pos, np.asarray(important, dtype=np.int64)), 4, 2).astype(np.uint8)
+    bits = np.where(cache._match(layer, important), 4, 2)
     levels = ((1 << bits) - 1)[:, None]
     cache.set_layer(
         layer,
-        dequantize(_quantize(cache.keys[layer], levels, group_size), group_size),
-        dequantize(_quantize(cache.values[layer], levels, group_size), group_size),
-        pos,
+        dequantize(_quantize(cache.keys[layer], levels)),
+        dequantize(_quantize(cache.values[layer], levels)),
+        cache.positions[layer],
     )
-    lengths = np.bincount(_group_of(cache.d_head, group_size))
-    code_bytes = -(-np.outer(bits, lengths) // 8)
+    code_bytes = (cache.d_head * bits + 7) // 8
     return 2 * cache.heads * int(code_bytes.sum() + 8 * code_bytes.size)

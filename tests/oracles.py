@@ -128,24 +128,19 @@ def naive_restricted_attention(q, k, v, scale, indices):
     return out, weights
 
 
-def group_quantization_bound(x, bits: int, group_size: int) -> float:
-    """Largest allowed reconstruction error over channel groups of x rows."""
+def row_quantization_bound(x, bits: int) -> float:
+    """Largest allowed reconstruction error over the head rows of x: half a step."""
     x = np.asarray(x, dtype=np.float64)
     worst = 0.0
-    d = x.shape[-1]
-    flat = x.reshape(-1, d)
-    for row in flat:
-        for start in range(0, d, group_size):
-            g = row[start : start + group_size]
-            half_step = (g.max() - g.min()) / (2 * (2**bits - 1))
-            worst = max(worst, half_step)
+    for row in x.reshape(-1, x.shape[-1]):
+        worst = max(worst, (row.max() - row.min()) / (2 * (2**bits - 1)))
     return worst
 
 
-def group_fake_quantize(x, bits_per_row, group_size: int) -> np.ndarray:
-    """Quantize then dequantize (heads, rows, d) values one row and group at a time.
+def row_fake_quantize(x, bits_per_row) -> np.ndarray:
+    """Quantize then dequantize (heads, rows, d) values one head row at a time.
 
-    A group maps onto 2^bits - 1 even steps from its min to its max, codes
+    A row maps onto 2^bits - 1 even steps from its min to its max, codes
     round half to even, and the scale and zero-point are stored as float32.
     """
     x = np.asarray(x, dtype=np.float32)
@@ -153,13 +148,12 @@ def group_fake_quantize(x, bits_per_row, group_size: int) -> np.ndarray:
     for h in range(x.shape[0]):
         for r, bits in enumerate(bits_per_row):
             levels = 2 ** int(bits) - 1
-            for start in range(0, x.shape[-1], group_size):
-                g = [float(v) for v in x[h, r, start : start + group_size]]
-                lo = min(g)
-                scale = (max(g) - lo) / levels
-                codes = [min(max(round((v - lo) / scale), 0), levels) if scale > 0 else 0 for v in g]
-                scale32, lo32 = float(np.float32(scale)), float(np.float32(lo))
-                out[h, r, start : start + group_size] = [c * scale32 + lo32 for c in codes]
+            row = [float(v) for v in x[h, r]]
+            lo = min(row)
+            scale = (max(row) - lo) / levels
+            codes = [min(max(round((v - lo) / scale), 0), levels) if scale > 0 else 0 for v in row]
+            scale32, lo32 = float(np.float32(scale)), float(np.float32(lo))
+            out[h, r] = [c * scale32 + lo32 for c in codes]
     return out
 
 

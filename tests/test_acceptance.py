@@ -165,7 +165,7 @@ def test_04_probe_row_exactness():
 
 def test_05_quantization_half_step_bound():
     with criterion(5, "quantization-half-step-bound"):
-        heads, t, d, gs = 2, 625, 32, 8
+        heads, t, d = 2, 625, 32
         rng = numkit.make_rng(51)
         cache = kvcache.KVCache(1, heads, d)
         cache.set_layer(
@@ -177,39 +177,38 @@ def test_05_quantization_half_step_bound():
         p = t // 2
         # quantize_mixed replaces the layer in place, so keep the originals first
         originals = {"keys": cache.keys[0].copy(), "values": cache.values[0].copy()}
-        kvcache.quantize_mixed(cache, 0, np.arange(p, dtype=np.int64), group_size=gs)
-        groups_checked = 0
+        kvcache.quantize_mixed(cache, 0, np.arange(p, dtype=np.int64))
+        rows_checked = 0
         for name in ("keys", "values"):
             orig = originals[name].astype(np.float64)
             back = getattr(cache, name)[0].astype(np.float64)
             for rows, bits in ((slice(0, p), 4), (slice(p, t), 2)):
-                o = orig[:, rows].reshape(heads, -1, d // gs, gs)
-                b = back[:, rows].reshape(heads, -1, d // gs, gs)
+                o, b = orig[:, rows], back[:, rows]
                 half_step = (o.max(axis=-1) - o.min(axis=-1)) / (2 * (2**bits - 1))
                 err = np.abs(o - b).max(axis=-1)
                 assert np.all(err <= half_step + 1e-6)
-                groups_checked += err.size
-        assert groups_checked == 10_000
+                rows_checked += err.size
+        assert rows_checked == 2_500
 
         # grid-aligned values (power-of-two scale, exact float32 points)
-        # must reconstruct exactly, as must constant groups
+        # must reconstruct exactly, as must constant rows
         for bits, scale in ((4, 0.25), (2, 0.5)):
             levels = 2**bits - 1
             codes = numkit.make_rng(52).integers(0, levels + 1, size=(1, 40, 8))
-            # each row is one group: pin both grid endpoints so the
-            # quantizer rederives exactly this grid from min/max
+            # pin both grid endpoints of each row so the quantizer
+            # rederives exactly this grid from min/max
             codes[..., 0] = 0
             codes[..., 1] = levels
             exact_vals = (-2.0 + codes * scale).astype(np.float32)
             c2 = kvcache.KVCache(1, 1, 8)
             c2.set_layer(0, exact_vals, exact_vals.copy(), np.arange(40, dtype=np.int64))
             important2 = np.arange(40 if bits == 4 else 0, dtype=np.int64)
-            kvcache.quantize_mixed(c2, 0, important2, group_size=8)
+            kvcache.quantize_mixed(c2, 0, important2)
             assert np.array_equal(c2.keys[0], exact_vals)
         const = np.full((1, 10, 8), -3.75, dtype=np.float32)
         c3 = kvcache.KVCache(1, 1, 8)
         c3.set_layer(0, const, const.copy(), np.arange(10, dtype=np.int64))
-        kvcache.quantize_mixed(c3, 0, np.arange(5, dtype=np.int64), group_size=8)
+        kvcache.quantize_mixed(c3, 0, np.arange(5, dtype=np.int64))
         assert np.array_equal(c3.values[0], const)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from zipvl import attention, numkit
-from zipvl.errors import DomainError, EmptySequenceError, ShapeError
+from zipvl.errors import BoundsError, DomainError, EmptySequenceError, OrderingError, ShapeError
 
 
 def random_qkv(n, d, seed=0):
@@ -88,6 +88,26 @@ class TestRestrictedAttention:
         _, w = oracles.restricted_attention_weights(q, k, v, 0.5, idx)
         assert np.all(w[np.triu_indices(4, k=1)] == 0.0)
         assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-6
+
+    # [4, 1] would let position 1 attend to position 4; [2, 2] repeats a row
+    @pytest.mark.parametrize(
+        "indices", [[4, 1], [2, 2], [0, 3, 3, 5], [5, 3, 0]],
+        ids=["backward", "repeated", "repeated-inside", "descending"],
+    )
+    def test_indices_not_strictly_ascending_raise(self, indices):
+        q, k, v = random_qkv(6, 4, seed=8)
+        with pytest.raises(OrderingError):
+            attention.restricted_attention(q, k, v, 0.5, np.array(indices))
+
+    # [-1] would wrap to the last row
+    @pytest.mark.parametrize(
+        "indices", [[-1], [-2, 3], [0, 6], [7]],
+        ids=["negative", "negative-first", "at-n", "past-n"],
+    )
+    def test_indices_outside_the_rows_raise(self, indices):
+        q, k, v = random_qkv(6, 4, seed=8)
+        with pytest.raises(BoundsError):
+            attention.restricted_attention(q, k, v, 0.5, np.array(indices))
 
 
 class TestScoreStats:

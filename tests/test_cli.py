@@ -1,8 +1,10 @@
 """CLI tests: config parsing, subcommands, exit codes, golden outputs."""
 
 import argparse
+import csv
 import dataclasses
 import importlib.util
+import io
 import json
 import pathlib
 import re
@@ -113,9 +115,11 @@ class TestExitCodes:
         assert "bogus" in err
 
     # keys of policy knobs that no longer exist: every layer runs the policy's
-    # mode, sized by accumulated and ranked by normalized score
+    # mode, sized by accumulated and ranked by normalized score, and a
+    # quantization group is one head row
     @pytest.mark.parametrize("line", [
         "budget_metric=accumulated", "identify_metric=normalized", "dense_first_layers=0",
+        "group_size=64",
     ])
     def test_removed_policy_key_is_unknown(self, capsys, tmp_path, line):
         path = tmp_path / "c.cfg"
@@ -437,6 +441,40 @@ class TestGolden:
         assert {p.name for p in GOLDEN.iterdir()} == checked | {"workload.csv"}
 
 
+def csv_cell(value) -> str:
+    """A JSON value as a CSV cell shows it: float repr, lists joined by ';', null empty."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(csv_cell(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+class TestCsvTables:
+    """The sweep-tau and compare CSV tables hold the JSON output's rows, cell by cell."""
+
+    @pytest.mark.parametrize("name, rows", [
+        ("sweep.json", lambda obj: obj),
+        ("compare.json", lambda obj: obj["modes"]),
+    ], ids=["sweep-tau", "compare"])
+    def test_cells_equal_the_json_values(self, capsys, name, rows):
+        rc, out, _ = run_cli(capsys, "--format", "csv", *GOLDEN_COMMANDS[name])
+        assert rc == 0
+        want = rows(strict_json((GOLDEN / name).read_text()))
+        table = list(csv.reader(io.StringIO(out)))
+        assert table[0] == sorted(want[0])
+        assert table[1:] == [[csv_cell(row[col]) for col in table[0]] for row in want]
+
+    def test_compare_lists_join_with_semicolons_and_null_is_empty(self, capsys):
+        rc, out, _ = run_cli(capsys, "--format", "csv", *GOLDEN_COMMANDS["compare.json"])
+        assert rc == 0
+        modes = strict_json((GOLDEN / "compare.json").read_text())["modes"]
+        for row, mode in zip(csv.DictReader(io.StringIO(out)), modes, strict=True):
+            # a score workload has no logits, so its logit delta is null
+            assert mode["logit_delta_vs_dense"] is None and row["logit_delta_vs_dense"] == ""
+            assert [float(x) for x in row["retained_mass"].split(";")] == mode["retained_mass"]
+
+
 class TestSubcommandSemantics:
     def test_out_flag_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "r.json"
@@ -559,6 +597,12 @@ class TestSubcommandSemantics:
         monkeypatch.setattr(workload, loader, counted)
         files = {"workload_file": WORKLOAD} if source == "file" else {}
         cfg = cli.build_config({}, {"workload": source, **files, "n": 32, "layers": 3, **overrides})
+        if source == "file" and cfg.repeats > 1:
+            # every repeat would read the same scores, so run refuses before reading
+            with pytest.raises(ConfigError):
+                command(cfg)
+            assert calls == []
+            return
         command(cfg)
         assert len(calls) == (1 if source == "file" else generated)
 
@@ -670,19 +714,38 @@ class TestRepeats:
         prompts = [tuple(e["prompt"]) for e in entries]
         assert len(set(prompts)) == 3  # each repeat draws a fresh prompt
 
-    def test_repeats_flag_and_csv_table(self, capsys):
+    @pytest.mark.parametrize("args", [
+        ("run", "--workload-file", WORKLOAD, "--repeats", "2"),
+        ("--config", "{cfg}", "run"),
+    ], ids=["flags", "config"])
+    def test_repeats_rejected_on_a_workload_file(self, capsys, tmp_path, args):
+        # every repeat would re-read the same file and report the same scores
+        path = tmp_path / "c.cfg"
+        path.write_text(f"workload=file\nworkload_file={WORKLOAD}\nrepeats=3\n")
+        rc, out, err = run_cli(capsys, *(a.format(cfg=path) for a in args))
+        assert rc == 2
+        assert "repeats" in err and "workload=file" in err and out == ""
+
+    @staticmethod
+    def peaked_config(tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("workload=peaked\nn=16\nlayers=4\n")
+        return str(path)
+
+    def test_repeats_flag_and_csv_table(self, capsys, tmp_path):
         rc, out, _ = run_cli(
-            capsys, "--format", "csv", "run",
-            "--workload-file", WORKLOAD, "--repeats", "2",
+            capsys, "--config", self.peaked_config(tmp_path), "--format", "csv", "run",
+            "--repeats", "2",
         )
         assert rc == 0
         lines = out.strip().splitlines()
         header = lines[0].split(",")
         assert "repeat" in header
-        assert len(lines) == 1 + 2 * 4  # two repeats over the four-layer fixture
+        assert len(lines) == 1 + 2 * 4  # two repeats over four layers
 
-    def test_repeats_deterministic(self, capsys):
-        a = run_cli(capsys, "run", "--workload-file", WORKLOAD, "--repeats", "2")
-        b = run_cli(capsys, "run", "--workload-file", WORKLOAD, "--repeats", "2")
+    def test_repeats_deterministic(self, capsys, tmp_path):
+        args = ("--config", self.peaked_config(tmp_path), "run", "--repeats", "2")
+        a = run_cli(capsys, *args)
+        b = run_cli(capsys, *args)
         assert a == b
         strict_json(a[1])

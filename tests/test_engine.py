@@ -331,7 +331,7 @@ class TestScoringWork:
         model = engine.init_model(cfg)
         toks = numkit.make_rng(n).integers(0, cfg.vocab_size, size=n, dtype=np.int64)
         pol = engine.SparsityPolicy(
-            mode=mode, tau=0.9, probe_recent=70, probe_random=20, quantize=quantize, group_size=8
+            mode=mode, tau=0.9, probe_recent=70, probe_random=20, quantize=quantize
         )
         blocked = engine.prefill(model, toks, pol)
         monkeypatch.setattr(numkit, "causal_column_mass", oracles.column_mass_from_matrix)
@@ -418,7 +418,7 @@ class TestUniformAttentionOracle:
 
 class TestQuantizedPipeline:
     def test_keeps_all_rows_with_smaller_footprint(self, model, prompt):
-        pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.8, quantize=True, group_size=8)
+        pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.8, quantize=True)
         _, cache, reports = engine.prefill(model, prompt, pol)
         n = len(prompt)
         dense_layer_bytes = 2 * CFG.heads * n * CFG.d_head * 4
@@ -428,7 +428,7 @@ class TestQuantizedPipeline:
             assert 0 < r.kv_bytes < dense_layer_bytes
 
     def test_values_are_dequantized_grid_points(self, model, prompt):
-        pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.8, quantize=True, group_size=8)
+        pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.8, quantize=True)
         dense_pol = engine.SparsityPolicy(mode="dense")
         _, qcache, _ = engine.prefill(model, prompt, pol)
         _, dcache, _ = engine.prefill(model, prompt, dense_pol)
@@ -442,19 +442,20 @@ class TestQuantizedPipeline:
         bits = [4 if j in important else 2 for j in range(len(prompt))]
         assert 2 in bits and 4 in bits
         for name in ("keys", "values"):
-            want = oracles.group_fake_quantize(getattr(dcache, name)[0], bits, 8)
+            want = oracles.row_fake_quantize(getattr(dcache, name)[0], bits)
             assert np.array_equal(getattr(qcache, name)[0], want)
 
     @pytest.mark.parametrize("mode", engine.MODES)
-    @pytest.mark.parametrize("group_size", [8, 5])
+    @pytest.mark.parametrize("d_head", [8, 5])
     def test_each_layer_matches_the_oracle_and_packed_bytes(
-        self, monkeypatch, model, prompt, mode, group_size
+        self, monkeypatch, prompt, mode, d_head
     ):
+        # d_head 5 packs a head row into a part-filled last byte at both widths
+        model = engine.init_model(dataclasses.replace(CFG, d_model=CFG.heads * d_head))
         # the unquantized run of the same policy, with retain keeping every
         # row, holds each layer's full K/V and traces its important set
         pol = engine.SparsityPolicy(
-            mode=mode, tau=0.8, probe_recent=8, probe_random=8, quantize=True,
-            group_size=group_size,
+            mode=mode, tau=0.8, probe_recent=8, probe_random=8, quantize=True
         )
         logits_q, qcache, reports = engine.prefill(model, prompt, pol)
         trace: list = []
@@ -467,16 +468,15 @@ class TestQuantizedPipeline:
         # quantizing a layer as prefill writes it feeds nothing back into the pass
         assert np.array_equal(logits_q, logits_u)
         n = len(prompt)
-        lengths = [min(group_size, CFG.d_head - s) for s in range(0, CFG.d_head, group_size)]
         for layer, (entry, r) in enumerate(zip(trace, reports)):
             important = set(entry["important"].tolist())
             bits = [4 if j in important else 2 for j in range(n)]
             assert (bits.count(4) == n) == (mode == "dense")
             assert qcache.positions[layer].tolist() == list(range(n))
             for name in ("keys", "values"):
-                want = oracles.group_fake_quantize(getattr(full, name)[layer], bits, group_size)
+                want = oracles.row_fake_quantize(getattr(full, name)[layer], bits)
                 assert np.array_equal(getattr(qcache, name)[layer], want)
-            packed = sum((length * b + 7) // 8 + 8 for b in bits for length in lengths)
+            packed = sum((d_head * b + 7) // 8 + 8 for b in bits)
             assert r.kv_bytes == 2 * CFG.heads * packed
 
     def test_generation_runs_end_to_end(self, model, prompt):
@@ -538,7 +538,7 @@ class TestDecode:
         )
         model = engine.init_model(cfg)
         toks = numkit.make_rng(heads).integers(0, cfg.vocab_size, size=40, dtype=np.int64)
-        pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.9, quantize=quantize, group_size=8)
+        pol = engine.SparsityPolicy(mode="zipvl-exact", tau=0.9, quantize=quantize)
         logits, cache, _ = engine.prefill(model, toks, pol)
         _, ref_cache, _ = engine.prefill(model, toks, pol)
         cur = logits[-1]
@@ -559,7 +559,7 @@ class TestDecode:
         model = engine.init_model(cfg)
         toks = numkit.make_rng(heads).integers(0, cfg.vocab_size, size=16, dtype=np.int64)
         pol = engine.SparsityPolicy(
-            mode=mode, tau=0.9, probe_recent=4, probe_random=4, quantize=quantize, group_size=8
+            mode=mode, tau=0.9, probe_recent=4, probe_random=4, quantize=quantize
         )
         logits, cache, _ = engine.prefill(model, toks, pol)
         _, ref_cache, _ = engine.prefill(model, toks, pol)
@@ -583,7 +583,7 @@ class TestDecode:
         cfg = engine.ModelConfig(layers=2, heads=8, d_model=64, vocab_size=64, max_seq=128, seed=3)
         model = engine.init_model(cfg)
         toks = numkit.make_rng(3).integers(0, cfg.vocab_size, size=60, dtype=np.int64)
-        pol = engine.SparsityPolicy(mode=mode, tau=0.9, quantize=quantize, group_size=8)
+        pol = engine.SparsityPolicy(mode=mode, tau=0.9, quantize=quantize)
 
         def run():
             logits, cache, _ = engine.prefill(model, toks, pol)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from zipvl import kvcache, metrics, numkit
-from zipvl.errors import BoundsError, DomainError, OrderingError, ShapeError
+from zipvl.errors import BoundsError, OrderingError, ShapeError
 
 
 def filled_cache(layers=2, heads=2, t=10, d=4, seed=0):
@@ -167,50 +167,56 @@ class TestQuantization:
     def test_roundtrip_error_within_half_step(self):
         cache = filled_cache(layers=2, heads=2, t=16, d=8, seed=3)
         before = originals(cache)
-        group = 4
         for layer in range(cache.num_layers):
-            kvcache.quantize_mixed(cache, layer, kept(range(8)), group_size=group)
+            kvcache.quantize_mixed(cache, layer, kept(range(8)))
         for layer in range(2):
             for i, name in enumerate(("keys", "values")):
                 orig = before[layer][i]
                 back = getattr(cache, name)[layer]
                 imp_err = np.max(np.abs(orig[:, :8] - back[:, :8]))
                 unimp_err = np.max(np.abs(orig[:, 8:] - back[:, 8:]))
-                assert imp_err <= oracles.group_quantization_bound(orig[:, :8], 4, group) + 1e-6
-                assert unimp_err <= oracles.group_quantization_bound(orig[:, 8:], 2, group) + 1e-6
+                assert imp_err <= oracles.row_quantization_bound(orig[:, :8], 4) + 1e-6
+                assert unimp_err <= oracles.row_quantization_bound(orig[:, 8:], 2) + 1e-6
 
     def test_important_rows_get_finer_grid(self):
         cache = filled_cache(layers=1, heads=1, t=32, d=16, seed=4)
         orig = cache.keys[0].copy()
-        kvcache.quantize_mixed(cache, 0, kept(range(16)), group_size=16)
+        kvcache.quantize_mixed(cache, 0, kept(range(16)))
         err = np.abs(orig - cache.keys[0])
         assert err[:, :16].max() < err[:, 16:].max()
 
     def test_bits_follow_partition(self):
         cache = filled_cache(layers=1, t=6)
         [(k, v)] = originals(cache)
-        kvcache.quantize_mixed(cache, 0, kept([1, 4]), group_size=4)
+        kvcache.quantize_mixed(cache, 0, kept([1, 4]))
         bits = [2, 4, 2, 2, 4, 2]
-        assert np.array_equal(cache.keys[0], oracles.group_fake_quantize(k, bits, 4))
-        assert np.array_equal(cache.values[0], oracles.group_fake_quantize(v, bits, 4))
+        assert np.array_equal(cache.keys[0], oracles.row_fake_quantize(k, bits))
+        assert np.array_equal(cache.values[0], oracles.row_fake_quantize(v, bits))
 
     def test_constant_group_is_exact(self):
         cache = kvcache.KVCache(1, 1, 4)
         k = np.full((1, 3, 4), 7.5, dtype=np.float32)
         cache.set_layer(0, k, k.copy(), np.arange(3))
-        kvcache.quantize_mixed(cache, 0, kept([0]), group_size=4)
+        kvcache.quantize_mixed(cache, 0, kept([0]))
         assert np.array_equal(cache.keys[0], k)
         assert np.array_equal(cache.values[0], k)
 
-    def test_group_size_validation(self):
-        cache = filled_cache(layers=1)
-        with pytest.raises(DomainError):
-            kvcache.quantize_mixed(cache, 0, kept([0]), group_size=0)
+    def test_unknown_important_position_raises(self):
+        # as retain does: a position the layer lacks is refused, not read as "no row important"
+        cache = filled_cache(layers=1, t=10)
+        [(k, v)] = originals(cache)
+        for important in (kept([99]), kept([2, 10])):
+            with pytest.raises(BoundsError):
+                kvcache.quantize_mixed(cache, 0, important)
+            assert np.array_equal(cache.keys[0], k) and np.array_equal(cache.values[0], v)
+        cache.retain(0, kept([1, 5]))
+        with pytest.raises(BoundsError):
+            kvcache.quantize_mixed(cache, 0, kept([3]))
 
     def test_layer_out_of_range(self):
         cache = filled_cache(layers=2)
         with pytest.raises(BoundsError):
-            kvcache.quantize_mixed(cache, 2, kept([0]), group_size=4)
+            kvcache.quantize_mixed(cache, 2, kept([0]))
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_one_partition_per_layer(self, count):
@@ -218,14 +224,14 @@ class TestQuantization:
         cache = filled_cache(layers=count, t=10)
         before = originals(cache)
         for layer in range(count):
-            kvcache.quantize_mixed(cache, layer, kept([layer]), group_size=4)
+            kvcache.quantize_mixed(cache, layer, kept([layer]))
             for later in range(layer + 1, count):
                 assert np.array_equal(cache.keys[later], before[later][0])
                 assert np.array_equal(cache.values[later], before[later][1])
         for layer in range(count):
             bits = [4 if row == layer else 2 for row in range(10)]
             for i, name in enumerate(("keys", "values")):
-                want = oracles.group_fake_quantize(before[layer][i], bits, 4)
+                want = oracles.row_fake_quantize(before[layer][i], bits)
                 assert np.array_equal(getattr(cache, name)[layer], want)
 
     def test_memory_shrinks_and_is_positive(self):
@@ -233,52 +239,65 @@ class TestQuantization:
         dense_bytes = sum(
             metrics.kv_bytes(cache.rows(i), cache.d_head, cache.heads) for i in range(2)
         )
-        q_bytes = sum(
-            kvcache.quantize_mixed(cache, i, kept(range(16)), group_size=32) for i in range(2)
-        )
+        q_bytes = sum(kvcache.quantize_mixed(cache, i, kept(range(16))) for i in range(2))
         assert 0 < q_bytes < dense_bytes
 
-    @pytest.mark.parametrize("d, group", [(12, 8), (3, 4), (1, 1), (16, 64)])
-    def test_matches_row_by_row_oracle_bitwise(self, d, group):
-        cache = filled_cache(layers=2, heads=2, t=9, d=d, seed=10)
+    @pytest.mark.parametrize("d, heads", [(12, 8), (3, 4), (1, 1), (16, 64)])
+    def test_matches_row_by_row_oracle_bitwise(self, d, heads):
+        cache = filled_cache(layers=2, heads=heads, t=9, d=d, seed=10)
         cache.retain(1, kept([0, 2, 5, 8]))
         before = originals(cache)
-        kvcache.quantize_mixed(cache, 0, kept([1, 3, 4]), group_size=group)
-        kvcache.quantize_mixed(cache, 1, kept([5]), group_size=group)
+        kvcache.quantize_mixed(cache, 0, kept([1, 3, 4]))
+        kvcache.quantize_mixed(cache, 1, kept([5]))
         # layer 1 holds positions 0, 2, 5 and 8, so position 5 is its third row
         bits = [[2, 4, 2, 4, 4, 2, 2, 2, 2], [2, 2, 4, 2]]
         for layer in range(2):
             for i, name in enumerate(("keys", "values")):
-                want = oracles.group_fake_quantize(before[layer][i], bits[layer], group)
+                want = oracles.row_fake_quantize(before[layer][i], bits[layer])
                 assert np.array_equal(getattr(cache, name)[layer], want)
 
-    @staticmethod
-    def packed_bytes(heads, bits_per_row, d, group):
-        # K and V; per row and group: ceil(len * bits / 8) code bytes + float32 scale and zero
-        lengths = [min(group, d - s) for s in range(0, d, group)]
-        return 2 * heads * sum((n * b + 7) // 8 + 8 for b in bits_per_row for n in lengths)
+    def test_wide_head_row_is_one_group(self):
+        # d_head 128: the whole row shares one scale and zero-point, so it
+        # reconstructs to at most 2^bits distinct values
+        cache = filled_cache(layers=1, heads=2, t=6, d=128, seed=11)
+        [(k, v)] = originals(cache)
+        qt = kvcache._quantize(k, np.array([[15], [3], [3], [15], [3], [3]]))
+        assert qt.scales.shape == qt.zeros.shape == (2, 6, 1)
+        assert kvcache.quantize_mixed(cache, 0, kept([0, 3])) == 2 * 2 * (2 * 72 + 4 * 40)
+        bits = [4, 2, 2, 4, 2, 2]
+        for name, orig in (("keys", k), ("values", v)):
+            back = getattr(cache, name)[0]
+            assert np.array_equal(back, oracles.row_fake_quantize(orig, bits))
+            for h in range(2):
+                for r, b in enumerate(bits):
+                    assert len(np.unique(back[h, r])) <= 2**b
 
-    @pytest.mark.parametrize("d, group", [(12, 8), (3, 4), (1, 1), (1, 16), (16, 5)])
-    def test_bytes_equal_packed_closed_form(self, d, group):
-        cache = filled_cache(layers=2, heads=3, t=7, d=d, seed=8)
+    @staticmethod
+    def packed_bytes(heads, bits_per_row, d):
+        # K and V; per head row: ceil(d * bits / 8) code bytes + float32 scale and zero
+        return 2 * heads * sum((d * b + 7) // 8 + 8 for b in bits_per_row)
+
+    @pytest.mark.parametrize("d, heads", [(12, 8), (3, 4), (1, 1), (1, 16), (16, 5)])
+    def test_bytes_equal_packed_closed_form(self, d, heads):
+        cache = filled_cache(layers=2, heads=heads, t=7, d=d, seed=8)
         cache.retain(1, kept([0, 2, 3, 6]))
         before = originals(cache)
         got = [
-            kvcache.quantize_mixed(cache, 0, kept([1, 4, 5]), group_size=group),
-            kvcache.quantize_mixed(cache, 1, kept([2, 6]), group_size=group),
+            kvcache.quantize_mixed(cache, 0, kept([1, 4, 5])),
+            kvcache.quantize_mixed(cache, 1, kept([2, 6])),
         ]
         bits = [[2, 4, 2, 2, 4, 4, 2], [2, 4, 2, 4]]
         for layer in range(2):
             assert sorted(set(bits[layer])) == [2, 4]
             # the bits charged are the bits the layer was quantized at
-            want = oracles.group_fake_quantize(before[layer][0], bits[layer], group)
+            want = oracles.row_fake_quantize(before[layer][0], bits[layer])
             assert np.array_equal(cache.keys[layer], want)
-            assert got[layer] == self.packed_bytes(3, bits[layer], d, group)
+            assert got[layer] == self.packed_bytes(heads, bits[layer], d)
 
     def test_one_two_bit_channel_takes_a_whole_byte(self):
         cache = filled_cache(layers=1, heads=1, t=1, d=1)
         # K and V: 1 code byte + 4-byte scale + 4-byte zero-point each
-        assert kvcache.quantize_mixed(cache, 0, kept([]), group_size=4) == 18
+        assert kvcache.quantize_mixed(cache, 0, kept([])) == 18
 
     def test_dequantized_cache_is_c_contiguous(self):
         # decode rounding depends on the layout, so it must not follow the source's
@@ -287,7 +306,7 @@ class TestQuantization:
             tensors[1] = np.ascontiguousarray(tensors[1].transpose(1, 0, 2)).transpose(1, 0, 2)
         assert not cache.keys[1].flags.c_contiguous
         for layer in range(cache.num_layers):
-            kvcache.quantize_mixed(cache, layer, kept([4]), 4)
+            kvcache.quantize_mixed(cache, layer, kept([4]))
         for layer in range(2):
             assert cache.keys[layer].flags.c_contiguous
             assert cache.values[layer].flags.c_contiguous
@@ -296,12 +315,11 @@ class TestQuantization:
         st.integers(1, 3),
         st.integers(1, 24),
         st.integers(1, 12),
-        st.integers(1, 16),
         st.integers(0, 2**32 - 1),
         st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_property_bound_holds(self, heads, t, d, group, seed, data):
+    def test_property_bound_holds(self, heads, t, d, seed, data):
         rng = numkit.make_rng(seed)
         cache = kvcache.KVCache(1, heads, d)
         cache.set_layer(
@@ -312,8 +330,7 @@ class TestQuantization:
         )
         p = data.draw(st.integers(1, t))
         before = originals(cache)
-        kvcache.quantize_mixed(cache, 0, kept(range(p)), group_size=group)
-        g = min(group, d)
+        kvcache.quantize_mixed(cache, 0, kept(range(p)))
         for i, name in enumerate(("keys", "values")):
             orig = before[0][i]
             back = getattr(cache, name)[0]
@@ -322,4 +339,4 @@ class TestQuantization:
                 if not rows:
                     continue
                 err = np.max(np.abs(orig[:, rows] - back[:, rows]))
-                assert err <= oracles.group_quantization_bound(orig[:, rows], bits, g) + 1e-6
+                assert err <= oracles.row_quantization_bound(orig[:, rows], bits) + 1e-6

@@ -31,7 +31,7 @@ def test_traced_run_calls_every_counting_target(tracing):
     model = engine.init_model(config)
     prompt = numkit.make_rng(3).integers(0, config.vocab_size, size=32, dtype=np.int64)
     probe = engine.SparsityPolicy(
-        mode="zipvl-probe", tau=0.9, probe_recent=4, probe_random=4, quantize=True, group_size=4
+        mode="zipvl-probe", tau=0.9, probe_recent=4, probe_random=4, quantize=True
     )
     exact = engine.SparsityPolicy(mode="zipvl-exact", tau=0.9)
     targets = tracing.zipvl_targets()
