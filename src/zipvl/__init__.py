@@ -13,6 +13,7 @@ from .attention import (
     causal_scores,
     normalized_scores,
     probe_attention,
+    probe_weights,
     restricted_attention,
     select_probe_set,
     structural_nnz,

@@ -6,6 +6,12 @@ Multi-head aggregation happens in the engine. All functions are pure.
 Scoring (causal_scores, probe_attention) returns only the column mass the
 importance stats read, summed one block of rows at a time, never the score
 matrix. Restricted attention holds its p x p weights for one call.
+
+Probe rows estimate the full column mass: the random rows are one per
+stratum of the earlier positions, probe_weights gives each the inverse of
+its inclusion probability, its stratum's size, and each recent row 1, and
+both the mass and the visible-row counts are weighted sums. When the probes
+cover every row each weight is 1.0 and the estimate is exact.
 """
 
 from __future__ import annotations
@@ -23,16 +29,19 @@ class AttentionScores:
     """Column mass of a (possibly partial) row-stochastic causal score matrix.
 
     mass[j] is the float64 sum, in row order, of the float32 weights that
-    the computed query rows give key j. row_positions holds the original
-    position of each of the n_rows rows, sorted ascending; a row gives zero
-    weight to every column past its position. When the rows cover every
-    position this is the column mass of the full attention matrix. The
-    matrix itself is never kept.
+    the computed query rows give key j, each times its row's weight.
+    row_positions holds the original position of each of the n_rows rows,
+    sorted ascending; a row gives zero weight to every column past its
+    position. row_weights holds one float64 weight per row, or None when
+    every row weighs 1. When the rows cover every position with weight 1
+    this is the column mass of the full attention matrix. The matrix
+    itself is never kept.
     """
 
     mass: np.ndarray
     row_positions: np.ndarray
     n_total: int
+    row_weights: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
@@ -40,11 +49,17 @@ class AttentionScores:
 
 
 def causal_scores(
-    q: np.ndarray, k: np.ndarray, scale: float, row_positions: np.ndarray | None = None
+    q: np.ndarray,
+    k: np.ndarray,
+    scale: float,
+    row_positions: np.ndarray | None = None,
+    row_weights: np.ndarray | None = None,
 ) -> AttentionScores:
     """Column mass of the causal softmax of the given query rows against all keys.
 
-    row_positions=None means all rows. Rows are always gathered into a fresh
+    row_positions=None means all rows; row_weights=None weighs each row 1,
+    else each row's weights are multiplied by its float64 row weight before
+    they are summed. Rows are always gathered into a fresh
     contiguous array so full and subset calls share the exact same float path.
     numkit.causal_column_mass scores one block of rows at a time, so no
     (rows, n) array is built; the sums have the bits of the column sums of
@@ -61,9 +76,13 @@ def causal_scores(
         row_positions = np.asarray(row_positions, dtype=np.int64)
         if row_positions.size and row_positions.max() >= q.shape[0]:
             raise BoundsError("row position beyond query rows")
+    if row_weights is not None:
+        row_weights = np.asarray(row_weights, dtype=np.float64)
     q_rows = np.ascontiguousarray(q[row_positions])
-    mass = numkit.causal_column_mass(q_rows, k, scale, row_positions)
-    return AttentionScores(mass=mass, row_positions=row_positions, n_total=n)
+    mass = numkit.causal_column_mass(q_rows, k, scale, row_positions, row_weights)
+    return AttentionScores(
+        mass=mass, row_positions=row_positions, n_total=n, row_weights=row_weights
+    )
 
 
 def restricted_attention(
@@ -96,22 +115,28 @@ def restricted_attention(
 
 
 def accumulated_scores(scores: AttentionScores) -> np.ndarray:
-    """Total attention received per token, column sums over available rows, as float32."""
+    """Total attention received per token: the rows' weighted column sums, as float32."""
     return scores.mass.astype(numkit.FLOAT)
 
 
 def structural_nnz(scores: AttentionScores) -> np.ndarray:
-    """Causally visible entries per column among the available rows.
+    """Weighted count of the available rows that see each column.
 
     Counted structurally from row positions (row c sees column j iff
-    row_position(c) >= j), not by testing floats against zero.
+    row_position(c) >= j), not by testing floats against zero. Without row
+    weights this is the int64 count; with them, the float64 sum of the
+    weights of the rows that see j, added from the last row back.
     """
-    cols = np.arange(scores.n_total)
-    return scores.n_rows - np.searchsorted(scores.row_positions, cols, side="left")
+    first = np.searchsorted(scores.row_positions, np.arange(scores.n_total), side="left")
+    if scores.row_weights is None:
+        return scores.n_rows - first
+    suffix = np.zeros(scores.n_rows + 1)
+    suffix[:-1] = np.cumsum(scores.row_weights[::-1])[::-1]
+    return suffix[first]
 
 
 def normalized_scores(scores: AttentionScores, accumulated: np.ndarray) -> np.ndarray:
-    """Accumulated score per token divided by its visible-entry count.
+    """Accumulated score per token divided by its weighted visible-row count.
 
     `accumulated` is accumulated_scores(scores); the caller passes the one it
     already has, so the column mass is summed once per head.
@@ -123,12 +148,21 @@ def normalized_scores(scores: AttentionScores, accumulated: np.ndarray) -> np.nd
     return out
 
 
+def _strata(pool: int, take: int) -> np.ndarray:
+    """Bounds of `take` contiguous strata splitting range(pool) as evenly as integers allow."""
+    return np.arange(take + 1, dtype=np.int64) * pool // take
+
+
 def select_probe_set(n: int, recent: int, random: int, seed: int) -> np.ndarray:
     """Pick probe rows: the trailing `recent` positions plus `random` others.
 
-    The random positions are drawn uniformly without replacement from the
-    pool of non-recent positions; a pool smaller than `random` is taken
-    whole. Returns the probe positions as a sorted int64 array.
+    The pool of non-recent positions is split into take = min(random, pool)
+    contiguous strata of pool // take or pool // take + 1 positions, and one
+    position is drawn uniformly from each. Compared with a plain draw of
+    take positions, every stretch of the sequence gets its share of rows,
+    so the estimate, and the budget sized from it, moves much less from
+    seed to seed. A pool smaller than `random` is taken whole. Returns the
+    probe positions as a sorted int64 array.
     """
     if n == 0:
         raise EmptySequenceError("cannot select probes from an empty sequence")
@@ -139,14 +173,38 @@ def select_probe_set(n: int, recent: int, random: int, seed: int) -> np.ndarray:
     n_recent = min(recent, n)
     pool = n - n_recent
     take = min(random, pool)
-    rng = numkit.make_rng(seed)
-    drawn = rng.permutation(pool)[:take]
-    indices = np.concatenate([np.sort(drawn), np.arange(pool, n)])
-    return indices.astype(np.int64)
+    drawn = np.empty(0, dtype=np.int64)
+    if take:
+        bounds = _strata(pool, take)
+        drawn = bounds[:-1] + numkit.make_rng(seed).integers(0, np.diff(bounds))
+    return np.concatenate([drawn, np.arange(pool, n)]).astype(np.int64)
+
+
+def probe_weights(n: int, recent: int, probe: np.ndarray) -> np.ndarray:
+    """Horvitz-Thompson weight of each row of select_probe_set(n, recent, ...).
+
+    The trailing min(recent, n) rows are always scored and weigh 1.0. Each
+    of the other take rows was drawn from its stratum of the pool = n -
+    min(recent, n) earlier positions, so it stands for that stratum's
+    size: pool / take when take divides pool, and exactly 1.0 when the
+    draw took the whole pool.
+    """
+    pool = n - min(recent, n)
+    drawn = np.asarray(probe) < pool
+    weights = np.ones(drawn.size)
+    take = int(np.count_nonzero(drawn))
+    if take:
+        weights[drawn] = np.diff(_strata(pool, take))
+    return weights
 
 
 def probe_attention(
-    q: np.ndarray, probe: np.ndarray, k: np.ndarray, scale: float
+    q: np.ndarray, probe: np.ndarray, k: np.ndarray, scale: float, weights: np.ndarray | None = None
 ) -> AttentionScores:
-    """Exact column mass of the probe rows only; causality follows original positions."""
-    return causal_scores(q, k, scale, row_positions=probe)
+    """Column mass of the probe rows only; causality follows original positions.
+
+    weights=None sums the probe rows as they are; the engine passes
+    probe_weights, so the mass and the visible-row counts estimate those
+    of every row.
+    """
+    return causal_scores(q, k, scale, row_positions=probe, row_weights=weights)

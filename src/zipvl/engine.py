@@ -9,7 +9,7 @@ bit-exactly.
 Four attention pipelines share one code path:
   dense        full attention, nothing evicted
   zipvl-exact  adaptive budget from full attention scores
-  zipvl-probe  adaptive budget from probe-row approximate scores
+  zipvl-probe  adaptive budget from weighted probe-row estimates of the scores
   fixed        constant retention ratio across layers
 
 Per layer the prefill pass scores token importance, picks an important set,
@@ -186,15 +186,17 @@ def _token_scores(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """A scored layer's head-mean accumulated and normalized scores, and its probe row count.
 
-    zipvl-probe scores the layer's probe rows, every other mode all rows.
-    Each head's column mass is summed once and feeds both statistics.
+    zipvl-probe scores the layer's probe rows, each weighted by
+    attention.probe_weights, every other mode all rows. Each head's column
+    mass is summed once and feeds both statistics.
     """
     n, heads = k.shape[1], k.shape[0]
     if policy.mode == "zipvl-probe":
         probe = attention.select_probe_set(
             n, policy.probe_recent, policy.probe_random, numkit.derive_seed(seed, layer)
         )
-        per_head = [attention.probe_attention(q[i], probe, k[i], scale) for i in range(heads)]
+        w = attention.probe_weights(n, policy.probe_recent, probe)
+        per_head = [attention.probe_attention(q[i], probe, k[i], scale, w) for i in range(heads)]
         probe_rows = int(probe.size)
     else:
         per_head = [attention.causal_scores(q[i], k[i], scale) for i in range(heads)]

@@ -31,6 +31,9 @@ FLOAT = np.float32
 CAUSAL_BLOCK = 64
 # fewest rows in causal_column_mass's last block; a shorter tail joins the block before
 TAIL_MIN = 16
+# _causal_block's mask for a block of consecutive rows: row r hides columns r.. of
+# the block's window; the widest block is CAUSAL_BLOCK rows plus a joined tail
+_HIDDEN = np.triu(np.ones((CAUSAL_BLOCK + TAIL_MIN, CAUSAL_BLOCK + TAIL_MIN), dtype=bool))
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -85,20 +88,26 @@ def masked_softmax_rows(logits: np.ndarray, mask: None) -> np.ndarray:
     return np.divide(shifted, total, out=np.empty(shifted.shape, FLOAT), casting="unsafe")
 
 
-def _check_rows(q_rows, k, row_positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coerce the operands of a causal row softmax and check the row positions."""
+def _check_rows(q_rows, k, row_positions) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Coerce the operands of a causal row softmax and check the row positions.
+
+    Also says whether the positions are consecutive, each one past the last.
+    """
     q_rows = as_matrix(q_rows)
     k = as_matrix(k)
     pos = np.asarray(row_positions, dtype=np.int64)
     m, n = q_rows.shape[0], k.shape[0]
     if pos.shape != (m,):
         raise ShapeError(f"{pos.shape} row positions for {m} query rows")
-    if m and (pos[0] < 0 or pos[-1] >= n or np.any(np.diff(pos) < 0)):
+    steps = np.diff(pos)
+    if m and (pos[0] < 0 or pos[-1] >= n or np.any(steps < 0)):
         raise BoundsError(f"row positions must ascend within [0, {n})")
-    return q_rows, k, pos
+    return q_rows, k, pos, bool(np.all(steps == 1))
 
 
-def _causal_block(logits: np.ndarray, blk: np.ndarray, tile: np.ndarray, work: np.ndarray) -> int:
+def _causal_block(
+    logits: np.ndarray, blk: np.ndarray, tile: np.ndarray, work: np.ndarray, consecutive: bool
+) -> int:
     """Causal softmax of one block of scaled logit rows, over logits[:, :hi] in place.
 
     Row r sees columns 0..blk[r]; hi is one past the block's last position,
@@ -108,12 +117,18 @@ def _causal_block(logits: np.ndarray, blk: np.ndarray, tile: np.ndarray, work: n
     once. The row sums are taken over `tile`, (rows, n) float64 that must be
     zero past hi: numpy's pairwise sum groups terms by row length, so the
     sum over n columns, zeros included, keeps the bits of a softmax over the
-    masked n-wide logits. logits[:, hi:] is left as it was.
+    masked n-wide logits. logits[:, hi:] is left as it was. A block of
+    `consecutive` positions slices its mask from _HIDDEN instead of
+    building it.
     """
     lo, hi = int(blk[0]) + 1, int(blk[-1]) + 1
     w = work[: blk.size * hi].reshape(blk.size, hi)
     w[...] = logits[:, :hi]
-    np.putmask(w[:, lo:], ~causal_row_mask(blk - lo, hi - lo), -np.inf)
+    if consecutive:
+        hidden = _HIDDEN[: blk.size, : hi - lo]
+    else:
+        hidden = ~causal_row_mask(blk - lo, hi - lo)
+    np.copyto(w[:, lo:], -np.inf, where=hidden)
     w -= w.max(axis=1, keepdims=True)
     np.exp(w, out=w)
     tile[:, :hi] = w
@@ -137,7 +152,7 @@ def causal_softmax_rows(
     only its visible keys can differ in the last bit. The same holds for
     `weights @ v` split into row blocks.
     """
-    q_rows, k, pos = _check_rows(q_rows, k, row_positions)
+    q_rows, k, pos, consecutive = _check_rows(q_rows, k, row_positions)
     m, n = q_rows.shape[0], k.shape[0]
     out = q_rows @ k.T
     out *= FLOAT(scale)
@@ -147,29 +162,41 @@ def causal_softmax_rows(
     for r0 in range(0, m, CAUSAL_BLOCK):
         blk = pos[r0 : r0 + CAUSAL_BLOCK]
         rows = out[r0 : r0 + blk.size]
-        hi = _causal_block(rows, blk, tile[: blk.size], work)
+        hi = _causal_block(rows, blk, tile[: blk.size], work, consecutive)
         rows[:, hi:] = 0.0
     return out
 
 
 def causal_column_mass(
-    q_rows: np.ndarray, k: np.ndarray, scale: float, row_positions: np.ndarray
+    q_rows: np.ndarray,
+    k: np.ndarray,
+    scale: float,
+    row_positions: np.ndarray,
+    row_weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Float64 column sums of causal_softmax_rows(q_rows, k, scale, row_positions).
 
     The sums have the bits of `.sum(axis=0, dtype=np.float64)` over that
-    float32 matrix, yet only one block of rows is ever held. Each block gets
-    its own (rows, d) @ (d, n) product and goes through _causal_block. Its
-    float32 weights, widened, then sit in rows 1.. of a float64 buffer whose
-    row 0 holds the running sums, and one add.reduce down the columns adds
-    them in row order, as the sum over the whole matrix does. The buffer's
-    rows double as the row-sum tile, zero past hi. A tail block shorter than
-    TAIL_MIN rows joins the block before it: BLAS multiplies a single row
-    with gemv, and for some head sizes a few rows with another kernel, which
-    can round the logits differently from the rows of a larger product.
+    float32 matrix, yet only one block of rows is ever held. With
+    row_weights, one float64 weight per row, they have the bits of
+    `(weights.astype(np.float64) * row_weights[:, None]).sum(axis=0)`
+    instead; a weight of 1.0 changes no bit. Each block gets its own
+    (rows, d) @ (d, n) product and goes through _causal_block. Its float32
+    weights, widened and multiplied by their row weights, then sit in rows
+    1.. of a float64 buffer whose row 0 holds the running sums, and one
+    add.reduce down the columns adds them in row order, as the sum over the
+    whole matrix does. The buffer's rows double as the row-sum tile, zero
+    past hi. A tail block shorter than TAIL_MIN rows joins the block before
+    it: BLAS multiplies a single row with gemv, and for some head sizes a
+    few rows with another kernel, which can round the logits differently
+    from the rows of a larger product.
     """
-    q_rows, k, pos = _check_rows(q_rows, k, row_positions)
+    q_rows, k, pos, consecutive = _check_rows(q_rows, k, row_positions)
     m, n = q_rows.shape[0], k.shape[0]
+    if row_weights is not None:
+        row_weights = np.asarray(row_weights, dtype=np.float64)
+        if row_weights.shape != (m,):
+            raise ShapeError(f"{row_weights.shape} row weights for {m} query rows")
     starts = list(range(0, m, CAUSAL_BLOCK))
     if len(starts) > 1 and m - starts[-1] < TAIL_MIN:
         starts.pop()
@@ -181,8 +208,10 @@ def causal_column_mass(
         logits = q_rows[r0:r1] @ k.T
         logits *= FLOAT(scale)
         rows = buf[: r1 - r0 + 1]
-        hi = _causal_block(logits, pos[r0:r1], rows[1:], work)
+        hi = _causal_block(logits, pos[r0:r1], rows[1:], work, consecutive)
         rows[1:, :hi] = logits[:, :hi]
+        if row_weights is not None:
+            rows[1:, :hi] *= row_weights[r0:r1, None]
         buf[0, :hi] = np.add.reduce(rows[:, :hi], axis=0)
     return buf[0].copy()
 

@@ -90,9 +90,51 @@ def causal_score_matrix(q, k, scale, row_positions=None) -> np.ndarray:
     return numkit.causal_softmax_rows(np.ascontiguousarray(q[pos]), k, scale, pos)
 
 
-def column_mass_from_matrix(q_rows, k, scale, row_positions) -> np.ndarray:
-    """numkit.causal_column_mass through the whole (rows, n) weight matrix."""
-    return numkit.causal_softmax_rows(q_rows, k, scale, row_positions).sum(axis=0, dtype=np.float64)
+def column_mass_from_matrix(q_rows, k, scale, row_positions, row_weights=None) -> np.ndarray:
+    """numkit.causal_column_mass through the whole (rows, n) weight matrix.
+
+    With row_weights, each widened row is multiplied by its weight before
+    the column sums.
+    """
+    weights = numkit.causal_softmax_rows(q_rows, k, scale, row_positions)
+    if row_weights is None:
+        return weights.sum(axis=0, dtype=np.float64)
+    return (weights.astype(np.float64) * np.asarray(row_weights, np.float64)[:, None]).sum(axis=0)
+
+
+def weighted_visible_counts(row_positions, row_weights, n_cols) -> np.ndarray:
+    """Per column, the python-float sum of the weights of the rows that see it.
+
+    Row c sees column j iff row_positions[c] >= j; the weights are added
+    from the last row back.
+    """
+    rows = list(zip((int(p) for p in row_positions), (float(w) for w in row_weights)))
+    out = np.zeros(n_cols)
+    for j in range(n_cols):
+        acc = 0.0
+        for pos, w in reversed(rows):
+            if pos >= j:
+                acc += w
+        out[j] = acc
+    return out
+
+
+def kept_mass_share(q, k, scale, kept) -> float:
+    """Share of the exact column mass of every causal row that the kept tokens hold.
+
+    q and k are (n, d) for one head or (heads, n, d); the heads' column
+    masses are averaged, as the engine averages its scores. This is the
+    true mass of a kept set, whatever scores chose it.
+    """
+    q = np.asarray(q, dtype=np.float32)
+    k = np.asarray(k, dtype=np.float32)
+    if q.ndim == 2:
+        q, k = q[None], k[None]
+    mass = np.mean(
+        [causal_score_matrix(qh, kh, scale).sum(axis=0, dtype=np.float64) for qh, kh in zip(q, k)],
+        axis=0,
+    )
+    return float(mass[np.asarray(kept, dtype=np.int64)].sum() / mass.sum())
 
 
 def restricted_attention_weights(q, k, v, scale, indices):

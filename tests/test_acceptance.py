@@ -163,6 +163,28 @@ def test_04_probe_row_exactness():
         assert np.array_equal(logits_e, logits_p)
 
 
+def test_04_random_rows_covering_the_pool_match_exact():
+    # beside ACCEPTANCE 04: here the random draw, not the recent block, covers
+    # the pool, so every row weighs pool / take = 1.0 and probe is exact
+    config = engine.ModelConfig(layers=3, heads=2, d_model=32, vocab_size=64, max_seq=64, seed=404)
+    model = engine.init_model(config)
+    prompt = numkit.make_rng(405).integers(0, 64, size=48, dtype=np.int64)
+    exact = engine.SparsityPolicy(mode="zipvl-exact", tau=0.9)
+    probe_pool = engine.SparsityPolicy(
+        mode="zipvl-probe", tau=0.9, probe_recent=16, probe_random=32
+    )
+    tr_e: list = []
+    tr_p: list = []
+    logits_e, _, _ = engine.prefill(model, prompt, exact, trace=tr_e)
+    logits_p, _, _ = engine.prefill(model, prompt, probe_pool, trace=tr_p)
+    for ee, pp in zip(tr_e, tr_p):
+        assert pp["probe_rows"] == 48
+        assert np.array_equal(ee["accumulated"], pp["accumulated"])
+        assert np.array_equal(ee["normalized"], pp["normalized"])
+        assert np.array_equal(ee["important"], pp["important"])
+    assert np.array_equal(logits_e, logits_p)
+
+
 def test_05_quantization_half_step_bound():
     with criterion(5, "quantization-half-step-bound"):
         heads, t, d = 2, 625, 32

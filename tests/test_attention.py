@@ -133,6 +133,12 @@ class TestScoreStats:
         scores = attention.causal_scores(q, k, 0.5, row_positions=np.array([2, 5]))
         assert attention.structural_nnz(scores).tolist() == [2, 2, 2, 1, 1, 1, 0, 0]
 
+    def test_structural_nnz_sums_row_weights(self):
+        q, k, _ = random_qkv(8, 3, seed=11)
+        rows, weights = np.array([2, 5]), np.array([3.0, 1.0])
+        scores = attention.causal_scores(q, k, 0.5, row_positions=rows, row_weights=weights)
+        assert attention.structural_nnz(scores).tolist() == [4.0, 4.0, 4.0, 1.0, 1.0, 1.0, 0.0, 0.0]
+
     def test_normalized_divides_by_nnz_and_zeroes_unseen(self):
         q, k, _ = random_qkv(8, 3, seed=12)
         scores = attention.causal_scores(q, k, 0.5, row_positions=np.array([2, 5]))
@@ -197,6 +203,29 @@ class TestProbeSet:
     @given(
         st.integers(1, 200),
         st.integers(1, 80),
+        st.integers(1, 80),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_one_random_row_per_stratum(self, n, recent, random, seed):
+        idx = attention.select_probe_set(n, recent, random, seed)
+        pool = n - min(recent, n)
+        take = min(random, pool)
+        drawn = idx[idx < pool]
+        assert drawn.size == take
+        for j, row in enumerate(drawn.tolist()):
+            assert j * pool // take <= row < (j + 1) * pool // take
+
+    def test_draw_reaches_every_position_of_a_stratum(self):
+        # 90 positions in 7 strata: stratum 0 holds 0..11, stratum 6 holds 77..89
+        firsts = {int(attention.select_probe_set(100, 10, 7, seed)[0]) for seed in range(400)}
+        lasts = {int(attention.select_probe_set(100, 10, 7, seed)[6]) for seed in range(400)}
+        assert firsts == set(range(12))
+        assert lasts == set(range(77, 90))
+
+    @given(
+        st.integers(1, 200),
+        st.integers(1, 80),
         st.integers(0, 80),
         st.integers(0, 2**32 - 1),
     )
@@ -226,6 +255,42 @@ class TestProbeAttention:
         acc = attention.accumulated_scores(attention.probe_attention(q, probe, k, 0.5))
         mass = float(acc.sum(dtype=np.float64))
         assert abs(mass - probe.size) <= 1e-3 * probe.size
+
+    def test_weights_are_one_for_recent_rows_and_stratum_sizes_for_random_rows(self):
+        probe = attention.select_probe_set(100, recent=10, random=5, seed=1)
+        assert attention.probe_weights(100, 10, probe).tolist() == [18.0] * 5 + [1.0] * 10
+        # 90 positions in 7 strata: bounds 0, 12, 25, 38, 51, 64, 77, 90
+        probe = attention.select_probe_set(100, recent=10, random=7, seed=1)
+        assert attention.probe_weights(100, 10, probe).tolist() == [12.0] + [13.0] * 6 + [1.0] * 10
+
+    @pytest.mark.parametrize("n, recent, random", [(8, 64, 64), (128, 64, 64), (40, 8, 99)])
+    def test_weights_are_one_when_the_probes_cover_every_row(self, n, recent, random):
+        probe = attention.select_probe_set(n, recent, random, seed=3)
+        assert probe.tolist() == list(range(n))
+        assert attention.probe_weights(n, recent, probe).tolist() == [1.0] * n
+
+    @given(
+        st.integers(1, 160),
+        st.sampled_from([4, 8, 16]),
+        st.integers(1, 70),
+        st.integers(0, 70),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_weighted_mass_and_counts_match_oracles(self, n, d, recent, random, seed):
+        q, k, _ = random_qkv(n, d, seed=seed)
+        scale = 1.0 / np.sqrt(d)
+        probe = attention.select_probe_set(n, recent, random, seed)
+        w = attention.probe_weights(n, recent, probe)
+        ps = attention.probe_attention(q, probe, k, scale, w)
+        rows = oracles.causal_score_matrix(q, k, scale, probe)
+        assert np.array_equal(ps.mass, (rows.astype(np.float64) * w[:, None]).sum(axis=0))
+        nnz = attention.structural_nnz(ps)
+        assert np.array_equal(nnz, oracles.weighted_visible_counts(probe, w, n))
+        if random or recent >= n:
+            # the weights stand for all n rows, each of mass 1, and every row sees column 0
+            assert abs(float(ps.mass.sum()) - n) <= 1e-6 * n
+            assert abs(nnz[0] - n) <= 1e-12 * n
 
 
 class TestScoringMemory:

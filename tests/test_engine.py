@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from zipvl import attention, engine, kvcache, metrics, numkit
+from zipvl import attention, cli, engine, kvcache, metrics, numkit
 from zipvl.errors import (
     BoundsError,
     ConfigError,
@@ -136,11 +136,15 @@ class TestEquivalences:
         # layer 0 inputs agree, so layer-0 stats are comparable row-for-row
         n = len(prompt)
         probe = attention.select_probe_set(n, 8, 8, numkit.derive_seed(CFG.seed, 0))
+        weights = attention.probe_weights(n, 8, probe)
         acc_full = trace_full[0]["accumulated"]
         acc_probe = trace_probe[0]["accumulated"]
         assert acc_probe.shape == acc_full.shape
-        # probe accumulates over fewer rows; mass equals the probe row count
-        assert abs(acc_probe.sum() - probe.size) <= 1e-3 * probe.size
+        # each random row stands for pool / take rows, so the probe mass
+        # estimates the full pass's: both total n
+        assert weights.tolist() == [(n - 8) / 8] * 8 + [1.0] * 8
+        assert abs(float(acc_full.sum(dtype=np.float64)) - n) <= 1e-3 * n
+        assert abs(float(acc_probe.sum(dtype=np.float64)) - n) <= 1e-3 * n
 
 
 class TestSparsityMechanics:
@@ -664,3 +668,37 @@ class TestGenerate:
         assert 0.0 <= report.flops_reduction < 1.0
         assert report.decode_attn_flops > 0
         assert len(report.generated) == 4
+
+
+class TestProbeKeptMass:
+    """Weighted probes keep about what exact keeps, and nearly the mass they claim.
+
+    The true mass of a kept set is oracles.kept_mass_share over the exact
+    scores of every row of that run's own layer input.
+    """
+
+    N, TAU = 512, 0.975
+
+    def kept(self, mode):
+        """(ratio, true kept mass) per layer, default model shape."""
+        shape = cli.ExperimentConfig()
+        cfg = engine.ModelConfig(
+            shape.layers, shape.heads, shape.d_model, shape.vocab_size, self.N, seed=1234
+        )
+        model = engine.init_model(cfg)
+        toks = numkit.make_rng(1234 + self.N).integers(0, cfg.vocab_size, size=self.N)
+        trace: list = []
+        engine.prefill(model, toks, engine.SparsityPolicy(mode=mode, tau=self.TAU), trace=trace)
+        out = []
+        for entry, lw in zip(trace, model.layers):
+            qkv = oracles.rms_norm_mean(entry["h_before"]) @ lw.wqkv
+            q, k, _ = qkv.reshape(self.N, 3, cfg.heads, cfg.d_head).transpose(1, 2, 0, 3)
+            share = oracles.kept_mass_share(q, k, 1.0 / np.sqrt(cfg.d_head), entry["important"])
+            out.append((entry["important"].size / self.N, share))
+        return out
+
+    def test_probe_keeps_what_exact_keeps_and_holds_the_mass(self):
+        exact, probe = self.kept("zipvl-exact"), self.kept("zipvl-probe")
+        for (r_exact, _), (r_probe, m_probe) in zip(exact, probe):
+            assert abs(r_probe - r_exact) <= 0.05
+            assert m_probe >= 0.96

@@ -153,6 +153,11 @@ class TestCausalSoftmax:
         mass = numkit.causal_column_mass(np.zeros((0, 4)), np.ones((5, 4)), 1.0, np.arange(0))
         assert mass.dtype == np.float64 and mass.tolist() == [0.0] * 5
 
+    def test_row_weights_of_another_shape_raise(self):
+        q = np.ones((3, 2), dtype=np.float32)
+        with pytest.raises(ShapeError):
+            numkit.causal_column_mass(q, q, 1.0, np.arange(3), np.ones(2))
+
     def test_bad_positions_raise(self):
         q = np.ones((3, 2), dtype=np.float32)
         for fn in (numkit.causal_softmax_rows, numkit.causal_column_mass):
