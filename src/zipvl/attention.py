@@ -5,7 +5,8 @@ Multi-head aggregation happens in the engine. All functions are pure.
 
 Scoring (causal_scores, probe_attention) returns only the column mass the
 importance stats read, summed one block of rows at a time, never the score
-matrix. Restricted attention holds its p x p weights for one call.
+matrix. Restricted attention multiplies one block of weights at a time by
+the values, so it never holds its p x p weights either.
 
 Probe rows estimate the full column mass: the random rows are one per
 stratum of the earlier positions, probe_weights gives each the inverse of
@@ -63,7 +64,7 @@ def causal_scores(
     contiguous array so full and subset calls share the exact same float path.
     numkit.causal_column_mass scores one block of rows at a time, so no
     (rows, n) array is built; the sums have the bits of the column sums of
-    numkit.causal_softmax_rows over the same rows.
+    the stacked numkit.causal_softmax_blocks weights over the same rows.
     """
     q = numkit.as_matrix(q)
     k = numkit.as_matrix(k)
@@ -94,12 +95,11 @@ def restricted_attention(
     indices[j] <= indices[i]. With ascending indices that is a plain lower
     triangle, so no weight ever flows from a later position to an earlier
     one. Returns the outputs over the subset, in subset order. The weights
-    come from numkit.causal_softmax_rows over subset positions, whose row
-    sums span the whole subset width; the outputs are one `weights @ v`
-    product, since BLAS rounds a row-blocked product differently. So one
-    p x p float32 weight array is held per call and freed on return.
-    Indices that are not strictly ascending raise OrderingError, and
-    indices outside [0, n) raise BoundsError.
+    come from numkit.causal_softmax_blocks over subset positions, one block
+    of rows at a time, and each block's outputs are its weights times the
+    values it can see; so no p x p weight array is built, and a call holds
+    memory linear in p. Indices that are not strictly ascending raise
+    OrderingError, and indices outside [0, n) raise BoundsError.
     """
     q, k, v = numkit.as_matrix(q), numkit.as_matrix(k), numkit.as_matrix(v)
     idx = np.asarray(indices, dtype=np.int64)
@@ -111,7 +111,10 @@ def restricted_attention(
     q_s = np.ascontiguousarray(q[idx])
     k_s = np.ascontiguousarray(k[idx])
     v_s = np.ascontiguousarray(v[idx])
-    return numkit.causal_softmax_rows(q_s, k_s, scale, np.arange(idx.size)) @ v_s
+    out = np.empty((idx.size, v.shape[1]), dtype=numkit.FLOAT)
+    for r0, w in numkit.causal_softmax_blocks(q_s, k_s, scale, np.arange(idx.size)):
+        np.matmul(w, v_s[: w.shape[1]], out=out[r0 : r0 + w.shape[0]])
+    return out
 
 
 def accumulated_scores(scores: AttentionScores) -> np.ndarray:

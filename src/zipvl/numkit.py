@@ -1,18 +1,22 @@
 """Minimal dense numerics shared by every other module.
 
-Matrices are plain numpy float32 arrays in row-major order. Accumulations
-(softmax, cumulative sums) run in float64 internally and results are cast
-back to float32 where the value is part of model state; pure accounting
-helpers keep float64.
+Matrices are plain numpy float32 arrays in row-major order. The causal
+prefill softmax runs in float32; the all-visible row softmax of decode
+runs in float64 internally and casts its result back to float32, and
+column sums, cumulative sums and the other pure accounting helpers keep
+float64.
 
 Randomness comes from numpy's PCG64 bit generator. For a fixed seed and a
 fixed numpy version the stream is bit-identical across platforms.
 
-The causal row softmax runs one block of CAUSAL_BLOCK query rows at a time,
-so it never builds an n x n float64 array or mask. causal_softmax_rows
-still returns the float32 (rows, n) weights; causal_column_mass returns only
-their float64 column sums and holds one block of rows at a time, so scoring
-a layer costs memory linear in n.
+The causal row softmax is one float32 kernel, causal_softmax_blocks, which
+takes one block of CAUSAL_BLOCK query rows at a time against only the keys
+that block can see, so it never builds an n x n array or mask. Prefill
+scoring (causal_column_mass, which keeps only the float64 column sums) and
+restricted attention (attention.restricted_attention, which multiplies
+each block's weights by the visible values) both consume its blocks, so
+either costs memory linear in n. The tests check the kernel against a
+float64 masked softmax within a stated tolerance.
 
 All functions here are pure; Rng instances must stay confined to a single
 thread.
@@ -20,19 +24,23 @@ thread.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .errors import BoundsError, DegenerateMaskError, DomainError, ShapeError
 
 FLOAT = np.float32
 
-# rows per block of causal_softmax_rows: of 16 to 256, 64 was fastest at n=2048
-# and tied at n=1024 (d_head 16, one BLAS thread)
+# rows per block of causal_softmax_blocks: of 16 to 256, 64 and 128 were fastest at
+# n=1024 and 32 and 64 at n=2048 (bench model prefill, median of 7-9 alternated
+# rounds over the four modes, float32, d_head 16, one BLAS thread); 16 was slowest
+# at both by 20-30%, and 256 by 15-25%
 CAUSAL_BLOCK = 64
-# fewest rows in causal_column_mass's last block; a shorter tail joins the block before
+# fewest rows in the last block; a shorter tail joins the block before
 TAIL_MIN = 16
-# _causal_block's mask for a block of consecutive rows: row r hides columns r.. of
-# the block's window; the widest block is CAUSAL_BLOCK rows plus a joined tail
+# causal_softmax_blocks' mask for a block of consecutive rows: row r hides columns r..
+# of the block's window; the widest block is CAUSAL_BLOCK rows plus a joined tail
 _HIDDEN = np.triu(np.ones((CAUSAL_BLOCK + TAIL_MIN, CAUSAL_BLOCK + TAIL_MIN), dtype=bool))
 
 
@@ -105,66 +113,45 @@ def _check_rows(q_rows, k, row_positions) -> tuple[np.ndarray, np.ndarray, np.nd
     return q_rows, k, pos, bool(np.all(steps == 1))
 
 
-def _causal_block(
-    logits: np.ndarray, blk: np.ndarray, tile: np.ndarray, work: np.ndarray, consecutive: bool
-) -> int:
-    """Causal softmax of one block of scaled logit rows, over logits[:, :hi] in place.
-
-    Row r sees columns 0..blk[r]; hi is one past the block's last position,
-    and it is returned. The rows up to hi are copied into the contiguous
-    float64 `work`, masked on the diagonal, run through max and exp in place,
-    and divided straight into float32, which rounds the float64 quotient
-    once. The row sums are taken over `tile`, (rows, n) float64 that must be
-    zero past hi: numpy's pairwise sum groups terms by row length, so the
-    sum over n columns, zeros included, keeps the bits of a softmax over the
-    masked n-wide logits. logits[:, hi:] is left as it was. A block of
-    `consecutive` positions slices its mask from _HIDDEN instead of
-    building it.
-    """
-    lo, hi = int(blk[0]) + 1, int(blk[-1]) + 1
-    w = work[: blk.size * hi].reshape(blk.size, hi)
-    w[...] = logits[:, :hi]
-    if consecutive:
-        hidden = _HIDDEN[: blk.size, : hi - lo]
-    else:
-        hidden = ~causal_row_mask(blk - lo, hi - lo)
-    np.copyto(w[:, lo:], -np.inf, where=hidden)
-    w -= w.max(axis=1, keepdims=True)
-    np.exp(w, out=w)
-    tile[:, :hi] = w
-    np.divide(w, tile.sum(axis=1, keepdims=True), out=logits[:, :hi], casting="unsafe")
-    return hi
-
-
-def causal_softmax_rows(
+def causal_softmax_blocks(
     q_rows: np.ndarray, k: np.ndarray, scale: float, row_positions: np.ndarray
-) -> np.ndarray:
-    """Causal softmax of (q_rows @ k.T) * scale, one block of rows at a time.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Causal softmax of (q_rows @ k.T) * scale, one block of rows at a time, in float32.
 
     Row r sees keys 0..row_positions[r]; positions must ascend and lie in
-    [0, n). Returns float32 (rows, n) weights, exactly 0.0 past each row's
-    position, with the same bits as the masked softmax oracle of the tests
-    (oracles.softmax_rows_masked) on the same logits and causal_row_mask.
-    The logits come from one product into the output array; each block of
-    CAUSAL_BLOCK rows then goes through _causal_block, so no n x n float64
-    array or mask is ever built. The product is not split by block: BLAS
-    picks its kernel by row and column count, so a block's logits against
-    only its visible keys can differ in the last bit. The same holds for
-    `weights @ v` split into row blocks.
+    [0, n), which is checked when the first block is asked for. Yields
+    (r0, weights) for each block of CAUSAL_BLOCK rows, in order; weights is
+    float32 (rows, hi), where hi is one past the block's last position, so
+    it spans only the keys some row of the block can see, and it is exactly
+    0.0 past each row's position. Each block's logits are one product
+    against k[:hi], masked on the diagonal, then shifted by the row max,
+    exponentiated, and divided by the row sum in place, all in float32. A
+    block of consecutive positions slices its mask from _HIDDEN instead of
+    building it. The weights array is the caller's to keep.
+
+    A tail shorter than TAIL_MIN rows joins the block before it: BLAS
+    multiplies a single row with gemv, and for some head sizes a few rows
+    with another kernel, which can round the logits differently from the
+    rows of a larger product.
     """
     q_rows, k, pos, consecutive = _check_rows(q_rows, k, row_positions)
-    m, n = q_rows.shape[0], k.shape[0]
-    out = q_rows @ k.T
-    out *= FLOAT(scale)
-    # the tile's columns past hi stay zero: hi only grows from block to block
-    tile = np.zeros((min(CAUSAL_BLOCK, m), n), dtype=np.float64)
-    work = np.empty(tile.size, dtype=np.float64)
-    for r0 in range(0, m, CAUSAL_BLOCK):
-        blk = pos[r0 : r0 + CAUSAL_BLOCK]
-        rows = out[r0 : r0 + blk.size]
-        hi = _causal_block(rows, blk, tile[: blk.size], work, consecutive)
-        rows[:, hi:] = 0.0
-    return out
+    starts = list(range(0, pos.size, CAUSAL_BLOCK))
+    if len(starts) > 1 and pos.size - starts[-1] < TAIL_MIN:
+        starts.pop()
+    for r0, r1 in zip(starts, starts[1:] + [pos.size]):
+        blk = pos[r0:r1]
+        lo, hi = int(blk[0]) + 1, int(blk[-1]) + 1
+        w = q_rows[r0:r1] @ k[:hi].T
+        w *= FLOAT(scale)
+        if consecutive:
+            hidden = _HIDDEN[: blk.size, : hi - lo]
+        else:
+            hidden = ~causal_row_mask(blk - lo, hi - lo)
+        np.copyto(w[:, lo:], -np.inf, where=hidden)
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=1, keepdims=True)
+        yield r0, w
 
 
 def causal_column_mass(
@@ -174,45 +161,32 @@ def causal_column_mass(
     row_positions: np.ndarray,
     row_weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Float64 column sums of causal_softmax_rows(q_rows, k, scale, row_positions).
+    """Float64 column sums of the causal_softmax_blocks weights of q_rows against k.
 
-    The sums have the bits of `.sum(axis=0, dtype=np.float64)` over that
-    float32 matrix, yet only one block of rows is ever held. With
-    row_weights, one float64 weight per row, they have the bits of
+    The sums have the bits of `.sum(axis=0, dtype=np.float64)` over the
+    float32 (rows, n) matrix that stacks the blocks, zero past each block's
+    width, yet only one block of rows is ever held. With row_weights, one
+    float64 weight per row, they have the bits of
     `(weights.astype(np.float64) * row_weights[:, None]).sum(axis=0)`
-    instead; a weight of 1.0 changes no bit. Each block gets its own
-    (rows, d) @ (d, n) product and goes through _causal_block. Its float32
-    weights, widened and multiplied by their row weights, then sit in rows
-    1.. of a float64 buffer whose row 0 holds the running sums, and one
-    add.reduce down the columns adds them in row order, as the sum over the
-    whole matrix does. The buffer's rows double as the row-sum tile, zero
-    past hi. A tail block shorter than TAIL_MIN rows joins the block before
-    it: BLAS multiplies a single row with gemv, and for some head sizes a
-    few rows with another kernel, which can round the logits differently
-    from the rows of a larger product.
+    instead; a weight of 1.0 changes no bit. Each block's weights, widened
+    and multiplied by their row weights, sit in rows 1.. of a float64
+    buffer whose row 0 holds the running sums, and one add.reduce down the
+    columns adds them in row order, as the sum over the whole matrix does.
     """
-    q_rows, k, pos, consecutive = _check_rows(q_rows, k, row_positions)
+    q_rows, k = as_matrix(q_rows), as_matrix(k)
     m, n = q_rows.shape[0], k.shape[0]
     if row_weights is not None:
         row_weights = np.asarray(row_weights, dtype=np.float64)
         if row_weights.shape != (m,):
             raise ShapeError(f"{row_weights.shape} row weights for {m} query rows")
-    starts = list(range(0, m, CAUSAL_BLOCK))
-    if len(starts) > 1 and m - starts[-1] < TAIL_MIN:
-        starts.pop()
-    ends = starts[1:] + [m]
-    width = max((r1 - r0 for r0, r1 in zip(starts, ends)), default=0)
-    buf = np.zeros((width + 1, n), dtype=np.float64)
-    work = np.empty(width * n, dtype=np.float64)
-    for r0, r1 in zip(starts, ends):
-        logits = q_rows[r0:r1] @ k.T
-        logits *= FLOAT(scale)
-        rows = buf[: r1 - r0 + 1]
-        hi = _causal_block(logits, pos[r0:r1], rows[1:], work, consecutive)
-        rows[1:, :hi] = logits[:, :hi]
+    buf = np.zeros((min(m, CAUSAL_BLOCK + TAIL_MIN - 1) + 1, n), dtype=np.float64)
+    for r0, w in causal_softmax_blocks(q_rows, k, scale, row_positions):
+        size, hi = w.shape
+        rows = buf[1 : size + 1, :hi]
+        rows[...] = w
         if row_weights is not None:
-            rows[1:, :hi] *= row_weights[r0:r1, None]
-        buf[0, :hi] = np.add.reduce(rows[:, :hi], axis=0)
+            rows *= row_weights[r0 : r0 + size, None]
+        buf[0, :hi] = np.add.reduce(buf[: size + 1, :hi], axis=0)
     return buf[0].copy()
 
 

@@ -2,9 +2,11 @@
 
 Everything here favors obviousness over speed: python loops, python floats,
 no vectorized shortcuts shared with the code under test. The matrix forms
-of scoring and restricted attention are the exception: they build the whole
-weight matrix with numkit.causal_softmax_rows, which the naive loops check,
-so the blocked column sums can be checked against it bit for bit.
+of scoring and restricted attention are the exception: causal_softmax_rows
+stacks the float32 blocks of numkit.causal_softmax_blocks into the whole
+weight matrix, which the naive loops and the float64 softmax oracle
+(causal_softmax_f64) check, so the blocked column sums and outputs can be
+checked against it bit for bit.
 """
 
 import math
@@ -79,6 +81,35 @@ def naive_causal_attention(q, k, v, scale):
     return out, weights
 
 
+def causal_softmax_rows(q_rows, k, scale, row_positions) -> np.ndarray:
+    """Float32 (rows, n) causal weights: the numkit.causal_softmax_blocks blocks, stacked.
+
+    Each block's columns past its width are 0.0.
+    """
+    q_rows = numkit.as_matrix(q_rows)
+    out = np.zeros((q_rows.shape[0], np.shape(k)[0]), dtype=np.float32)
+    for r0, w in numkit.causal_softmax_blocks(q_rows, k, scale, row_positions):
+        out[r0 : r0 + w.shape[0], : w.shape[1]] = w
+    return out
+
+
+def causal_softmax_f64(q_rows, k, scale, row_positions) -> np.ndarray:
+    """The float64 causal softmax: softmax_rows_masked over one (rows, n) logit product.
+
+    The logits are (q_rows @ k.T) * scale in float32, as the kernel forms
+    them, masked by numkit.causal_row_mask; the softmax runs in float64 and
+    rounds each weight to float32 once.
+    """
+    q_rows, k = numkit.as_matrix(q_rows), numkit.as_matrix(k)
+    logits = (q_rows @ k.T) * np.float32(scale)
+    return softmax_rows_masked(logits, numkit.causal_row_mask(row_positions, k.shape[0]))
+
+
+def column_mass_f64(q_rows, k, scale, row_positions, row_weights=None) -> np.ndarray:
+    """numkit.causal_column_mass with the float64 causal softmax oracle's weights."""
+    return column_mass_from_matrix(q_rows, k, scale, row_positions, row_weights, causal_softmax_f64)
+
+
 def causal_score_matrix(q, k, scale, row_positions=None) -> np.ndarray:
     """Float32 causal weights of the chosen query rows against all keys, one row per position.
 
@@ -87,19 +118,21 @@ def causal_score_matrix(q, k, scale, row_positions=None) -> np.ndarray:
     """
     q = np.asarray(q, dtype=np.float32)
     pos = np.arange(q.shape[0]) if row_positions is None else np.asarray(row_positions, np.int64)
-    return numkit.causal_softmax_rows(np.ascontiguousarray(q[pos]), k, scale, pos)
+    return causal_softmax_rows(np.ascontiguousarray(q[pos]), k, scale, pos)
 
 
-def column_mass_from_matrix(q_rows, k, scale, row_positions, row_weights=None) -> np.ndarray:
-    """numkit.causal_column_mass through the whole (rows, n) weight matrix.
+def column_mass_from_matrix(
+    q_rows, k, scale, row_positions, row_weights=None, softmax=causal_softmax_rows
+) -> np.ndarray:
+    """numkit.causal_column_mass through the whole (rows, n) weight matrix of `softmax`.
 
     With row_weights, each widened row is multiplied by its weight before
-    the column sums.
+    the column sums, which add the rows in order.
     """
-    weights = numkit.causal_softmax_rows(q_rows, k, scale, row_positions)
-    if row_weights is None:
-        return weights.sum(axis=0, dtype=np.float64)
-    return (weights.astype(np.float64) * np.asarray(row_weights, np.float64)[:, None]).sum(axis=0)
+    weights = softmax(q_rows, k, scale, row_positions).astype(np.float64)
+    if row_weights is not None:
+        weights *= np.asarray(row_weights, np.float64)[:, None]
+    return weights.sum(axis=0)
 
 
 def weighted_visible_counts(row_positions, row_weights, n_cols) -> np.ndarray:
@@ -140,13 +173,13 @@ def kept_mass_share(q, k, scale, kept) -> float:
 def restricted_attention_weights(q, k, v, scale, indices):
     """(outputs, weights) of attention among `indices`, in subset order.
 
-    The p x p weights are numkit.causal_softmax_rows over subset positions,
-    and the outputs one `weights @ v` product, as in
-    attention.restricted_attention, which returns only the outputs.
+    The p x p weights are causal_softmax_rows over subset positions, and
+    the outputs one `weights @ v` product; attention.restricted_attention
+    returns only the outputs, one block of rows at a time.
     """
     idx = np.asarray(indices, dtype=np.int64)
     q_s, k_s, v_s = (np.ascontiguousarray(np.asarray(a, np.float32)[idx]) for a in (q, k, v))
-    weights = numkit.causal_softmax_rows(q_s, k_s, scale, np.arange(idx.size))
+    weights = causal_softmax_rows(q_s, k_s, scale, np.arange(idx.size))
     return weights @ v_s, weights
 
 

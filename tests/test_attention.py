@@ -310,3 +310,20 @@ class TestScoringMemory:
         # one n x n float32 score matrix at n = 2048 is 16 MiB
         assert large < 8 * 2**20
         assert large <= 2.5 * small
+
+
+class TestRestrictedAttentionMemory:
+    def test_workspace_is_linear_in_p(self):
+        p, d = 2048, 16
+        q, k, v = random_qkv(p, d, seed=p)
+        tracemalloc.start()
+        try:
+            attention.restricted_attention(q, k, v, 0.25, np.arange(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # per index: the gathered q, k, v and the output (4 d float32), its position,
+        # and the float32 weights of two blocks of rows, the one in use and the next;
+        # the p x p float32 weights alone would be 16 MiB
+        per_index = 4 * 4 * d + 8 + 2 * 4 * (numkit.CAUSAL_BLOCK + numkit.TAIL_MIN)
+        assert peak <= 1.25 * per_index * p

@@ -346,6 +346,22 @@ class TestScoringWork:
             for got, want in zip(getattr(blocked[1], name), getattr(matrix[1], name)):
                 assert np.array_equal(got, want)
 
+    # the bench model's shape and prompt; the float32 kernel's scores move the column
+    # mass by a few float32 ulps, which must not move any layer's budget
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    @pytest.mark.parametrize("mode", ["zipvl-exact", "zipvl-probe", "fixed"])
+    def test_float32_scoring_sizes_the_float64_budgets(self, monkeypatch, n, mode):
+        cfg = engine.ModelConfig(
+            layers=4, heads=4, d_model=64, vocab_size=256, max_seq=n, seed=1234
+        )
+        model = engine.init_model(cfg)
+        toks = np.random.default_rng(1234 + n).integers(0, cfg.vocab_size, size=n)
+        pol = engine.SparsityPolicy(mode=mode)
+        float32 = engine.prefill(model, toks, pol)[2]
+        monkeypatch.setattr(numkit, "causal_column_mass", oracles.column_mass_f64)
+        float64 = engine.prefill(model, toks, pol)[2]
+        assert [r.p for r in float32] == [r.p for r in float64]
+
     def test_dense_trace_entry_has_no_score_vectors(self, model, prompt):
         dense_trace: list = []
         scored_trace: list = []

@@ -125,12 +125,26 @@ def _probe_positions(n):
     return np.unique(np.concatenate([early[early < n], late]))
 
 
+# The float32 kernel's weights lie within WEIGHT_ULPS float32 ulps of 1.0 of the
+# float64 softmax oracle's, and each row sums to 1 within ROW_SUM_TOL. Both take the
+# same float32 logits: BLAS gives a block's product against its visible keys the bits
+# of the whole product's rows at these sizes. The kernel's exponent x - max rounds
+# by at most half an ulp of |x - max| = t, which moves a weight e^-t by at most
+# t e^-t / 2^24 <= ulp / 2e; exp, the row sum and the divide add a few half-ulps of
+# the weight itself. Measured worst: half an ulp.
+WEIGHT_ULPS = 2
+WEIGHT_TOL = WEIGHT_ULPS * float(np.finfo(np.float32).eps)
+ROW_SUM_TOL = 1e-6
+
+
 class TestCausalSoftmax:
     @pytest.mark.parametrize("scale", [1.0, 1e4])
     @pytest.mark.parametrize("d", [8, 16, 32])
     @pytest.mark.parametrize("rows", ["all", "probe"])
     @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3, 4 * B + 29])
     def test_equals_masked_softmax_bitwise(self, n, rows, d, scale):
+        # the float32 kernel against the float64 masked softmax on the same
+        # logits, within WEIGHT_TOL; masked columns stay exactly 0.0
         rng = numkit.make_rng(n * 100 + d)
         q = rng.normal(size=(n, d)).astype(np.float32)
         k = rng.normal(size=(n, d)).astype(np.float32)
@@ -138,18 +152,31 @@ class TestCausalSoftmax:
         q_rows = np.ascontiguousarray(q[pos])
         s = numkit.FLOAT(scale / np.sqrt(d))
         # at scale 1e4 a masked column leaking into the max or the sum moves every row
-        ref = oracles.softmax_rows_masked((q_rows @ k.T) * s, numkit.causal_row_mask(pos, n))
-        out = numkit.causal_softmax_rows(q_rows, k, s, pos)
-        assert out.dtype == np.float32
-        assert np.array_equal(out, ref)
+        ref = oracles.causal_softmax_f64(q_rows, k, s, pos)
+        out = oracles.causal_softmax_rows(q_rows, k, s, pos)
+        assert np.all(out[~numkit.causal_row_mask(pos, n)] == 0.0)
+        assert np.max(np.abs(out.astype(np.float64) - ref)) <= WEIGHT_TOL
+        assert np.max(np.abs(out.sum(axis=1, dtype=np.float64) - 1.0)) <= ROW_SUM_TOL
+
+    @pytest.mark.parametrize("rows", ["all", "probe"])
+    def test_blocks_cover_the_rows_and_span_only_visible_keys(self, rows):
+        n = 4 * B + 29
+        rng = numkit.make_rng(n)
+        q = rng.normal(size=(n, 8)).astype(np.float32)
+        pos = np.arange(n) if rows == "all" else _probe_positions(n)
+        r1 = 0
+        for r0, w in numkit.causal_softmax_blocks(np.ascontiguousarray(q[pos]), q, 0.5, pos):
+            assert r0 == r1 and w.dtype == np.float32 and w.flags.c_contiguous
+            r1 = r0 + w.shape[0]
+            assert w.shape[1] == pos[r1 - 1] + 1
+        assert r1 == pos.size
 
     def test_probe_rows_skip_blocks(self):
         pos = _probe_positions(4 * B + 29)
         assert pos[0] > 0 and np.diff(pos).max() > B
 
     def test_no_rows(self):
-        out = numkit.causal_softmax_rows(np.zeros((0, 4)), np.ones((5, 4)), 1.0, np.arange(0))
-        assert out.shape == (0, 5)
+        assert list(numkit.causal_softmax_blocks(np.zeros((0, 4)), np.ones((5, 4)), 1.0, [])) == []
         mass = numkit.causal_column_mass(np.zeros((0, 4)), np.ones((5, 4)), 1.0, np.arange(0))
         assert mass.dtype == np.float64 and mass.tolist() == [0.0] * 5
 
@@ -160,7 +187,8 @@ class TestCausalSoftmax:
 
     def test_bad_positions_raise(self):
         q = np.ones((3, 2), dtype=np.float32)
-        for fn in (numkit.causal_softmax_rows, numkit.causal_column_mass):
+        blocks = lambda *args: list(numkit.causal_softmax_blocks(*args))  # noqa: E731
+        for fn in (blocks, numkit.causal_column_mass):
             with pytest.raises(ShapeError):
                 fn(q, q, 1.0, np.arange(2))
             with pytest.raises(BoundsError):
@@ -190,6 +218,35 @@ class TestCausalColumnMass:
             s = numkit.FLOAT(1.0 / np.sqrt(d))
             ref = oracles.column_mass_from_matrix(q_rows, k, s, pos)
             assert np.array_equal(numkit.causal_column_mass(q_rows, k, s, pos), ref), m
+
+    @given(
+        n=st.integers(1, 3 * B + 20),
+        d=st.sampled_from([4, 8, 16]),
+        logit_scale=st.floats(0.1, 30.0),
+        subset=st.booleans(),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_within_float32_bound_of_float64_oracle(
+        self, n, d, logit_scale, subset, weighted, seed
+    ):
+        # each weight is within WEIGHT_TOL of the oracle's, so a column's mass is
+        # within WEIGHT_TOL times the weighted count of the rows that see it
+        rng = numkit.make_rng(seed)
+        q = rng.normal(size=(n, d)).astype(np.float32)
+        k = rng.normal(size=(n, d)).astype(np.float32)
+        pos = np.sort(rng.permutation(n)[: int(rng.integers(1, n + 1))]) if subset else np.arange(n)
+        row_weights = rng.uniform(0.5, 20.0, size=pos.size) if weighted else None
+        q_rows = np.ascontiguousarray(q[pos])
+        s = numkit.FLOAT(logit_scale / np.sqrt(d))
+        got = numkit.causal_column_mass(q_rows, k, s, pos, row_weights)
+        ref = oracles.column_mass_f64(q_rows, k, s, pos, row_weights)
+        counts = oracles.weighted_visible_counts(
+            pos, np.ones(pos.size) if row_weights is None else row_weights, n
+        )
+        assert got.dtype == np.float64
+        assert np.all(np.abs(got - ref) <= WEIGHT_TOL * counts)
 
 
 class TestTopk:
