@@ -1,16 +1,23 @@
 """Time prefill and decode on the default model; append a row set to each BENCH_*.json file.
 
-Prefill: one row per (n, mode) pair, n in SIZES: the measured prefill time
-(min over REPEATS runs), the modeled prefill attention flops (the sum of the
-layer reports' attn_flops), the measured and modeled speedup over dense at
-the same n, and peak_mib, the tracemalloc peak of one more, untimed prefill:
-the memory numpy allocates during it, the returned logits and cache included.
+Each of REPEATS rounds runs every mode (or policy) once, in turn, so a
+drift of the machine's speed reaches all of them alike. A measured time is
+reported three ways: its min over the rounds (prefill_ms, ms_per_step),
+its median (*_median) and its interquartile range (*_iqr). speedup_measured
+divides the dense min by the row's min; speedup_median is the median over
+rounds of dense's time divided by the row's time in the same round.
+
+Prefill: one row per (n, mode) pair, n in SIZES: the measured prefill time,
+the modeled prefill attention flops (the sum of the layer reports'
+attn_flops), the measured and modeled speedup over dense at the same n, and
+peak_mib, the tracemalloc peak of one more, untimed prefill: the memory
+numpy allocates during it, the returned logits and cache included.
 
 Decode: one row per cache policy in DECODE_POLICIES (dense, fixed 0.25,
 fixed 0.05, zipvl-probe with quantize), each a PROMPT-token prefill followed
 by STEPS greedy engine.decode steps: the mean cache rows per layer when
-decode starts, the measured ms per step and tokens per second (min over
-REPEATS runs, prefill untimed), the modeled decode attention flops, and the
+decode starts, the measured ms per step and tokens per second (tok_per_s
+from the min; prefill untimed), the modeled decode attention flops, and the
 measured and modeled speedup over dense.
 
 Rows of one invocation form a row set under --label in each file; the files
@@ -44,7 +51,7 @@ from zipvl import cli, engine
 
 SIZES = (128, 512, 2048)
 PROMPT, STEPS = 2048, 256
-REPEATS = 3
+REPEATS = 7
 _SHAPE = cli.ExperimentConfig()
 LAYERS, HEADS, D_MODEL, VOCAB = _SHAPE.layers, _SHAPE.heads, _SHAPE.d_model, _SHAPE.vocab_size
 SEED = 1234
@@ -68,25 +75,38 @@ def _model(max_seq: int) -> engine.TinyTransformer:
     )
 
 
-def _add_speedups(rows: list[dict], time_key: str, flops_key: str) -> None:
-    """Speedups over the first row, the dense one."""
+def _timing(key: str, ms: np.ndarray, digits: int) -> dict:
+    """The min, median and interquartile range of one row's per-round times, in ms."""
+    q1, median, q3 = np.percentile(ms, [25, 50, 75])
+    return {
+        key: round(float(ms.min()), digits),
+        f"{key}_median": round(float(median), digits),
+        f"{key}_iqr": round(float(q3 - q1), digits),
+    }
+
+
+def _add_speedups(rows: list[dict], ms: np.ndarray, time_key: str, flops_key: str) -> None:
+    """Speedups over the first row, the dense one; ms holds one row of round times per row."""
     dense = rows[0]
-    for r in rows:
+    for r, row_ms in zip(rows, ms):
         r["speedup_measured"] = round(dense[time_key] / r[time_key], 3)
+        r["speedup_median"] = round(float(np.median(ms[0] / row_ms)), 3)
         r["speedup_modeled"] = round(dense[flops_key] / r[flops_key], 3)
 
 
 def measure_prefill(n: int) -> list[dict]:
     model = _model(n)
     prompt = np.random.default_rng(SEED + n).integers(0, VOCAB, size=n)
-    rows = []
-    for mode in engine.MODES:
-        policy = engine.SparsityPolicy(mode=mode)
-        times = []
-        for _ in range(REPEATS):
+    policies = [engine.SparsityPolicy(mode=mode) for mode in engine.MODES]
+    ms = np.empty((len(policies), REPEATS))
+    reports = [None] * len(policies)
+    for rnd in range(REPEATS):
+        for i, policy in enumerate(policies):
             t0 = time.perf_counter()
-            _, _, reports = engine.prefill(model, prompt, policy)
-            times.append(time.perf_counter() - t0)
+            _, _, reports[i] = engine.prefill(model, prompt, policy)
+            ms[i, rnd] = 1e3 * (time.perf_counter() - t0)
+    rows = []
+    for policy, row_ms, layer_reports in zip(policies, ms, reports):
         tracemalloc.start()
         try:
             engine.prefill(model, prompt, policy)
@@ -96,44 +116,46 @@ def measure_prefill(n: int) -> list[dict]:
         rows.append(
             {
                 "n": n,
-                "mode": mode,
-                "prefill_ms": round(1e3 * min(times), 1),
+                "mode": policy.mode,
+                **_timing("prefill_ms", row_ms, 1),
                 "peak_mib": round(peak / 2**20, 3),
-                "attn_flops": sum(r.attn_flops for r in reports),
-                "mean_ratio": float(np.mean([r.ratio for r in reports])),
+                "attn_flops": sum(r.attn_flops for r in layer_reports),
+                "mean_ratio": float(np.mean([r.ratio for r in layer_reports])),
             }
         )
-    _add_speedups(rows, "prefill_ms", "attn_flops")
+    _add_speedups(rows, ms, "prefill_ms", "attn_flops")
     return rows
 
 
 def measure_decode() -> list[dict]:
     model = _model(PROMPT + STEPS)
     prompt = np.random.default_rng(SEED + PROMPT).integers(0, VOCAB, size=PROMPT)
-    rows = []
-    for name, knobs in DECODE_POLICIES:
-        policy = engine.SparsityPolicy(**knobs)
-        times = []
-        for _ in range(REPEATS):
+    policies = [engine.SparsityPolicy(**knobs) for _, knobs in DECODE_POLICIES]
+    ms = np.empty((len(policies), REPEATS))
+    cache_rows = [0.0] * len(policies)
+    reports = [None] * len(policies)
+    for rnd in range(REPEATS):
+        for i, policy in enumerate(policies):
             prefilled = engine.prefill(model, prompt, policy)
             cache = prefilled[1]
-            cache_rows = float(np.mean([cache.rows(i) for i in range(LAYERS)]))
+            cache_rows[i] = float(np.mean([cache.rows(layer) for layer in range(LAYERS)]))
             t0 = time.perf_counter()
-            _, report = engine.decode(model, prompt, prefilled, STEPS, policy)
-            times.append(time.perf_counter() - t0)
-        ms_per_step = 1e3 * min(times) / STEPS
+            _, reports[i] = engine.decode(model, prompt, prefilled, STEPS, policy)
+            ms[i, rnd] = 1e3 * (time.perf_counter() - t0) / STEPS
+    rows = []
+    for (name, _), row_ms, rows_cached, report in zip(DECODE_POLICIES, ms, cache_rows, reports):
         rows.append(
             {
                 "policy": name,
                 "prompt": PROMPT,
                 "steps": STEPS,
-                "cache_rows": cache_rows,
-                "ms_per_step": round(ms_per_step, 4),
-                "tok_per_s": round(1e3 / ms_per_step, 1),
+                "cache_rows": rows_cached,
+                **_timing("ms_per_step", row_ms, 4),
+                "tok_per_s": round(1e3 / float(row_ms.min()), 1),
                 "decode_attn_flops": report.decode_attn_flops,
             }
         )
-    _add_speedups(rows, "ms_per_step", "decode_attn_flops")
+    _add_speedups(rows, ms, "ms_per_step", "decode_attn_flops")
     return rows
 
 
@@ -163,7 +185,8 @@ def main(argv: list[str] | None = None) -> None:
         print(
             f"prefill n={r['n']:<5} {r['mode']:<12} {r['prefill_ms']:>9.1f} ms "
             f"{r['peak_mib']:>8.2f} MiB  "
-            f"x{r['speedup_measured']:<6} measured  x{r['speedup_modeled']:<6} modeled"
+            f"x{r['speedup_measured']:<6} measured  x{r['speedup_median']:<6} median  "
+            f"x{r['speedup_modeled']:<6} modeled"
         )
     decode = measure_decode()
     _append_row_set(DECODE_OUT, args.label, decode)
@@ -171,7 +194,7 @@ def main(argv: list[str] | None = None) -> None:
         print(
             f"decode {r['policy']:<21} {r['cache_rows']:>7.1f} rows "
             f"{r['ms_per_step']:>8.4f} ms/step {r['tok_per_s']:>7.1f} tok/s  "
-            f"x{r['speedup_measured']:<6} measured  "
+            f"x{r['speedup_measured']:<6} measured  x{r['speedup_median']:<6} median  "
             f"x{r['speedup_modeled']:<6} modeled"
         )
 

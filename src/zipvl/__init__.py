@@ -16,7 +16,6 @@ from .attention import (
     probe_weights,
     restricted_attention,
     select_probe_set,
-    structural_nnz,
 )
 from .budget import (
     adaptive_budget,

@@ -3,10 +3,13 @@
 Everything here is single-head: q, k, v are (n, d_head) float32 matrices.
 Multi-head aggregation happens in the engine. All functions are pure.
 
-Scoring (causal_scores, probe_attention) returns only the column mass the
-importance stats read, summed one block of rows at a time, never the score
-matrix. Restricted attention multiplies one block of weights at a time by
-the values, so it never holds its p x p weights either.
+Scoring (causal_scores, probe_attention) returns one AttentionScores record
+of the scored rows: the column mass, summed one block of rows at a time,
+never the score matrix, and the weighted count of the rows that see each
+column. The importance stats (accumulated_scores, normalized_scores) read
+only that record, so the engine can average the heads' records into one.
+Restricted attention multiplies one block of weights at a time by the
+values, so it never holds its p x p weights either.
 
 Probe rows estimate the full column mass: the random rows are one per
 stratum of the earlier positions, probe_weights gives each the inverse of
@@ -27,26 +30,21 @@ from .errors import BoundsError, DomainError, EmptySequenceError, OrderingError,
 
 @dataclass(frozen=True)
 class AttentionScores:
-    """Column mass of a (possibly partial) row-stochastic causal score matrix.
+    """Column mass of a set of scored causal rows, and how many of them see each column.
 
     mass[j] is the float64 sum, in row order, of the float32 weights that
-    the computed query rows give key j, each times its row's weight.
-    row_positions holds the original position of each of the n_rows rows,
-    sorted ascending; a row gives zero weight to every column past its
-    position. row_weights holds one float64 weight per row, or None when
-    every row weighs 1. When the rows cover every position with weight 1
-    this is the column mass of the full attention matrix. The matrix
-    itself is never kept.
+    the scored query rows give key j, each times its row's weight.
+    visible[j] is the float64 sum of the weights of the scored rows that see
+    key j; a row sees every key up to its own position, and with unit
+    weights this is the count of those rows. n_rows is the number of scored
+    rows. When the rows cover every position with weight 1 this is the
+    column mass of the full attention matrix. The matrix itself is never
+    kept.
     """
 
     mass: np.ndarray
-    row_positions: np.ndarray
-    n_total: int
-    row_weights: np.ndarray | None = None
-
-    @property
-    def n_rows(self) -> int:
-        return self.row_positions.size
+    visible: np.ndarray
+    n_rows: int
 
 
 def causal_scores(
@@ -56,7 +54,7 @@ def causal_scores(
     row_positions: np.ndarray | None = None,
     row_weights: np.ndarray | None = None,
 ) -> AttentionScores:
-    """Column mass of the causal softmax of the given query rows against all keys.
+    """Column mass and visible-row counts of the causal softmax of the given query rows.
 
     row_positions=None means all rows; row_weights=None weighs each row 1,
     else each row's weights are multiplied by its float64 row weight before
@@ -65,6 +63,10 @@ def causal_scores(
     numkit.causal_column_mass scores one block of rows at a time, so no
     (rows, n) array is built; the sums have the bits of the column sums of
     the stacked numkit.causal_softmax_blocks weights over the same rows.
+    The visible counts come from the row positions, not from testing
+    weights against zero: key j is seen by the rows from the first one at
+    position >= j on, so its count is a suffix sum of the row weights,
+    added from the last row back.
     """
     q = numkit.as_matrix(q)
     k = numkit.as_matrix(k)
@@ -77,13 +79,12 @@ def causal_scores(
         row_positions = np.asarray(row_positions, dtype=np.int64)
         if row_positions.size and row_positions.max() >= q.shape[0]:
             raise BoundsError("row position beyond query rows")
-    if row_weights is not None:
-        row_weights = np.asarray(row_weights, dtype=np.float64)
     q_rows = np.ascontiguousarray(q[row_positions])
     mass = numkit.causal_column_mass(q_rows, k, scale, row_positions, row_weights)
-    return AttentionScores(
-        mass=mass, row_positions=row_positions, n_total=n, row_weights=row_weights
-    )
+    weights = np.ones(row_positions.size) if row_weights is None else row_weights
+    suffix = np.append(np.cumsum(np.asarray(weights, dtype=np.float64)[::-1])[::-1], 0.0)
+    first = np.searchsorted(row_positions, np.arange(n), side="left")
+    return AttentionScores(mass=mass, visible=suffix[first], n_rows=row_positions.size)
 
 
 def restricted_attention(
@@ -122,33 +123,18 @@ def accumulated_scores(scores: AttentionScores) -> np.ndarray:
     return scores.mass.astype(numkit.FLOAT)
 
 
-def structural_nnz(scores: AttentionScores) -> np.ndarray:
-    """Weighted count of the available rows that see each column.
-
-    Counted structurally from row positions (row c sees column j iff
-    row_position(c) >= j), not by testing floats against zero. Without row
-    weights this is the int64 count; with them, the float64 sum of the
-    weights of the rows that see j, added from the last row back.
-    """
-    first = np.searchsorted(scores.row_positions, np.arange(scores.n_total), side="left")
-    if scores.row_weights is None:
-        return scores.n_rows - first
-    suffix = np.zeros(scores.n_rows + 1)
-    suffix[:-1] = np.cumsum(scores.row_weights[::-1])[::-1]
-    return suffix[first]
-
-
-def normalized_scores(scores: AttentionScores, accumulated: np.ndarray) -> np.ndarray:
+def normalized_scores(scores: AttentionScores) -> np.ndarray:
     """Accumulated score per token divided by its weighted visible-row count.
 
-    `accumulated` is accumulated_scores(scores); the caller passes the one it
-    already has, so the column mass is summed once per head.
+    Exactly float32(accumulated_scores(scores) / scores.visible) where some
+    row sees the token, and 0.0 where none does.
     """
-    nnz = structural_nnz(scores)
-    out = np.zeros(scores.n_total, dtype=numkit.FLOAT)
-    seen = nnz > 0
-    out[seen] = accumulated[seen] / nnz[seen]
-    return out
+    return np.divide(
+        scores.mass.astype(numkit.FLOAT),
+        scores.visible,
+        out=np.zeros(scores.visible.size, dtype=numkit.FLOAT),
+        where=scores.visible > 0,
+    )
 
 
 def _strata(pool: int, take: int) -> np.ndarray:
@@ -202,12 +188,11 @@ def probe_weights(n: int, recent: int, probe: np.ndarray) -> np.ndarray:
 
 
 def probe_attention(
-    q: np.ndarray, probe: np.ndarray, k: np.ndarray, scale: float, weights: np.ndarray | None = None
+    q: np.ndarray, probe: np.ndarray, k: np.ndarray, scale: float, weights: np.ndarray
 ) -> AttentionScores:
     """Column mass of the probe rows only; causality follows original positions.
 
-    weights=None sums the probe rows as they are; the engine passes
-    probe_weights, so the mass and the visible-row counts estimate those
-    of every row.
+    weights are probe_weights(n, recent, probe), so the mass and the
+    visible-row counts estimate those of every row.
     """
     return causal_scores(q, k, scale, row_positions=probe, row_weights=weights)

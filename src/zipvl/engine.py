@@ -188,7 +188,9 @@ def _token_scores(
 
     zipvl-probe scores the layer's probe rows, each weighted by
     attention.probe_weights, every other mode all rows. Each head's column
-    mass is summed once and feeds both statistics.
+    mass is summed once; the layer's record holds their float64 mean and
+    the visible-row counts, which every head shares since every head scores
+    the same rows, and both statistics are read from it once.
     """
     n, heads = k.shape[1], k.shape[0]
     if policy.mode == "zipvl-probe":
@@ -201,13 +203,12 @@ def _token_scores(
     else:
         per_head = [attention.causal_scores(q[i], k[i], scale) for i in range(heads)]
         probe_rows = 0
-    acc = [attention.accumulated_scores(s) for s in per_head]
-    norm = [attention.normalized_scores(s, a) for s, a in zip(per_head, acc)]
-    return (
-        np.mean(acc, axis=0, dtype=np.float64).astype(np.float32),
-        np.mean(norm, axis=0, dtype=np.float64).astype(np.float32),
-        probe_rows,
+    scores = attention.AttentionScores(
+        mass=np.mean([s.mass for s in per_head], axis=0),
+        visible=per_head[0].visible,
+        n_rows=per_head[0].n_rows,
     )
+    return attention.accumulated_scores(scores), attention.normalized_scores(scores), probe_rows
 
 
 def prefill(

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from zipvl import numkit
+from zipvl import attention, numkit
 from zipvl.errors import DegenerateMaskError, ShapeError
 
 
@@ -150,6 +150,37 @@ def weighted_visible_counts(row_positions, row_weights, n_cols) -> np.ndarray:
                 acc += w
         out[j] = acc
     return out
+
+
+def head_averaged_scores(q, k, scale, policy, seed, layer):
+    """engine._token_scores through one record per head, averaged statistic by statistic.
+
+    Each head's float32 accumulated and normalized scores are formed from
+    its own record, the normalized ones with the head's visible-row counts,
+    and each statistic's float64 mean over the heads is cast to float32.
+    """
+    n, heads = k.shape[1], k.shape[0]
+    if policy.mode == "zipvl-probe":
+        probe = attention.select_probe_set(
+            n, policy.probe_recent, policy.probe_random, numkit.derive_seed(seed, layer)
+        )
+        w = attention.probe_weights(n, policy.probe_recent, probe)
+        per_head = [attention.probe_attention(q[i], probe, k[i], scale, w) for i in range(heads)]
+        probe_rows = int(probe.size)
+    else:
+        per_head = [attention.causal_scores(q[i], k[i], scale) for i in range(heads)]
+        probe_rows = 0
+    acc, norm = [], []
+    for head in per_head:
+        acc.append(head.mass.astype(np.float32))
+        seen = head.visible > 0
+        norm.append(np.zeros(n, dtype=np.float32))
+        norm[-1][seen] = acc[-1][seen] / head.visible[seen]
+    return (
+        np.mean(acc, axis=0, dtype=np.float64).astype(np.float32),
+        np.mean(norm, axis=0, dtype=np.float64).astype(np.float32),
+        probe_rows,
+    )
 
 
 def kept_mass_share(q, k, scale, kept) -> float:

@@ -135,14 +135,16 @@ def test_04_probe_row_exactness():
             d = int(rng.choice([4, 8]))
             q = rng.normal(size=(n, d)).astype(np.float32)
             k = rng.normal(size=(n, d)).astype(np.float32)
+            recent = int(rng.integers(1, 9))
             probe = attention.select_probe_set(
-                n, recent=int(rng.integers(1, 9)), random=int(rng.integers(0, 9)), seed=trial
+                n, recent=recent, random=int(rng.integers(0, 9)), seed=trial
             )
-            ps = attention.probe_attention(q, probe, k, 1.0 / np.sqrt(d))
+            w = attention.probe_weights(n, recent, probe)
+            ps = attention.probe_attention(q, probe, k, 1.0 / np.sqrt(d), w)
             rows = oracles.causal_score_matrix(q, k, 1.0 / np.sqrt(d), probe)
             full = oracles.causal_score_matrix(q, k, 1.0 / np.sqrt(d))
             assert np.max(np.abs(rows - full[probe])) <= 1e-6
-            assert np.array_equal(ps.mass, rows.sum(axis=0, dtype=np.float64))
+            assert np.array_equal(ps.mass, (rows.astype(np.float64) * w[:, None]).sum(axis=0))
 
         # a probe set covering every row reproduces the exact pipeline
         config = engine.ModelConfig(

@@ -40,7 +40,7 @@ class TestCausalScores:
         assert np.array_equal(oracles.causal_score_matrix(q, k, 0.4, rows), full[rows])
         sub = attention.causal_scores(q, k, 0.4, row_positions=rows)
         assert np.array_equal(sub.mass, full[rows].sum(axis=0, dtype=np.float64))
-        assert (sub.n_rows, sub.n_total) == (4, 16)
+        assert (sub.n_rows, sub.visible.size) == (4, 16)
 
     def test_head_dim_mismatch(self):
         with pytest.raises(ShapeError):
@@ -126,28 +126,42 @@ class TestScoreStats:
         q, k, _ = random_qkv(6, 3, seed=10)
         scores = attention.causal_scores(q, k, 0.5)
         # column j is visible to rows j..n-1
-        assert attention.structural_nnz(scores).tolist() == [6, 5, 4, 3, 2, 1]
+        assert scores.visible.tolist() == [6, 5, 4, 3, 2, 1]
 
     def test_structural_nnz_subset_rows(self):
         q, k, _ = random_qkv(8, 3, seed=11)
         scores = attention.causal_scores(q, k, 0.5, row_positions=np.array([2, 5]))
-        assert attention.structural_nnz(scores).tolist() == [2, 2, 2, 1, 1, 1, 0, 0]
+        assert scores.visible.tolist() == [2, 2, 2, 1, 1, 1, 0, 0]
 
     def test_structural_nnz_sums_row_weights(self):
         q, k, _ = random_qkv(8, 3, seed=11)
         rows, weights = np.array([2, 5]), np.array([3.0, 1.0])
         scores = attention.causal_scores(q, k, 0.5, row_positions=rows, row_weights=weights)
-        assert attention.structural_nnz(scores).tolist() == [4.0, 4.0, 4.0, 1.0, 1.0, 1.0, 0.0, 0.0]
+        assert scores.visible.tolist() == [4.0, 4.0, 4.0, 1.0, 1.0, 1.0, 0.0, 0.0]
 
     def test_normalized_divides_by_nnz_and_zeroes_unseen(self):
         q, k, _ = random_qkv(8, 3, seed=12)
         scores = attention.causal_scores(q, k, 0.5, row_positions=np.array([2, 5]))
         acc = attention.accumulated_scores(scores)
-        norm = attention.normalized_scores(scores, acc)
-        nnz = attention.structural_nnz(scores)
-        assert np.all(norm[nnz == 0] == 0.0)
-        seen = nnz > 0
-        assert np.allclose(norm[seen], acc[seen] / nnz[seen], atol=1e-7)
+        norm = attention.normalized_scores(scores)
+        visible = scores.visible
+        assert norm.dtype == np.float32
+        assert np.all(norm[visible == 0] == 0.0)
+        seen = visible > 0
+        assert np.array_equal(norm[seen], (acc[seen] / visible[seen]).astype(np.float32))
+
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_property_unit_weights_count_the_visible_rows(self, n, seed):
+        q, k, _ = random_qkv(n, 4, seed)
+        rows = np.flatnonzero(numkit.make_rng(seed).uniform(size=n) < 0.5)
+        ones = np.ones(rows.size)
+        plain = attention.causal_scores(q, k, 0.5, row_positions=rows)
+        unit = attention.causal_scores(q, k, 0.5, row_positions=rows, row_weights=ones)
+        assert np.array_equal(plain.visible, oracles.weighted_visible_counts(rows, ones, n))
+        assert np.array_equal(plain.visible, unit.visible)
+        assert np.array_equal(plain.mass, unit.mass)
+        assert plain.n_rows == unit.n_rows == rows.size
 
     def test_normalization_corrects_late_token_rank(self):
         # token 3 is seen by one row only, so its accumulated score loses to
@@ -162,10 +176,10 @@ class TestScoreStats:
             dtype=np.float32,
         )
         scores = attention.AttentionScores(
-            mass=w.sum(axis=0, dtype=np.float64), row_positions=np.arange(4), n_total=4
+            mass=w.sum(axis=0, dtype=np.float64), visible=np.array([4.0, 3.0, 2.0, 1.0]), n_rows=4
         )
         acc = attention.accumulated_scores(scores)
-        norm = attention.normalized_scores(scores, acc)
+        norm = attention.normalized_scores(scores)
         assert numkit.topk_indices(acc, 1).tolist() == [0]
         assert numkit.topk_indices(norm, 1).tolist() == [3]
 
@@ -243,18 +257,25 @@ class TestProbeAttention:
     def test_probe_rows_equal_dense_rows(self):
         q, k, _ = random_qkv(40, 8, seed=13)
         probe = attention.select_probe_set(40, recent=6, random=6, seed=2)
-        ps = attention.probe_attention(q, probe, k, 1.0 / np.sqrt(8))
+        w = attention.probe_weights(40, 6, probe)
+        ps = attention.probe_attention(q, probe, k, 1.0 / np.sqrt(8), w)
         full = oracles.causal_score_matrix(q, k, 1.0 / np.sqrt(8))
         assert np.array_equal(oracles.causal_score_matrix(q, k, 1.0 / np.sqrt(8), probe), full[probe])
-        assert np.array_equal(ps.mass, full[probe].sum(axis=0, dtype=np.float64))
+        weighted = (full[probe].astype(np.float64) * w[:, None]).sum(axis=0)
+        assert np.array_equal(ps.mass, weighted)
         assert ps.n_rows == probe.size
 
     def test_probe_mass_equals_probe_row_count(self):
         q, k, _ = random_qkv(30, 4, seed=14)
         probe = attention.select_probe_set(30, recent=4, random=8, seed=5)
-        acc = attention.accumulated_scores(attention.probe_attention(q, probe, k, 0.5))
-        mass = float(acc.sum(dtype=np.float64))
-        assert abs(mass - probe.size) <= 1e-3 * probe.size
+        w = attention.probe_weights(30, 4, probe)
+        ps = attention.probe_attention(q, probe, k, 0.5, w)
+        rows = oracles.causal_score_matrix(q, k, 0.5, probe)
+        assert np.array_equal(ps.mass, (rows.astype(np.float64) * w[:, None]).sum(axis=0))
+        # each row holds mass 1, and the weighted probe rows stand for all 30 rows
+        assert float(w.sum()) == 30.0
+        mass = float(attention.accumulated_scores(ps).sum(dtype=np.float64))
+        assert abs(mass - 30.0) <= 1e-3 * 30.0
 
     def test_weights_are_one_for_recent_rows_and_stratum_sizes_for_random_rows(self):
         probe = attention.select_probe_set(100, recent=10, random=5, seed=1)
@@ -285,12 +306,11 @@ class TestProbeAttention:
         ps = attention.probe_attention(q, probe, k, scale, w)
         rows = oracles.causal_score_matrix(q, k, scale, probe)
         assert np.array_equal(ps.mass, (rows.astype(np.float64) * w[:, None]).sum(axis=0))
-        nnz = attention.structural_nnz(ps)
-        assert np.array_equal(nnz, oracles.weighted_visible_counts(probe, w, n))
+        assert np.array_equal(ps.visible, oracles.weighted_visible_counts(probe, w, n))
         if random or recent >= n:
             # the weights stand for all n rows, each of mass 1, and every row sees column 0
             assert abs(float(ps.mass.sum()) - n) <= 1e-6 * n
-            assert abs(nnz[0] - n) <= 1e-12 * n
+            assert abs(ps.visible[0] - n) <= 1e-12 * n
 
 
 class TestScoringMemory:

@@ -1,4 +1,4 @@
-"""scripts/bench.py at a tiny size: one row set per invocation in each file."""
+"""scripts/bench.py at a tiny size: one row set per invocation in each file, modes alternated."""
 
 import importlib.util
 import json
@@ -15,17 +15,30 @@ def test_each_run_appends_a_prefill_and_a_decode_row_set(monkeypatch, tmp_path):
     spec = importlib.util.spec_from_file_location("bench", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    for name, value in [("SIZES", (8,)), ("PROMPT", 8), ("STEPS", 3), ("REPEATS", 1)]:
+    for name, value in [("SIZES", (8,)), ("PROMPT", 8), ("STEPS", 3), ("REPEATS", 3)]:
         monkeypatch.setattr(bench, name, value)
     monkeypatch.setattr(bench, "PREFILL_OUT", tmp_path / "prefill.json")
     monkeypatch.setattr(bench, "DECODE_OUT", tmp_path / "decode.json")
     bench.main(["--label", "a"])
+    modes: list = []
+    original = engine.prefill
+
+    def recorded(model, prompt, policy, *args, **kwargs):
+        modes.append(policy.mode)
+        return original(model, prompt, policy, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "prefill", recorded)
     bench.main(["--label", "b"])
+    # each round runs every mode in turn, then one untimed pass per mode measures
+    # memory; the decode rounds take their policies in turn too
+    decode_modes = [knobs["mode"] for _, knobs in bench.DECODE_POLICIES]
+    assert modes == list(engine.MODES) * 4 + decode_modes * 3
 
     prefill = json.loads((tmp_path / "prefill.json").read_text())["row_sets"]
     assert [s["label"] for s in prefill] == ["a", "b"]
     assert [(r["n"], r["mode"]) for r in prefill[1]["rows"]] == [(8, m) for m in engine.MODES]
     assert all(r["prefill_ms"] >= 0 and r["attn_flops"] > 0 for r in prefill[1]["rows"])
+    assert prefill[1]["rows"][0]["speedup_median"] == 1.0
     # the traced prefill holds at least its logits, 8 x VOCAB float32
     assert all(r["peak_mib"] >= 8 * bench.VOCAB * 4 / 2**20 for r in prefill[1]["rows"])
 
@@ -36,5 +49,12 @@ def test_each_run_appends_a_prefill_and_a_decode_row_set(monkeypatch, tmp_path):
     assert all(r["prompt"] == 8 and r["steps"] == 3 and r["tok_per_s"] > 0 for r in rows)
     dense, fixed_quarter, fixed_twentieth, probe = (r["cache_rows"] for r in rows)
     assert dense == probe == 8.0 and dense > fixed_quarter >= fixed_twentieth >= 1
-    assert rows[0]["speedup_measured"] == rows[0]["speedup_modeled"] == 1.0
+    assert rows[0]["speedup_measured"] == rows[0]["speedup_median"] == 1.0
+    assert rows[0]["speedup_modeled"] == 1.0
     assert rows[2]["speedup_modeled"] > 1.0
+
+    # beside each min: the median and interquartile range of the round times
+    for key, timed in [("prefill_ms", prefill[1]["rows"]), ("ms_per_step", rows)]:
+        for r in timed:
+            assert r[key] <= r[f"{key}_median"] and r[f"{key}_iqr"] >= 0
+            assert r["speedup_median"] > 0

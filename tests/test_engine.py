@@ -316,11 +316,54 @@ class TestScoringWork:
         pol = engine.SparsityPolicy(mode=mode, probe_recent=8, probe_random=8)
         engine.prefill(model, prompt, pol)
         scored = CFG.heads * CFG.layers
-        assert counts["accumulated_scores"] == scored
-        assert counts["normalized_scores"] == scored
+        # the heads' mean is one layer record, read once by each statistic
+        assert counts["accumulated_scores"] == CFG.layers
+        assert counts["normalized_scores"] == CFG.layers
         # probe_attention reaches causal_scores once per call
         assert counts["causal_scores"] == scored
         assert counts["probe_attention"] == (scored if mode == "zipvl-probe" else 0)
+
+    @pytest.mark.parametrize("mode", ["zipvl-exact", "zipvl-probe", "fixed"])
+    def test_normalized_is_accumulated_over_the_visible_rows(self, model, prompt, mode):
+        # the visible rows come from the policy's row set, not from the record
+        pol = engine.SparsityPolicy(mode=mode, tau=0.9, probe_recent=8, probe_random=8)
+        trace: list = []
+        engine.prefill(model, prompt, pol, trace=trace)
+        n = prompt.size
+        for entry in trace:
+            if mode == "zipvl-probe":
+                seed = numkit.derive_seed(CFG.seed, entry["layer"])
+                probe = attention.select_probe_set(n, 8, 8, seed)
+                w = attention.probe_weights(n, 8, probe)
+                visible = oracles.weighted_visible_counts(probe, w, n)
+            else:
+                visible = (n - np.arange(n)).astype(np.float64)
+            acc, norm = entry["accumulated"], entry["normalized"]
+            want = np.zeros(n, dtype=np.float32)
+            seen = visible > 0
+            want[seen] = acc[seen] / visible[seen]
+            assert norm.dtype == np.float32
+            assert np.array_equal(norm, want)
+
+    # the bench model's shape and prompt: one layer record per scored layer keeps
+    # every budget and every logit of the heads' per-head averaged statistics
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    @pytest.mark.parametrize("mode", ["zipvl-exact", "zipvl-probe", "fixed"])
+    def test_layer_record_keeps_the_head_averaged_sets(self, monkeypatch, n, mode):
+        cfg = engine.ModelConfig(
+            layers=4, heads=4, d_model=64, vocab_size=256, max_seq=n, seed=1234
+        )
+        model = engine.init_model(cfg)
+        toks = np.random.default_rng(1234 + n).integers(0, cfg.vocab_size, size=n)
+        pol = engine.SparsityPolicy(mode=mode)
+        got: list = []
+        want: list = []
+        logits = engine.prefill(model, toks, pol, trace=got)[0]
+        monkeypatch.setattr(engine, "_token_scores", oracles.head_averaged_scores)
+        oracle_logits = engine.prefill(model, toks, pol, trace=want)[0]
+        for a, b in zip(got, want):
+            assert np.array_equal(a["important"], b["important"])
+        assert np.array_equal(logits, oracle_logits)
 
     # n = 79 and 136 end in a short tail block that joins the block before it
     @pytest.mark.parametrize("d_head, n", [(16, 79), (64, 136), (32, 150)])
