@@ -13,7 +13,6 @@ from .attention import (
     causal_scores,
     normalized_scores,
     probe_attention,
-    probe_weights,
     restricted_attention,
     select_probe_set,
 )

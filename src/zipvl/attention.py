@@ -11,11 +11,12 @@ only that record, so the engine can average the heads' records into one.
 Restricted attention multiplies one block of weights at a time by the
 values, so it never holds its p x p weights either.
 
-Probe rows estimate the full column mass: the random rows are one per
-stratum of the earlier positions, probe_weights gives each the inverse of
-its inclusion probability, its stratum's size, and each recent row 1, and
-both the mass and the visible-row counts are weighted sums. When the probes
-cover every row each weight is 1.0 and the estimate is exact.
+Probe rows estimate the full column mass: select_probe_set draws the random
+rows one per stratum of the earlier positions and returns with each the
+inverse of its inclusion probability, its stratum's size, and with each
+recent row 1, and both the mass and the visible-row counts are weighted
+sums. When the probes cover every row each weight is 1.0 and the estimate
+is exact.
 """
 
 from __future__ import annotations
@@ -137,13 +138,10 @@ def normalized_scores(scores: AttentionScores) -> np.ndarray:
     )
 
 
-def _strata(pool: int, take: int) -> np.ndarray:
-    """Bounds of `take` contiguous strata splitting range(pool) as evenly as integers allow."""
-    return np.arange(take + 1, dtype=np.int64) * pool // take
-
-
-def select_probe_set(n: int, recent: int, random: int, seed: int) -> np.ndarray:
-    """Pick probe rows: the trailing `recent` positions plus `random` others.
+def select_probe_set(
+    n: int, recent: int, random: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pick probe rows, the trailing `recent` positions plus `random` others, and weigh them.
 
     The pool of non-recent positions is split into take = min(random, pool)
     contiguous strata of pool // take or pool // take + 1 positions, and one
@@ -151,7 +149,10 @@ def select_probe_set(n: int, recent: int, random: int, seed: int) -> np.ndarray:
     take positions, every stretch of the sequence gets its share of rows,
     so the estimate, and the budget sized from it, moves much less from
     seed to seed. A pool smaller than `random` is taken whole. Returns the
-    probe positions as a sorted int64 array.
+    probe positions as a sorted int64 array and their float64
+    Horvitz-Thompson weights: a drawn row stands for its stratum and weighs
+    its size, each recent row weighs 1.0, so the weights sum to n, and each
+    is 1.0 when the draw took the whole pool.
     """
     if n == 0:
         raise EmptySequenceError("cannot select probes from an empty sequence")
@@ -159,32 +160,15 @@ def select_probe_set(n: int, recent: int, random: int, seed: int) -> np.ndarray:
         raise DomainError("recent count must be >= 1")
     if random < 0:
         raise DomainError("random count must be >= 0")
-    n_recent = min(recent, n)
-    pool = n - n_recent
-    take = min(random, pool)
-    drawn = np.empty(0, dtype=np.int64)
-    if take:
-        bounds = _strata(pool, take)
-        drawn = bounds[:-1] + numkit.make_rng(seed).integers(0, np.diff(bounds))
-    return np.concatenate([drawn, np.arange(pool, n)]).astype(np.int64)
-
-
-def probe_weights(n: int, recent: int, probe: np.ndarray) -> np.ndarray:
-    """Horvitz-Thompson weight of each row of select_probe_set(n, recent, ...).
-
-    The trailing min(recent, n) rows are always scored and weigh 1.0. Each
-    of the other take rows was drawn from its stratum of the pool = n -
-    min(recent, n) earlier positions, so it stands for that stratum's
-    size: pool / take when take divides pool, and exactly 1.0 when the
-    draw took the whole pool.
-    """
     pool = n - min(recent, n)
-    drawn = np.asarray(probe) < pool
-    weights = np.ones(drawn.size)
-    take = int(np.count_nonzero(drawn))
+    take = min(random, pool)
+    drawn = sizes = np.empty(0, dtype=np.int64)
     if take:
-        weights[drawn] = np.diff(_strata(pool, take))
-    return weights
+        bounds = np.arange(take + 1, dtype=np.int64) * pool // take
+        sizes = np.diff(bounds)
+        drawn = bounds[:-1] + numkit.make_rng(seed).integers(0, sizes)
+    rows = np.concatenate([drawn, np.arange(pool, n)]).astype(np.int64)
+    return rows, np.concatenate([sizes, np.ones(n - pool)])
 
 
 def probe_attention(
@@ -192,7 +176,8 @@ def probe_attention(
 ) -> AttentionScores:
     """Column mass of the probe rows only; causality follows original positions.
 
-    weights are probe_weights(n, recent, probe), so the mass and the
-    visible-row counts estimate those of every row.
+    weights are the Horvitz-Thompson weights select_probe_set returns with
+    the probe rows, so the mass and the visible-row counts estimate those of
+    every row.
     """
     return causal_scores(q, k, scale, row_positions=probe, row_weights=weights)

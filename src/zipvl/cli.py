@@ -173,9 +173,13 @@ def _policy(cfg: ExperimentConfig, **changes) -> engine.SparsityPolicy:
     return _validated(engine.SparsityPolicy, cfg, **changes)
 
 
-def _adaptive_mode(cfg: ExperimentConfig) -> str:
-    """The adaptive mode sweep-tau and compare run: cfg.mode if adaptive, else the first one."""
-    return cfg.mode if cfg.mode in engine.ADAPTIVE_MODES else engine.ADAPTIVE_MODES[0]
+def _adaptive_mode(cfg: ExperimentConfig, command: str) -> str:
+    """The adaptive mode sweep-tau and compare without modes run: cfg.mode, never swapped."""
+    if cfg.mode not in engine.ADAPTIVE_MODES:
+        raise ConfigError(
+            f"mode {cfg.mode!r} is not adaptive; {command} runs one of {engine.ADAPTIVE_MODES}"
+        )
+    return cfg.mode
 
 
 def _prompt_tokens(cfg: ExperimentConfig, repeat: int = 0) -> np.ndarray:
@@ -288,7 +292,7 @@ def cmd_sweep_tau(cfg: ExperimentConfig) -> list[dict]:
     if not taus:
         raise ConfigError("taus is empty")
     _single_repeat(cfg, "sweep-tau")
-    mode = _adaptive_mode(cfg)
+    mode = _adaptive_mode(cfg, "sweep-tau")
     subject = _build_subject(cfg)
     keys = ("mean_ratio", "flops_reduction", "kv_reduction", "min_retained_mass")
     rows = []
@@ -309,7 +313,7 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     """
     names = [m.strip() for m in cfg.modes.split(",") if m.strip()]
     if not names:
-        names = [_adaptive_mode(cfg), "fixed", "dense"]
+        names = [_adaptive_mode(cfg, "compare without modes"), "fixed", "dense"]
     if len(names) < 2:
         raise ConfigError("compare needs at least 2 modes")
     for i, name in enumerate(names):

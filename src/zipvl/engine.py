@@ -186,18 +186,18 @@ def _token_scores(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """A scored layer's head-mean accumulated and normalized scores, and its probe row count.
 
-    zipvl-probe scores the layer's probe rows, each weighted by
-    attention.probe_weights, every other mode all rows. Each head's column
-    mass is summed once; the layer's record holds their float64 mean and
-    the visible-row counts, which every head shares since every head scores
-    the same rows, and both statistics are read from it once.
+    zipvl-probe scores the layer's probe rows, each with the weight that
+    attention.select_probe_set returns with it, every other mode all rows.
+    Each head's column mass is summed once; the layer's record holds their
+    float64 mean and the visible-row counts, which every head shares since
+    every head scores the same rows, and both statistics are read from it
+    once.
     """
     n, heads = k.shape[1], k.shape[0]
     if policy.mode == "zipvl-probe":
-        probe = attention.select_probe_set(
+        probe, w = attention.select_probe_set(
             n, policy.probe_recent, policy.probe_random, numkit.derive_seed(seed, layer)
         )
-        w = attention.probe_weights(n, policy.probe_recent, probe)
         per_head = [attention.probe_attention(q[i], probe, k[i], scale, w) for i in range(heads)]
         probe_rows = int(probe.size)
     else:

@@ -42,8 +42,6 @@ def generate_workload(
             if kind == "peaked":
                 vals = rng.gamma(shape=1.0 / concentration, scale=1.0, size=n)
                 vals = np.maximum(vals, np.finfo(np.float64).tiny)
-            elif np.isinf(concentration):
-                vals = np.ones(n, dtype=np.float64)
             else:
                 vals = 1.0 + rng.uniform(0.0, 1.0, size=n) / concentration
             rows[i] = (vals * (n / vals.sum())).astype(np.float32)

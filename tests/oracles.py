@@ -161,10 +161,9 @@ def head_averaged_scores(q, k, scale, policy, seed, layer):
     """
     n, heads = k.shape[1], k.shape[0]
     if policy.mode == "zipvl-probe":
-        probe = attention.select_probe_set(
+        probe, w = attention.select_probe_set(
             n, policy.probe_recent, policy.probe_random, numkit.derive_seed(seed, layer)
         )
-        w = attention.probe_weights(n, policy.probe_recent, probe)
         per_head = [attention.probe_attention(q[i], probe, k[i], scale, w) for i in range(heads)]
         probe_rows = int(probe.size)
     else:

@@ -136,10 +136,9 @@ def test_04_probe_row_exactness():
             q = rng.normal(size=(n, d)).astype(np.float32)
             k = rng.normal(size=(n, d)).astype(np.float32)
             recent = int(rng.integers(1, 9))
-            probe = attention.select_probe_set(
+            probe, w = attention.select_probe_set(
                 n, recent=recent, random=int(rng.integers(0, 9)), seed=trial
             )
-            w = attention.probe_weights(n, recent, probe)
             ps = attention.probe_attention(q, probe, k, 1.0 / np.sqrt(d), w)
             rows = oracles.causal_score_matrix(q, k, 1.0 / np.sqrt(d), probe)
             full = oracles.causal_score_matrix(q, k, 1.0 / np.sqrt(d))

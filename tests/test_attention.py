@@ -186,23 +186,23 @@ class TestScoreStats:
 
 class TestProbeSet:
     def test_recent_block_always_present(self):
-        probe = attention.select_probe_set(100, recent=10, random=5, seed=1)
+        probe, _ = attention.select_probe_set(100, recent=10, random=5, seed=1)
         assert set(range(90, 100)) <= set(probe.tolist())
         assert probe.size == 15
         assert np.all(np.diff(probe) > 0)
 
     def test_covers_everything_when_counts_exceed_n(self):
-        probe = attention.select_probe_set(8, recent=64, random=64, seed=1)
+        probe, _ = attention.select_probe_set(8, recent=64, random=64, seed=1)
         assert probe.tolist() == list(range(8))
 
     def test_recent_plus_random_covering_exactly(self):
-        probe = attention.select_probe_set(128, recent=64, random=64, seed=9)
+        probe, _ = attention.select_probe_set(128, recent=64, random=64, seed=9)
         assert probe.tolist() == list(range(128))
 
     def test_deterministic_in_seed(self):
-        a = attention.select_probe_set(50, 5, 10, seed=3)
-        b = attention.select_probe_set(50, 5, 10, seed=3)
-        c = attention.select_probe_set(50, 5, 10, seed=4)
+        a, _ = attention.select_probe_set(50, 5, 10, seed=3)
+        b, _ = attention.select_probe_set(50, 5, 10, seed=3)
+        c, _ = attention.select_probe_set(50, 5, 10, seed=4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -222,18 +222,25 @@ class TestProbeSet:
     )
     @settings(max_examples=100, deadline=None)
     def test_property_one_random_row_per_stratum(self, n, recent, random, seed):
-        idx = attention.select_probe_set(n, recent, random, seed)
+        # each drawn row weighs its stratum's size and each recent row 1.0
+        idx, weights = attention.select_probe_set(n, recent, random, seed)
+        assert idx.dtype == np.int64 and weights.dtype == np.float64
+        assert weights.shape == idx.shape
         pool = n - min(recent, n)
         take = min(random, pool)
         drawn = idx[idx < pool]
         assert drawn.size == take
         for j, row in enumerate(drawn.tolist()):
-            assert j * pool // take <= row < (j + 1) * pool // take
+            lo, hi = j * pool // take, (j + 1) * pool // take
+            assert lo <= row < hi
+            assert weights[j] == hi - lo
+        assert weights[take:].tolist() == [1.0] * (idx.size - take)
+        assert weights.sum() == n
 
     def test_draw_reaches_every_position_of_a_stratum(self):
         # 90 positions in 7 strata: stratum 0 holds 0..11, stratum 6 holds 77..89
-        firsts = {int(attention.select_probe_set(100, 10, 7, seed)[0]) for seed in range(400)}
-        lasts = {int(attention.select_probe_set(100, 10, 7, seed)[6]) for seed in range(400)}
+        firsts = {int(attention.select_probe_set(100, 10, 7, seed)[0][0]) for seed in range(400)}
+        lasts = {int(attention.select_probe_set(100, 10, 7, seed)[0][6]) for seed in range(400)}
         assert firsts == set(range(12))
         assert lasts == set(range(77, 90))
 
@@ -245,7 +252,7 @@ class TestProbeSet:
     )
     @settings(max_examples=100, deadline=None)
     def test_property_sorted_unique_in_range(self, n, recent, random, seed):
-        idx = attention.select_probe_set(n, recent, random, seed)
+        idx, _ = attention.select_probe_set(n, recent, random, seed)
         assert idx.size == min(recent, n) + min(random, max(0, n - min(recent, n)))
         assert np.all(np.diff(idx) > 0)
         assert idx.min() >= 0 and idx.max() < n
@@ -256,8 +263,7 @@ class TestProbeSet:
 class TestProbeAttention:
     def test_probe_rows_equal_dense_rows(self):
         q, k, _ = random_qkv(40, 8, seed=13)
-        probe = attention.select_probe_set(40, recent=6, random=6, seed=2)
-        w = attention.probe_weights(40, 6, probe)
+        probe, w = attention.select_probe_set(40, recent=6, random=6, seed=2)
         ps = attention.probe_attention(q, probe, k, 1.0 / np.sqrt(8), w)
         full = oracles.causal_score_matrix(q, k, 1.0 / np.sqrt(8))
         assert np.array_equal(oracles.causal_score_matrix(q, k, 1.0 / np.sqrt(8), probe), full[probe])
@@ -267,8 +273,7 @@ class TestProbeAttention:
 
     def test_probe_mass_equals_probe_row_count(self):
         q, k, _ = random_qkv(30, 4, seed=14)
-        probe = attention.select_probe_set(30, recent=4, random=8, seed=5)
-        w = attention.probe_weights(30, 4, probe)
+        probe, w = attention.select_probe_set(30, recent=4, random=8, seed=5)
         ps = attention.probe_attention(q, probe, k, 0.5, w)
         rows = oracles.causal_score_matrix(q, k, 0.5, probe)
         assert np.array_equal(ps.mass, (rows.astype(np.float64) * w[:, None]).sum(axis=0))
@@ -278,17 +283,17 @@ class TestProbeAttention:
         assert abs(mass - 30.0) <= 1e-3 * 30.0
 
     def test_weights_are_one_for_recent_rows_and_stratum_sizes_for_random_rows(self):
-        probe = attention.select_probe_set(100, recent=10, random=5, seed=1)
-        assert attention.probe_weights(100, 10, probe).tolist() == [18.0] * 5 + [1.0] * 10
+        _, w = attention.select_probe_set(100, recent=10, random=5, seed=1)
+        assert w.tolist() == [18.0] * 5 + [1.0] * 10
         # 90 positions in 7 strata: bounds 0, 12, 25, 38, 51, 64, 77, 90
-        probe = attention.select_probe_set(100, recent=10, random=7, seed=1)
-        assert attention.probe_weights(100, 10, probe).tolist() == [12.0] + [13.0] * 6 + [1.0] * 10
+        _, w = attention.select_probe_set(100, recent=10, random=7, seed=1)
+        assert w.tolist() == [12.0] + [13.0] * 6 + [1.0] * 10
 
     @pytest.mark.parametrize("n, recent, random", [(8, 64, 64), (128, 64, 64), (40, 8, 99)])
     def test_weights_are_one_when_the_probes_cover_every_row(self, n, recent, random):
-        probe = attention.select_probe_set(n, recent, random, seed=3)
+        probe, w = attention.select_probe_set(n, recent, random, seed=3)
         assert probe.tolist() == list(range(n))
-        assert attention.probe_weights(n, recent, probe).tolist() == [1.0] * n
+        assert w.tolist() == [1.0] * n
 
     @given(
         st.integers(1, 160),
@@ -301,8 +306,7 @@ class TestProbeAttention:
     def test_property_weighted_mass_and_counts_match_oracles(self, n, d, recent, random, seed):
         q, k, _ = random_qkv(n, d, seed=seed)
         scale = 1.0 / np.sqrt(d)
-        probe = attention.select_probe_set(n, recent, random, seed)
-        w = attention.probe_weights(n, recent, probe)
+        probe, w = attention.select_probe_set(n, recent, random, seed)
         ps = attention.probe_attention(q, probe, k, scale, w)
         rows = oracles.causal_score_matrix(q, k, scale, probe)
         assert np.array_equal(ps.mass, (rows.astype(np.float64) * w[:, None]).sum(axis=0))

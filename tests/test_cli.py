@@ -701,6 +701,27 @@ class TestRepeats:
         assert rc == 2
         assert "repeats" in err and out == ""
 
+    @pytest.mark.parametrize("mode", ["fixed", "dense"])
+    @pytest.mark.parametrize("command", ["sweep-tau", "compare"])
+    def test_non_adaptive_mode_rejected_where_it_would_be_swapped(
+        self, capsys, tmp_path, command, mode
+    ):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"mode={mode}\n")
+        rc, out, err = run_cli(
+            capsys, "--config", str(path), command, "--workload-file", WORKLOAD
+        )
+        assert rc == 2
+        assert f"mode {mode!r} is not adaptive" in err and out == ""
+
+    @pytest.mark.parametrize("mode", ["fixed", "dense", "zipvl-probe"])
+    def test_compare_with_modes_does_not_read_mode(self, capsys, tmp_path, mode):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"mode={mode}\n")
+        argv = ["compare", "--modes", "zipvl-exact,fixed,dense", "--workload-file", WORKLOAD]
+        rc, out, _ = run_cli(capsys, "--config", str(path), *argv)
+        assert rc == 0 and run_cli(capsys, *argv)[:2] == (0, out)
+
     def test_repeats_vary_prompt_but_not_model(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(

@@ -135,8 +135,7 @@ class TestEquivalences:
         )
         # layer 0 inputs agree, so layer-0 stats are comparable row-for-row
         n = len(prompt)
-        probe = attention.select_probe_set(n, 8, 8, numkit.derive_seed(CFG.seed, 0))
-        weights = attention.probe_weights(n, 8, probe)
+        probe, weights = attention.select_probe_set(n, 8, 8, numkit.derive_seed(CFG.seed, 0))
         acc_full = trace_full[0]["accumulated"]
         acc_probe = trace_probe[0]["accumulated"]
         assert acc_probe.shape == acc_full.shape
@@ -333,8 +332,7 @@ class TestScoringWork:
         for entry in trace:
             if mode == "zipvl-probe":
                 seed = numkit.derive_seed(CFG.seed, entry["layer"])
-                probe = attention.select_probe_set(n, 8, 8, seed)
-                w = attention.probe_weights(n, 8, probe)
+                probe, w = attention.select_probe_set(n, 8, 8, seed)
                 visible = oracles.weighted_visible_counts(probe, w, n)
             else:
                 visible = (n - np.arange(n)).astype(np.float64)
