@@ -201,10 +201,12 @@ def _build_subject(
     """
     if cfg.workload == "file":
         try:
-            with open(cfg.workload_file, "r", newline="") as fh:
+            with open(cfg.workload_file, "r", newline="", encoding="utf-8") as fh:
                 return workload.read_workload_csv(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read workload file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"workload file is not UTF-8: {exc}") from exc
     if cfg.workload != "model":
         return workload.generate_workload(
             cfg.workload, cfg.n, cfg.layers, cfg.concentration,
@@ -468,9 +470,9 @@ def main(argv=None) -> int:
         raw = {}
         if args.config:
             try:
-                with open(args.config, "r") as fh:
+                with open(args.config, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config: {exc}") from exc
             raw = parse_config_text(text)
         keys = {f.name for f in dataclasses.fields(ExperimentConfig)}

@@ -225,7 +225,8 @@ def prefill(
     which the no-bias output projection keeps exactly zero, so their
     residual stream passes through the attention sublayer unchanged. Mode
     dense computes no scores; its trace entries carry None for accumulated
-    and normalized.
+    and normalized. A trace entry holds the layer's own arrays, not copies:
+    nothing writes to them after the entry takes them.
     """
     config = model.config
     policy.validate()
@@ -272,11 +273,11 @@ def prefill(
             trace.append(
                 {
                     "layer": layer,
-                    "h_before": h_before.copy(),
-                    "h_after_attn": h_after_attn.copy(),
+                    "h_before": h_before,
+                    "h_after_attn": h_after_attn,
                     "important": imp,
-                    "accumulated": None if acc is None else acc.copy(),
-                    "normalized": None if norm is None else norm.copy(),
+                    "accumulated": acc,
+                    "normalized": norm,
                     "probe_rows": probe_rows,
                 }
             )

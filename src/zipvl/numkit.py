@@ -39,9 +39,6 @@ FLOAT = np.float32
 CAUSAL_BLOCK = 64
 # fewest rows in the last block; a shorter tail joins the block before
 TAIL_MIN = 16
-# causal_softmax_blocks' mask for a block of consecutive rows: row r hides columns r..
-# of the block's window; the widest block is CAUSAL_BLOCK rows plus a joined tail
-_HIDDEN = np.triu(np.ones((CAUSAL_BLOCK + TAIL_MIN, CAUSAL_BLOCK + TAIL_MIN), dtype=bool))
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -96,21 +93,17 @@ def masked_softmax_rows(logits: np.ndarray, mask: None) -> np.ndarray:
     return np.divide(shifted, total, out=np.empty(shifted.shape, FLOAT), casting="unsafe")
 
 
-def _check_rows(q_rows, k, row_positions) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Coerce the operands of a causal row softmax and check the row positions.
-
-    Also says whether the positions are consecutive, each one past the last.
-    """
+def _check_rows(q_rows, k, row_positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coerce the operands of a causal row softmax and check the row positions."""
     q_rows = as_matrix(q_rows)
     k = as_matrix(k)
     pos = np.asarray(row_positions, dtype=np.int64)
     m, n = q_rows.shape[0], k.shape[0]
     if pos.shape != (m,):
         raise ShapeError(f"{pos.shape} row positions for {m} query rows")
-    steps = np.diff(pos)
-    if m and (pos[0] < 0 or pos[-1] >= n or np.any(steps < 0)):
+    if m and (pos[0] < 0 or pos[-1] >= n or np.any(np.diff(pos) < 0)):
         raise BoundsError(f"row positions must ascend within [0, {n})")
-    return q_rows, k, pos, bool(np.all(steps == 1))
+    return q_rows, k, pos
 
 
 def causal_softmax_blocks(
@@ -125,16 +118,15 @@ def causal_softmax_blocks(
     it spans only the keys some row of the block can see, and it is exactly
     0.0 past each row's position. Each block's logits are one product
     against k[:hi], masked on the diagonal, then shifted by the row max,
-    exponentiated, and divided by the row sum in place, all in float32. A
-    block of consecutive positions slices its mask from _HIDDEN instead of
-    building it. The weights array is the caller's to keep.
+    exponentiated, and divided by the row sum in place, all in float32. The
+    weights array is the caller's to keep.
 
     A tail shorter than TAIL_MIN rows joins the block before it: BLAS
     multiplies a single row with gemv, and for some head sizes a few rows
     with another kernel, which can round the logits differently from the
     rows of a larger product.
     """
-    q_rows, k, pos, consecutive = _check_rows(q_rows, k, row_positions)
+    q_rows, k, pos = _check_rows(q_rows, k, row_positions)
     starts = list(range(0, pos.size, CAUSAL_BLOCK))
     if len(starts) > 1 and pos.size - starts[-1] < TAIL_MIN:
         starts.pop()
@@ -143,11 +135,7 @@ def causal_softmax_blocks(
         lo, hi = int(blk[0]) + 1, int(blk[-1]) + 1
         w = q_rows[r0:r1] @ k[:hi].T
         w *= FLOAT(scale)
-        if consecutive:
-            hidden = _HIDDEN[: blk.size, : hi - lo]
-        else:
-            hidden = ~causal_row_mask(blk - lo, hi - lo)
-        np.copyto(w[:, lo:], -np.inf, where=hidden)
+        np.copyto(w[:, lo:], -np.inf, where=~causal_row_mask(blk - lo, hi - lo))
         w -= w.max(axis=1, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=1, keepdims=True)

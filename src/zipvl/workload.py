@@ -147,13 +147,21 @@ def _read_valid(fh) -> np.ndarray | None:
 
 
 def _read_rows(fh) -> np.ndarray:
-    """read_workload_csv one csv row at a time; every FormatError comes from here."""
-    records = _csv_records(csv.reader(fh))
+    """read_workload_csv one csv row at a time; every FormatError comes from here.
+
+    A message names the physical line its record ends on, as
+    csv.reader.line_num counts them, so a quoted field that spans a line
+    break moves the later line numbers on.
+    """
+    reader = csv.reader(fh)
+    records = _csv_records(reader)
     header = next(records, None)
     if header != ["layer", "token", "score"]:
         raise FormatError(f"bad workload header: {header}")
     rows: list[list[float]] = []
-    for lineno, rec in enumerate(records, start=2):
+    ends: list[int] = []  # the line each score's record ends on
+    for rec in records:
+        lineno = reader.line_num
         if len(rec) != 3:
             raise FormatError(f"line {lineno}: expected 3 fields, got {len(rec)}")
         try:
@@ -171,9 +179,10 @@ def _read_rows(fh) -> np.ndarray:
                 f"layer 0's {token} tokens"
             )
         rows[-1].append(score)
+        ends.append(lineno)
     if not rows:
         raise FormatError("workload has no score rows")
-    _check_not_short(rows, lineno + 1)
+    _check_not_short(rows, reader.line_num + 1)
     n = len(rows[0])
     with np.errstate(over="ignore"):  # overflow to inf is reported below
         scores = np.asarray(rows, dtype=np.float32)
@@ -181,7 +190,7 @@ def _read_rows(fh) -> np.ndarray:
     if bad.size:
         layer, token = divmod(int(bad[0]), n)
         raise FormatError(
-            f"line {2 + bad[0]}: score {rows[layer][token]!r} is negative or not finite"
+            f"line {ends[bad[0]]}: score {rows[layer][token]!r} is negative or not finite"
         )
     return scores
 

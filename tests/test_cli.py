@@ -8,9 +8,13 @@ import io
 import json
 import pathlib
 import re
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zipvl import cli, engine, workload
 from zipvl.errors import ConfigError
@@ -203,6 +207,68 @@ class TestExitCodes:
         rc, out, err = run_cli(capsys, "run", "--workload-file", str(path))
         assert (rc, out) == (10, "")
         assert err.startswith("error: line 3: field larger than field limit")
+
+    # the quoted "0\n" spans lines 2 and 3, so the rows after it start on line 4
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,1,-2\n", "line 4: score -2.0 is negative or not finite"),
+            ("0,1,x\n", "line 4: could not convert string to float: 'x'"),
+            ("0,1,1.0\n1,0,1.0\n", "line 6: workload rows are ragged: layer 1 ends after 1 of"),
+        ],
+    )
+    def test_lines_are_physical_after_a_quoted_line_break(self, capsys, tmp_path, rows, message):
+        path = tmp_path / "w.csv"
+        path.write_bytes(('layer,token,score\n"0\n",0,1.0\n' + rows).encode())
+        rc, out, err = run_cli(capsys, "run", "--workload-file", str(path))
+        assert (rc, out) == (10, "")
+        assert err.startswith(f"error: {message}")
+
+    def test_non_utf8_workload_is_format_error(self, capsys, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_bytes(b"layer,token,score\n0,0,1.0\xff\n")
+        rc, out, err = run_cli(capsys, "run", "--workload-file", str(path), "--tau", "0.9")
+        assert (rc, out) == (10, "")
+        assert err.startswith("error: workload file is not UTF-8: ")
+
+    def test_non_utf8_config_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"n=4\xff\n")
+        rc, out, err = run_cli(capsys, "--config", str(path), "sweep-tau", "--taus", "")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: cannot read config: 'utf-8' codec can't decode byte 0xff")
+
+    def test_utf8_config_comment_parses(self, capsys, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes("taus=0.5 # \u00e9t\u00e9\n".encode())
+        rc, out, _ = run_cli(capsys, "--config", str(path), "sweep-tau", "--workload-file", WORKLOAD)
+        assert rc == 0
+        assert [row["tau"] for row in strict_json(out)] == [0.5]
+
+    # any bytes, after nothing, a header, or a header and a partial row
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([b"", b"layer,token,score\n", b"layer,token,score\n0,0,"]), st.binary()
+    )
+    def test_property_any_workload_bytes_exit_0_or_10(self, prefix, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp, "w.csv")
+            path.write_bytes(prefix + data)
+            out = str(pathlib.Path(tmp, "out.json"))
+            rc = cli.main(["--out", out, "run", "--workload-file", str(path), "--tau", "0.9"])
+        assert rc in (0, 10)
+
+    # sweep-tau checks its empty taus first, so any config that parses fails there too
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([b"", b"n=4\n", b"taus=0.5\n"]), st.binary())
+    def test_property_any_config_bytes_exit_2_before_a_model(self, prefix, data):
+        built = AssertionError("a model was built")
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            engine, "init_model", side_effect=built
+        ):
+            path = pathlib.Path(tmp, "c.cfg")
+            path.write_bytes(prefix + data)
+            assert cli.main(["--config", str(path), "sweep-tau", "--taus", ""]) == 2
 
     @pytest.mark.parametrize(
         "config, argv, message",

@@ -166,6 +166,18 @@ class TestSparsityMechanics:
                 )
         assert any_dropped
 
+    @pytest.mark.parametrize("mode", ["dense", "zipvl-exact", "zipvl-probe"])
+    def test_trace_arrays_are_not_shared_between_entries(self, model, prompt, mode):
+        # entries hold the layer's arrays, not copies, so none may be written later
+        trace: list = []
+        engine.prefill(model, prompt, engine.SparsityPolicy(mode=mode, tau=0.8), trace=trace)
+        assert np.array_equal(trace[0]["h_before"], model.embedding[prompt])
+        keys = ("h_before", "h_after_attn", "important", "accumulated", "normalized")
+        arrays = [e[key] for e in trace for key in keys if e[key] is not None]
+        assert len(arrays) == len(trace) * (3 if mode == "dense" else 5)
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
     def test_budgets_meet_tau_and_are_minimal(self, model, prompt):
         tau = 0.85
         trace: list = []
