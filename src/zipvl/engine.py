@@ -157,9 +157,22 @@ def _rms_norm(x: np.ndarray) -> np.ndarray:
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows: x / (1 + e^-x) for x >= 0, x e^x / (1 + e^x) below
+    """x * f / (1 + e) with e = exp(-|x|), f = 1 where x >= 0 and e elsewhere.
+
+    exp(-|x|) never overflows: x / (1 + e^-x) for x >= 0, x e^x / (1 + e^x)
+    below. f is one np.maximum of e against the sign mask, since e <= 1
+    (a NaN x has a NaN e, which maximum keeps), so no select on the
+    unpredictable sign runs; then x * f, 1 + e and the quotient are made in
+    place. x stays the first operand of the product: with it second, NaN
+    payloads come out differently. The bits equal those of
+    np.where(x >= 0, x, x * e) / (1 + e) on all 2^32 float32 patterns.
+    """
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, x, x * e) / (1.0 + e)
+    f = np.maximum(e, x >= 0, dtype=np.float32)
+    np.multiply(x, f, out=f)
+    e += 1.0
+    f /= e
+    return f
 
 
 def check_length(n: int, steps: int, max_seq: int) -> None:

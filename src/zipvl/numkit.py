@@ -64,12 +64,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def causal_row_mask(row_positions: np.ndarray, n_cols: int) -> np.ndarray:
-    """Boolean visibility mask: row r sees columns 0..row_positions[r]."""
-    pos = np.asarray(row_positions, dtype=np.int64)
-    return np.arange(n_cols)[None, :] <= pos[:, None]
-
-
 def masked_softmax_rows(logits: np.ndarray, mask: None) -> np.ndarray:
     """Row softmax over every column of logits; mask must be None.
 
@@ -117,9 +111,12 @@ def causal_softmax_blocks(
     float32 (rows, hi), where hi is one past the block's last position, so
     it spans only the keys some row of the block can see, and it is exactly
     0.0 past each row's position. Each block's logits are one product
-    against k[:hi], masked on the diagonal, then shifted by the row max,
-    exponentiated, and divided by the row sum in place, all in float32. The
-    weights array is the caller's to keep.
+    against k[:hi], then shifted by the row max, exponentiated, and divided
+    by the row sum in place, all in float32. Before the shift, column c of
+    row r is set to -inf where row_positions[r] < c, a mask made by one
+    int32 np.less.outer of the block's positions against its columns past
+    the first row's position; consecutive and sparse rows take the same
+    path. The weights array is the caller's to keep.
 
     A tail shorter than TAIL_MIN rows joins the block before it: BLAS
     multiplies a single row with gemv, and for some head sizes a few rows
@@ -130,12 +127,13 @@ def causal_softmax_blocks(
     starts = list(range(0, pos.size, CAUSAL_BLOCK))
     if len(starts) > 1 and pos.size - starts[-1] < TAIL_MIN:
         starts.pop()
+    # int32 positions and columns: a comparison of int32s costs under half of int64's
+    pos32, cols = pos.astype(np.int32), np.arange(k.shape[0], dtype=np.int32)
     for r0, r1 in zip(starts, starts[1:] + [pos.size]):
-        blk = pos[r0:r1]
-        lo, hi = int(blk[0]) + 1, int(blk[-1]) + 1
+        lo, hi = int(pos[r0]) + 1, int(pos[r1 - 1]) + 1
         w = q_rows[r0:r1] @ k[:hi].T
         w *= FLOAT(scale)
-        np.copyto(w[:, lo:], -np.inf, where=~causal_row_mask(blk - lo, hi - lo))
+        np.copyto(w[:, lo:], -np.inf, where=np.less.outer(pos32[r0:r1], cols[lo:hi]))
         w -= w.max(axis=1, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=1, keepdims=True)

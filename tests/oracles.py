@@ -97,12 +97,12 @@ def causal_softmax_f64(q_rows, k, scale, row_positions) -> np.ndarray:
     """The float64 causal softmax: softmax_rows_masked over one (rows, n) logit product.
 
     The logits are (q_rows @ k.T) * scale in float32, as the kernel forms
-    them, masked by numkit.causal_row_mask; the softmax runs in float64 and
+    them, masked by causal_row_mask; the softmax runs in float64 and
     rounds each weight to float32 once.
     """
     q_rows, k = numkit.as_matrix(q_rows), numkit.as_matrix(k)
     logits = (q_rows @ k.T) * np.float32(scale)
-    return softmax_rows_masked(logits, numkit.causal_row_mask(row_positions, k.shape[0]))
+    return softmax_rows_masked(logits, causal_row_mask(row_positions, k.shape[0]))
 
 
 def column_mass_f64(q_rows, k, scale, row_positions, row_weights=None) -> np.ndarray:
@@ -291,6 +291,12 @@ def rms_norm_mean(x, eps=1e-5) -> np.ndarray:
     """RMS norm through np.mean, then a float32 astype copy."""
     scale = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + np.float32(eps))
     return (x * scale).astype(np.float32)
+
+
+def causal_row_mask(row_positions, n_cols) -> np.ndarray:
+    """Boolean visibility mask: row r sees columns 0..row_positions[r]."""
+    pos = np.asarray(row_positions, dtype=np.int64)
+    return np.arange(n_cols)[None, :] <= pos[:, None]
 
 
 def softmax_rows_masked(logits, mask) -> np.ndarray:

@@ -269,6 +269,24 @@ class TestSilu:
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
+    def test_bitwise_equal_to_two_branch_oracle_across_bit_patterns(self):
+        # every 65521st pattern, then dense runs of patterns from the largest finite
+        # values over +-inf into the NaNs, across the signaling to quiet NaN boundary
+        # and up to the last NaN payload, for both signs. The last 32 values are
+        # finite and negative: in the last, partial SIMD lanes of a loop numpy's
+        # multiply returns the other NaN operand, and the oracle's per-sign gathers
+        # would put other patterns in those lanes than _silu does.
+        strided = np.arange(0, 2**32, 65521, dtype=np.uint64)
+        starts = [0x7F7FF000, 0x7FBFF000, 0x7FFFE000]
+        dense = np.concatenate([np.arange(s, s + 0x2000, dtype=np.uint64) for s in starts])
+        bits = np.concatenate([strided, dense, dense | 0x80000000]).astype(np.uint32)
+        x = np.concatenate([bits.view(np.float32), np.arange(-32, 0, dtype=np.float32)])
+        assert np.isnan(x).sum() > 4 * 0x2000 and np.isinf(x).sum() == 2
+        with np.errstate(all="ignore"):
+            want = oracles.silu_two_branch(x)
+            got = engine._silu(x)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
     @pytest.mark.parametrize("value", [float(v) for v in SILU_SPECIALS if np.isfinite(v)])
     def test_finite_input_raises_what_the_oracle_raises(self, value):
         x = np.full(256, value, dtype=np.float32)

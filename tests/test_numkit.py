@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from zipvl import numkit
+from zipvl import attention, numkit
 from zipvl.errors import BoundsError, DegenerateMaskError, DomainError, ShapeError
 
 finite_floats = st.floats(
@@ -37,7 +37,7 @@ def test_as_matrix_rejects_wrong_ndim():
 
 
 def test_causal_row_mask_contents():
-    mask = numkit.causal_row_mask(np.array([0, 2]), 4)
+    mask = oracles.causal_row_mask(np.array([0, 2]), 4)
     expected = np.array([[True, False, False, False], [True, True, True, False]])
     assert np.array_equal(mask, expected)
 
@@ -48,7 +48,7 @@ class TestMaskedSoftmax:
     def test_rows_sum_to_one_and_masked_are_zero(self):
         rng = numkit.make_rng(0)
         logits = rng.normal(size=(6, 9)).astype(np.float32)
-        mask = numkit.causal_row_mask(np.arange(3, 9), 9)
+        mask = oracles.causal_row_mask(np.arange(3, 9), 9)
         out = oracles.softmax_rows_masked(logits, mask)
         assert out.dtype == np.float32
         assert np.all(out[~mask] == 0.0)
@@ -74,7 +74,7 @@ class TestMaskedSoftmax:
     def test_property_rows_sum_to_one(self, n, seed):
         rng = numkit.make_rng(seed)
         logits = rng.normal(scale=5.0, size=(n, n)).astype(np.float32)
-        mask = numkit.causal_row_mask(np.arange(n), n)
+        mask = oracles.causal_row_mask(np.arange(n), n)
         out = oracles.softmax_rows_masked(logits, mask)
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-6
         assert np.all(out[~mask] == 0.0)
@@ -154,9 +154,27 @@ class TestCausalSoftmax:
         # at scale 1e4 a masked column leaking into the max or the sum moves every row
         ref = oracles.causal_softmax_f64(q_rows, k, s, pos)
         out = oracles.causal_softmax_rows(q_rows, k, s, pos)
-        assert np.all(out[~numkit.causal_row_mask(pos, n)] == 0.0)
+        assert np.all(out[~oracles.causal_row_mask(pos, n)] == 0.0)
         assert np.max(np.abs(out.astype(np.float64) - ref)) <= WEIGHT_TOL
         assert np.max(np.abs(out.sum(axis=1, dtype=np.float64) - 1.0)) <= ROW_SUM_TOL
+
+    @pytest.mark.parametrize(
+        "n, rows",
+        [(4 * B, "all"), (3 * B + numkit.TAIL_MIN - 1, "all"), (3 * B + 1, "all"), (1024, "probe")],
+    )
+    def test_hides_exactly_the_columns_past_each_row(self, n, rows):
+        # logits within +-0.1, so every visible weight is about 1/n and none
+        # underflows: a weight is 0.0 exactly where the oracle mask hides its column
+        rng = numkit.make_rng(n + 7)
+        q = rng.uniform(-0.1, 0.1, size=(n, 16)).astype(np.float32)
+        k = rng.uniform(-0.1, 0.1, size=(n, 16)).astype(np.float32)
+        if rows == "all":
+            pos = np.arange(n)
+        else:
+            pos, _ = attention.select_probe_set(n, 64, 64, numkit.derive_seed(1234, 0))
+            assert np.diff(pos).max() > 1
+        out = oracles.causal_softmax_rows(np.ascontiguousarray(q[pos]), k, 0.25, pos)
+        assert np.array_equal(out == 0.0, ~oracles.causal_row_mask(pos, n))
 
     @pytest.mark.parametrize("rows", ["all", "probe"])
     def test_blocks_cover_the_rows_and_span_only_visible_keys(self, rows):
