@@ -8,8 +8,9 @@ of the scored rows: the column mass, summed one block of rows at a time,
 never the score matrix, and the weighted count of the rows that see each
 column. The importance stats (accumulated_scores, normalized_scores) read
 only that record, so the engine can average the heads' records into one.
-Restricted attention multiplies one block of weights at a time by the
-values, so it never holds its p x p weights either.
+Restricted attention multiplies one block of unnormalized exponentials at
+a time by the values and divides its outputs by the row sums, so it never
+holds its p x p weights either.
 
 Probe rows estimate the full column mass: select_probe_set draws the random
 rows one per stratum of the earlier positions and returns with each the
@@ -33,8 +34,10 @@ from .errors import BoundsError, DomainError, EmptySequenceError, OrderingError,
 class AttentionScores:
     """Column mass of a set of scored causal rows, and how many of them see each column.
 
-    mass[j] is the float64 sum, in row order, of the float32 weights that
-    the scored query rows give key j, each times its row's weight.
+    mass[j] is the float64 sum of the weights e / s that the scored query
+    rows give key j, each times its row's weight; e is the row's float32
+    exponentials and s their float32 sum, and the quotient is never rounded
+    to float32.
     visible[j] is the float64 sum of the weights of the scored rows that see
     key j; a row sees every key up to its own position, and with unit
     weights this is the count of those rows. n_rows is the number of scored
@@ -62,8 +65,9 @@ def causal_scores(
     they are summed. Rows are always gathered into a fresh
     contiguous array so full and subset calls share the exact same float path.
     numkit.causal_column_mass scores one block of rows at a time, so no
-    (rows, n) array is built; the sums have the bits of the column sums of
-    the stacked numkit.causal_softmax_blocks weights over the same rows.
+    (rows, n) array is built; the sums are the float64 column sums of the
+    numkit.causal_exp_blocks exponentials divided by their row sums, up to
+    float64 summation order.
     The visible counts come from the row positions, not from testing
     weights against zero: key j is seen by the rows from the first one at
     position >= j on, so its count is a suffix sum of the row weights,
@@ -96,12 +100,15 @@ def restricted_attention(
     Causality uses original positions: row i may attend to row j iff
     indices[j] <= indices[i]. With ascending indices that is a plain lower
     triangle, so no weight ever flows from a later position to an earlier
-    one. Returns the outputs over the subset, in subset order. The weights
-    come from numkit.causal_softmax_blocks over subset positions, one block
-    of rows at a time, and each block's outputs are its weights times the
-    values it can see; so no p x p weight array is built, and a call holds
-    memory linear in p. Indices that are not strictly ascending raise
-    OrderingError, and indices outside [0, n) raise BoundsError.
+    one. Returns the outputs over the subset, in subset order. The
+    exponentials come from numkit.causal_exp_blocks over subset positions,
+    one block of rows at a time. The values are gathered beside a ones
+    column, so each block's one product e @ [v | 1] holds its unnormalized
+    outputs and its row sums, and the outputs are divided by the sums once,
+    after every block; no p x p weight array is built, no weight is
+    divided, and a call holds memory linear in p. Indices that are not
+    strictly ascending raise OrderingError, and indices outside [0, n)
+    raise BoundsError.
     """
     q, k, v = numkit.as_matrix(q), numkit.as_matrix(k), numkit.as_matrix(v)
     idx = np.asarray(indices, dtype=np.int64)
@@ -110,13 +117,15 @@ def restricted_attention(
     n = min(q.shape[0], k.shape[0], v.shape[0])
     if idx.size and (idx[0] < 0 or idx[-1] >= n):
         raise BoundsError(f"indices must lie in [0, {n})")
+    d = v.shape[1]
     q_s = np.ascontiguousarray(q[idx])
     k_s = np.ascontiguousarray(k[idx])
-    v_s = np.ascontiguousarray(v[idx])
-    out = np.empty((idx.size, v.shape[1]), dtype=numkit.FLOAT)
-    for r0, w in numkit.causal_softmax_blocks(q_s, k_s, scale, np.arange(idx.size)):
-        np.matmul(w, v_s[: w.shape[1]], out=out[r0 : r0 + w.shape[0]])
-    return out
+    v1 = np.ones((idx.size, d + 1), dtype=numkit.FLOAT)
+    v1[:, :d] = v[idx]
+    out = np.empty((idx.size, d + 1), dtype=numkit.FLOAT)
+    for r0, e in numkit.causal_exp_blocks(q_s, k_s, scale, np.arange(idx.size)):
+        np.matmul(e, v1[: e.shape[1]], out=out[r0 : r0 + e.shape[0]])
+    return out[:, :d] / out[:, d:]
 
 
 def accumulated_scores(scores: AttentionScores) -> np.ndarray:

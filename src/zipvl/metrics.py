@@ -10,8 +10,15 @@ is charged 4*(kv_rows + s)*d_head per head and layer: the prefill rows plus
 the s rows decode has appended. Only prefill attention enters the reduction
 figures, so a fixed retention ratio maps to exact reduction numbers. Not
 charged: projections, the MLP, norms, and the scoring pass over all n rows
-that zipvl-exact and fixed layers make. Cache bytes are float32 K and V,
-2*heads*rows*d_head*4, unless a quantizer reports its packed size instead.
+that zipvl-exact and fixed layers make. The probe charge counts the logit
+products only, and understates the probe pass's time: every probe block
+spans nearly every key, so with the default 64 recent and 64 drawn rows it
+forms about 128*n weights, and each weight's exp and float64 column sum
+costs more than its 2*d_head multiply-adds at d_head 16. At n=2048 the
+charge is about 3% of dense attention's flops, while the pass took about
+a fifth of dense attention's time (2-core x86_64, one BLAS thread). Cache
+bytes are float32 K and V, 2*heads*rows*d_head*4, unless a quantizer
+reports its packed size instead.
 """
 
 from __future__ import annotations

@@ -1,22 +1,26 @@
 """Minimal dense numerics shared by every other module.
 
 Matrices are plain numpy float32 arrays in row-major order. The causal
-prefill softmax runs in float32; the all-visible row softmax of decode
-runs in float64 internally and casts its result back to float32, and
-column sums, cumulative sums and the other pure accounting helpers keep
-float64.
+prefill exponentials and their row sums are float32; the all-visible row
+softmax of decode runs in float64 internally and casts its result back to
+float32, and column sums, cumulative sums and the other pure accounting
+helpers keep float64.
 
 Randomness comes from numpy's PCG64 bit generator. For a fixed seed and a
 fixed numpy version the stream is bit-identical across platforms.
 
-The causal row softmax is one float32 kernel, causal_softmax_blocks, which
+The causal row softmax is one float32 kernel, causal_exp_blocks, which
 takes one block of CAUSAL_BLOCK query rows at a time against only the keys
-that block can see, so it never builds an n x n array or mask. Prefill
-scoring (causal_column_mass, which keeps only the float64 column sums) and
-restricted attention (attention.restricted_attention, which multiplies
-each block's weights by the visible values) both consume its blocks, so
-either costs memory linear in n. The tests check the kernel against a
-float64 masked softmax within a stated tolerance.
+that block can see, so it never builds an n x n array or mask. It yields
+each block's exponentials, shifted by the row max but not divided by the
+row sum: both consumers scale a product of the block by the row sums
+instead, as FlashAttention does, so no pass divides the weights. Prefill
+scoring (causal_column_mass) adds the float64 product of each row's
+weight over its row sum and the widened block to its float64 column sums;
+restricted attention (attention.restricted_attention) multiplies each
+block by the visible values beside a ones column, and divides the outputs
+by that column. Either costs memory linear in n. The tests check the
+weights e / s against a float64 masked softmax within a stated tolerance.
 
 All functions here are pure; Rng instances must stay confined to a single
 thread.
@@ -32,7 +36,7 @@ from .errors import BoundsError, DegenerateMaskError, DomainError, ShapeError
 
 FLOAT = np.float32
 
-# rows per block of causal_softmax_blocks: of 16 to 256, 64 and 128 were fastest at
+# rows per block of causal_exp_blocks: of 16 to 256, 64 and 128 were fastest at
 # n=1024 and 32 and 64 at n=2048 (bench model prefill, median of 7-9 alternated
 # rounds over the four modes, float32, d_head 16, one BLAS thread); 16 was slowest
 # at both by 20-30%, and 256 by 15-25%
@@ -100,23 +104,24 @@ def _check_rows(q_rows, k, row_positions) -> tuple[np.ndarray, np.ndarray, np.nd
     return q_rows, k, pos
 
 
-def causal_softmax_blocks(
+def causal_exp_blocks(
     q_rows: np.ndarray, k: np.ndarray, scale: float, row_positions: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Causal softmax of (q_rows @ k.T) * scale, one block of rows at a time, in float32.
+    """Unnormalized causal softmax of (q_rows @ k.T) * scale, one block of rows at a time.
 
     Row r sees keys 0..row_positions[r]; positions must ascend and lie in
     [0, n), which is checked when the first block is asked for. Yields
-    (r0, weights) for each block of CAUSAL_BLOCK rows, in order; weights is
-    float32 (rows, hi), where hi is one past the block's last position, so
-    it spans only the keys some row of the block can see, and it is exactly
-    0.0 past each row's position. Each block's logits are one product
-    against k[:hi], then shifted by the row max, exponentiated, and divided
-    by the row sum in place, all in float32. Before the shift, column c of
-    row r is set to -inf where row_positions[r] < c, a mask made by one
-    int32 np.less.outer of the block's positions against its columns past
-    the first row's position; consecutive and sparse rows take the same
-    path. The weights array is the caller's to keep.
+    (r0, e) for each block of CAUSAL_BLOCK rows, in order; e is float32
+    (rows, hi), where hi is one past the block's last position, so it spans
+    only the keys some row of the block can see. e is exp(logit - row max),
+    exactly 0.0 past each row's position, and is not divided by its row
+    sum: each consumer scales its product of e by the row sums instead.
+    Each block's logits are one product against k[:hi], then shifted by the
+    row max and exponentiated in place, all in float32. Before the shift,
+    column c of row r is set to -inf where row_positions[r] < c, a mask
+    made by one int32 np.less.outer of the block's positions against its
+    columns past the first row's position; consecutive and sparse rows take
+    the same path. The array is the caller's to keep.
 
     A tail shorter than TAIL_MIN rows joins the block before it: BLAS
     multiplies a single row with gemv, and for some head sizes a few rows
@@ -131,13 +136,12 @@ def causal_softmax_blocks(
     pos32, cols = pos.astype(np.int32), np.arange(k.shape[0], dtype=np.int32)
     for r0, r1 in zip(starts, starts[1:] + [pos.size]):
         lo, hi = int(pos[r0]) + 1, int(pos[r1 - 1]) + 1
-        w = q_rows[r0:r1] @ k[:hi].T
-        w *= FLOAT(scale)
-        np.copyto(w[:, lo:], -np.inf, where=np.less.outer(pos32[r0:r1], cols[lo:hi]))
-        w -= w.max(axis=1, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=1, keepdims=True)
-        yield r0, w
+        e = q_rows[r0:r1] @ k[:hi].T
+        e *= FLOAT(scale)
+        np.copyto(e[:, lo:], -np.inf, where=np.less.outer(pos32[r0:r1], cols[lo:hi]))
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        yield r0, e
 
 
 def causal_column_mass(
@@ -147,33 +151,31 @@ def causal_column_mass(
     row_positions: np.ndarray,
     row_weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Float64 column sums of the causal_softmax_blocks weights of q_rows against k.
+    """Float64 column sums of the causal softmax weights of q_rows against k.
 
-    The sums have the bits of `.sum(axis=0, dtype=np.float64)` over the
-    float32 (rows, n) matrix that stacks the blocks, zero past each block's
-    width, yet only one block of rows is ever held. With row_weights, one
-    float64 weight per row, they have the bits of
-    `(weights.astype(np.float64) * row_weights[:, None]).sum(axis=0)`
-    instead; a weight of 1.0 changes no bit. Each block's weights, widened
-    and multiplied by their row weights, sit in rows 1.. of a float64
-    buffer whose row 0 holds the running sums, and one add.reduce down the
-    columns adds them in row order, as the sum over the whole matrix does.
+    Row r's weights are e / s, e its causal_exp_blocks row and s the
+    float32 sum of e; with row_weights, one float64 weight per row, each
+    row's weights are also multiplied by its row weight (1.0 without
+    them). Each block forms c = row weight / s in float64, widens e into a
+    reused float64 (block, n) buffer and adds c @ e to the sums, so no
+    weight is rounded to float32 and only one block of rows is ever held.
+    The sums differ from the float64 column sums of the stacked e / s
+    matrix only by float64 summation order.
     """
     q_rows, k = as_matrix(q_rows), as_matrix(k)
     m, n = q_rows.shape[0], k.shape[0]
-    if row_weights is not None:
-        row_weights = np.asarray(row_weights, dtype=np.float64)
-        if row_weights.shape != (m,):
-            raise ShapeError(f"{row_weights.shape} row weights for {m} query rows")
-    buf = np.zeros((min(m, CAUSAL_BLOCK + TAIL_MIN - 1) + 1, n), dtype=np.float64)
-    for r0, w in causal_softmax_blocks(q_rows, k, scale, row_positions):
-        size, hi = w.shape
-        rows = buf[1 : size + 1, :hi]
-        rows[...] = w
-        if row_weights is not None:
-            rows *= row_weights[r0 : r0 + size, None]
-        buf[0, :hi] = np.add.reduce(buf[: size + 1, :hi], axis=0)
-    return buf[0].copy()
+    row_weights = np.ones(m) if row_weights is None else np.asarray(row_weights, np.float64)
+    if row_weights.shape != (m,):
+        raise ShapeError(f"{row_weights.shape} row weights for {m} query rows")
+    mass = np.zeros(n, dtype=np.float64)
+    buf = np.empty((min(m, CAUSAL_BLOCK + TAIL_MIN - 1), n), dtype=np.float64)
+    for r0, e in causal_exp_blocks(q_rows, k, scale, row_positions):
+        size, hi = e.shape
+        c = row_weights[r0 : r0 + size] / e.sum(axis=1)
+        rows = buf[:size, :hi]
+        rows[...] = e
+        mass[:hi] += c @ rows
+    return mass
 
 
 def topk_indices(values: np.ndarray, k: int) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 Everything here favors obviousness over speed: python loops, python floats,
 no vectorized shortcuts shared with the code under test. The matrix forms
-of scoring and restricted attention are the exception: causal_softmax_rows
-stacks the float32 blocks of numkit.causal_softmax_blocks into the whole
-weight matrix, which the naive loops and the float64 softmax oracle
-(causal_softmax_f64) check, so the blocked column sums and outputs can be
-checked against it bit for bit.
+of scoring and restricted attention are the exception: causal_exp_rows
+stacks the float32 blocks of numkit.causal_exp_blocks into one (rows, n)
+matrix, and causal_softmax_rows divides it by its row sums in float64,
+which the naive loops and the float64 softmax oracle (causal_softmax_f64)
+check. The blocked column sums are checked against that matrix's column
+sums within a float64 summation-order bound (summation_order_tol), and the
+blocked outputs against its one whole-matrix product bit for bit.
 """
 
 import math
@@ -81,16 +83,47 @@ def naive_causal_attention(q, k, v, scale):
     return out, weights
 
 
-def causal_softmax_rows(q_rows, k, scale, row_positions) -> np.ndarray:
-    """Float32 (rows, n) causal weights: the numkit.causal_softmax_blocks blocks, stacked.
+def causal_exp_rows(q_rows, k, scale, row_positions) -> tuple[np.ndarray, np.ndarray]:
+    """The numkit.causal_exp_blocks blocks stacked into one float32 (rows, n) matrix.
 
-    Each block's columns past its width are 0.0.
+    Each block's columns past its width are 0.0. Also returns each row's
+    float32 sum, taken over its own block as numkit.causal_column_mass
+    takes it.
     """
     q_rows = numkit.as_matrix(q_rows)
     out = np.zeros((q_rows.shape[0], np.shape(k)[0]), dtype=np.float32)
-    for r0, w in numkit.causal_softmax_blocks(q_rows, k, scale, row_positions):
-        out[r0 : r0 + w.shape[0], : w.shape[1]] = w
-    return out
+    sums = np.zeros(q_rows.shape[0], dtype=np.float32)
+    for r0, e in numkit.causal_exp_blocks(q_rows, k, scale, row_positions):
+        out[r0 : r0 + e.shape[0], : e.shape[1]] = e
+        sums[r0 : r0 + e.shape[0]] = e.sum(axis=1)
+    return out, sums
+
+
+def causal_softmax_rows(q_rows, k, scale, row_positions) -> np.ndarray:
+    """Float64 (rows, n) causal weights: causal_exp_rows divided by its row sums in float64."""
+    e, sums = causal_exp_rows(q_rows, k, scale, row_positions)
+    return e / sums.astype(np.float64)[:, None]
+
+
+def causal_softmax_rows_f32(q_rows, k, scale, row_positions) -> np.ndarray:
+    """Float32 causal weights: causal_exp_rows divided by its row sums in float32.
+
+    Each weight is rounded to float32, as when each block was normalized
+    in place; column_mass_row_order_f32 sums them.
+    """
+    e, sums = causal_exp_rows(q_rows, k, scale, row_positions)
+    return e / sums[:, None]
+
+
+def summation_order_tol(mass, rows) -> np.ndarray:
+    """Per column, how far two float64 sums of the same `rows` nonnegative terms can differ.
+
+    Each order's relative error is at most (rows - 1) * 2^-53, and the
+    terms may be formed as (e * c) or (e / s) * w, a rounding or two apart;
+    4 * rows * 2^-53 of the sum covers both orders. Measured worst over the
+    column-mass tests: 1.94 * rows * 2^-53.
+    """
+    return 4 * rows * 2.0**-53 * np.asarray(mass, dtype=np.float64)
 
 
 def causal_softmax_f64(q_rows, k, scale, row_positions) -> np.ndarray:
@@ -111,7 +144,7 @@ def column_mass_f64(q_rows, k, scale, row_positions, row_weights=None) -> np.nda
 
 
 def causal_score_matrix(q, k, scale, row_positions=None) -> np.ndarray:
-    """Float32 causal weights of the chosen query rows against all keys, one row per position.
+    """Float64 causal weights of the chosen query rows against all keys, one row per position.
 
     The rows are gathered into a contiguous array as attention.causal_scores
     gathers them; row_positions=None means every row.
@@ -133,6 +166,18 @@ def column_mass_from_matrix(
     if row_weights is not None:
         weights *= np.asarray(row_weights, np.float64)[:, None]
     return weights.sum(axis=0)
+
+
+def column_mass_row_order_f32(q_rows, k, scale, row_positions, row_weights=None) -> np.ndarray:
+    """The column mass of float32-rounded weights, added in row order.
+
+    numkit.causal_column_mass summed these while the kernel still divided
+    its weights by the row sums; the budget tests check that the float64
+    mass of e / s sizes the same budgets.
+    """
+    return column_mass_from_matrix(
+        q_rows, k, scale, row_positions, row_weights, causal_softmax_rows_f32
+    )
 
 
 def weighted_visible_counts(row_positions, row_weights, n_cols) -> np.ndarray:
@@ -203,14 +248,18 @@ def kept_mass_share(q, k, scale, kept) -> float:
 def restricted_attention_weights(q, k, v, scale, indices):
     """(outputs, weights) of attention among `indices`, in subset order.
 
-    The p x p weights are causal_softmax_rows over subset positions, and
-    the outputs one `weights @ v` product; attention.restricted_attention
-    returns only the outputs, one block of rows at a time.
+    The float32 p x p exponentials of causal_exp_rows over subset positions
+    multiply [v | 1] in one product, and the outputs are its value columns
+    divided by its last; the weights are the exponentials divided by the
+    same sums, in float64. attention.restricted_attention returns only the
+    outputs, one block of rows at a time.
     """
     idx = np.asarray(indices, dtype=np.int64)
     q_s, k_s, v_s = (np.ascontiguousarray(np.asarray(a, np.float32)[idx]) for a in (q, k, v))
-    weights = causal_softmax_rows(q_s, k_s, scale, np.arange(idx.size))
-    return weights @ v_s, weights
+    e, _ = causal_exp_rows(q_s, k_s, scale, np.arange(idx.size))
+    prod = e @ np.hstack([v_s, np.ones((idx.size, 1), np.float32)])
+    sums = prod[:, -1:]
+    return prod[:, :-1] / sums, e / sums.astype(np.float64)
 
 
 def naive_restricted_attention(q, k, v, scale, indices):

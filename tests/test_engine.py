@@ -417,9 +417,11 @@ class TestScoringWork:
             for got, want in zip(getattr(blocked[1], name), getattr(matrix[1], name)):
                 assert np.array_equal(got, want)
 
-    # the bench model's shape and prompt; the float32 kernel's scores move the column
-    # mass by a few float32 ulps, which must not move any layer's budget
-    @pytest.mark.parametrize("n", [256, 512, 1024])
+    # the bench model's shape and prompt; the float32 kernel's exponentials move the
+    # column mass by a few float32 ulps from the float64 softmax's, and its float64
+    # sum of e / s moves it from the row-order sum of float32-rounded weights that it
+    # replaced; neither may move any layer's budget
+    @pytest.mark.parametrize("n", [256, 512, 1024, 2048])
     @pytest.mark.parametrize("mode", ["zipvl-exact", "zipvl-probe", "fixed"])
     def test_float32_scoring_sizes_the_float64_budgets(self, monkeypatch, n, mode):
         cfg = engine.ModelConfig(
@@ -428,10 +430,10 @@ class TestScoringWork:
         model = engine.init_model(cfg)
         toks = np.random.default_rng(1234 + n).integers(0, cfg.vocab_size, size=n)
         pol = engine.SparsityPolicy(mode=mode)
-        float32 = engine.prefill(model, toks, pol)[2]
-        monkeypatch.setattr(numkit, "causal_column_mass", oracles.column_mass_f64)
-        float64 = engine.prefill(model, toks, pol)[2]
-        assert [r.p for r in float32] == [r.p for r in float64]
+        got = [r.p for r in engine.prefill(model, toks, pol)[2]]
+        for oracle in (oracles.column_mass_f64, oracles.column_mass_row_order_f32):
+            monkeypatch.setattr(numkit, "causal_column_mass", oracle)
+            assert got == [r.p for r in engine.prefill(model, toks, pol)[2]], oracle.__name__
 
     def test_dense_trace_entry_has_no_score_vectors(self, model, prompt):
         dense_trace: list = []
@@ -459,6 +461,7 @@ class TestUniformAttentionOracle:
 
     @pytest.fixture(scope="class")
     def traced(self):
+        """The prefill trace and reports, and each head's float64 column mass."""
         cfg = engine.ModelConfig(
             layers=2, heads=2, d_model=32, vocab_size=64, max_seq=self.N, seed=29
         )
@@ -467,10 +470,21 @@ class TestUniformAttentionOracle:
             lw.wqkv[:, : cfg.d_model] = 0.0
         toks = numkit.make_rng(29).integers(0, cfg.vocab_size, size=self.N, dtype=np.int64)
         trace: list = []
-        _, _, reports = engine.prefill(
-            model, toks, engine.SparsityPolicy(mode="zipvl-exact", tau=self.TAU), trace=trace
-        )
-        return trace, reports
+        masses: list = []
+        scores = attention.causal_scores
+
+        def recorded(*args, **kwargs):
+            out = scores(*args, **kwargs)
+            masses.append(out.mass)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(attention, "causal_scores", recorded)
+            _, _, reports = engine.prefill(
+                model, toks, engine.SparsityPolicy(mode="zipvl-exact", tau=self.TAU), trace=trace
+            )
+        assert len(masses) == cfg.layers * cfg.heads
+        return trace, reports, masses
 
     def harmonic_tail(self) -> np.ndarray:
         """H(n) - H(j) for j in [0, n), python floats summed from the smallest term."""
@@ -479,6 +493,14 @@ class TestUniformAttentionOracle:
             tail += 1.0 / (j + 1)
             out.append(tail)
         return np.array(out[::-1])
+
+    def test_mass_is_the_harmonic_tail_in_float64(self, traced):
+        # each row's weights are 1.0 / (i + 1) in float64, so only the float64
+        # summation order parts the mass from the tail
+        want = self.harmonic_tail()
+        for mass in traced[2]:
+            assert mass.dtype == np.float64
+            assert np.max(np.abs(mass - want) / want) <= 1e-13
 
     def test_accumulated_is_the_harmonic_tail(self, traced):
         want = self.harmonic_tail()
@@ -498,7 +520,7 @@ class TestUniformAttentionOracle:
         for _ in range(100):
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if mid * (1 - np.log(mid)) < self.TAU else (lo, mid)
-        for entry, r in zip(*traced):
+        for entry, r in zip(traced[0], traced[1]):
             acc = entry["accumulated"]
             p = oracles.budget_oracle(acc, self.TAU, float(np.sum(acc, dtype=np.float64)))
             assert r.p == p == 203
