@@ -7,6 +7,14 @@ its median (*_median) and its interquartile range (*_iqr). speedup_measured
 divides the dense min by the row's min; speedup_median is the median over
 rounds of dense's time divided by the row's time in the same round.
 
+Each round also times reference_ms, a fixed computation that does not
+touch zipvl, once before its modes. *_ref_median is the median over rounds
+of the row's time divided by that round's reference time, and
+ref_ms_median the median reference time itself. The reference follows the
+speed the machine gives the process, so row sets from two invocations,
+say a parent tree and a change, compare in ref units where their
+milliseconds drift apart.
+
 Prefill: one row per (n, mode) pair, n in SIZES: the measured prefill time,
 the modeled prefill attention flops (the sum of the layer reports'
 attn_flops), the measured and modeled speedup over dense at the same n, and
@@ -75,6 +83,23 @@ def _model(max_seq: int) -> engine.TinyTransformer:
     )
 
 
+def reference_ms() -> float:
+    """Milliseconds taken by one fixed computation that does not touch zipvl.
+
+    Array work and Python string work, like perfbench/worker.py's
+    reference_s, so its time follows the machine's speed at that moment.
+    """
+    x = np.random.default_rng(0).random((384, 384))
+    t0 = time.perf_counter()
+    for _ in range(6):
+        e = np.exp(np.where(x > 0.3, x, -np.inf) - 1.0)
+        e /= e.sum(axis=1, keepdims=True)
+        e @ x[:, :16]
+        np.sort(x, axis=1)
+    sum(float(v) for v in ",".join(repr(float(v)) for v in x[:48].ravel()).split(","))
+    return 1e3 * (time.perf_counter() - t0)
+
+
 def _timing(key: str, ms: np.ndarray, digits: int) -> dict:
     """The min, median and interquartile range of one row's per-round times, in ms."""
     q1, median, q3 = np.percentile(ms, [25, 50, 75])
@@ -82,6 +107,14 @@ def _timing(key: str, ms: np.ndarray, digits: int) -> dict:
         key: round(float(ms.min()), digits),
         f"{key}_median": round(float(median), digits),
         f"{key}_iqr": round(float(q3 - q1), digits),
+    }
+
+
+def _in_ref(key: str, ms: np.ndarray, ref: np.ndarray) -> dict:
+    """The median of one row's per-round times over their rounds' reference times, and of ref."""
+    return {
+        key: round(float(np.median(ms / ref)), 4),
+        "ref_ms_median": round(float(np.median(ref)), 3),
     }
 
 
@@ -99,8 +132,10 @@ def measure_prefill(n: int) -> list[dict]:
     prompt = np.random.default_rng(SEED + n).integers(0, VOCAB, size=n)
     policies = [engine.SparsityPolicy(mode=mode) for mode in engine.MODES]
     ms = np.empty((len(policies), REPEATS))
+    ref = np.empty(REPEATS)
     reports = [None] * len(policies)
     for rnd in range(REPEATS):
+        ref[rnd] = reference_ms()
         for i, policy in enumerate(policies):
             t0 = time.perf_counter()
             _, _, reports[i] = engine.prefill(model, prompt, policy)
@@ -118,6 +153,7 @@ def measure_prefill(n: int) -> list[dict]:
                 "n": n,
                 "mode": policy.mode,
                 **_timing("prefill_ms", row_ms, 1),
+                **_in_ref("prefill_ref_median", row_ms, ref),
                 "peak_mib": round(peak / 2**20, 3),
                 "attn_flops": sum(r.attn_flops for r in layer_reports),
                 "mean_ratio": float(np.mean([r.ratio for r in layer_reports])),
@@ -132,9 +168,11 @@ def measure_decode() -> list[dict]:
     prompt = np.random.default_rng(SEED + PROMPT).integers(0, VOCAB, size=PROMPT)
     policies = [engine.SparsityPolicy(**knobs) for _, knobs in DECODE_POLICIES]
     ms = np.empty((len(policies), REPEATS))
+    ref = np.empty(REPEATS)
     cache_rows = [0.0] * len(policies)
     reports = [None] * len(policies)
     for rnd in range(REPEATS):
+        ref[rnd] = reference_ms()
         for i, policy in enumerate(policies):
             prefilled = engine.prefill(model, prompt, policy)
             cache = prefilled[1]
@@ -151,6 +189,7 @@ def measure_decode() -> list[dict]:
                 "steps": STEPS,
                 "cache_rows": rows_cached,
                 **_timing("ms_per_step", row_ms, 4),
+                **_in_ref("ms_per_step_ref_median", row_ms, ref),
                 "tok_per_s": round(1e3 / float(row_ms.min()), 1),
                 "decode_attn_flops": report.decode_attn_flops,
             }
@@ -184,7 +223,7 @@ def main(argv: list[str] | None = None) -> None:
     for r in prefill:
         print(
             f"prefill n={r['n']:<5} {r['mode']:<12} {r['prefill_ms']:>9.1f} ms "
-            f"{r['peak_mib']:>8.2f} MiB  "
+            f"{r['prefill_ref_median']:>8.3f} ref {r['peak_mib']:>8.2f} MiB  "
             f"x{r['speedup_measured']:<6} measured  x{r['speedup_median']:<6} median  "
             f"x{r['speedup_modeled']:<6} modeled"
         )
@@ -193,7 +232,8 @@ def main(argv: list[str] | None = None) -> None:
     for r in decode:
         print(
             f"decode {r['policy']:<21} {r['cache_rows']:>7.1f} rows "
-            f"{r['ms_per_step']:>8.4f} ms/step {r['tok_per_s']:>7.1f} tok/s  "
+            f"{r['ms_per_step']:>8.4f} ms/step {r['ms_per_step_ref_median']:>7.4f} ref "
+            f"{r['tok_per_s']:>7.1f} tok/s  "
             f"x{r['speedup_measured']:<6} measured  x{r['speedup_median']:<6} median  "
             f"x{r['speedup_modeled']:<6} modeled"
         )

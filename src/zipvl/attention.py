@@ -1,13 +1,16 @@
 """Causal attention, probe-row score approximation and token importance stats.
 
-Everything here is single-head: q, k, v are (n, d_head) float32 matrices.
-Multi-head aggregation happens in the engine. All functions are pure.
+q, k and v are float32 (..., n, d_head) arrays whose leading axes are
+heads: a layer passes its stacked (heads, n, d_head) views, and a 2-D
+matrix is one head on the same path. Every head of a call scores and
+attends over the same rows, in one loop over blocks of rows. All functions
+are pure.
 
 Scoring (causal_scores, probe_attention) returns one AttentionScores record
-of the scored rows: the column mass, summed one block of rows at a time,
-never the score matrix, and the weighted count of the rows that see each
-column. The importance stats (accumulated_scores, normalized_scores) read
-only that record, so the engine can average the heads' records into one.
+of the scored rows: the heads' mean column mass, each head's summed one
+block of rows at a time, never the score matrix, and the weighted count of
+the rows that see each column, which every head shares. The importance
+stats (accumulated_scores, normalized_scores) read only that record.
 Restricted attention multiplies one block of unnormalized exponentials at
 a time by the values and divides its outputs by the row sums, so it never
 holds its p x p weights either.
@@ -35,15 +38,15 @@ class AttentionScores:
     """Column mass of a set of scored causal rows, and how many of them see each column.
 
     mass[j] is the float64 sum of the weights e / s that the scored query
-    rows give key j, each times its row's weight; e is the row's float32
-    exponentials and s their float32 sum, and the quotient is never rounded
-    to float32.
+    rows give key j, each times its row's weight, averaged over the heads;
+    e is the row's float32 exponentials and s their float32 sum, and the
+    quotient is never rounded to float32.
     visible[j] is the float64 sum of the weights of the scored rows that see
     key j; a row sees every key up to its own position, and with unit
     weights this is the count of those rows. n_rows is the number of scored
-    rows. When the rows cover every position with weight 1 this is the
-    column mass of the full attention matrix. The matrix itself is never
-    kept.
+    rows, which every head shares, not counted once per head. When the
+    rows cover every position with weight 1 this is the column mass of the
+    full attention matrix. The matrix itself is never kept.
     """
 
     mass: np.ndarray
@@ -58,34 +61,37 @@ def causal_scores(
     row_positions: np.ndarray | None = None,
     row_weights: np.ndarray | None = None,
 ) -> AttentionScores:
-    """Column mass and visible-row counts of the causal softmax of the given query rows.
+    """Head-mean column mass and visible-row counts of the causal softmax of the given rows.
 
+    q and k are (..., n, d_head) with the same leading axes, the heads.
     row_positions=None means all rows; row_weights=None weighs each row 1,
     else each row's weights are multiplied by its float64 row weight before
     they are summed. Rows are always gathered into a fresh
     contiguous array so full and subset calls share the exact same float path.
-    numkit.causal_column_mass scores one block of rows at a time, so no
-    (rows, n) array is built; the sums are the float64 column sums of the
-    numkit.causal_exp_blocks exponentials divided by their row sums, up to
-    float64 summation order.
+    numkit.causal_column_mass scores one block of rows of every head at a
+    time, so no (rows, n) array is built; each head's sums are the float64
+    column sums of its numkit.causal_exp_blocks exponentials divided by
+    their row sums, up to float64 summation order, and the record's mass is
+    their float64 np.mean over the heads (the head's own sums for one).
     The visible counts come from the row positions, not from testing
     weights against zero: key j is seen by the rows from the first one at
     position >= j on, so its count is a suffix sum of the row weights,
     added from the last row back.
     """
-    q = numkit.as_matrix(q)
-    k = numkit.as_matrix(k)
-    if q.shape[1] != k.shape[1]:
+    q = numkit.as_stack(q)
+    k = numkit.as_stack(k)
+    if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"q and k head dims differ: {q.shape} vs {k.shape}")
-    n = k.shape[0]
+    n = k.shape[-2]
     if row_positions is None:
-        row_positions = np.arange(q.shape[0], dtype=np.int64)
+        row_positions = np.arange(q.shape[-2], dtype=np.int64)
     else:
         row_positions = np.asarray(row_positions, dtype=np.int64)
-        if row_positions.size and row_positions.max() >= q.shape[0]:
+        if row_positions.size and row_positions.max() >= q.shape[-2]:
             raise BoundsError("row position beyond query rows")
-    q_rows = np.ascontiguousarray(q[row_positions])
+    q_rows = np.ascontiguousarray(q[..., row_positions, :])
     mass = numkit.causal_column_mass(q_rows, k, scale, row_positions, row_weights)
+    mass = np.mean(mass.reshape(-1, n), axis=0)
     weights = np.ones(row_positions.size) if row_weights is None else row_weights
     suffix = np.append(np.cumsum(np.asarray(weights, dtype=np.float64)[::-1])[::-1], 0.0)
     first = np.searchsorted(row_positions, np.arange(n), side="left")
@@ -95,37 +101,40 @@ def causal_scores(
 def restricted_attention(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, indices: np.ndarray
 ) -> np.ndarray:
-    """Causal attention computed only among the tokens in `indices`.
+    """Causal attention computed only among the tokens in `indices`, in every head.
 
-    Causality uses original positions: row i may attend to row j iff
-    indices[j] <= indices[i]. With ascending indices that is a plain lower
-    triangle, so no weight ever flows from a later position to an earlier
-    one. Returns the outputs over the subset, in subset order. The
-    exponentials come from numkit.causal_exp_blocks over subset positions,
-    one block of rows at a time. The values are gathered beside a ones
-    column, so each block's one product e @ [v | 1] holds its unnormalized
+    q, k and v are (..., n, d_head) with the same leading axes, the heads,
+    and every head attends over the one index set. Causality uses original
+    positions: row i may attend to row j iff indices[j] <= indices[i]. With
+    ascending indices that is a plain lower triangle, so no weight ever
+    flows from a later position to an earlier one. Returns the (..., p,
+    d_head) outputs over the subset, in subset order. The exponentials come
+    from numkit.causal_exp_blocks over subset positions, one block of rows
+    of every head at a time. The values are gathered beside a ones column,
+    so each block's one stacked product e @ [v | 1] holds its unnormalized
     outputs and its row sums, and the outputs are divided by the sums once,
     after every block; no p x p weight array is built, no weight is
-    divided, and a call holds memory linear in p. Indices that are not
+    divided, and a call holds memory linear in p per head. Each head's
+    outputs have the bits of its own 2-D call. Indices that are not
     strictly ascending raise OrderingError, and indices outside [0, n)
     raise BoundsError.
     """
-    q, k, v = numkit.as_matrix(q), numkit.as_matrix(k), numkit.as_matrix(v)
+    q, k, v = numkit.as_stack(q), numkit.as_stack(k), numkit.as_stack(v)
     idx = np.asarray(indices, dtype=np.int64)
     if np.any(np.diff(idx) <= 0):
         raise OrderingError("indices must be strictly ascending")
-    n = min(q.shape[0], k.shape[0], v.shape[0])
+    n = min(q.shape[-2], k.shape[-2], v.shape[-2])
     if idx.size and (idx[0] < 0 or idx[-1] >= n):
         raise BoundsError(f"indices must lie in [0, {n})")
-    d = v.shape[1]
-    q_s = np.ascontiguousarray(q[idx])
-    k_s = np.ascontiguousarray(k[idx])
-    v1 = np.ones((idx.size, d + 1), dtype=numkit.FLOAT)
-    v1[:, :d] = v[idx]
-    out = np.empty((idx.size, d + 1), dtype=numkit.FLOAT)
+    d = v.shape[-1]
+    q_s = np.ascontiguousarray(q[..., idx, :])
+    k_s = np.ascontiguousarray(k[..., idx, :])
+    v1 = np.ones((*v.shape[:-2], idx.size, d + 1), dtype=numkit.FLOAT)
+    v1[..., :d] = v[..., idx, :]
+    out = np.empty(v1.shape, dtype=numkit.FLOAT)
     for r0, e in numkit.causal_exp_blocks(q_s, k_s, scale, np.arange(idx.size)):
-        np.matmul(e, v1[: e.shape[1]], out=out[r0 : r0 + e.shape[0]])
-    return out[:, :d] / out[:, d:]
+        np.matmul(e, v1[..., : e.shape[-1], :], out=out[..., r0 : r0 + e.shape[-2], :])
+    return out[..., :d] / out[..., d:]
 
 
 def accumulated_scores(scores: AttentionScores) -> np.ndarray:
@@ -183,10 +192,11 @@ def select_probe_set(
 def probe_attention(
     q: np.ndarray, probe: np.ndarray, k: np.ndarray, scale: float, weights: np.ndarray
 ) -> AttentionScores:
-    """Column mass of the probe rows only; causality follows original positions.
+    """Head-mean column mass of the probe rows only; causality follows original positions.
 
-    weights are the Horvitz-Thompson weights select_probe_set returns with
-    the probe rows, so the mass and the visible-row counts estimate those of
-    every row.
+    q and k are (..., n, d_head), the heads on the leading axes, as
+    causal_scores takes them. weights are the Horvitz-Thompson weights
+    select_probe_set returns with the probe rows, so the mass and the
+    visible-row counts estimate those of every row.
     """
     return causal_scores(q, k, scale, row_positions=probe, row_weights=weights)

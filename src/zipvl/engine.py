@@ -204,26 +204,20 @@ def _token_scores(
 
     zipvl-probe scores the layer's probe rows, each with the weight that
     attention.select_probe_set returns with it, every other mode all rows.
-    Each head's column mass is summed once; the layer's record holds their
-    float64 mean and the visible-row counts, which every head shares since
-    every head scores the same rows, and both statistics are read from it
-    once.
+    The layer's stacked heads are scored in one call, whose record holds
+    the float64 mean of the heads' column masses and the visible-row
+    counts, which every head shares since every head scores the same rows;
+    both statistics are read from it once.
     """
-    n, heads = k.shape[1], k.shape[0]
     if policy.mode == "zipvl-probe":
         probe, w = attention.select_probe_set(
-            n, policy.probe_recent, policy.probe_random, numkit.derive_seed(seed, layer)
+            k.shape[1], policy.probe_recent, policy.probe_random, numkit.derive_seed(seed, layer)
         )
-        per_head = [attention.probe_attention(q[i], probe, k[i], scale, w) for i in range(heads)]
+        scores = attention.probe_attention(q, probe, k, scale, w)
         probe_rows = int(probe.size)
     else:
-        per_head = [attention.causal_scores(q[i], k[i], scale) for i in range(heads)]
+        scores = attention.causal_scores(q, k, scale)
         probe_rows = 0
-    scores = attention.AttentionScores(
-        mass=np.mean([s.mass for s in per_head], axis=0),
-        visible=per_head[0].visible,
-        n_rows=per_head[0].n_rows,
-    )
     return attention.accumulated_scores(scores), attention.normalized_scores(scores), probe_rows
 
 
@@ -266,8 +260,7 @@ def prefill(
         imp, retained_mass = budget.plan_layer(policy, n, acc, norm)
 
         attn = np.zeros((config.heads, n, d_head), dtype=np.float32)
-        for i in range(config.heads):
-            attn[i, imp, :] = attention.restricted_attention(q[i], k[i], v[i], scale, imp)
+        attn[:, imp, :] = attention.restricted_attention(q, k, v, scale, imp)
         proj = attn.transpose(1, 0, 2).reshape(n, config.d_model) @ lw.wo
         h = h + proj
         h_after_attn = h

@@ -11,16 +11,22 @@ fixed numpy version the stream is bit-identical across platforms.
 
 The causal row softmax is one float32 kernel, causal_exp_blocks, which
 takes one block of CAUSAL_BLOCK query rows at a time against only the keys
-that block can see, so it never builds an n x n array or mask. It yields
-each block's exponentials, shifted by the row max but not divided by the
-row sum: both consumers scale a product of the block by the row sums
-instead, as FlashAttention does, so no pass divides the weights. Prefill
-scoring (causal_column_mass) adds the float64 product of each row's
-weight over its row sum and the widened block to its float64 column sums;
-restricted attention (attention.restricted_attention) multiplies each
-block by the visible values beside a ones column, and divides the outputs
-by that column. Either costs memory linear in n. The tests check the
-weights e / s against a float64 masked softmax within a stated tolerance.
+that block can see, so it never builds an n x n array or mask. Its leading
+axes are heads: a layer's stacked (heads, rows, d) queries and keys run
+through one loop over the blocks, one stacked product per block, and a
+2-D argument is one head on the same path. Each block's exponentials are
+written into one buffer allocated per call, so a block stays valid only
+until the next one is asked for. They are shifted by the row max but not
+divided by the row sum: both consumers scale a product of the block by the
+row sums instead, as FlashAttention does, so no pass divides the weights.
+Prefill scoring (causal_column_mass) adds, head by head, the float64
+product of each row's weight over its row sum and the widened block to
+that head's float64 column sums; restricted attention
+(attention.restricted_attention) multiplies each block by the visible
+values beside a ones column, and divides the outputs by that column.
+Either costs memory linear in n. The tests check the weights e / s against
+a float64 masked softmax within a stated tolerance, and each head of a
+stacked call against its own 2-D call bit for bit.
 
 All functions here are pure; Rng instances must stay confined to a single
 thread.
@@ -28,6 +34,7 @@ thread.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -68,6 +75,14 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_stack(a) -> np.ndarray:
+    """Coerce to a float32 array of one or more stacked matrices: ndim >= 2, leading axes heads."""
+    m = np.asarray(a, dtype=FLOAT)
+    if m.ndim < 2:
+        raise ShapeError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
+    return m
+
+
 def masked_softmax_rows(logits: np.ndarray, mask: None) -> np.ndarray:
     """Row softmax over every column of logits; mask must be None.
 
@@ -93,10 +108,11 @@ def masked_softmax_rows(logits: np.ndarray, mask: None) -> np.ndarray:
 
 def _check_rows(q_rows, k, row_positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coerce the operands of a causal row softmax and check the row positions."""
-    q_rows = as_matrix(q_rows)
-    k = as_matrix(k)
+    q_rows, k = as_stack(q_rows), as_stack(k)
     pos = np.asarray(row_positions, dtype=np.int64)
-    m, n = q_rows.shape[0], k.shape[0]
+    m, n = q_rows.shape[-2], k.shape[-2]
+    if q_rows.shape[:-2] != k.shape[:-2]:
+        raise ShapeError(f"query heads {q_rows.shape[:-2]} against key heads {k.shape[:-2]}")
     if pos.shape != (m,):
         raise ShapeError(f"{pos.shape} row positions for {m} query rows")
     if m and (pos[0] < 0 or pos[-1] >= n or np.any(np.diff(pos) < 0)):
@@ -109,19 +125,24 @@ def causal_exp_blocks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Unnormalized causal softmax of (q_rows @ k.T) * scale, one block of rows at a time.
 
-    Row r sees keys 0..row_positions[r]; positions must ascend and lie in
-    [0, n), which is checked when the first block is asked for. Yields
-    (r0, e) for each block of CAUSAL_BLOCK rows, in order; e is float32
-    (rows, hi), where hi is one past the block's last position, so it spans
-    only the keys some row of the block can see. e is exp(logit - row max),
-    exactly 0.0 past each row's position, and is not divided by its row
-    sum: each consumer scales its product of e by the row sums instead.
-    Each block's logits are one product against k[:hi], then shifted by the
-    row max and exponentiated in place, all in float32. Before the shift,
-    column c of row r is set to -inf where row_positions[r] < c, a mask
-    made by one int32 np.less.outer of the block's positions against its
-    columns past the first row's position; consecutive and sparse rows take
-    the same path. The array is the caller's to keep.
+    q_rows is (..., m, d) and k (..., n, d), with the same leading axes, the
+    heads; a 2-D pair is one head. Row r sees keys 0..row_positions[r] in
+    every head; positions must ascend and lie in [0, n), which is checked
+    when the first block is asked for. Yields (r0, e) for each block of
+    CAUSAL_BLOCK rows, in order; e is float32 (..., rows, hi), where hi is
+    one past the block's last position, so it spans only the keys some row
+    of the block can see. e is exp(logit - row max), exactly 0.0 past each
+    row's position, and is not divided by its row sum: each consumer scales
+    its product of e by the row sums instead. Each block's logits are one
+    stacked product against k[..., :hi, :], then shifted by the row max and
+    exponentiated in place, all in float32; each head's rows get the bits
+    its own 2-D product gives. Before the shift, column c of row r is set
+    to -inf where row_positions[r] < c, a mask made by one int32
+    np.less.outer of the block's positions against its columns past the
+    first row's position and broadcast over the heads; consecutive and
+    sparse rows take the same path. e is a C-contiguous view of one flat
+    buffer allocated per call, and it is valid only until the next block is
+    asked for: copy it to keep it.
 
     A tail shorter than TAIL_MIN rows joins the block before it: BLAS
     multiplies a single row with gemv, and for some head sizes a few rows
@@ -133,13 +154,17 @@ def causal_exp_blocks(
     if len(starts) > 1 and pos.size - starts[-1] < TAIL_MIN:
         starts.pop()
     # int32 positions and columns: a comparison of int32s costs under half of int64's
-    pos32, cols = pos.astype(np.int32), np.arange(k.shape[0], dtype=np.int32)
+    pos32, cols = pos.astype(np.int32), np.arange(k.shape[-2], dtype=np.int32)
+    lead, kt = q_rows.shape[:-2], k.swapaxes(-1, -2)
+    buf = np.empty(math.prod(lead) * min(pos.size, CAUSAL_BLOCK + TAIL_MIN - 1) * cols.size, FLOAT)
     for r0, r1 in zip(starts, starts[1:] + [pos.size]):
         lo, hi = int(pos[r0]) + 1, int(pos[r1 - 1]) + 1
-        e = q_rows[r0:r1] @ k[:hi].T
+        shape = (*lead, r1 - r0, hi)
+        e = buf[: math.prod(shape)].reshape(shape)
+        np.matmul(q_rows[..., r0:r1, :], kt[..., :hi], out=e)
         e *= FLOAT(scale)
-        np.copyto(e[:, lo:], -np.inf, where=np.less.outer(pos32[r0:r1], cols[lo:hi]))
-        e -= e.max(axis=1, keepdims=True)
+        np.copyto(e[..., lo:], -np.inf, where=np.less.outer(pos32[r0:r1], cols[lo:hi]))
+        e -= e.max(axis=-1, keepdims=True)
         np.exp(e, out=e)
         yield r0, e
 
@@ -151,30 +176,36 @@ def causal_column_mass(
     row_positions: np.ndarray,
     row_weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Float64 column sums of the causal softmax weights of q_rows against k.
+    """Float64 column sums of the causal softmax weights of q_rows against k, per head.
 
-    Row r's weights are e / s, e its causal_exp_blocks row and s the
-    float32 sum of e; with row_weights, one float64 weight per row, each
+    q_rows is (..., m, d) and k (..., n, d), as causal_exp_blocks takes
+    them; the sums are (..., n), one row per head. Row r's weights are
+    e / s, e its causal_exp_blocks row and s the float32 sum of e; with
+    row_weights, one float64 weight per row shared by every head, each
     row's weights are also multiplied by its row weight (1.0 without
-    them). Each block forms c = row weight / s in float64, widens e into a
-    reused float64 (block, n) buffer and adds c @ e to the sums, so no
-    weight is rounded to float32 and only one block of rows is ever held.
-    The sums differ from the float64 column sums of the stacked e / s
-    matrix only by float64 summation order.
+    them). Each block forms c = row weight / s in float64; then, head by
+    head, it widens the head's e into one reused float64 (block, n) buffer
+    and adds c @ e to that head's sums, so no weight is rounded to float32,
+    only one block of rows is ever held, and each head's sums have the bits
+    of its own 2-D call. The sums differ from the float64 column sums of
+    the stacked e / s matrix only by float64 summation order.
     """
-    q_rows, k = as_matrix(q_rows), as_matrix(k)
-    m, n = q_rows.shape[0], k.shape[0]
+    q_rows, k = as_stack(q_rows), as_stack(k)
+    m, n = q_rows.shape[-2], k.shape[-2]
     row_weights = np.ones(m) if row_weights is None else np.asarray(row_weights, np.float64)
     if row_weights.shape != (m,):
         raise ShapeError(f"{row_weights.shape} row weights for {m} query rows")
-    mass = np.zeros(n, dtype=np.float64)
+    mass = np.zeros((*q_rows.shape[:-2], n), dtype=np.float64)
     buf = np.empty((min(m, CAUSAL_BLOCK + TAIL_MIN - 1), n), dtype=np.float64)
     for r0, e in causal_exp_blocks(q_rows, k, scale, row_positions):
-        size, hi = e.shape
-        c = row_weights[r0 : r0 + size] / e.sum(axis=1)
+        size, hi = e.shape[-2:]
+        c = row_weights[r0 : r0 + size] / e.sum(axis=-1)
         rows = buf[:size, :hi]
-        rows[...] = e
-        mass[:hi] += c @ rows
+        for head_mass, head_c, head_e in zip(
+            mass.reshape(-1, n), c.reshape(-1, size), e.reshape(-1, size, hi)
+        ):
+            rows[...] = head_e
+            head_mass[:hi] += head_c @ rows
     return mass
 
 

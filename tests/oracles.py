@@ -160,8 +160,17 @@ def column_mass_from_matrix(
     """numkit.causal_column_mass through the whole (rows, n) weight matrix of `softmax`.
 
     With row_weights, each widened row is multiplied by its weight before
-    the column sums, which add the rows in order.
+    the column sums, which add the rows in order. Stacked (heads, rows, d)
+    queries and keys give one row of sums per head, each from its own 2-D
+    call.
     """
+    if np.ndim(q_rows) == 3:
+        return np.stack(
+            [
+                column_mass_from_matrix(qh, kh, scale, row_positions, row_weights, softmax)
+                for qh, kh in zip(q_rows, k)
+            ]
+        )
     weights = softmax(q_rows, k, scale, row_positions).astype(np.float64)
     if row_weights is not None:
         weights *= np.asarray(row_weights, np.float64)[:, None]

@@ -17,6 +17,12 @@ def random_qkv(n, d, seed=0):
     return tuple(rng.normal(size=(n, d)).astype(np.float32) for _ in range(3))
 
 
+def stacked_qkv(heads, n, d, seed=0):
+    """q, k and v of `heads` heads: strided (heads, n, d) views, as the engine slices a layer."""
+    qkv = numkit.make_rng(seed).normal(size=(n, 3, heads, d)).astype(np.float32)
+    return tuple(qkv.transpose(1, 2, 0, 3))
+
+
 class TestCausalScores:
     def test_matches_naive_attention(self):
         q, k, v = random_qkv(12, 5, seed=3)
@@ -319,11 +325,44 @@ class TestProbeAttention:
             assert abs(ps.visible[0] - n) <= 1e-12 * n
 
 
+class TestStackedHeads:
+    # 79 and 136 rows end in a tail that joins the block before it, 150 in a 22-row
+    # tail that does not
+    @pytest.mark.parametrize("rows", ["all", "probe"])
+    @pytest.mark.parametrize("n", [1, 79, 136, 150, 300])
+    @pytest.mark.parametrize("d", [8, 16, 32, 64])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_equals_the_per_head_calls_bitwise(self, heads, d, n, rows):
+        # the record's mass is the float64 mean of the heads' own masses, and each
+        # head attends over the one index set as its own 2-D call does
+        q, k, v = stacked_qkv(heads, n, d, seed=n * 100 + d * 10 + heads)
+        scale = 1.0 / np.sqrt(d)
+        if rows == "all":
+            indices = np.arange(n)
+            got = attention.causal_scores(q, k, scale)
+            per_head = [attention.causal_scores(q[h], k[h], scale) for h in range(heads)]
+        else:
+            indices, w = attention.select_probe_set(n, 16, 24, seed=n)
+            got = attention.probe_attention(q, indices, k, scale, w)
+            per_head = [
+                attention.probe_attention(q[h], indices, k[h], scale, w) for h in range(heads)
+            ]
+        want = np.mean([s.mass for s in per_head], axis=0)
+        assert np.array_equal(got.mass.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(got.visible, per_head[0].visible)
+        assert got.n_rows == per_head[0].n_rows == indices.size
+        out = attention.restricted_attention(q, k, v, scale, indices)
+        assert out.shape == (heads, indices.size, d)
+        for h in range(heads):
+            want = attention.restricted_attention(q[h], k[h], v[h], scale, indices)
+            assert np.array_equal(out[h].view(np.uint32), want.view(np.uint32))
+
+
 class TestScoringMemory:
     @staticmethod
-    def peak_bytes(n: int) -> int:
-        """tracemalloc peak of one causal_scores call over n rows, d_head 16."""
-        q, k, _ = random_qkv(n, 16, seed=n)
+    def peak_bytes(n: int, heads: int = 1) -> int:
+        """tracemalloc peak of one causal_scores call over n rows of 1 or more heads, d_head 16."""
+        q, k, _ = random_qkv(n, 16, seed=n) if heads == 1 else stacked_qkv(heads, n, 16, seed=n)
         tracemalloc.start()
         try:
             attention.causal_scores(q, k, 0.25)
@@ -337,20 +376,33 @@ class TestScoringMemory:
         assert large < 8 * 2**20
         assert large <= 2.5 * small
 
+    def test_stacked_heads_take_at_most_four_times_the_one_head_bound(self):
+        small, large = self.peak_bytes(1024, heads=4), self.peak_bytes(2048, heads=4)
+        assert large < 4 * 8 * 2**20
+        assert large <= 2.5 * small
+
 
 class TestRestrictedAttentionMemory:
-    def test_workspace_is_linear_in_p(self):
-        p, d = 2048, 16
-        q, k, v = random_qkv(p, d, seed=p)
+    P, D = 2048, 16
+    # per index and head: the gathered q and k, the values beside their ones column
+    # and their products (about 4 d float32), its position, and room for the float32
+    # exponentials of two blocks of rows (the blocks of a call share one buffer);
+    # the p x p float32 weights alone would be 16 MiB
+    PER_INDEX = 4 * 4 * D + 8 + 2 * 4 * (numkit.CAUSAL_BLOCK + numkit.TAIL_MIN)
+
+    def peak_bytes(self, q, k, v) -> int:
+        """tracemalloc peak of one restricted_attention call over every index."""
         tracemalloc.start()
         try:
-            attention.restricted_attention(q, k, v, 0.25, np.arange(p))
-            peak = tracemalloc.get_traced_memory()[1]
+            attention.restricted_attention(q, k, v, 0.25, np.arange(self.P))
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # per index: the gathered q and k, the values beside their ones column and
-        # their products (about 4 d float32), its position, and the float32
-        # exponentials of two blocks of rows, the one in use and the next;
-        # the p x p float32 weights alone would be 16 MiB
-        per_index = 4 * 4 * d + 8 + 2 * 4 * (numkit.CAUSAL_BLOCK + numkit.TAIL_MIN)
-        assert peak <= 1.25 * per_index * p
+
+    def test_workspace_is_linear_in_p(self):
+        peak = self.peak_bytes(*random_qkv(self.P, self.D, seed=self.P))
+        assert peak <= 1.25 * self.PER_INDEX * self.P
+
+    def test_stacked_heads_take_at_most_four_times_the_one_head_bound(self):
+        peak = self.peak_bytes(*stacked_qkv(4, self.P, self.D, seed=self.P))
+        assert peak <= 4 * 1.25 * self.PER_INDEX * self.P

@@ -28,11 +28,21 @@ def test_each_run_appends_a_prefill_and_a_decode_row_set(monkeypatch, tmp_path):
         return original(model, prompt, policy, *args, **kwargs)
 
     monkeypatch.setattr(engine, "prefill", recorded)
+    references: list = []
+
+    def reference():  # one per round, before its modes; a constant 0.5 ms in this run
+        references.append(len(modes))
+        return 0.5
+
+    monkeypatch.setattr(bench, "reference_ms", reference)
     bench.main(["--label", "b"])
     # each round runs every mode in turn, then one untimed pass per mode measures
     # memory; the decode rounds take their policies in turn too
     decode_modes = [knobs["mode"] for _, knobs in bench.DECODE_POLICIES]
     assert modes == list(engine.MODES) * 4 + decode_modes * 3
+    prefill_rounds = [i * len(engine.MODES) for i in range(3)]
+    decode_rounds = [4 * len(engine.MODES) + i * len(decode_modes) for i in range(3)]
+    assert references == prefill_rounds + decode_rounds
 
     prefill = json.loads((tmp_path / "prefill.json").read_text())["row_sets"]
     assert [s["label"] for s in prefill] == ["a", "b"]
@@ -53,8 +63,17 @@ def test_each_run_appends_a_prefill_and_a_decode_row_set(monkeypatch, tmp_path):
     assert rows[0]["speedup_modeled"] == 1.0
     assert rows[2]["speedup_modeled"] > 1.0
 
-    # beside each min: the median and interquartile range of the round times
-    for key, timed in [("prefill_ms", prefill[1]["rows"]), ("ms_per_step", rows)]:
-        for r in timed:
+    # beside each min: the median and interquartile range of the round times, and
+    # the median of the times in units of their round's reference
+    timings = [
+        ("prefill_ms", "prefill_ref_median", prefill, 1),
+        ("ms_per_step", "ms_per_step_ref_median", decode, 4),
+    ]
+    for key, ref_key, row_sets, digits in timings:
+        for r in row_sets[1]["rows"]:
             assert r[key] <= r[f"{key}_median"] and r[f"{key}_iqr"] >= 0
             assert r["speedup_median"] > 0
+            assert r["ref_ms_median"] == 0.5
+            assert abs(r[ref_key] - 2 * r[f"{key}_median"]) <= 10.0**-digits + 1e-4
+        # the first invocation timed the real reference computation
+        assert all(r["ref_ms_median"] > 0 and r[ref_key] > 0 for r in row_sets[0]["rows"])

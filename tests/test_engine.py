@@ -344,13 +344,13 @@ class TestScoringWork:
         counts = _count_calls(monkeypatch, attention, *self.SCORING)
         pol = engine.SparsityPolicy(mode=mode, probe_recent=8, probe_random=8)
         engine.prefill(model, prompt, pol)
-        scored = CFG.heads * CFG.layers
-        # the heads' mean is one layer record, read once by each statistic
+        # one call scores the layer's stacked heads; the heads' mean is its one
+        # record, read once by each statistic
         assert counts["accumulated_scores"] == CFG.layers
         assert counts["normalized_scores"] == CFG.layers
         # probe_attention reaches causal_scores once per call
-        assert counts["causal_scores"] == scored
-        assert counts["probe_attention"] == (scored if mode == "zipvl-probe" else 0)
+        assert counts["causal_scores"] == CFG.layers
+        assert counts["probe_attention"] == (CFG.layers if mode == "zipvl-probe" else 0)
 
     @pytest.mark.parametrize("mode", ["zipvl-exact", "zipvl-probe", "fixed"])
     def test_normalized_is_accumulated_over_the_visible_rows(self, model, prompt, mode):
@@ -461,7 +461,7 @@ class TestUniformAttentionOracle:
 
     @pytest.fixture(scope="class")
     def traced(self):
-        """The prefill trace and reports, and each head's float64 column mass."""
+        """The prefill trace and reports, and each layer's float64 head-mean column mass."""
         cfg = engine.ModelConfig(
             layers=2, heads=2, d_model=32, vocab_size=64, max_seq=self.N, seed=29
         )
@@ -483,7 +483,7 @@ class TestUniformAttentionOracle:
             _, _, reports = engine.prefill(
                 model, toks, engine.SparsityPolicy(mode="zipvl-exact", tau=self.TAU), trace=trace
             )
-        assert len(masses) == cfg.layers * cfg.heads
+        assert len(masses) == cfg.layers
         return trace, reports, masses
 
     def harmonic_tail(self) -> np.ndarray:

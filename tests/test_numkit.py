@@ -272,6 +272,61 @@ class TestCausalColumnMass:
         assert np.all(np.abs(got - ref) <= WEIGHT_TOL * counts)
 
 
+class TestStackedHeads:
+    """Leading axes are heads: a stacked call gives each head the bits of its own 2-D call."""
+
+    @staticmethod
+    def layer_heads(heads, n, d, seed):
+        """q and k of `heads` heads: strided (heads, n, d) views, as the engine slices a layer."""
+        qkv = numkit.make_rng(seed).normal(size=(n, 3, heads, d)).astype(np.float32)
+        q, k, _ = qkv.transpose(1, 2, 0, 3)
+        return q, k
+
+    # 79 and 136 rows end in a tail that joins the block before it, 150 in a 22-row
+    # tail that does not
+    @pytest.mark.parametrize("rows", ["all", "probe"])
+    @pytest.mark.parametrize("n", [1, 79, 136, 150, 4 * B + 29])
+    @pytest.mark.parametrize("d", [8, 16, 32, 64])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_equals_the_per_head_calls_bitwise(self, heads, d, n, rows):
+        q, k = self.layer_heads(heads, n, d, seed=n * 100 + d * 10 + heads)
+        pos = np.arange(n) if rows == "all" else _probe_positions(n)
+        weights = numkit.make_rng(n).uniform(0.5, 20.0, size=pos.size) if rows == "probe" else None
+        s = numkit.FLOAT(1.0 / np.sqrt(d))
+        q_rows = np.ascontiguousarray(q[:, pos])
+        stacked = [(r0, e.copy()) for r0, e in numkit.causal_exp_blocks(q_rows, k, s, pos)]
+        mass = numkit.causal_column_mass(q_rows, k, s, pos, weights)
+        assert mass.shape == (heads, n)
+        for h in range(heads):
+            q_h = np.ascontiguousarray(q[h][pos])
+            blocks = [(r0, e.copy()) for r0, e in numkit.causal_exp_blocks(q_h, k[h], s, pos)]
+            assert [r0 for r0, _ in stacked] == [r0 for r0, _ in blocks]
+            for (_, got), (_, want) in zip(stacked, blocks):
+                assert got.shape == (heads, *want.shape)
+                assert np.array_equal(got[h].view(np.uint32), want.view(np.uint32))
+            want = numkit.causal_column_mass(q_h, k[h], s, pos, weights)
+            assert np.array_equal(mass[h].view(np.uint64), want.view(np.uint64))
+
+    def test_each_block_is_a_view_that_the_next_block_overwrites(self):
+        n, heads = 4 * B + 29, 4
+        q, k = self.layer_heads(heads, n, 8, seed=n)
+        pos = _probe_positions(n)
+        previous = None
+        for r0, e in numkit.causal_exp_blocks(np.ascontiguousarray(q[:, pos]), k, 0.5, pos):
+            assert e.flags.c_contiguous and e.shape[0] == heads
+            if previous is not None:
+                assert np.shares_memory(previous[0], e)
+                assert not np.array_equal(previous[0], previous[1])
+            previous = (e, e.copy())
+
+    def test_heads_of_another_count_raise(self):
+        q = np.ones((2, 3, 4), dtype=np.float32)
+        with pytest.raises(ShapeError):
+            list(numkit.causal_exp_blocks(q, q[:1], 1.0, np.arange(3)))
+        with pytest.raises(ShapeError):
+            numkit.as_stack(np.ones(3))
+
+
 class TestTopk:
     def test_matches_oracle_with_ties(self):
         values = np.array([1.0, 3.0, 3.0, 0.5, 3.0, 2.0], dtype=np.float32)
