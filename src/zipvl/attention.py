@@ -13,7 +13,9 @@ the rows that see each column, which every head shares. The importance
 stats (accumulated_scores, normalized_scores) read only that record.
 Restricted attention multiplies one block of unnormalized exponentials at
 a time by the values and divides its outputs by the row sums, so it never
-holds its p x p weights either.
+holds its p x p weights either. The exponentials are shifted by their row
+max only in heads whose logits could overflow (numkit.SHIFT_FREE_BOUND);
+either way the shift cancels in the division.
 
 Probe rows estimate the full column mass: select_probe_set draws the random
 rows one per stratum of the earlier positions and returns with each the
@@ -114,10 +116,12 @@ def restricted_attention(
     so each block's one stacked product e @ [v | 1] holds its unnormalized
     outputs and its row sums, and the outputs are divided by the sums once,
     after every block; no p x p weight array is built, no weight is
-    divided, and a call holds memory linear in p per head. Each head's
-    outputs have the bits of its own 2-D call. Indices that are not
-    strictly ascending raise OrderingError, and indices outside [0, n)
-    raise BoundsError.
+    divided, and a call holds memory linear in p per head. Where a head's
+    exponentials are shifted by their row max (numkit.causal_exp_blocks
+    says which), outputs and sums carry the same factor, so the shift
+    cancels. Each head's outputs have the bits of its own 2-D call.
+    Indices that are not strictly ascending raise OrderingError, and
+    indices outside [0, n) raise BoundsError.
     """
     q, k, v = numkit.as_stack(q), numkit.as_stack(k), numkit.as_stack(v)
     idx = np.asarray(indices, dtype=np.int64)

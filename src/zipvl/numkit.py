@@ -16,9 +16,13 @@ axes are heads: a layer's stacked (heads, rows, d) queries and keys run
 through one loop over the blocks, one stacked product per block, and a
 2-D argument is one head on the same path. Each block's exponentials are
 written into one buffer allocated per call, so a block stays valid only
-until the next one is asked for. They are shifted by the row max but not
-divided by the row sum: both consumers scale a product of the block by the
-row sums instead, as FlashAttention does, so no pass divides the weights.
+until the next one is asked for. They are not divided by the row sum: both
+consumers scale a product of the block by the row sums instead, as
+FlashAttention does, so no pass divides the weights. Nor are they shifted
+by the row max, which cancels in that division, unless a head's logits
+might leave the range where exp is safe: a head whose Cauchy-Schwarz
+bound |scale| max|q_r| max|k_j| exceeds SHIFT_FREE_BOUND, or is NaN,
+keeps the shift.
 Prefill scoring (causal_column_mass) adds, head by head, the float64
 product of each row's weight over its row sum and the widened block to
 that head's float64 column sums; restricted attention
@@ -50,6 +54,12 @@ FLOAT = np.float32
 CAUSAL_BLOCK = 64
 # fewest rows in the last block; a shorter tail joins the block before
 TAIL_MIN = 16
+# a head whose logits all lie within +-SHIFT_FREE_BOUND is exponentiated without the
+# row-max shift: e^-32 = 1.3e-14 and e^32 = 7.9e13 are normal float32s (float32 logit
+# rounding moves the bound by a few parts in 1e6), so every visible exp is normal and
+# positive, and a row sum or e @ [v | 1] overflows only past n * |v| ~ 4e24; the shift
+# cancels in the division by the row sums, so only the rounding of the weights changes
+SHIFT_FREE_BOUND = 32.0
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -131,18 +141,28 @@ def causal_exp_blocks(
     when the first block is asked for. Yields (r0, e) for each block of
     CAUSAL_BLOCK rows, in order; e is float32 (..., rows, hi), where hi is
     one past the block's last position, so it spans only the keys some row
-    of the block can see. e is exp(logit - row max), exactly 0.0 past each
-    row's position, and is not divided by its row sum: each consumer scales
-    its product of e by the row sums instead. Each block's logits are one
-    stacked product against k[..., :hi, :], then shifted by the row max and
-    exponentiated in place, all in float32; each head's rows get the bits
-    its own 2-D product gives. Before the shift, column c of row r is set
-    to -inf where row_positions[r] < c, a mask made by one int32
-    np.less.outer of the block's positions against its columns past the
-    first row's position and broadcast over the heads; consecutive and
-    sparse rows take the same path. e is a C-contiguous view of one flat
-    buffer allocated per call, and it is valid only until the next block is
-    asked for: copy it to keep it.
+    of the block can see. e is exactly 0.0 past each row's position, and is
+    not divided by its row sum: each consumer scales its product of e by
+    the row sums instead. Each block's logits are one stacked product
+    against k[..., :hi, :], scaled and exponentiated in place, all in
+    float32; each head's rows get the bits its own 2-D product gives.
+    Before the exp, column c of row r is set to -inf where
+    row_positions[r] < c, a mask made by one int32 np.less.outer of the
+    block's positions against its columns past the first row's position
+    and broadcast over the heads; consecutive and sparse rows take the same
+    path.
+
+    Whether a head is shifted is decided once per call, head by head, from
+    the float64 bound B = |scale| max_r |q_r| max_j |k_j| over the rows and
+    keys given, which no |logit| of the head exceeds (Cauchy-Schwarz). A
+    head with B <= SHIFT_FREE_BOUND gets e = exp(logit); any other head,
+    NaN and inf bounds included, gets e = exp(logit - row max), so each of
+    its rows peaks at exactly 1.0. When only some heads are shifted, the
+    others subtract 0.0, which leaves every bit as it is, so each head's
+    blocks keep the bits of its own 2-D call.
+
+    e is a C-contiguous view of one flat buffer allocated per call, and it
+    is valid only until the next block is asked for: copy it to keep it.
 
     A tail shorter than TAIL_MIN rows joins the block before it: BLAS
     multiplies a single row with gemv, and for some head sizes a few rows
@@ -150,6 +170,12 @@ def causal_exp_blocks(
     rows of a larger product.
     """
     q_rows, k, pos = _check_rows(q_rows, k, row_positions)
+    # each head's logit bound; written as not (bound <= ...) so that NaN keeps the shift
+    q_norm, k_norm = (
+        np.linalg.norm(a.astype(np.float64), axis=-1).max(axis=-1, initial=0.0) for a in (q_rows, k)
+    )
+    shift = ~(abs(float(scale)) * q_norm * k_norm <= SHIFT_FREE_BOUND)
+    any_shift = bool(shift.any())
     starts = list(range(0, pos.size, CAUSAL_BLOCK))
     if len(starts) > 1 and pos.size - starts[-1] < TAIL_MIN:
         starts.pop()
@@ -164,7 +190,10 @@ def causal_exp_blocks(
         np.matmul(q_rows[..., r0:r1, :], kt[..., :hi], out=e)
         e *= FLOAT(scale)
         np.copyto(e[..., lo:], -np.inf, where=np.less.outer(pos32[r0:r1], cols[lo:hi]))
-        e -= e.max(axis=-1, keepdims=True)
+        if any_shift:
+            row_max = e.max(axis=-1, keepdims=True)
+            row_max[~shift] = 0.0  # x - 0.0 is x, bit for bit: those heads stay unshifted
+            e -= row_max
         np.exp(e, out=e)
         yield r0, e
 
@@ -183,11 +212,12 @@ def causal_column_mass(
     e / s, e its causal_exp_blocks row and s the float32 sum of e; with
     row_weights, one float64 weight per row shared by every head, each
     row's weights are also multiplied by its row weight (1.0 without
-    them). Each block forms c = row weight / s in float64; then, head by
-    head, it widens the head's e into one reused float64 (block, n) buffer
-    and adds c @ e to that head's sums, so no weight is rounded to float32,
-    only one block of rows is ever held, and each head's sums have the bits
-    of its own 2-D call. The sums differ from the float64 column sums of
+    them); a row-max shift, where a head has one, cancels in e / s. Each
+    block forms c = row weight / s in float64; then, head by head, it
+    widens the head's e into one reused float64 (block, n) buffer and adds
+    c @ e to that head's sums, so no weight is rounded to float32, only one
+    block of rows is ever held, and each head's sums have the bits of its
+    own 2-D call. The sums differ from the float64 column sums of
     the stacked e / s matrix only by float64 summation order.
     """
     q_rows, k = as_stack(q_rows), as_stack(k)

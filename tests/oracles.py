@@ -115,6 +115,31 @@ def causal_softmax_rows_f32(q_rows, k, scale, row_positions) -> np.ndarray:
     return e / sums[:, None]
 
 
+def logit_bound(q_rows, k, scale) -> np.ndarray:
+    """Per head, the float64 Cauchy-Schwarz bound |scale| max_r |q_r| max_j |k_j| on |logit|.
+
+    numkit.causal_exp_blocks exponentiates a head's logits without the
+    row-max shift when this is at most numkit.SHIFT_FREE_BOUND.
+    """
+    q_norm, k_norm = (
+        np.sqrt(np.square(np.asarray(a, np.float64)).sum(axis=-1)).max(axis=-1) for a in (q_rows, k)
+    )
+    return abs(float(scale)) * q_norm * k_norm
+
+
+def masked_block_logits(q_rows, k, scale, row_positions) -> np.ndarray:
+    """The float32 logits numkit.causal_exp_blocks exponentiates for one head's block of rows.
+
+    (q_rows @ k[:hi].T) * scale, hi one past the last row's position, with
+    -inf where a column lies past its row's position.
+    """
+    q_rows, k = numkit.as_matrix(q_rows), numkit.as_matrix(k)
+    hi = int(row_positions[-1]) + 1
+    logits = (q_rows @ k[:hi].T) * np.float32(scale)
+    logits[~causal_row_mask(row_positions, hi)] = -np.inf
+    return logits
+
+
 def summation_order_tol(mass, rows) -> np.ndarray:
     """Per column, how far two float64 sums of the same `rows` nonnegative terms can differ.
 
@@ -336,6 +361,11 @@ def silu_two_branch(x) -> np.ndarray:
     """SiLU computed per sign on boolean-gathered copies, exp only of -|x|.
 
     x / (1 + exp(-x)) where x >= 0, x * exp(x) / (1 + exp(x)) elsewhere.
+    Not a bitwise oracle for NaN payloads: numpy's float32 multiply keeps
+    its first NaN operand in full SIMD lanes but may keep the other in a
+    loop's partial last lanes, and the boolean gathers here put a NaN input
+    in another lane than engine._silu does. Its NaN outputs can then carry
+    another payload (seen at the end of one chunk of the 2^32 sweep).
     """
     out = np.empty_like(x)
     pos = x >= 0

@@ -129,10 +129,11 @@ def _probe_positions(n):
 # sums in float64, lie within WEIGHT_ULPS float32 ulps of 1.0 of the float64 softmax
 # oracle's, and each row sums to 1 within ROW_SUM_TOL. Both take the same float32
 # logits: BLAS gives a block's product against its visible keys the bits of the whole
-# product's rows at these sizes. The kernel's exponent x - max rounds by at most half
-# an ulp of |x - max| = t, which moves a weight e^-t by at most t e^-t / 2^24 <=
-# ulp / 2e; exp, the row sum and the oracle's rounding to float32 add a few half-ulps
-# of the weight itself. Measured worst: 0.69 of an ulp.
+# product's rows at these sizes. A shifted head's exponent x - max rounds by at most
+# half an ulp of |x - max| = t, which moves a weight e^-t by at most t e^-t / 2^24 <=
+# ulp / 2e; an unshifted head exponentiates x itself. exp, the row sum and the
+# oracle's rounding to float32 add a few half-ulps of the weight itself. Measured
+# worst: 0.69 of an ulp.
 WEIGHT_ULPS = 2
 WEIGHT_TOL = WEIGHT_ULPS * float(np.finfo(np.float32).eps)
 ROW_SUM_TOL = 1e-6
@@ -182,14 +183,22 @@ class TestCausalSoftmax:
         n = 4 * B + 29
         rng = numkit.make_rng(n)
         q = rng.normal(size=(n, 8)).astype(np.float32)
+        # head 0's logit bound lies within SHIFT_FREE_BOUND, head 1's (q times 4) does not
+        qk = np.stack([q, 4 * q])
         pos = np.arange(n) if rows == "all" else _probe_positions(n)
+        q_rows = np.ascontiguousarray(qk[:, pos])
+        unshifted = oracles.logit_bound(q_rows, qk, 0.5) <= numkit.SHIFT_FREE_BOUND
+        assert unshifted.tolist() == [True, False]
         r1 = 0
-        for r0, e in numkit.causal_exp_blocks(np.ascontiguousarray(q[pos]), q, 0.5, pos):
+        for r0, e in numkit.causal_exp_blocks(q_rows, qk, 0.5, pos):
             assert r0 == r1 and e.dtype == np.float32 and e.flags.c_contiguous
-            r1 = r0 + e.shape[0]
-            assert e.shape[1] == pos[r1 - 1] + 1
-            # unnormalized: each row's largest visible exponential is exactly 1.0
-            assert np.all(e.max(axis=1) == 1.0)
+            r1 = r0 + e.shape[1]
+            assert e.shape[2] == pos[r1 - 1] + 1
+            # unnormalized: the unshifted head is np.exp of its masked logits, and
+            # each row of the shifted head peaks at exactly 1.0
+            logits = oracles.masked_block_logits(q_rows[0, r0:r1], q, 0.5, pos[r0:r1])
+            assert np.array_equal(e[0].view(np.uint32), np.exp(logits).view(np.uint32))
+            assert np.all(e[1].max(axis=1) == 1.0)
         assert r1 == pos.size
 
     def test_probe_rows_skip_blocks(self):
@@ -325,6 +334,111 @@ class TestStackedHeads:
             list(numkit.causal_exp_blocks(q, q[:1], 1.0, np.arange(3)))
         with pytest.raises(ShapeError):
             numkit.as_stack(np.ones(3))
+
+
+def _tight_qk(n, d, seed):
+    """q and k whose logits reach the Cauchy-Schwarz bound at both ends.
+
+    k is q, so the longest q row's own logit is +bound, and key 0 is minus
+    that row, so its logit against key 0 is -bound.
+    """
+    q = numkit.make_rng(seed).normal(size=(n, d)).astype(np.float32)
+    k = q.copy()
+    k[0] = -q[np.argmax(np.linalg.norm(q, axis=1))]
+    return q, k
+
+
+def _scale_at_bound(q_rows, k, side):
+    """A float32 scale that puts the largest head bound 1e-5 below or above SHIFT_FREE_BOUND."""
+    s = numkit.SHIFT_FREE_BOUND / oracles.logit_bound(q_rows, k, 1.0).max()
+    s = numkit.FLOAT(s * (1 - 1e-5 if side == "below" else 1 + 1e-5))
+    bound = oracles.logit_bound(q_rows, k, s).max()
+    assert (bound <= numkit.SHIFT_FREE_BOUND) == (side == "below")
+    return s
+
+
+class TestShiftFreeHeads:
+    """A head whose logit bound is within SHIFT_FREE_BOUND is exponentiated unshifted."""
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("rows", ["all", "probe"])
+    @pytest.mark.parametrize("n", [B + 1, 4 * B + 29])
+    def test_weights_within_tolerance_at_the_bound(self, n, rows, side):
+        q, k = _tight_qk(n, 16, seed=n)
+        pos = np.arange(n) if rows == "all" else _probe_positions(n)
+        q_rows = np.ascontiguousarray(q[pos])
+        s = _scale_at_bound(q_rows, k, side)
+        e, sums = oracles.causal_exp_rows(q_rows, k, s, pos)
+        if rows == "all":
+            # the longest row's own logit is the bound: unshifted it reaches e^32
+            assert (e.max() > 7e13) == (side == "below")
+        out = e / sums.astype(np.float64)[:, None]
+        ref = oracles.causal_softmax_f64(q_rows, k, s, pos)
+        assert np.max(np.abs(out - ref)) <= WEIGHT_TOL
+        assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= ROW_SUM_TOL
+        mass = numkit.causal_column_mass(q_rows, k, s, pos)
+        counts = oracles.weighted_visible_counts(pos, np.ones(pos.size), n)
+        assert np.all(np.abs(mass - oracles.column_mass_f64(q_rows, k, s, pos)) <= WEIGHT_TOL * counts)
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_restricted_attention_matches_its_oracle(self, side):
+        n = 3 * (2 * B + 3)
+        q, k = _tight_qk(n, 16, seed=n)
+        v = numkit.make_rng(n + 1).normal(size=(n, 16)).astype(np.float32)
+        rng = numkit.make_rng(n + 2)
+        # keep key 0 and the longest row, whose logits reach -bound and +bound
+        longest = int(np.argmax(np.linalg.norm(q, axis=1)))
+        idx = np.union1d(np.flatnonzero(rng.random(n) < 0.4), [0, longest])
+        s = _scale_at_bound(q[idx], k[idx], side)
+        out, w = oracles.restricted_attention_weights(q, k, v, s, idx)
+        assert np.array_equal(attention.restricted_attention(q, k, v, s, idx), out)
+        ref = oracles.causal_softmax_f64(q[idx], k[idx], s, np.arange(idx.size))
+        assert np.max(np.abs(w - ref)) <= WEIGHT_TOL
+
+    @pytest.mark.parametrize("rows", ["all", "probe"])
+    def test_heads_on_either_side_equal_their_own_calls_bitwise(self, rows):
+        n = 4 * B + 29
+        q0, k0 = _tight_qk(n, 16, seed=n)
+        pos = np.arange(n) if rows == "all" else _probe_positions(n)
+        s = _scale_at_bound(q0[pos], k0, "below")
+        # the bound is linear in q: heads 1 and 3 lie above it, heads 0 and 2 below
+        q = np.stack([q0, q0 * 1.001, q0 * 0.5, q0 * 4])
+        k = np.stack([k0] * 4)
+        v = numkit.make_rng(n + 1).normal(size=(4, n, 16)).astype(np.float32)
+        q_rows = np.ascontiguousarray(q[:, pos])
+        unshifted = oracles.logit_bound(q_rows, k, s) <= numkit.SHIFT_FREE_BOUND
+        assert unshifted.tolist() == [True, False, True, False]
+        stacked = [(r0, e.copy()) for r0, e in numkit.causal_exp_blocks(q_rows, k, s, pos)]
+        mass = numkit.causal_column_mass(q_rows, k, s, pos)
+        out = attention.restricted_attention(q, k, v, s, pos)
+        for h in range(4):
+            blocks = [e.copy() for _, e in numkit.causal_exp_blocks(q_rows[h].copy(), k[h], s, pos)]
+            for (_, got), want in zip(stacked, blocks, strict=True):
+                assert np.array_equal(got[h].view(np.uint32), want.view(np.uint32))
+            want = numkit.causal_column_mass(q_rows[h].copy(), k[h], s, pos)
+            assert np.array_equal(mass[h].view(np.uint64), want.view(np.uint64))
+            want = attention.restricted_attention(q[h], k[h], v[h], s, pos)
+            assert np.array_equal(out[h].view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("operand", ["q", "k"])
+    def test_nan_or_inf_keeps_the_shift(self, operand, value):
+        # the bound of these operands is far below SHIFT_FREE_BOUND until one entry is
+        # not finite; the blocks are then the shifted exponentials, NaNs where they were
+        n = 2 * B + 3
+        rng = numkit.make_rng(n)
+        q, k = (rng.uniform(-0.1, 0.1, size=(n, 8)).astype(np.float32) for _ in range(2))
+        (q if operand == "q" else k)[n - 9, 3] = value
+        assert not oracles.logit_bound(q, k, 0.5) <= numkit.SHIFT_FREE_BOUND
+        pos = np.arange(n)
+        with np.errstate(invalid="ignore"):  # inf - inf where a row's largest logit is inf
+            for r0, e in numkit.causal_exp_blocks(q, k, 0.5, pos):
+                rows = slice(r0, r0 + e.shape[0])
+                logits = oracles.masked_block_logits(q[rows], k, 0.5, pos[rows])
+                want = np.exp(logits - logits.max(axis=1, keepdims=True))
+                assert np.array_equal(e, want, equal_nan=True)
+                if r0 == 0:
+                    assert np.all(e.max(axis=1) == 1.0)
 
 
 class TestTopk:
