@@ -1,10 +1,10 @@
 """Minimal dense numerics shared by every other module.
 
 Matrices are plain numpy float32 arrays in row-major order. The causal
-prefill exponentials and their row sums are float32; the all-visible row
-softmax of decode runs in float64 internally and casts its result back to
-float32, and column sums, cumulative sums and the other pure accounting
-helpers keep float64.
+prefill exponentials and their row sums are float32, and so is the
+all-visible row softmax of decode, shift, exp, row sum and division alike;
+column sums, cumulative sums and the other pure accounting helpers keep
+float64.
 
 Randomness comes from numpy's PCG64 bit generator. For a fixed seed and a
 fixed numpy version the stream is bit-identical across platforms.
@@ -96,24 +96,27 @@ def as_stack(a) -> np.ndarray:
 def masked_softmax_rows(logits: np.ndarray, mask: None) -> np.ndarray:
     """Row softmax over every column of logits; mask must be None.
 
-    Each row sums to 1, and a -inf logit comes out exactly 0.0. Stabilized
-    by subtracting the row max; exp/sum run in float64, the result is
-    float32. The float64 copy is shifted and exponentiated in place, and
-    the division writes float32 directly: the float64 quotient is rounded
-    once, as astype would. The masked form lives in the tests as the oracle
-    softmax_rows_masked, whose all-true mask gives these bits; the mask
-    argument stays for the callers and tracers that pass it.
+    Each row sums to 1, and a -inf logit comes out exactly 0.0. All in
+    float32: the logits minus their row max go into a new C-order array,
+    so the input is left as it is, which is exponentiated in place and
+    divided in place by its float32 row sum. The weights lie within two
+    float32 eps of a float64 softmax's (the tests' WEIGHT_TOL). Each row's
+    bits depend only on that row, so a stacked (heads, rows) call gives
+    each head the bits of its own call. The masked form lives in the tests
+    as the oracle softmax_rows_f32, whose mask=None gives these bits; the
+    mask argument stays for the callers and tracers that pass it.
     """
     if mask is not None:
         raise TypeError("masked_softmax_rows takes mask=None; every column is visible")
     logits = as_matrix(logits)
     if logits.shape[1] == 0:
         raise DegenerateMaskError("logits have no column")
-    shifted = logits.astype(np.float64)
-    shifted -= np.maximum.reduce(shifted, axis=1, keepdims=True)
-    np.exp(shifted, out=shifted)
-    total = np.add.reduce(shifted, axis=1, keepdims=True)
-    return np.divide(shifted, total, out=np.empty(shifted.shape, FLOAT), casting="unsafe")
+    # C order whatever the input's layout: each row sum then reduces one contiguous row
+    e = np.empty(logits.shape, FLOAT)
+    np.subtract(logits, np.maximum.reduce(logits, axis=1, keepdims=True), out=e)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def _check_rows(q_rows, k, row_positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -407,12 +407,38 @@ def softmax_rows_masked(logits, mask) -> np.ndarray:
     return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
 
 
-def decode_step_reference(model, token, cache, position) -> np.ndarray:
+def softmax_rows_f32(logits, mask=None) -> np.ndarray:
+    """Float32 row softmax over visible columns, one row at a time.
+
+    Each row is copied into a new array with -inf where masked (mask=None
+    masks nothing), shifted by its max into another new array,
+    exponentiated, and divided by its float32 sum, all in float32. Masked
+    entries come out exactly 0.0. A mask of another shape is a ShapeError,
+    a row with no visible column a DegenerateMaskError.
+    """
+    logits = numkit.as_matrix(logits)
+    mask = np.ones(logits.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask.shape != logits.shape:
+        raise ShapeError(f"mask shape {mask.shape} != logits shape {logits.shape}")
+    if not mask.any(axis=1).all():
+        raise DegenerateMaskError(f"row {int(np.argmin(mask.any(axis=1)))} has no visible column")
+    out = np.empty(logits.shape, dtype=np.float32)
+    for r, (row, visible) in enumerate(zip(logits, mask)):
+        x = np.where(visible, row, np.float32(-np.inf))
+        e = np.exp(x - x.max())
+        out[r] = e / e.sum()
+    return out
+
+
+def decode_step_reference(model, token, cache, position, softmax=softmax_rows_f32) -> np.ndarray:
     """One decode step with separate q, k and v products and one head at a time.
 
     wq, wk and wv are copied out of the model's wqkv, each row's softmax
     masks nothing, and the norm and SiLU are the np.mean and two-branch
-    forms above. Appends to `cache` like the engine does; returns the logits.
+    forms above. `softmax(logits, mask)` weighs one head's (1, rows)
+    logits: the float32 softmax_rows_f32 by default, or the float64
+    softmax_rows_masked for a decode that checks accuracy. Appends to
+    `cache` like the engine does; returns the logits.
     """
     config = model.config
     d, heads, d_head = config.d_model, config.heads, config.d_head
@@ -429,7 +455,7 @@ def decode_step_reference(model, token, cache, position) -> np.ndarray:
         out = np.empty((heads, d_head), dtype=np.float32)
         for i in range(heads):
             logits = ((keys[i] @ q[i]) * scale)[None, :]
-            out[i] = softmax_rows_masked(logits, np.ones(logits.shape, dtype=bool))[0] @ values[i]
+            out[i] = softmax(logits, np.ones(logits.shape, dtype=bool))[0] @ values[i]
         h = h + out.reshape(d) @ lw.wo
         h = h + silu_two_branch(rms_norm_mean(h) @ lw.w_up) @ lw.w_down
     return (h @ model.embedding.T).astype(np.float32)

@@ -686,6 +686,31 @@ class TestDecode:
         # the first append grows a prefill layer to twice its rows; going past that grows it again
         assert all(cache.rows(i) > 2 * r for i, r in enumerate(prefill_rows))
 
+    @pytest.mark.parametrize("mode", engine.MODES)
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_teacher_forced_decode_near_float64_softmax_decode(self, mode, quantize):
+        # the float32 row softmax against a float64 one, fed the same tokens: the
+        # logits stay within the dense decode-against-prefill bound, and every
+        # step picks the same next token
+        cfg = engine.ModelConfig(layers=2, heads=4, d_model=64, vocab_size=64, max_seq=64, seed=7)
+        model = engine.init_model(cfg)
+        toks = numkit.make_rng(7).integers(0, cfg.vocab_size, size=16, dtype=np.int64)
+        pol = engine.SparsityPolicy(
+            mode=mode, tau=0.9, probe_recent=4, probe_random=4, quantize=quantize
+        )
+        logits, cache, _ = engine.prefill(model, toks, pol)
+        _, ref_cache, _ = engine.prefill(model, toks, pol)
+        cur = logits[-1]
+        for step in range(40):
+            token = int(np.argmax(cur))
+            position = toks.size + step
+            ref = oracles.decode_step_reference(
+                model, token, ref_cache, position, oracles.softmax_rows_masked
+            )
+            cur, cache = engine.decode_step(model, token, cache, position=position)
+            assert np.max(np.abs(cur - ref)) <= 1e-5, step
+            assert np.argmax(cur) == np.argmax(ref), step
+
     @pytest.mark.parametrize("mode", ["zipvl-exact", "dense"])
     @pytest.mark.parametrize("quantize", [False, True])
     def test_growing_cache_matches_concatenate_cache_bitwise(self, monkeypatch, mode, quantize):

@@ -42,8 +42,25 @@ def test_causal_row_mask_contents():
     assert np.array_equal(mask, expected)
 
 
+# The kernel's weights e / s, its float32 exponentials divided by their float32 row
+# sums in float64, lie within WEIGHT_ULPS float32 ulps of 1.0 of the float64 softmax
+# oracle's, and each row sums to 1 within ROW_SUM_TOL. Both take the same float32
+# logits: BLAS gives a block's product against its visible keys the bits of the whole
+# product's rows at these sizes. A shifted head's exponent x - max rounds by at most
+# half an ulp of |x - max| = t, which moves a weight e^-t by at most t e^-t / 2^24 <=
+# ulp / 2e; an unshifted head exponentiates x itself. exp, the row sum and the
+# oracle's rounding to float32 add a few half-ulps of the weight itself. Measured
+# worst: 0.69 of an ulp. Decode's masked_softmax_rows, always shifted, also divides
+# in float32, one more rounding of the weight: measured worst 1.5 ulps, on shapes up
+# to (16, 4097) at logit scales 1, 30 and 1e4.
+WEIGHT_ULPS = 2
+WEIGHT_TOL = WEIGHT_ULPS * float(np.finfo(np.float32).eps)
+ROW_SUM_TOL = 1e-6
+
+
 class TestMaskedSoftmax:
-    # numkit.masked_softmax_rows masks nothing; the masked cases run the oracle it matches
+    # numkit.masked_softmax_rows masks nothing; the masked cases run the float32 oracle it
+    # matches bit for bit, or the float64 one it matches within WEIGHT_TOL
 
     def test_rows_sum_to_one_and_masked_are_zero(self):
         rng = numkit.make_rng(0)
@@ -86,14 +103,14 @@ class TestMaskedSoftmax:
         rng = numkit.make_rng(shape[1])
         logits = (rng.normal(size=shape) * scale).astype(np.float32)
         out = numkit.masked_softmax_rows(logits, None)
-        ref = oracles.softmax_rows_masked(logits, np.ones(shape, dtype=bool))
+        ref = oracles.softmax_rows_f32(logits, np.ones(shape, dtype=bool))
         assert out.dtype == np.float32
         assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("shape", [(1, 1), (4, 513), (8, 300), (4, 2560)])
     def test_equals_new_array_oracle_bitwise(self, shape, masked):
-        # the float64 copy is worked in place and divided straight into float32;
+        # the stacked float32 rows against the oracle's row-at-a-time ones;
         # a -inf logit takes the part of a masked column
         rng = numkit.make_rng(shape[1] + masked)
         logits = (rng.normal(size=shape) * 30.0).astype(np.float32)
@@ -102,9 +119,32 @@ class TestMaskedSoftmax:
         visible = np.where(mask, logits, np.float32(-np.inf))
         before = visible.copy()
         out = numkit.masked_softmax_rows(visible, None)
-        ref = oracles.softmax_rows_masked(logits, mask)
+        ref = oracles.softmax_rows_f32(logits, mask)
         assert np.array_equal(out.view(np.uint32), ref.view(np.uint32))
         assert np.array_equal(visible, before)
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 1e4])
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 513), (4, 2560), (16, 4097)])
+    def test_within_weight_tol_of_float64_oracle(self, shape, scale):
+        # float32 exp, row sum and division against one rounding of a float64 softmax
+        rng = numkit.make_rng(shape[0] * shape[1])
+        logits = (rng.normal(size=shape) * scale).astype(np.float32)
+        out = numkit.masked_softmax_rows(logits, None)
+        ref = oracles.softmax_rows_masked(logits, np.ones(shape, dtype=bool))
+        assert np.max(np.abs(out.astype(np.float64) - ref)) <= WEIGHT_TOL
+        assert np.max(np.abs(out.sum(axis=1, dtype=np.float64) - 1.0)) <= ROW_SUM_TOL
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_minus_inf_is_zero_input_kept_output_c_float32(self, order):
+        logits = numkit.make_rng(5).normal(size=(4, 33)).astype(np.float32)
+        logits[:, 1::3] = -np.inf
+        logits = np.asarray(logits, order=order)
+        before = logits.copy()
+        out = numkit.masked_softmax_rows(logits, None)
+        assert np.all(out[:, 1::3] == 0.0)
+        assert np.array_equal(logits, before)
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert np.array_equal(out, numkit.masked_softmax_rows(np.ascontiguousarray(logits), None))
 
     def test_no_mask_without_columns_raises(self):
         with pytest.raises(DegenerateMaskError):
@@ -123,20 +163,6 @@ def _probe_positions(n):
     early = np.arange(3, min(n, B + 5), 2)
     late = np.arange(max(0, n - B - 7), n)
     return np.unique(np.concatenate([early[early < n], late]))
-
-
-# The kernel's weights e / s, its float32 exponentials divided by their float32 row
-# sums in float64, lie within WEIGHT_ULPS float32 ulps of 1.0 of the float64 softmax
-# oracle's, and each row sums to 1 within ROW_SUM_TOL. Both take the same float32
-# logits: BLAS gives a block's product against its visible keys the bits of the whole
-# product's rows at these sizes. A shifted head's exponent x - max rounds by at most
-# half an ulp of |x - max| = t, which moves a weight e^-t by at most t e^-t / 2^24 <=
-# ulp / 2e; an unshifted head exponentiates x itself. exp, the row sum and the
-# oracle's rounding to float32 add a few half-ulps of the weight itself. Measured
-# worst: 0.69 of an ulp.
-WEIGHT_ULPS = 2
-WEIGHT_TOL = WEIGHT_ULPS * float(np.finfo(np.float32).eps)
-ROW_SUM_TOL = 1e-6
 
 
 class TestCausalSoftmax:

@@ -50,6 +50,8 @@ def test_traced_run_calls_every_counting_target(tracing):
         "kvcache.dequantize",
         "kvcache.KVCache.retain",
         "attention.restricted_attention",
+        # decode-2k's per-layer softmax figures rest on decode calling this target
+        "numkit.masked_softmax_rows",
     ):
         assert out.get(f"{name}.calls", 0) > 0, name
     # quantize_mixed dequantizes K and V of each layer it quantizes
