@@ -28,6 +28,13 @@ decode starts, the measured ms per step and tokens per second (tok_per_s
 from the min; prefill untimed), the modeled decode attention flops, and the
 measured and modeled speedup over dense.
 
+Both row kinds also size the cache that prefill returns, which is the
+cache a decode row starts from: kv_bytes, the bytes modeled (the sum of
+the layer reports' kv_bytes), beside resident_bytes, the .nbytes of the K
+and V arrays it holds. The two are equal without quantize; a quantized
+cache holds dequantized float32 values, so its resident bytes exceed the
+packed bytes it models.
+
 Rows of one invocation form a row set under --label in each file; the files
 keep every row set, so the trajectory across changes can be read. The model
 has the CLI default shape, read from cli.ExperimentConfig (4 layers x 4
@@ -55,7 +62,7 @@ import tracemalloc
 
 import numpy as np
 
-from zipvl import cli, engine
+from zipvl import cli, engine, kvcache
 
 SIZES = (128, 512, 2048)
 PROMPT, STEPS = 2048, 256
@@ -127,6 +134,14 @@ def _add_speedups(rows: list[dict], ms: np.ndarray, time_key: str, flops_key: st
         r["speedup_modeled"] = round(dense[flops_key] / r[flops_key], 3)
 
 
+def _cache_bytes(cache: kvcache.KVCache, reports: list) -> dict:
+    """A prefilled cache's modeled bytes and the bytes its K and V arrays hold."""
+    return {
+        "kv_bytes": sum(r.kv_bytes for r in reports),
+        "resident_bytes": sum(k.nbytes + v.nbytes for k, v in zip(cache.keys, cache.values)),
+    }
+
+
 def measure_prefill(n: int) -> list[dict]:
     model = _model(n)
     prompt = np.random.default_rng(SEED + n).integers(0, VOCAB, size=n)
@@ -144,7 +159,7 @@ def measure_prefill(n: int) -> list[dict]:
     for policy, row_ms, layer_reports in zip(policies, ms, reports):
         tracemalloc.start()
         try:
-            engine.prefill(model, prompt, policy)
+            _, cache, _ = engine.prefill(model, prompt, policy)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -157,6 +172,7 @@ def measure_prefill(n: int) -> list[dict]:
                 "peak_mib": round(peak / 2**20, 3),
                 "attn_flops": sum(r.attn_flops for r in layer_reports),
                 "mean_ratio": float(np.mean([r.ratio for r in layer_reports])),
+                **_cache_bytes(cache, layer_reports),
             }
         )
     _add_speedups(rows, ms, "prefill_ms", "attn_flops")
@@ -170,24 +186,29 @@ def measure_decode() -> list[dict]:
     ms = np.empty((len(policies), REPEATS))
     ref = np.empty(REPEATS)
     cache_rows = [0.0] * len(policies)
+    cache_bytes = [{}] * len(policies)
     reports = [None] * len(policies)
     for rnd in range(REPEATS):
         ref[rnd] = reference_ms()
         for i, policy in enumerate(policies):
             prefilled = engine.prefill(model, prompt, policy)
-            cache = prefilled[1]
+            _, cache, layer_reports = prefilled
             cache_rows[i] = float(np.mean([cache.rows(layer) for layer in range(LAYERS)]))
+            cache_bytes[i] = _cache_bytes(cache, layer_reports)
             t0 = time.perf_counter()
             _, reports[i] = engine.decode(model, prompt, prefilled, STEPS, policy)
             ms[i, rnd] = 1e3 * (time.perf_counter() - t0) / STEPS
     rows = []
-    for (name, _), row_ms, rows_cached, report in zip(DECODE_POLICIES, ms, cache_rows, reports):
+    for (name, _), row_ms, rows_cached, held, report in zip(
+        DECODE_POLICIES, ms, cache_rows, cache_bytes, reports
+    ):
         rows.append(
             {
                 "policy": name,
                 "prompt": PROMPT,
                 "steps": STEPS,
                 "cache_rows": rows_cached,
+                **held,
                 **_timing("ms_per_step", row_ms, 4),
                 **_in_ref("ms_per_step_ref_median", row_ms, ref),
                 "tok_per_s": round(1e3 / float(row_ms.min()), 1),

@@ -266,7 +266,7 @@ def prefill(
         h_after_attn = h
         h = h + _silu(_rms_norm(h) @ lw.w_up) @ lw.w_down
 
-        cache.set_layer(layer, k, v, np.arange(n, dtype=np.int64))
+        cache.set_layer(layer, k, v)
         if policy.quantize:
             kv_bytes = kvcache.quantize_mixed(cache, layer, imp)
         else:
@@ -297,16 +297,23 @@ def prefill(
 def decode_step(
     model: TinyTransformer, token: int, cache: kvcache.KVCache, position: int
 ) -> tuple[np.ndarray, kvcache.KVCache]:
-    """One autoregressive step: append K/V everywhere, attend to the cache."""
+    """One autoregressive step: append K/V everywhere, attend to the cache.
+
+    `position` is the token's place in the sequence. A token id outside the
+    vocabulary is a VocabError and a position outside [0, max_seq) a
+    BoundsError, both raised before any layer's cache changes.
+    """
     config = model.config
     if not 0 <= token < config.vocab_size:
         raise VocabError(f"token id {token} outside vocabulary")
+    if not 0 <= position < config.max_seq:
+        raise BoundsError(f"position {position} outside [0, max_seq={config.max_seq})")
     qkv_shape = (3, config.heads, config.d_head)
     scale = np.float32(1.0 / np.sqrt(config.d_head))
     h = model.embedding[int(token)]
     for layer, lw in enumerate(model.layers):
         q, k, v = (_rms_norm(h) @ lw.wqkv).reshape(qkv_shape)
-        cache.append(layer, k, v, position)
+        cache.append(layer, k, v)
         logits = (cache.keys[layer] @ q[:, :, None])[:, :, 0]
         logits *= scale
         weights = numkit.masked_softmax_rows(logits, None)

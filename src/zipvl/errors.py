@@ -34,7 +34,7 @@ class VocabError(ZipvlError, ValueError):
 
 
 class OrderingError(ZipvlError, ValueError):
-    """Positions were supplied out of the required monotone order."""
+    """An index set was supplied out of the required strictly ascending order."""
 
 
 class FormatError(ZipvlError, ValueError):

@@ -1,21 +1,27 @@
 """Per-layer key/value storage with eviction, decode append and quantization.
 
 A cache holds, per layer, (heads, rows, d_head) float32 key and value
-tensors plus the original sequence position of every row. All heads of a
-layer always share one position list. A cache instance belongs to a single
-inference session and is mutated in place; whole caches may be handed
-between threads. A layer's important tokens arrive as one sorted int64
-array of original positions: retain keeps those rows and evicts the rest,
-quantize_mixed keeps every row at a precision set by that array.
+tensors; all heads of a layer always hold the same rows. A row is known
+only by its index in the layer: prefill installs one row per prompt
+token, so there row i is prompt position i, retain renumbers the rows it
+keeps from 0 in their order, and decode appends after the last. A cache
+instance belongs to a single inference session and is mutated in place;
+whole caches may be handed between threads. A layer's important tokens
+arrive as one strictly ascending int64 array of the layer's row indices,
+the one budget.plan_layer returns: retain keeps those rows and evicts the
+rest, quantize_mixed keeps every row at a precision set by that array.
+Both check the array before they change anything: one that is not
+strictly ascending is an OrderingError, an index outside [0, rows) a
+BoundsError.
 
 Prefill (set_layer, retain) installs exact-size C-order arrays. A decode append
 takes one (heads, d_head) K row and V row and writes them in place into a
 per-layer buffer whose capacity doubles when full, so a step copies
-nothing but the new row and, now and then, the layer once. `keys[layer]`,
-`values[layer]` and `positions[layer]` are views of the live rows. Memory
-accounting (`metrics.kv_bytes`, `.nbytes` of the views) counts those rows,
-not the spare capacity, so after decode the memory held can reach twice
-the rows counted.
+nothing but the new row and, now and then, the layer once. `keys[layer]`
+and `values[layer]` are views of the live rows. Memory accounting
+(`metrics.kv_bytes`, `.nbytes` of the views) counts those rows, not the
+spare capacity, so after decode the memory held can reach twice the rows
+counted.
 
 Quantization is uniform asymmetric, and its group is one head row (the
 d_head channels of one token in one head): scale = (max - min) / (2^b - 1),
@@ -39,10 +45,11 @@ from .errors import BoundsError, OrderingError, ShapeError
 class KVCache:
     """Mutable per-layer, per-head key/value store for one session.
 
-    `keys[layer]`, `values[layer]` and `positions[layer]` are plain arrays:
-    views of the first rows(layer) rows of the layer's backing buffers.
-    append grows the buffers by doubling and keeps the layer's memory layout,
-    which decides how BLAS rounds the decode matmuls.
+    `keys[layer]` and `values[layer]` are plain arrays: views of the first
+    rows(layer) rows of the layer's backing buffers, whose row axis is the
+    layer's only row identity. append grows the buffers by doubling and
+    keeps the layer's memory layout, which decides how BLAS rounds the
+    decode matmuls.
     """
 
     def __init__(self, layers: int, heads: int, d_head: int):
@@ -50,8 +57,7 @@ class KVCache:
         self.d_head = d_head
         self.keys = [np.zeros((heads, 0, d_head), dtype=np.float32) for _ in range(layers)]
         self.values = [np.zeros((heads, 0, d_head), dtype=np.float32) for _ in range(layers)]
-        self.positions = [np.zeros(0, dtype=np.int64) for _ in range(layers)]
-        self._buffers = list(zip(self.keys, self.values, self.positions))
+        self._buffers = list(zip(self.keys, self.values))
 
     @property
     def num_layers(self) -> int:
@@ -62,80 +68,65 @@ class KVCache:
             raise BoundsError(f"layer {layer} out of range [0, {self.num_layers})")
         return layer
 
-    def _install(
-        self, layer: int, keys: np.ndarray, values: np.ndarray, positions: np.ndarray
-    ) -> None:
+    def _install(self, layer: int, keys: np.ndarray, values: np.ndarray) -> None:
         """Make exact-size arrays both the layer's contents and its buffers."""
-        self._buffers[layer] = (keys, values, positions)
-        self.keys[layer], self.values[layer], self.positions[layer] = keys, values, positions
+        self._buffers[layer] = (keys, values)
+        self.keys[layer], self.values[layer] = keys, values
 
     def rows(self, layer: int) -> int:
-        return self.positions[self._check_layer(layer)].size
+        return self.keys[self._check_layer(layer)].shape[1]
 
-    def set_layer(
-        self, layer: int, keys: np.ndarray, values: np.ndarray, positions: np.ndarray
-    ) -> None:
+    def set_layer(self, layer: int, keys: np.ndarray, values: np.ndarray) -> None:
         """Install prefill rows for one layer, replacing its contents."""
         layer = self._check_layer(layer)
         keys = np.asarray(keys, dtype=np.float32)
         values = np.asarray(values, dtype=np.float32)
-        positions = np.asarray(positions, dtype=np.int64)
-        expect = (self.heads, positions.size, self.d_head)
+        # the keys give the row count; keys of another rank differ from expect in length
+        expect = (self.heads, *keys.shape[1:2], self.d_head)
         if keys.shape != expect or values.shape != expect:
             raise ShapeError(f"expected K/V shape {expect}, got {keys.shape}/{values.shape}")
-        if positions.size > 1 and np.any(np.diff(positions) <= 0):
-            raise OrderingError("positions must be strictly increasing")
-        self._install(layer, keys.copy(), values.copy(), positions.copy())
+        self._install(layer, keys.copy(), values.copy())
 
-    def _match(self, layer: int, important: np.ndarray) -> np.ndarray:
-        """Mask of the layer's rows whose original position is in `important`."""
-        positions = self.positions[self._check_layer(layer)]
+    def _check_important(self, layer: int, important: np.ndarray) -> np.ndarray:
+        """`important` as int64 row indices of the layer: strictly ascending, in [0, rows)."""
+        rows = self.rows(layer)
         important = np.asarray(important, dtype=np.int64)
-        if not np.isin(important, positions).all():
-            raise BoundsError("important refers to positions not present in the layer")
-        return np.isin(positions, important)
+        if np.any(np.diff(important) <= 0):
+            raise OrderingError("important rows must be strictly ascending")
+        if important.size and (important[0] < 0 or important[-1] >= rows):
+            raise BoundsError(f"important rows must lie in [0, {rows})")
+        return important
 
     def retain(self, layer: int, important: np.ndarray) -> "KVCache":
-        """Keep only rows whose original position is in `important`."""
-        rows = np.flatnonzero(self._match(layer, important))
+        """Keep only the rows that `important` indexes, renumbered from 0 in their order."""
+        keep = self._check_important(layer, important)
         # take installs C order; a boolean index would leave the token axis
         # outermost, where the decode matmuls run about a fifth slower
         self._install(
-            layer,
-            self.keys[layer].take(rows, axis=1),
-            self.values[layer].take(rows, axis=1),
-            self.positions[layer][rows],
+            layer, self.keys[layer].take(keep, axis=1), self.values[layer].take(keep, axis=1)
         )
         return self
 
-    def append(
-        self, layer: int, k_row: np.ndarray, v_row: np.ndarray, position: int
-    ) -> "KVCache":
+    def append(self, layer: int, k_row: np.ndarray, v_row: np.ndarray) -> "KVCache":
         """Append one token's (heads, d_head) K and V rows to the layer, in place."""
-        kbuf, vbuf, pbuf = self._buffers[self._check_layer(layer)]
-        rows = self.positions[layer].size
-        if rows and position <= pbuf[rows - 1]:
-            raise OrderingError(f"position {position} not beyond cached {int(pbuf[rows - 1])}")
+        kbuf, vbuf = self._buffers[self._check_layer(layer)]
+        rows = self.keys[layer].shape[1]
         shape = (self.heads, self.d_head)
         if np.shape(k_row) != shape or np.shape(v_row) != shape:
             raise ShapeError(f"expected {shape} K/V rows, got {np.shape(k_row)}/{np.shape(v_row)}")
-        if rows == pbuf.size:
+        if rows == kbuf.shape[1]:
             cap = max(2 * rows, 1)
             # empty_like keeps the layer's layout, which decides how BLAS rounds decode
             kbuf = np.empty_like(kbuf, shape=(self.heads, cap, self.d_head))
             vbuf = np.empty_like(vbuf, shape=(self.heads, cap, self.d_head))
-            pbuf = np.empty(cap, dtype=np.int64)
             kbuf[:, :rows] = self.keys[layer]
             vbuf[:, :rows] = self.values[layer]
-            pbuf[:rows] = self.positions[layer]
-            self._buffers[layer] = (kbuf, vbuf, pbuf)
+            self._buffers[layer] = (kbuf, vbuf)
         kbuf[:, rows] = k_row
         vbuf[:, rows] = v_row
-        pbuf[rows] = position
         rows += 1
         self.keys[layer] = kbuf[:, :rows]
         self.values[layer] = vbuf[:, :rows]
-        self.positions[layer] = pbuf[:rows]
         return self
 
 
@@ -173,19 +164,21 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
 def quantize_mixed(cache: KVCache, layer: int, important: np.ndarray) -> int:
     """Quantize one layer in place: 4 bits for important rows, 2 bits for the rest.
 
-    Importance is matched by original position; a position the layer lacks
-    raises BoundsError. The layer's K and V are replaced by their dequantized
-    values, installed in C order. Returns the layer's packed size in bytes:
-    per tensor, heads x the sum over rows of ceil(d_head * bits / 8) code
-    bytes plus 8 bytes for the float32 scale and zero-point.
+    `important` indexes the layer's rows and is checked as retain checks
+    it, before the layer changes. The layer's K and V are replaced by their
+    dequantized values, installed in C order. Returns the layer's packed
+    size in bytes: per tensor, heads x the sum over rows of
+    ceil(d_head * bits / 8) code bytes plus 8 bytes for the float32 scale
+    and zero-point.
     """
-    bits = np.where(cache._match(layer, important), 4, 2)
+    important = cache._check_important(layer, important)
+    bits = np.full(cache.rows(layer), 2)
+    bits[important] = 4
     levels = ((1 << bits) - 1)[:, None]
     cache.set_layer(
         layer,
         dequantize(_quantize(cache.keys[layer], levels)),
         dequantize(_quantize(cache.values[layer], levels)),
-        cache.positions[layer],
     )
     code_bytes = (cache.d_head * bits + 7) // 8
     return 2 * cache.heads * int(code_bytes.sum() + 8 * code_bytes.size)

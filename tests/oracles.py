@@ -430,7 +430,7 @@ def softmax_rows_f32(logits, mask=None) -> np.ndarray:
     return out
 
 
-def decode_step_reference(model, token, cache, position, softmax=softmax_rows_f32) -> np.ndarray:
+def decode_step_reference(model, token, cache, softmax=softmax_rows_f32) -> np.ndarray:
     """One decode step with separate q, k and v products and one head at a time.
 
     wq, wk and wv are copied out of the model's wqkv, each row's softmax
@@ -450,7 +450,7 @@ def decode_step_reference(model, token, cache, position, softmax=softmax_rows_f3
         q = (x @ wq).reshape(heads, d_head)
         k = (x @ wk).reshape(heads, d_head)
         v = (x @ wv).reshape(heads, d_head)
-        cache.append(layer, k, v, position)
+        cache.append(layer, k, v)
         keys, values = cache.keys[layer], cache.values[layer]
         out = np.empty((heads, d_head), dtype=np.float32)
         for i in range(heads):

@@ -196,7 +196,6 @@ def test_05_quantization_half_step_bound():
             0,
             (rng.normal(size=(heads, t, d)) * 4).astype(np.float32),
             (rng.normal(size=(heads, t, d)) * 4).astype(np.float32),
-            np.arange(t, dtype=np.int64),
         )
         p = t // 2
         # quantize_mixed replaces the layer in place, so keep the originals first
@@ -225,13 +224,13 @@ def test_05_quantization_half_step_bound():
             codes[..., 1] = levels
             exact_vals = (-2.0 + codes * scale).astype(np.float32)
             c2 = kvcache.KVCache(1, 1, 8)
-            c2.set_layer(0, exact_vals, exact_vals.copy(), np.arange(40, dtype=np.int64))
+            c2.set_layer(0, exact_vals, exact_vals.copy())
             important2 = np.arange(40 if bits == 4 else 0, dtype=np.int64)
             kvcache.quantize_mixed(c2, 0, important2)
             assert np.array_equal(c2.keys[0], exact_vals)
         const = np.full((1, 10, 8), -3.75, dtype=np.float32)
         c3 = kvcache.KVCache(1, 1, 8)
-        c3.set_layer(0, const, const.copy(), np.arange(10, dtype=np.int64))
+        c3.set_layer(0, const, const.copy())
         kvcache.quantize_mixed(c3, 0, np.arange(5, dtype=np.int64))
         assert np.array_equal(c3.values[0], const)
 

@@ -63,6 +63,12 @@ def test_each_run_appends_a_prefill_and_a_decode_row_set(monkeypatch, tmp_path):
     assert rows[0]["speedup_modeled"] == 1.0
     assert rows[2]["speedup_modeled"] > 1.0
 
+    # modeled and resident cache bytes agree without quantize; the quantized cache
+    # holds float32 values for the packed bytes it models
+    for r in prefill[1]["rows"] + rows[:3]:
+        assert r["resident_bytes"] == r["kv_bytes"] > 0
+    assert rows[3]["resident_bytes"] > rows[3]["kv_bytes"] > 0
+
     # beside each min: the median and interquartile range of the round times, and
     # the median of the times in units of their round's reference
     timings = [

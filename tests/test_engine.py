@@ -11,7 +11,6 @@ from zipvl.errors import (
     BoundsError,
     ConfigError,
     EmptySequenceError,
-    OrderingError,
     VocabError,
 )
 
@@ -197,6 +196,13 @@ class TestSparsityMechanics:
         for r in reports:
             assert cache.rows(r.layer) == r.p == r.kv_rows
             assert r.kv_bytes == 2 * CFG.heads * r.p * CFG.d_head * 4
+
+    @pytest.mark.parametrize("mode", engine.MODES)
+    def test_resident_bytes_equal_modeled_bytes(self, model, prompt, mode):
+        # without quantize a layer's modeled kv_bytes are the bytes its K and V hold
+        _, cache, reports = engine.prefill(model, prompt, engine.SparsityPolicy(mode=mode))
+        for r in reports:
+            assert cache.keys[r.layer].nbytes + cache.values[r.layer].nbytes == r.kv_bytes
 
     def test_partition_uses_identify_metric(self, model, prompt):
         # the normalized score ranks the tokens that fill the budget
@@ -413,7 +419,7 @@ class TestScoringWork:
         matrix = engine.prefill(model, toks, pol)
         assert np.array_equal(blocked[0], matrix[0])
         assert blocked[2] == matrix[2]
-        for name in ("keys", "values", "positions"):
+        for name in ("keys", "values"):
             for got, want in zip(getattr(blocked[1], name), getattr(matrix[1], name)):
                 assert np.array_equal(got, want)
 
@@ -585,7 +591,7 @@ class TestQuantizedPipeline:
             important = set(entry["important"].tolist())
             bits = [4 if j in important else 2 for j in range(n)]
             assert (bits.count(4) == n) == (mode == "dense")
-            assert qcache.positions[layer].tolist() == list(range(n))
+            assert qcache.rows(layer) == n
             for name in ("keys", "values"):
                 want = oracles.row_fake_quantize(getattr(full, name)[layer], bits)
                 assert np.array_equal(getattr(qcache, name)[layer], want)
@@ -599,16 +605,12 @@ class TestQuantizedPipeline:
         assert 0.0 < report.kv_reduction < 1.0
 
 
-def _concatenate_append(self, layer, k_row, v_row, position):
+def _concatenate_append(self, layer, k_row, v_row):
     """KVCache.append as an exact-size cache does it: copy the layer on every token."""
-    pos = self.positions[layer]
-    if pos.size and position <= pos[-1]:
-        raise OrderingError(f"position {position} not beyond cached {int(pos[-1])}")
     k_row = np.asarray(k_row, dtype=np.float32).reshape(self.heads, 1, self.d_head)
     v_row = np.asarray(v_row, dtype=np.float32).reshape(self.heads, 1, self.d_head)
     self.keys[layer] = np.concatenate([self.keys[layer], k_row], axis=1)
     self.values[layer] = np.concatenate([self.values[layer], v_row], axis=1)
-    self.positions[layer] = np.append(pos, np.int64(position))
     return self
 
 
@@ -623,10 +625,18 @@ class TestDecode:
         _, cache = engine.decode_step(model, 4, cache, position=len(prompt) + 1)
         assert [cache.rows(i) for i in range(CFG.layers)] == [b + 2 for b in before]
 
-    def test_stale_position_rejected(self, model, prompt):
+    def test_position_outside_max_seq_rejected(self, model, prompt):
+        # refused before the first layer appends, so no layer's rows change
         _, cache, _ = engine.prefill(model, prompt, engine.SparsityPolicy())
-        with pytest.raises(OrderingError):
-            engine.decode_step(model, 0, cache, position=len(prompt) - 1)
+        before = [(k.copy(), v.copy()) for k, v in zip(cache.keys, cache.values)]
+        for position in (CFG.max_seq, -1):
+            with pytest.raises(BoundsError):
+                engine.decode_step(model, 0, cache, position=position)
+        for (k, v), got_k, got_v in zip(before, cache.keys, cache.values):
+            assert np.array_equal(k, got_k) and np.array_equal(v, got_v)
+        # the last position max_seq allows is taken
+        engine.decode_step(model, 0, cache, position=CFG.max_seq - 1)
+        assert [cache.rows(layer) for layer in range(CFG.layers)] == [len(prompt) + 1] * CFG.layers
 
     def test_bad_token_rejected(self, model, prompt):
         _, cache, _ = engine.prefill(model, prompt, engine.SparsityPolicy())
@@ -657,7 +667,7 @@ class TestDecode:
         cur = logits[-1]
         for step in range(6):
             token = int(np.argmax(cur))
-            ref = oracles.decode_step_reference(model, token, ref_cache, toks.size + step)
+            ref = oracles.decode_step_reference(model, token, ref_cache)
             cur, cache = engine.decode_step(model, token, cache, position=toks.size + step)
             assert np.array_equal(cur, ref)
 
@@ -680,7 +690,7 @@ class TestDecode:
         cur = logits[-1]
         for step in range(40):
             token = int(np.argmax(cur))
-            ref = oracles.decode_step_reference(model, token, ref_cache, toks.size + step)
+            ref = oracles.decode_step_reference(model, token, ref_cache)
             cur, cache = engine.decode_step(model, token, cache, position=toks.size + step)
             assert np.array_equal(cur.view(np.uint32), ref.view(np.uint32)), step
         # the first append grows a prefill layer to twice its rows; going past that grows it again
@@ -704,9 +714,7 @@ class TestDecode:
         for step in range(40):
             token = int(np.argmax(cur))
             position = toks.size + step
-            ref = oracles.decode_step_reference(
-                model, token, ref_cache, position, oracles.softmax_rows_masked
-            )
+            ref = oracles.decode_step_reference(model, token, ref_cache, oracles.softmax_rows_masked)
             cur, cache = engine.decode_step(model, token, cache, position=position)
             assert np.max(np.abs(cur - ref)) <= 1e-5, step
             assert np.argmax(cur) == np.argmax(ref), step

@@ -1,4 +1,4 @@
-"""Tests for KV retention, append ordering and mixed quantization."""
+"""Tests for KV retention, append and mixed quantization."""
 
 import numpy as np
 import pytest
@@ -18,14 +18,23 @@ def filled_cache(layers=2, heads=2, t=10, d=4, seed=0):
             layer,
             rng.normal(size=(heads, t, d)).astype(np.float32),
             rng.normal(size=(heads, t, d)).astype(np.float32),
-            np.arange(t, dtype=np.int64),
         )
     return cache
 
 
-def kept(positions):
-    """A layer's important tokens as budget.plan_layer gives them: sorted int64 positions."""
-    return np.asarray(sorted(positions), dtype=np.int64)
+def kept(rows):
+    """A layer's important tokens as budget.plan_layer gives them: sorted int64 row indices."""
+    return np.asarray(sorted(rows), dtype=np.int64)
+
+
+# important arrays a 10-row layer refuses, with the error each raises
+REFUSED_IMPORTANT = [
+    ([4, 1], OrderingError),  # unsorted
+    ([2, 2, 5], OrderingError),  # duplicated
+    ([-1, 3], BoundsError),
+    ([2, 10], BoundsError),  # the layer's row count
+    ([99], BoundsError),
+]
 
 
 def originals(cache):
@@ -39,7 +48,6 @@ class TestRetention:
         before_k = cache.keys[0].copy()
         cache.retain(0, kept([0, 3, 7]))
         assert cache.rows(0) == 3
-        assert cache.positions[0].tolist() == [0, 3, 7]
         assert np.array_equal(cache.keys[0], before_k[:, [0, 3, 7], :])
         # C order: the decode matmuls over the token axis run slower with it outermost
         assert cache.keys[0].flags.c_contiguous and cache.values[0].flags.c_contiguous
@@ -47,10 +55,17 @@ class TestRetention:
         assert cache.rows(1) == 10
 
     def test_retain_of_unknown_position_raises(self):
-        cache = filled_cache(t=5)
+        # a refused array leaves the layer as it was
+        cache = filled_cache(t=10)
+        [(k, v), _] = originals(cache)
+        for important, error in REFUSED_IMPORTANT:
+            with pytest.raises(error):
+                cache.retain(0, np.array(important))
+            assert np.array_equal(cache.keys[0], k) and np.array_equal(cache.values[0], v)
+        # after eviction the layer has two rows, renumbered 0 and 1
         cache.retain(0, kept([1, 2]))
         with pytest.raises(BoundsError):
-            cache.retain(0, kept([3]))
+            cache.retain(0, kept([2]))
 
     def test_set_layer_shape_checks(self):
         cache = kvcache.KVCache(1, 2, 4)
@@ -59,7 +74,6 @@ class TestRetention:
                 0,
                 np.zeros((2, 3, 5), dtype=np.float32),
                 np.zeros((2, 3, 5), dtype=np.float32),
-                np.arange(3),
             )
 
     def test_layer_index_bounds(self):
@@ -74,31 +88,31 @@ class TestAppend:
         k = np.ones((2, 4), dtype=np.float32)
         v = 2 * np.ones((2, 4), dtype=np.float32)
         for layer in range(2):
-            cache.append(layer, k, v, position=4)
+            cache.append(layer, k, v)
         assert cache.rows(0) == 5 and cache.rows(1) == 5
-        assert cache.positions[0][-1] == 4
         assert np.array_equal(cache.keys[0][:, -1, :], k)
 
     def test_append_after_eviction_keeps_gap(self):
         cache = filled_cache(layers=1, t=6)
+        before_k = cache.keys[0].copy()
         cache.retain(0, kept([0, 5]))
-        cache.append(0, np.zeros((2, 4), np.float32), np.zeros((2, 4), np.float32), 6)
-        assert cache.positions[0].tolist() == [0, 5, 6]
-
-    def test_append_position_must_advance(self):
-        cache = filled_cache(layers=1, t=4)
-        with pytest.raises(OrderingError):
-            cache.append(0, np.zeros((2, 4), np.float32), np.zeros((2, 4), np.float32), 3)
-        with pytest.raises(OrderingError):
-            cache.append(0, np.zeros((2, 4), np.float32), np.zeros((2, 4), np.float32), 1)
+        row = np.full((2, 4), 7, np.float32)
+        cache.append(0, row, row)
+        assert cache.rows(0) == 3
+        assert np.array_equal(cache.keys[0][:, :2], before_k[:, [0, 5]])
+        assert np.array_equal(cache.keys[0][:, 2], row)
 
     def test_appended_rows_never_evicted_by_later_retain(self):
         cache = filled_cache(layers=1, t=4)
-        cache.append(0, np.ones((2, 4), np.float32), np.ones((2, 4), np.float32), 4)
+        before_k = cache.keys[0].copy()
+        row = np.ones((2, 4), np.float32)
+        cache.append(0, row, row)
         # retention is a prefill-time operation; decode rows stay unless the
-        # important array explicitly includes their positions
+        # important array explicitly includes their rows
         cache.retain(0, kept([0, 4]))
-        assert cache.positions[0].tolist() == [0, 4]
+        assert cache.rows(0) == 2
+        assert np.array_equal(cache.keys[0][:, 0], before_k[:, 0])
+        assert np.array_equal(cache.keys[0][:, 1], row)
 
 
 class TestGrowth:
@@ -109,16 +123,13 @@ class TestGrowth:
         # the reference is what a copy-per-token cache holds: the layer, concatenated
         rng = numkit.make_rng(seed)
         ref_k, ref_v = cache.keys[0].copy(order="K"), cache.values[0].copy(order="K")
-        ref_p = cache.positions[0].copy()
         for _ in range(steps):
             k = rng.normal(size=(cache.heads, cache.d_head)).astype(np.float32)
             v = rng.normal(size=(cache.heads, cache.d_head)).astype(np.float32)
-            position = int(cache.positions[0][-1]) + 1
-            cache.append(0, k, v, position)
+            cache.append(0, k, v)
             ref_k = np.concatenate([ref_k, k[:, None, :]], axis=1)
             ref_v = np.concatenate([ref_v, v[:, None, :]], axis=1)
-            ref_p = np.append(ref_p, np.int64(position))
-        return ref_k, ref_v, ref_p
+        return ref_k, ref_v
 
     @pytest.mark.parametrize("evict", [False, True])
     def test_matches_concatenate_across_growths(self, evict):
@@ -127,40 +138,44 @@ class TestGrowth:
             cache.retain(0, kept([1, 2, 4]))
         start = cache.rows(0)
         # capacity doubles from `start`, so 8x start rows takes three growths
-        ref_k, ref_v, ref_p = self.grow(cache, 7 * start + 1)
+        ref_k, ref_v = self.grow(cache, 7 * start + 1)
         assert cache.rows(0) == 8 * start + 1
         assert np.array_equal(cache.keys[0], ref_k)
         assert np.array_equal(cache.values[0], ref_v)
-        assert np.array_equal(cache.positions[0], ref_p)
         # same row and channel strides: the layout decode rounding depends on
         assert cache.keys[0].strides[1:] == ref_k.strides[1:]
         assert cache.values[0].strides[1:] == ref_v.strides[1:]
+        if evict:
+            # a grown layer is retained by the indices of its current rows,
+            # prefill's and appended ones alike
+            rows = kept([0, start - 1, start, 5 * start, 8 * start])
+            cache.retain(0, rows)
+            assert np.array_equal(cache.keys[0], ref_k[:, rows])
+            assert np.array_equal(cache.values[0], ref_v[:, rows])
 
     def test_view_taken_before_append_keeps_its_values(self):
         cache = filled_cache(layers=1, t=4)
         self.grow(cache, 3)
-        keys, positions = cache.keys[0], cache.positions[0]
-        before_k, before_p = keys.copy(), positions.copy()
+        keys, values = cache.keys[0], cache.values[0]
+        before_k, before_v = keys.copy(), values.copy()
         self.grow(cache, 20, seed=2)
         assert np.array_equal(keys, before_k)
-        assert np.array_equal(positions, before_p)
+        assert np.array_equal(values, before_v)
 
     def test_rejected_append_changes_nothing(self):
         cache = filled_cache(layers=1, t=4)
         self.grow(cache, 3)
-        rows, before_p = cache.rows(0), cache.positions[0].copy()
+        [(before_k, before_v)] = originals(cache)
         row = np.zeros((2, 4), np.float32)
-        with pytest.raises(OrderingError):
-            cache.append(0, row, row, int(before_p[-1]))
         # rows are (heads, d_head): a wrong size, a flat row and a row that would
         # broadcast over the heads are all refused
         for bad in (np.zeros((2, 5), np.float32), row.reshape(-1), row[0]):
             with pytest.raises(ShapeError):
-                cache.append(0, bad, row, int(before_p[-1]) + 1)
+                cache.append(0, bad, row)
             with pytest.raises(ShapeError):
-                cache.append(0, row, bad, int(before_p[-1]) + 1)
-        assert cache.rows(0) == rows
-        assert np.array_equal(cache.positions[0], before_p)
+                cache.append(0, row, bad)
+        assert np.array_equal(cache.keys[0], before_k)
+        assert np.array_equal(cache.values[0], before_v)
 
 
 class TestQuantization:
@@ -196,18 +211,19 @@ class TestQuantization:
     def test_constant_group_is_exact(self):
         cache = kvcache.KVCache(1, 1, 4)
         k = np.full((1, 3, 4), 7.5, dtype=np.float32)
-        cache.set_layer(0, k, k.copy(), np.arange(3))
+        cache.set_layer(0, k, k.copy())
         kvcache.quantize_mixed(cache, 0, kept([0]))
         assert np.array_equal(cache.keys[0], k)
         assert np.array_equal(cache.values[0], k)
 
     def test_unknown_important_position_raises(self):
-        # as retain does: a position the layer lacks is refused, not read as "no row important"
+        # as retain does: an array that is not the layer's rows in ascending order
+        # is refused before the layer changes, not read as "no row important"
         cache = filled_cache(layers=1, t=10)
         [(k, v)] = originals(cache)
-        for important in (kept([99]), kept([2, 10])):
-            with pytest.raises(BoundsError):
-                kvcache.quantize_mixed(cache, 0, important)
+        for important, error in REFUSED_IMPORTANT:
+            with pytest.raises(error):
+                kvcache.quantize_mixed(cache, 0, np.array(important))
             assert np.array_equal(cache.keys[0], k) and np.array_equal(cache.values[0], v)
         cache.retain(0, kept([1, 5]))
         with pytest.raises(BoundsError):
@@ -248,8 +264,8 @@ class TestQuantization:
         cache.retain(1, kept([0, 2, 5, 8]))
         before = originals(cache)
         kvcache.quantize_mixed(cache, 0, kept([1, 3, 4]))
-        kvcache.quantize_mixed(cache, 1, kept([5]))
-        # layer 1 holds positions 0, 2, 5 and 8, so position 5 is its third row
+        # layer 1 keeps prompt positions 0, 2, 5 and 8 as rows 0-3, so position 5 is row 2
+        kvcache.quantize_mixed(cache, 1, kept([2]))
         bits = [[2, 4, 2, 4, 4, 2, 2, 2, 2], [2, 2, 4, 2]]
         for layer in range(2):
             for i, name in enumerate(("keys", "values")):
@@ -284,7 +300,8 @@ class TestQuantization:
         before = originals(cache)
         got = [
             kvcache.quantize_mixed(cache, 0, kept([1, 4, 5])),
-            kvcache.quantize_mixed(cache, 1, kept([2, 6])),
+            # positions 2 and 6 of layer 1's kept 0, 2, 3 and 6 are its rows 1 and 3
+            kvcache.quantize_mixed(cache, 1, kept([1, 3])),
         ]
         bits = [[2, 4, 2, 2, 4, 4, 2], [2, 4, 2, 4]]
         for layer in range(2):
@@ -326,7 +343,6 @@ class TestQuantization:
             0,
             (rng.normal(size=(heads, t, d)) * 3).astype(np.float32),
             (rng.normal(size=(heads, t, d)) * 3).astype(np.float32),
-            np.arange(t, dtype=np.int64),
         )
         p = data.draw(st.integers(1, t))
         before = originals(cache)
