@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import BoundsError, DomainError, EmptySequenceError, OrderingError, ShapeError
+from .errors import BoundsError, DomainError, EmptySequenceError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -120,16 +120,11 @@ def restricted_attention(
     exponentials are shifted by their row max (numkit.causal_exp_blocks
     says which), outputs and sums carry the same factor, so the shift
     cancels. Each head's outputs have the bits of its own 2-D call.
-    Indices that are not strictly ascending raise OrderingError, and
-    indices outside [0, n) raise BoundsError.
+    numkit.index_set checks the indices: not strictly ascending is an
+    OrderingError, outside [0, n) a BoundsError.
     """
     q, k, v = numkit.as_stack(q), numkit.as_stack(k), numkit.as_stack(v)
-    idx = np.asarray(indices, dtype=np.int64)
-    if np.any(np.diff(idx) <= 0):
-        raise OrderingError("indices must be strictly ascending")
-    n = min(q.shape[-2], k.shape[-2], v.shape[-2])
-    if idx.size and (idx[0] < 0 or idx[-1] >= n):
-        raise BoundsError(f"indices must lie in [0, {n})")
+    idx = numkit.index_set(indices, min(q.shape[-2], k.shape[-2], v.shape[-2]))
     d = v.shape[-1]
     q_s = np.ascontiguousarray(q[..., idx, :])
     k_s = np.ascontiguousarray(k[..., idx, :])

@@ -4,19 +4,23 @@ The adaptive budget keeps the smallest number of tokens p whose top
 accumulated scores reach a fraction tau of the total attention mass. The
 fixed budget keeps a constant fraction regardless of the score shape.
 A layer's important tokens are one sorted int64 array of positions in
-[0, n); every other token is unimportant. plan_layer is the one place a
-policy's mode and knobs turn a layer's scores into that array and the mass
-share its budget retains; model prefill and score workloads both go
-through it.
+[0, n); every other token is unimportant. plan_layer is the one reader of
+the knobs that shape that array (mode, tau, fixed_ratio, probe_recent,
+probe_random, keep_last): it draws the probe rows, asks the caller's score
+callback for the layer's scores once, sizes the budget and fills it, and
+returns one LayerPlan, which the layer's report and its trace entry both
+read. Model prefill scores attention rows; score workloads hand over a
+fixed vector.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import numkit
+from . import attention, numkit
 from .errors import BoundsError, DomainError, EmptySequenceError
 
 
@@ -73,22 +77,45 @@ def partition_tokens(normalized: np.ndarray, p: int) -> np.ndarray:
     return numkit.topk_indices(np.asarray(normalized), p).astype(np.int64)
 
 
-def plan_layer(
-    policy, n: int, accumulated: np.ndarray | None, normalized: np.ndarray | None
-) -> tuple[np.ndarray, float]:
+@dataclass(frozen=True)
+class LayerPlan:
+    """What a policy decided for one layer, and the scores it decided from.
+
+    important holds the kept positions, sorted ascending. retained_mass is
+    the accumulated mass share of the budget's top tokens, taken before
+    keep_last; the kept set, ranked by normalized score, can hold less.
+    probe_rows counts the probe rows scored, 0 where every row was.
+    accumulated and normalized are the layer's float32 scores, None in mode
+    dense, which scores nothing.
+    """
+
+    important: np.ndarray
+    retained_mass: float
+    probe_rows: int
+    accumulated: np.ndarray | None
+    normalized: np.ndarray | None
+
+
+def plan_layer(policy, n: int, score, seed: int = 0) -> LayerPlan:
     """Plan one layer's n-token budget under a SparsityPolicy.
 
-    Sizes the budget from the accumulated score and fills it by the
-    normalized one. Returns the important positions, sorted ascending, and
-    the share of the accumulated mass the budget's top tokens cover. Mode
-    dense keeps every token with share 1.0, fixed keeps
-    round(fixed_ratio * n), and the adaptive modes take the budget for tau.
-    The last keep_last tokens are always kept, raising the kept count above
-    the budget's p when they must. dense reads no score, so mode dense
-    passes None for both.
+    score(probe) returns the layer's accumulated and normalized scores,
+    from every row where probe is None, else from the probe rows and
+    Horvitz-Thompson weights of probe = (rows, weights). Mode dense keeps
+    every token with share 1.0 and never calls score; every other mode
+    calls it once, zipvl-probe with the rows attention.select_probe_set
+    draws from seed, the others with None. The accumulated score sizes the
+    budget and the normalized one fills it: fixed keeps
+    round(fixed_ratio * n), the adaptive modes take the budget for tau. The
+    last keep_last tokens are always kept, raising the kept count above the
+    budget's p when they must.
     """
     if policy.mode == "dense":
-        return np.arange(n, dtype=np.int64), 1.0
+        return LayerPlan(np.arange(n, dtype=np.int64), 1.0, 0, None, None)
+    probe = None
+    if policy.mode == "zipvl-probe":
+        probe = attention.select_probe_set(n, policy.probe_recent, policy.probe_random, seed)
+    accumulated, normalized = score(probe)
     mass = float(np.sum(accumulated, dtype=np.float64))
     if policy.mode == "fixed":
         p = fixed_budget(n, policy.fixed_ratio)
@@ -99,4 +126,6 @@ def plan_layer(
     n_prot = min(policy.keep_last, n)
     if n_prot:
         ident[n - n_prot :] = np.inf
-    return partition_tokens(ident, max(p, n_prot)), retained
+    important = partition_tokens(ident, max(p, n_prot))
+    probe_rows = 0 if probe is None else int(probe[0].size)
+    return LayerPlan(important, retained, probe_rows, accumulated, normalized)

@@ -12,18 +12,21 @@ Four attention pipelines share one code path:
   zipvl-probe  adaptive budget from weighted probe-row estimates of the scores
   fixed        constant retention ratio across layers
 
-Per layer the prefill pass scores token importance, picks an important set,
-computes attention only among that set (everything else receives a zero
-attention output and rides the residual stream), and caches K/V for the
-important tokens only; with quantize it caches every token instead, at 4
-bits if important and 2 if not, quantized as the layer is written. Every
-layer of a run runs the policy's mode; in mode dense each layer keeps
-every token, so it computes no scores at all. Decode appends
-unconditionally and attends to the whole cache, up to max_seq positions.
+Per layer the prefill pass hands budget.plan_layer a callback that scores
+the layer's tokens, and gets back one LayerPlan: the important set, chosen
+by the policy's mode and knobs (in mode dense every token, with no scores
+computed). It then computes attention only among that set (everything
+else receives a zero attention output and rides the residual stream), and
+caches K/V for the important tokens only; with quantize it caches every
+token instead, at 4 bits if important and 2 if not, quantized as the
+layer is written. The layer's report and trace entry both read the plan.
+Decode appends unconditionally and attends to the whole cache, up to
+max_seq positions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -198,27 +201,22 @@ def _check_tokens(tokens: np.ndarray, config: ModelConfig) -> np.ndarray:
 
 
 def _token_scores(
-    q: np.ndarray, k: np.ndarray, scale: float, policy: SparsityPolicy, seed: int, layer: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """A scored layer's head-mean accumulated and normalized scores, and its probe row count.
+    q: np.ndarray, k: np.ndarray, scale: float, probe: tuple[np.ndarray, np.ndarray] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """A layer's head-mean accumulated and normalized scores: budget.plan_layer's score callback.
 
-    zipvl-probe scores the layer's probe rows, each with the weight that
-    attention.select_probe_set returns with it, every other mode all rows.
-    The layer's stacked heads are scored in one call, whose record holds
-    the float64 mean of the heads' column masses and the visible-row
-    counts, which every head shares since every head scores the same rows;
-    both statistics are read from it once.
+    probe=None scores every row; else probe is the (rows, weights) pair of
+    attention.select_probe_set, and only those rows are scored, each with
+    its weight. The layer's stacked heads are scored in one call, whose
+    record holds the float64 mean of the heads' column masses and the
+    visible-row counts, which every head shares since every head scores the
+    same rows; both statistics are read from it once.
     """
-    if policy.mode == "zipvl-probe":
-        probe, w = attention.select_probe_set(
-            k.shape[1], policy.probe_recent, policy.probe_random, numkit.derive_seed(seed, layer)
-        )
-        scores = attention.probe_attention(q, probe, k, scale, w)
-        probe_rows = int(probe.size)
-    else:
+    if probe is None:
         scores = attention.causal_scores(q, k, scale)
-        probe_rows = 0
-    return attention.accumulated_scores(scores), attention.normalized_scores(scores), probe_rows
+    else:
+        scores = attention.probe_attention(q, probe[0], k, scale, probe[1])
+    return attention.accumulated_scores(scores), attention.normalized_scores(scores)
 
 
 def prefill(
@@ -233,10 +231,14 @@ def prefill(
     its important set; with the set equal to all tokens that path is the
     dense computation. Tokens outside the set get a zero attention output,
     which the no-bias output projection keeps exactly zero, so their
-    residual stream passes through the attention sublayer unchanged. Mode
-    dense computes no scores; its trace entries carry None for accumulated
-    and normalized. A trace entry holds the layer's own arrays, not copies:
-    nothing writes to them after the entry takes them.
+    residual stream passes through the attention sublayer unchanged.
+    budget.plan_layer reads the policy's knobs and scores each layer
+    through _token_scores; prefill itself reads only quantize. A layer's
+    report and its trace entry both come from its budget.LayerPlan: the
+    entry is the layer, its residual stream before and after attention,
+    and the plan's fields (None scores in mode dense). It holds the layer's
+    own arrays, not copies: nothing writes to them after the entry takes
+    them.
     """
     config = model.config
     policy.validate()
@@ -253,11 +255,9 @@ def prefill(
         qkv = _rms_norm(h) @ lw.wqkv
         q, k, v = qkv.reshape(n, 3, config.heads, d_head).transpose(1, 2, 0, 3)
 
-        if policy.mode == "dense":
-            acc, norm, probe_rows = None, None, 0
-        else:
-            acc, norm, probe_rows = _token_scores(q, k, scale, policy, config.seed, layer)
-        imp, retained_mass = budget.plan_layer(policy, n, acc, norm)
+        score = functools.partial(_token_scores, q, k, scale)
+        plan = budget.plan_layer(policy, n, score, numkit.derive_seed(config.seed, layer))
+        imp = plan.important
 
         attn = np.zeros((config.heads, n, d_head), dtype=np.float32)
         attn[:, imp, :] = attention.restricted_attention(q, k, v, scale, imp)
@@ -272,23 +272,11 @@ def prefill(
         else:
             kv_bytes = metrics.kv_bytes(cache.retain(layer, imp).rows(layer), d_head, config.heads)
         reports.append(
-            metrics.layer_report(
-                layer=layer, n=n, p=int(imp.size), retained_mass=retained_mass,
-                d_head=d_head, heads=config.heads, probe_rows=probe_rows,
-                kv_rows=cache.rows(layer), kv_bytes=kv_bytes,
-            )
+            metrics.layer_report(layer, n, plan, d_head, config.heads, cache.rows(layer), kv_bytes)
         )
         if trace is not None:
             trace.append(
-                {
-                    "layer": layer,
-                    "h_before": h_before,
-                    "h_after_attn": h_after_attn,
-                    "important": imp,
-                    "accumulated": acc,
-                    "normalized": norm,
-                    "probe_rows": probe_rows,
-                }
+                {"layer": layer, "h_before": h_before, "h_after_attn": h_after_attn, **vars(plan)}
             )
 
     return h @ model.embedding.T, cache, reports

@@ -10,9 +10,9 @@ whole caches may be handed between threads. A layer's important tokens
 arrive as one strictly ascending int64 array of the layer's row indices,
 the one budget.plan_layer returns: retain keeps those rows and evicts the
 rest, quantize_mixed keeps every row at a precision set by that array.
-Both check the array before they change anything: one that is not
-strictly ascending is an OrderingError, an index outside [0, rows) a
-BoundsError.
+Both check the array with numkit.index_set before they change anything:
+one that is not strictly ascending is an OrderingError, an index outside
+[0, rows) a BoundsError.
 
 Prefill (set_layer, retain) installs exact-size C-order arrays. A decode append
 takes one (heads, d_head) K row and V row and writes them in place into a
@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, OrderingError, ShapeError
+from . import numkit
+from .errors import BoundsError, ShapeError
 
 
 class KVCache:
@@ -87,19 +88,9 @@ class KVCache:
             raise ShapeError(f"expected K/V shape {expect}, got {keys.shape}/{values.shape}")
         self._install(layer, keys.copy(), values.copy())
 
-    def _check_important(self, layer: int, important: np.ndarray) -> np.ndarray:
-        """`important` as int64 row indices of the layer: strictly ascending, in [0, rows)."""
-        rows = self.rows(layer)
-        important = np.asarray(important, dtype=np.int64)
-        if np.any(np.diff(important) <= 0):
-            raise OrderingError("important rows must be strictly ascending")
-        if important.size and (important[0] < 0 or important[-1] >= rows):
-            raise BoundsError(f"important rows must lie in [0, {rows})")
-        return important
-
     def retain(self, layer: int, important: np.ndarray) -> "KVCache":
         """Keep only the rows that `important` indexes, renumbered from 0 in their order."""
-        keep = self._check_important(layer, important)
+        keep = numkit.index_set(important, self.rows(layer))
         # take installs C order; a boolean index would leave the token axis
         # outermost, where the decode matmuls run about a fifth slower
         self._install(
@@ -171,7 +162,7 @@ def quantize_mixed(cache: KVCache, layer: int, important: np.ndarray) -> int:
     ceil(d_head * bits / 8) code bytes plus 8 bytes for the float32 scale
     and zero-point.
     """
-    important = cache._check_important(layer, important)
+    important = numkit.index_set(important, cache.rows(layer))
     bits = np.full(cache.rows(layer), 2)
     bits[important] = 4
     levels = ((1 << bits) - 1)[:, None]

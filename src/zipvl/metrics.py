@@ -1,8 +1,14 @@
 """FLOP and KV-memory accounting for sparse-attention runs.
 
-This module owns every charge a report carries. Conventions: one fused
-multiply-add counts as two FLOPs; attention cost per head over r query rows
-and c key columns is 4*r*c*d_head (scores plus the weighted value sum).
+This module owns every charge a report carries but one: a quantized
+layer's packed size, which kvcache.quantize_mixed computes from the bits it
+assigns and prefill passes on as the layer's kv_bytes. A layer's report
+reads its kept count, mass share and probe rows from the layer's
+budget.LayerPlan, the record the prefill trace reads too.
+
+Conventions: one fused multiply-add counts as two FLOPs; attention cost
+per head over r query rows and c key columns is 4*r*c*d_head (scores plus
+the weighted value sum).
 Prefill attention over a layer's p important tokens is charged 4*p*p*d_head
 per head, and probe scoring 2*probe_rows*n*d_head per head (scores only;
 the probe pass produces no value outputs). Decode step s, counted from 1,
@@ -28,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import LayerPlan
+
 
 def attn_flops_dense(n: int, d_head: int, heads: int) -> int:
     """Full causal attention cost for one layer of an n-token prefill."""
@@ -48,8 +56,8 @@ def kv_bytes(rows: int, d_head: int, heads: int) -> int:
 class LayerReport:
     """Per-layer outcome of one prefill pass.
 
-    retained_mass is the accumulated mass share of the budget's top tokens,
-    taken before keep_last; the kept set, ranked by normalized score, can hold less.
+    p, retained_mass and probe_rows are the layer's budget.LayerPlan's, p
+    the size of its important set.
     """
 
     layer: int
@@ -64,12 +72,14 @@ class LayerReport:
 
 
 def layer_report(
-    layer: int, n: int, p: int, retained_mass: float, d_head: int, heads: int,
-    probe_rows: int, kv_rows: int, kv_bytes: int,
+    layer: int, n: int, plan: LayerPlan, d_head: int, heads: int, kv_rows: int, kv_bytes: int
 ) -> LayerReport:
-    """The report of a layer that kept p of its n tokens, with its ratio and prefill flops."""
-    flops = attn_flops_sparse(p, n, d_head, heads, probe_rows)
-    return LayerReport(layer, n, p, p / n, retained_mass, flops, kv_rows, probe_rows, kv_bytes)
+    """The report of a layer planned as `plan`: its kept count, ratio, mass share and flops."""
+    p = int(plan.important.size)
+    flops = attn_flops_sparse(p, n, d_head, heads, plan.probe_rows)
+    return LayerReport(
+        layer, n, p, p / n, plan.retained_mass, flops, kv_rows, plan.probe_rows, kv_bytes
+    )
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,9 @@ Either costs memory linear in n. The tests check the weights e / s against
 a float64 masked softmax within a stated tolerance, and each head of a
 stacked call against its own 2-D call bit for bit.
 
+index_set is the one check of an index set of rows, such as a layer's
+important tokens, that restricted attention and the KV cache share.
+
 All functions here are pure; Rng instances must stay confined to a single
 thread.
 """
@@ -43,7 +46,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import BoundsError, DegenerateMaskError, DomainError, ShapeError
+from .errors import BoundsError, DegenerateMaskError, DomainError, OrderingError, ShapeError
 
 FLOAT = np.float32
 
@@ -91,6 +94,20 @@ def as_stack(a) -> np.ndarray:
     if m.ndim < 2:
         raise ShapeError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
     return m
+
+
+def index_set(indices, n: int) -> np.ndarray:
+    """`indices` as an int64 index set of n rows: strictly ascending, within [0, n).
+
+    An array that is not strictly ascending raises OrderingError, and one
+    with an index outside [0, n) BoundsError, in that order.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    if np.any(np.diff(idx) <= 0):
+        raise OrderingError("indices must be strictly ascending")
+    if idx.size and (idx[0] < 0 or idx[-1] >= n):
+        raise BoundsError(f"indices must lie in [0, {n})")
+    return idx
 
 
 def masked_softmax_rows(logits: np.ndarray, mask: None) -> np.ndarray:

@@ -232,12 +232,7 @@ def evaluate_score_workload(scores: np.ndarray, policy) -> list:
     reports = []
     n = scores.shape[1]
     for layer, vec in enumerate(scores):
-        important, retained_mass = budget.plan_layer(policy, n, vec, vec)
-        p = int(important.size)
-        reports.append(
-            metrics.layer_report(
-                layer=layer, n=n, p=p, retained_mass=retained_mass, d_head=1, heads=1,
-                probe_rows=0, kv_rows=p, kv_bytes=metrics.kv_bytes(p, d_head=1, heads=1),
-            )
-        )
+        plan = budget.plan_layer(policy, n, lambda probe: (vec, vec))
+        p = int(plan.important.size)
+        reports.append(metrics.layer_report(layer, n, plan, 1, 1, p, metrics.kv_bytes(p, 1, 1)))
     return reports

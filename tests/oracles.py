@@ -231,23 +231,20 @@ def weighted_visible_counts(row_positions, row_weights, n_cols) -> np.ndarray:
     return out
 
 
-def head_averaged_scores(q, k, scale, policy, seed, layer):
+def head_averaged_scores(q, k, scale, probe):
     """engine._token_scores through one record per head, averaged statistic by statistic.
 
+    probe is None or the (rows, weights) pair budget.plan_layer passes.
     Each head's float32 accumulated and normalized scores are formed from
     its own record, the normalized ones with the head's visible-row counts,
     and each statistic's float64 mean over the heads is cast to float32.
     """
     n, heads = k.shape[1], k.shape[0]
-    if policy.mode == "zipvl-probe":
-        probe, w = attention.select_probe_set(
-            n, policy.probe_recent, policy.probe_random, numkit.derive_seed(seed, layer)
-        )
-        per_head = [attention.probe_attention(q[i], probe, k[i], scale, w) for i in range(heads)]
-        probe_rows = int(probe.size)
-    else:
+    if probe is None:
         per_head = [attention.causal_scores(q[i], k[i], scale) for i in range(heads)]
-        probe_rows = 0
+    else:
+        rows, w = probe
+        per_head = [attention.probe_attention(q[i], rows, k[i], scale, w) for i in range(heads)]
     acc, norm = [], []
     for head in per_head:
         acc.append(head.mass.astype(np.float32))
@@ -257,7 +254,6 @@ def head_averaged_scores(q, k, scale, policy, seed, layer):
     return (
         np.mean(acc, axis=0, dtype=np.float64).astype(np.float32),
         np.mean(norm, axis=0, dtype=np.float64).astype(np.float32),
-        probe_rows,
     )
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from zipvl import budget, numkit
+from zipvl import attention, budget, numkit
 from zipvl.engine import SparsityPolicy
 from zipvl.errors import BoundsError, DomainError, EmptySequenceError
 
@@ -141,43 +141,61 @@ class TestTopMassFraction:
             budget.top_mass_fraction(np.ones(3), 4, 3.0)
 
 
+def scored_by(accumulated, normalized=None):
+    """A plan_layer score callback that hands back fixed vectors and records each probe."""
+
+    def score(probe):
+        score.probes.append(probe)
+        return accumulated, accumulated if normalized is None else normalized
+
+    score.probes = []
+    return score
+
+
+def never_called(probe):
+    raise AssertionError("mode dense must not score")
+
+
 class TestPlanLayer:
     v = np.array([0.5, 4.0, 0.25, 2.0, 1.0, 0.25], dtype=np.float32)
 
     def test_dense_keeps_everything(self):
         pol = SparsityPolicy(mode="dense", tau=0.5)
-        important, retained = budget.plan_layer(pol, 6, self.v, self.v)
-        assert (important.size, retained) == (6, 1.0)
-        assert important.tolist() == list(range(6))
+        plan = budget.plan_layer(pol, 6, never_called)
+        assert (plan.important.size, plan.retained_mass, plan.probe_rows) == (6, 1.0, 0)
+        assert plan.important.tolist() == list(range(6))
+        assert plan.accumulated is None and plan.normalized is None
 
     def test_dense_needs_only_the_token_count(self):
+        # keep_last changes nothing where every token is kept
         pol = SparsityPolicy(mode="dense", tau=0.5, keep_last=3)
-        important, retained = budget.plan_layer(pol, 6, None, None)
-        scored, scored_retained = budget.plan_layer(pol, 6, self.v, self.v)
-        assert retained == scored_retained
-        assert np.array_equal(important, scored)
-        assert important.dtype == np.int64
-        assert important.tolist() == list(range(6))
+        plan = budget.plan_layer(pol, 6, never_called)
+        assert plan.retained_mass == 1.0
+        assert plan.important.dtype == np.int64
+        assert plan.important.tolist() == list(range(6))
 
     def test_adaptive_and_fixed_match_their_budgets(self):
         mass = float(self.v.sum(dtype=np.float64))
         pol = SparsityPolicy(mode="zipvl-exact", tau=0.75, fixed_ratio=0.5)
-        important, retained = budget.plan_layer(pol, 6, self.v, self.v)
-        assert (important.size, retained) == budget.adaptive_budget(self.v, 0.75, mass)
-        assert important.tolist() == [1, 3]
+        plan = budget.plan_layer(pol, 6, scored_by(self.v))
+        assert (plan.important.size, plan.retained_mass) == budget.adaptive_budget(
+            self.v, 0.75, mass
+        )
+        assert plan.important.tolist() == [1, 3]
         pol = SparsityPolicy(mode="fixed", tau=0.75, fixed_ratio=0.5)
-        important, retained = budget.plan_layer(pol, 6, self.v, self.v)
-        assert important.size == 3
-        assert retained == budget.top_mass_fraction(self.v, 3, mass)
-        assert important.tolist() == [1, 3, 4]
+        plan = budget.plan_layer(pol, 6, scored_by(self.v))
+        assert plan.important.size == 3
+        assert plan.retained_mass == budget.top_mass_fraction(self.v, 3, mass)
+        assert plan.important.tolist() == [1, 3, 4]
 
     def test_sizes_and_ranks_by_separate_vectors(self):
         # the accumulated score sizes the budget and the normalized score fills it
         rank = self.v[::-1].copy()
         pol = SparsityPolicy(mode="zipvl-exact", tau=0.75)
-        important, _ = budget.plan_layer(pol, 6, self.v, rank)
-        assert important.size == 2
-        assert important.tolist() == [2, 4]
+        plan = budget.plan_layer(pol, 6, scored_by(self.v, rank))
+        assert plan.important.size == 2
+        assert plan.important.tolist() == [2, 4]
+        assert plan.accumulated is self.v and plan.normalized is rank
 
     def test_keep_last_protects_the_trailing_window(self):
         # the window counts toward p: it displaces the weakest pick, and a
@@ -188,16 +206,29 @@ class TestPlanLayer:
 
         def plan(keep_last):
             pol = SparsityPolicy(mode="zipvl-exact", tau=0.75, keep_last=keep_last)
-            return budget.plan_layer(pol, 6, self.v, self.v)
+            return budget.plan_layer(pol, 6, scored_by(self.v))
 
-        important, retained = plan(1)
-        assert retained == 0.75
-        assert important.tolist() == [1, 5]
-        important, retained = plan(3)
-        assert retained == 0.75
-        assert important.tolist() == [3, 4, 5]
-        important, _ = plan(99)
-        assert important.tolist() == list(range(6))
+        assert (plan(1).important.tolist(), plan(1).retained_mass) == ([1, 5], 0.75)
+        assert (plan(3).important.tolist(), plan(3).retained_mass) == ([3, 4, 5], 0.75)
+        assert plan(99).important.tolist() == list(range(6))
+
+    @pytest.mark.parametrize("mode", ["zipvl-exact", "zipvl-probe", "fixed"])
+    @pytest.mark.parametrize("n, seed", [(6, 0), (40, 9), (300, 12345)])
+    def test_scores_once_with_the_policys_probe_rows(self, mode, n, seed):
+        # probe mode draws its rows from the seed and passes them with their
+        # weights; every other scored mode asks for every row
+        v = numkit.make_rng(seed).random(n).astype(np.float32)
+        pol = SparsityPolicy(mode=mode, tau=0.9, probe_recent=3, probe_random=5)
+        score = scored_by(v)
+        plan = budget.plan_layer(pol, n, score, seed)
+        [probe] = score.probes
+        if mode != "zipvl-probe":
+            assert probe is None and plan.probe_rows == 0
+            return
+        rows, weights = attention.select_probe_set(n, 3, 5, seed)
+        assert np.array_equal(probe[0], rows) and probe[0].dtype == rows.dtype
+        assert np.array_equal(probe[1], weights) and probe[1].dtype == weights.dtype
+        assert plan.probe_rows == rows.size == min(n, 8)
 
 
 class TestPartition:

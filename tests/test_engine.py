@@ -414,11 +414,17 @@ class TestScoringWork:
         pol = engine.SparsityPolicy(
             mode=mode, tau=0.9, probe_recent=70, probe_random=20, quantize=quantize
         )
-        blocked = engine.prefill(model, toks, pol)
+        trace: list = []
+        blocked = engine.prefill(model, toks, pol, trace=trace)
         monkeypatch.setattr(numkit, "causal_column_mass", oracles.column_mass_from_matrix)
         matrix = engine.prefill(model, toks, pol)
         assert np.array_equal(blocked[0], matrix[0])
         assert blocked[2] == matrix[2]
+        # a layer's report and its trace entry read one plan
+        for r, entry in zip(blocked[2], trace, strict=True):
+            assert (r.p, r.retained_mass, r.probe_rows) == (
+                entry["important"].size, entry["retained_mass"], entry["probe_rows"]
+            )
         for name in ("keys", "values"):
             for got, want in zip(getattr(blocked[1], name), getattr(matrix[1], name)):
                 assert np.array_equal(got, want)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zipvl import metrics
+from zipvl import budget, metrics
 from zipvl.engine import SparsityPolicy
 
 
@@ -51,10 +51,8 @@ class TestFlopsFormulas:
 
 class TestLayerReport:
     def test_derives_ratio_and_flops(self):
-        got = metrics.layer_report(
-            layer=3, n=40, p=10, retained_mass=1.0, d_head=4, heads=2, probe_rows=5,
-            kv_rows=10, kv_bytes=metrics.kv_bytes(10, d_head=4, heads=2),
-        )
+        plan = budget.LayerPlan(np.arange(10), 1.0, 5, None, None)
+        got = metrics.layer_report(3, 40, plan, 4, 2, 10, metrics.kv_bytes(10, d_head=4, heads=2))
         assert got == make_report(3, 40, 10, probe_rows=5)
         assert got.ratio == 0.25
 

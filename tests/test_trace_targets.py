@@ -54,6 +54,19 @@ def test_traced_run_calls_every_counting_target(tracing):
         "numkit.masked_softmax_rows",
     ):
         assert out.get(f"{name}.calls", 0) > 0, name
+    # budget.plan_layer, which is not traced, calls the scorers: their time must
+    # still land under each scored mode's prefill
+    for key in (
+        "attention.causal_scores.calls",
+        "attention.probe_attention.calls",
+        "attention.ms.zipvl-probe",
+        "attention.ms.zipvl-exact",
+    ):
+        assert out.get(key, 0) > 0, key
+    # exact scores each layer through causal_scores, probe through probe_attention,
+    # which forwards to it
+    assert out["attention.causal_scores.calls"] == 2 * config.layers
+    assert out["attention.probe_attention.calls"] == config.layers
     # quantize_mixed dequantizes K and V of each layer it quantizes
     assert out["kvcache.quantize_mixed.calls"] == config.layers
     assert out["kvcache.dequantize.calls"] == 2 * config.layers

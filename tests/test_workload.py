@@ -352,8 +352,8 @@ class TestEvaluate:
         for layer, r in enumerate(workload.evaluate_score_workload(scores, pol)):
             assert r.p == r.kv_rows == 64
             assert r.kv_bytes == 2 * 64 * 4
-            important, _ = budget.plan_layer(pol, 256, scores[layer], scores[layer])
-            assert important.tolist() == list(range(192, 256))
+            plan = budget.plan_layer(pol, 256, lambda probe: (scores[layer], scores[layer]))
+            assert plan.important.tolist() == list(range(192, 256))
 
     def test_retained_mass_is_the_budgets_top_mass(self):
         # the keep_last window outgrows the budget: p counts the kept tokens,
