@@ -24,6 +24,18 @@ from . import attention, numkit
 from .errors import BoundsError, DomainError, EmptySequenceError
 
 
+def _mass_share(csum: np.ndarray, p: int, mass_total: float) -> float:
+    """Share of mass_total in the top p values, whose descending cumsum is csum.
+
+    1.0 when p keeps every value or mass_total is 0; else csum[p - 1] over
+    mass_total, capped at 1.0, since the cumsum adds in another order than
+    the sum that made mass_total and can land a hair above it.
+    """
+    if p == csum.size or not mass_total > 0:
+        return 1.0
+    return min(1.0, float(csum[p - 1]) / float(mass_total))
+
+
 def adaptive_budget(accumulated: np.ndarray, tau: float, mass_total: float) -> tuple[int, float]:
     """Smallest p whose top accumulated scores reach tau * mass_total, and their mass share.
 
@@ -32,7 +44,7 @@ def adaptive_budget(accumulated: np.ndarray, tau: float, mass_total: float) -> t
     retention is the contract there, not a threshold race. Below 1.0, p is
     the first prefix of the descending sort to reach the threshold, clamped
     to >= 1 and to n if rounding leaves even the full sum short. The share
-    is 1.0 when mass_total is 0.
+    is _mass_share's: exactly 1.0 when p is n, and never above 1.0.
     """
     v = np.asarray(accumulated)
     if v.size == 0:
@@ -45,8 +57,7 @@ def adaptive_budget(accumulated: np.ndarray, tau: float, mass_total: float) -> t
     else:
         threshold = float(tau) * float(mass_total)
         p = min(int(np.searchsorted(csum, threshold, side="left")) + 1, v.size)
-    retained = float(csum[p - 1]) / float(mass_total) if mass_total > 0 else 1.0
-    return p, retained
+    return p, _mass_share(csum, p, mass_total)
 
 
 def fixed_budget(n: int, ratio: float) -> int:
@@ -62,11 +73,11 @@ def fixed_budget(n: int, ratio: float) -> int:
 
 
 def top_mass_fraction(accumulated: np.ndarray, p: int, mass_total: float) -> float:
-    """Share of mass_total covered by the p largest accumulated scores."""
+    """Share of mass_total covered by the p largest accumulated scores (_mass_share)."""
     csum = numkit.cumsum_desc(np.asarray(accumulated))
     if not 1 <= p <= csum.size:
         raise BoundsError(f"p={p} out of range for length {csum.size}")
-    return float(csum[p - 1]) / float(mass_total) if mass_total > 0 else 1.0
+    return _mass_share(csum, p, mass_total)
 
 
 def partition_tokens(normalized: np.ndarray, p: int) -> np.ndarray:

@@ -8,7 +8,11 @@ Subcommands:
 
 Configuration comes from an optional key=value file (--config) overlaid by
 the flags, each of which sets the config key its argparse dest names;
-unknown keys are errors. All output is deterministic: keys are sorted,
+unknown keys are errors. Configs check themselves when built:
+ExperimentConfig its cross-key rules, engine's ModelConfig and
+SparsityPolicy their values. run, sweep-tau and compare build their
+policy before any model is built or workload read, so a bad knob exits 2
+before any work. All output is deterministic: keys are sorted,
 floats use shortest round-trip repr, and nothing records time or
 environment.
 """
@@ -90,6 +94,23 @@ class ExperimentConfig:
     taus: str = "0.5,0.8,0.9,0.95,0.975,0.99,1.0"
     modes: str = ""  # compare's mode list; empty means adaptive,fixed,dense
 
+    def __post_init__(self) -> None:
+        """Reject a config whose keys disagree, whenever one is built.
+
+        workload must be a known source, set to file exactly when
+        workload_file is, and repeats >= 1 and seed >= 0.
+        """
+        if self.workload not in WORKLOAD_SOURCES:
+            raise ConfigError(f"workload must be one of {WORKLOAD_SOURCES}")
+        if self.workload == "file" and not self.workload_file:
+            raise ConfigError("workload=file needs workload_file=<path>")
+        if self.workload_file and self.workload != "file":
+            raise ConfigError(f"workload_file needs workload=file, not workload={self.workload}")
+        if self.repeats < 1:
+            raise ConfigError("repeats must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be >= 0")
+
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -135,42 +156,29 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     """The defaults, overlaid by the raw config values, then by the overrides that are not None.
 
     An overriding workload_file implies workload=file unless the overrides
-    name a workload. workload=file needs a workload_file, and a
-    workload_file needs workload=file.
+    name a workload. The config checks itself when built.
     """
-    fields = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
     types = {"int": int, "float": float, "str": str, "bool": bool}
-    cfg = ExperimentConfig()
+    kinds = {f.name: types[f.type] for f in dataclasses.fields(ExperimentConfig)}
+    values = {}
     for key, value in raw.items():
-        if key not in fields:
+        if key not in kinds:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, _coerce(key, types[fields[key]], value))
+        values[key] = _coerce(key, kinds[key], value)
     overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
     if overrides.get("workload_file"):
         overrides.setdefault("workload", "file")
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    if cfg.workload not in WORKLOAD_SOURCES:
-        raise ConfigError(f"workload must be one of {WORKLOAD_SOURCES}")
-    if cfg.workload == "file" and not cfg.workload_file:
-        raise ConfigError("workload=file needs workload_file=<path>")
-    if cfg.workload_file and cfg.workload != "file":
-        raise ConfigError(f"workload_file needs workload=file, not workload={cfg.workload}")
-    if cfg.repeats < 1:
-        raise ConfigError("repeats must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed={cfg.seed} must be >= 0")
-    return cfg
+    return ExperimentConfig(**{**values, **overrides})
 
 
-def _validated(klass, cfg: ExperimentConfig, **changes):
-    """klass built from cfg's keys of its field names, `changes` applied on top, validated."""
+def _from_cfg(klass, cfg: ExperimentConfig, **changes):
+    """klass built from cfg's keys of its field names, `changes` applied on top."""
     values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(klass)}
-    return klass(**{**values, **changes}).validate()
+    return klass(**{**values, **changes})
 
 
 def _policy(cfg: ExperimentConfig, **changes) -> engine.SparsityPolicy:
-    return _validated(engine.SparsityPolicy, cfg, **changes)
+    return _from_cfg(engine.SparsityPolicy, cfg, **changes)
 
 
 def _adaptive_mode(cfg: ExperimentConfig, command: str) -> str:
@@ -212,7 +220,7 @@ def _build_subject(
             cfg.workload, cfg.n, cfg.layers, cfg.concentration,
             numkit.derive_seed(cfg.seed, _WORKLOAD_TAG, repeat),
         )
-    config = _validated(engine.ModelConfig, cfg, seed=numkit.derive_seed(cfg.seed, _MODEL_TAG))
+    config = _from_cfg(engine.ModelConfig, cfg, seed=numkit.derive_seed(cfg.seed, _MODEL_TAG))
     if cfg.n < 0:
         raise ConfigError(f"n={cfg.n} must be >= 0")
     engine.check_length(cfg.n, cfg.steps, config.max_seq)
@@ -294,14 +302,14 @@ def cmd_sweep_tau(cfg: ExperimentConfig) -> list[dict]:
     if not taus:
         raise ConfigError("taus is empty")
     _single_repeat(cfg, "sweep-tau")
-    mode = _adaptive_mode(cfg, "sweep-tau")
+    base = _policy(cfg, mode=_adaptive_mode(cfg, "sweep-tau"))
+    policies = [dataclasses.replace(base, tau=tau) for tau in taus]
     subject = _build_subject(cfg)
     keys = ("mean_ratio", "flops_reduction", "kv_reduction", "min_retained_mass")
     rows = []
-    for tau in taus:
-        report, _, _ = run_experiment(cfg, subject, _policy(cfg, mode=mode, tau=tau))
-        s = _summary(report)
-        rows.append({"tau": tau, **{key: s[key] for key in keys}})
+    for policy in policies:
+        s = _summary(run_experiment(cfg, subject, policy)[0])
+        rows.append({"tau": policy.tau, **{key: s[key] for key in keys}})
     return rows
 
 
@@ -324,18 +332,19 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
         if name in names[:i]:
             raise ConfigError(f"mode {name!r} repeated in modes")
     _single_repeat(cfg, "compare")
+    base = _policy(cfg, mode="dense")
 
     subject = _build_subject(cfg)
-    dense_report, logits_dense, _ = run_experiment(cfg, subject, _policy(cfg, mode="dense"))
+    dense_report, logits_dense, _ = run_experiment(cfg, subject, base)
     runs: dict = {"dense": (dense_report, logits_dense)}
     for name in names:
         if name not in runs and name != "fixed":
-            runs[name] = run_experiment(cfg, subject, _policy(cfg, mode=name))[:2]
+            runs[name] = run_experiment(cfg, subject, dataclasses.replace(base, mode=name))[:2]
     adaptive = next((m for m in names if m in engine.ADAPTIVE_MODES), None)
     fixed_ratio = cfg.fixed_ratio if adaptive is None else runs[adaptive][0].mean_ratio
     if "fixed" in names:
         runs["fixed"] = run_experiment(
-            cfg, subject, _policy(cfg, mode="fixed", fixed_ratio=fixed_ratio)
+            cfg, subject, dataclasses.replace(base, mode="fixed", fixed_ratio=fixed_ratio)
         )[:2]
 
     def delta(logits):

@@ -6,6 +6,10 @@ mask), and an output head tied to the token embedding. Weights are drawn
 from a seeded generator in a fixed order, so a config reproduces the model
 bit-exactly.
 
+ModelConfig and SparsityPolicy check themselves when built, by the
+constructor or dataclasses.replace: an invalid one raises ConfigError and
+never exists, so no reader checks one again.
+
 Four attention pipelines share one code path:
   dense        full attention, nothing evicted
   zipvl-exact  adaptive budget from full attention scores
@@ -63,12 +67,11 @@ class ModelConfig:
     def d_ff(self) -> int:
         return 4 * self.d_model
 
-    def validate(self) -> "ModelConfig":
+    def __post_init__(self) -> None:
         if min(self.layers, self.heads, self.d_model, self.vocab_size, self.max_seq) < 1:
             raise ConfigError("all model dimensions must be >= 1")
         if self.d_model % self.heads != 0:
             raise ConfigError(f"d_model={self.d_model} not divisible by heads={self.heads}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,7 @@ class SparsityPolicy:
     keep_last: int = 0
     quantize: bool = False
 
-    def validate(self) -> "SparsityPolicy":
+    def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if not 0.0 < self.tau <= 1.0:
@@ -94,7 +97,6 @@ class SparsityPolicy:
             raise ConfigError("probe_recent must be >= 1")
         if self.probe_random < 0 or self.keep_last < 0:
             raise ConfigError("counts must be nonnegative")
-        return self
 
 
 @dataclass
@@ -127,7 +129,6 @@ def init_model(config: ModelConfig) -> TinyTransformer:
     all three; each of its columns is the dot product the separate
     projection would compute.
     """
-    config.validate()
     rng = numkit.make_rng(config.seed)
     d, ff = config.d_model, config.d_ff
     model = TinyTransformer(config=config, embedding=_uniform(rng, d, config.vocab_size).T.copy())
@@ -241,7 +242,6 @@ def prefill(
     them.
     """
     config = model.config
-    policy.validate()
     tokens = _check_tokens(tokens, config)
     n = tokens.size
     d_head = config.d_head

@@ -221,7 +221,6 @@ def evaluate_score_workload(scores: np.ndarray, policy) -> list:
     keep_last applies as in prefill; probe mode needs real attention rows
     and quantization needs a KV cache, so both are rejected.
     """
-    policy.validate()
     if policy.mode == "zipvl-probe":
         raise ConfigError("probe mode requires a model workload")
     if policy.quantize:

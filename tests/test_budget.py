@@ -141,6 +141,30 @@ class TestTopMassFraction:
             budget.top_mass_fraction(np.ones(3), 4, 3.0)
 
 
+class TestMassShare:
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 400),
+        st.sampled_from([0.05, 0.2, 1.0]), st.floats(0.0, 0.9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_share_at_most_one_and_one_when_all_kept(self, seed, n, shape, zeros):
+        # heavy-tailed float32 scores with a zeroed patch: the descending
+        # cumsum and the mass add in different orders, so a raw quotient can
+        # land a hair off 1.0 either way
+        rng = numkit.make_rng(seed)
+        v = rng.gamma(shape, size=n).astype(np.float32)
+        start = int(rng.integers(0, n))
+        v[start : start + int(zeros * n)] = 0.0
+        mass = float(np.sum(v, dtype=np.float64))
+        shares = [budget.top_mass_fraction(v, p, mass) for p in range(1, n + 1)]
+        assert max(shares) <= 1.0 and shares[-1] == 1.0
+        assert budget.adaptive_budget(v, 1.0, mass) == (n, 1.0)
+        for pol in (SparsityPolicy(mode="zipvl-exact", tau=1.0),
+                    SparsityPolicy(mode="fixed", fixed_ratio=1.0)):
+            plan = budget.plan_layer(pol, n, scored_by(v))
+            assert (plan.important.size, plan.retained_mass) == (n, 1.0)
+
+
 def scored_by(accumulated, normalized=None):
     """A plan_layer score callback that hands back fixed vectors and records each probe."""
 

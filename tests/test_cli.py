@@ -109,6 +109,25 @@ class TestConfigParsing:
         assert cfg.tau == 0.9
         assert cfg.seed == 1234  # None override ignored
 
+    # the cross-key checks run when the config is built, by the constructor
+    # and by dataclasses.replace alike, so no command has to repeat them
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"workload": "bogus"}, "workload must be one of"),
+            ({"workload": "file"}, "workload=file needs workload_file=<path>"),
+            ({"workload_file": "w.csv"}, "workload_file needs workload=file, not workload=model"),
+            ({"workload": "peaked", "workload_file": "w.csv"}, "not workload=peaked"),
+            ({"repeats": 0}, "repeats must be >= 1"),
+            ({"seed": -1}, "seed=-1 must be >= 0"),
+        ],
+    )
+    def test_experiment_config_checks_itself(self, change, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            cli.ExperimentConfig(**change)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            dataclasses.replace(cli.ExperimentConfig(), **change)
+
 
 class TestExitCodes:
     def test_unknown_config_key_is_config_error(self, capsys, tmp_path):
@@ -288,6 +307,8 @@ class TestExitCodes:
                 ["compare", "--modes", "fixed,dense", "--tau", "7", "--workload-file", WORKLOAD],
                 "tau=7.0 outside (0, 1]",
             ),
+            # sweep-tau replaces the configured tau, which is checked all the same
+            ("tau=7\n", ["sweep-tau", "--workload-file", WORKLOAD], "tau=7.0 outside (0, 1]"),
             (
                 "fixed_ratio=0\n",
                 ["run", "--mode", "zipvl-exact", "--workload-file", WORKLOAD],
@@ -306,8 +327,8 @@ class TestExitCodes:
         ],
         ids=[
             "seed-flag", "seed-config", "model-n", "taus", "tau-nan-fixed-run",
-            "tau-compare-without-adaptive", "fixed-ratio-adaptive", "probe-recent-dense",
-            "repeated-mode",
+            "tau-compare-without-adaptive", "tau-sweep-tau", "fixed-ratio-adaptive",
+            "probe-recent-dense", "repeated-mode",
         ],
     )
     def test_bad_value_is_config_error(self, capsys, tmp_path, config, argv, message):
@@ -316,6 +337,33 @@ class TestExitCodes:
         rc, out, err = run_cli(capsys, "--config", str(path), *argv)
         assert (rc, out) == (2, "")
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("tau=7", "tau=7.0 outside (0, 1]"),
+            ("fixed_ratio=0", "fixed_ratio=0.0 outside (0, 1]"),
+            ("probe_recent=0", "probe_recent must be >= 1"),
+            ("keep_last=-1", "counts must be nonnegative"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["model", "file"])
+    @pytest.mark.parametrize("command", ["run", "sweep-tau", "compare"])
+    def test_bad_knob_exits_2_before_any_work(
+        self, capsys, tmp_path, monkeypatch, command, source, line, message
+    ):
+        # each command builds its policy before it builds a model or reads scores
+        def work(*args, **kwargs):
+            raise AssertionError("a model was built or a workload read")
+
+        monkeypatch.setattr(engine, "init_model", work)
+        monkeypatch.setattr(workload, "read_workload_csv", work)
+        path = tmp_path / "c.cfg"
+        path.write_text(line + "\n")
+        files = ["--workload-file", WORKLOAD] if source == "file" else []
+        rc, out, err = run_cli(capsys, "--config", str(path), command, *files)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("workload, code", [("model", 6), ("peaked", 4)])
     def test_zero_n_keeps_its_exit_code(self, capsys, tmp_path, workload, code):

@@ -1,6 +1,7 @@
 """End-to-end tests for the tiny transformer and its sparsity pipelines."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -67,9 +68,47 @@ class TestInitAndCheckpoint:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            engine.ModelConfig(layers=1, heads=3, d_model=32, vocab_size=8, max_seq=8, seed=0).validate()
+            engine.ModelConfig(layers=1, heads=3, d_model=32, vocab_size=8, max_seq=8, seed=0)
         with pytest.raises(ConfigError):
-            engine.ModelConfig(layers=0, heads=1, d_model=4, vocab_size=8, max_seq=8, seed=0).validate()
+            engine.ModelConfig(layers=0, heads=1, d_model=4, vocab_size=8, max_seq=8, seed=0)
+
+
+# a config is checked when built, so an invalid one never reaches a reader:
+# each bad value raises from the constructor and from dataclasses.replace alike
+BAD_CONFIGS = [
+    (CFG, {"heads": 3}, "d_model=32 not divisible by heads=3"),
+    (CFG, {"layers": 0}, "all model dimensions must be >= 1"),
+    (CFG, {"max_seq": -1}, "all model dimensions must be >= 1"),
+    (engine.SparsityPolicy(), {"mode": "nope"}, "unknown mode 'nope'"),
+    (engine.SparsityPolicy(), {"tau": 7.0}, "tau=7.0 outside (0, 1]"),
+    (engine.SparsityPolicy(), {"tau": float("nan")}, "tau=nan outside (0, 1]"),
+    (engine.SparsityPolicy(), {"fixed_ratio": 0.0}, "fixed_ratio=0.0 outside (0, 1]"),
+    (engine.SparsityPolicy(), {"probe_recent": 0}, "probe_recent must be >= 1"),
+    (engine.SparsityPolicy(), {"probe_random": -1}, "counts must be nonnegative"),
+    (engine.SparsityPolicy(), {"keep_last": -1}, "counts must be nonnegative"),
+]
+
+
+class TestConfigsCheckThemselves:
+    @pytest.mark.parametrize("good, change, message", BAD_CONFIGS)
+    def test_bad_value_raises_when_built(self, good, change, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            type(good)(**{**dataclasses.asdict(good), **change})
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            dataclasses.replace(good, **change)
+
+    def test_checks_run_in_order(self):
+        # the first failing check names the error
+        with pytest.raises(ConfigError, match="unknown mode"):
+            engine.SparsityPolicy(mode="nope", tau=7.0, keep_last=-1)
+        with pytest.raises(ConfigError, match="tau=7.0"):
+            engine.SparsityPolicy(tau=7.0, fixed_ratio=0.0)
+        with pytest.raises(ConfigError, match="all model dimensions"):
+            dataclasses.replace(CFG, heads=0, d_model=5)
+
+    def test_no_validate_method(self):
+        assert not hasattr(engine.ModelConfig, "validate")
+        assert not hasattr(engine.SparsityPolicy, "validate")
 
 
 class TestPrefillValidation:
