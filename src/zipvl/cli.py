@@ -10,11 +10,11 @@ Configuration comes from an optional key=value file (--config) overlaid by
 the flags, each of which sets the config key its argparse dest names;
 unknown keys are errors. Configs check themselves when built:
 ExperimentConfig its cross-key rules, engine's ModelConfig and
-SparsityPolicy their values. run, sweep-tau and compare build their
-policy before any model is built or workload read, so a bad knob exits 2
-before any work. All output is deterministic: keys are sorted,
-floats use shortest round-trip repr, and nothing records time or
-environment.
+SparsityPolicy their values. The config holds its SparsityPolicy and
+build_config builds both, so in every command a bad knob exits 2 before
+any model is built or workload read. All output is deterministic: keys
+are sorted, floats use shortest round-trip repr, and nothing records
+time or environment.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ _PROMPT_TAG = 3
 
 WORKLOAD_SOURCES = ("model", *workload.KINDS, "file")
 
-_DEFAULT_POLICY = engine.SparsityPolicy()
-
 
 @dataclass
 class ExperimentConfig:
@@ -80,14 +78,8 @@ class ExperimentConfig:
     steps: int = 16
     concentration: float = 8.0
     workload_file: str = ""
-    # sparsity policy: SparsityPolicy's defaults, except the mode
-    mode: str = "zipvl-exact"
-    tau: float = _DEFAULT_POLICY.tau
-    fixed_ratio: float = _DEFAULT_POLICY.fixed_ratio
-    probe_recent: int = _DEFAULT_POLICY.probe_recent
-    probe_random: int = _DEFAULT_POLICY.probe_random
-    keep_last: int = _DEFAULT_POLICY.keep_last
-    quantize: bool = _DEFAULT_POLICY.quantize
+    # its fields are config keys too: SparsityPolicy's defaults, except the mode
+    policy: engine.SparsityPolicy = engine.SparsityPolicy(mode="zipvl-exact")
     # shared
     seed: int = 1234
     repeats: int = 1
@@ -98,7 +90,8 @@ class ExperimentConfig:
         """Reject a config whose keys disagree, whenever one is built.
 
         workload must be a known source, set to file exactly when
-        workload_file is, and repeats >= 1 and seed >= 0.
+        workload_file is, repeats >= 1, seed >= 0, and taus a nonempty
+        comma-separated float list, parsed into sweep_taus.
         """
         if self.workload not in WORKLOAD_SOURCES:
             raise ConfigError(f"workload must be one of {WORKLOAD_SOURCES}")
@@ -110,6 +103,21 @@ class ExperimentConfig:
             raise ConfigError("repeats must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be >= 0")
+        self.sweep_taus = tuple(
+            _coerce("taus", float, tau) for tau in self.taus.split(",") if tau.strip()
+        )
+        if not self.sweep_taus:
+            raise ConfigError("taus is empty")
+
+
+def config_keys() -> dict[str, type]:
+    """Every config key and its type, in order: ExperimentConfig's fields, policy's in its place."""
+    types = {"int": int, "float": float, "str": str, "bool": bool}
+    keys = {}
+    for f in dataclasses.fields(ExperimentConfig):
+        group = dataclasses.fields(engine.SparsityPolicy) if f.name == "policy" else (f,)
+        keys.update({g.name: types[g.type] for g in group})
+    return keys
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -156,10 +164,10 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     """The defaults, overlaid by the raw config values, then by the overrides that are not None.
 
     An overriding workload_file implies workload=file unless the overrides
-    name a workload. The config checks itself when built.
+    name a workload. The policy keys go to the config's policy. The config
+    and its policy check themselves when built.
     """
-    types = {"int": int, "float": float, "str": str, "bool": bool}
-    kinds = {f.name: types[f.type] for f in dataclasses.fields(ExperimentConfig)}
+    kinds = config_keys()
     values = {}
     for key, value in raw.items():
         if key not in kinds:
@@ -168,7 +176,11 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
     if overrides.get("workload_file"):
         overrides.setdefault("workload", "file")
-    return ExperimentConfig(**{**values, **overrides})
+    values.update(overrides)
+    policy_keys = {f.name for f in dataclasses.fields(engine.SparsityPolicy)}
+    knobs = {key: values.pop(key) for key in policy_keys & values.keys()}
+    # the class attribute is the field's default policy
+    return ExperimentConfig(**values, policy=dataclasses.replace(ExperimentConfig.policy, **knobs))
 
 
 def _from_cfg(klass, cfg: ExperimentConfig, **changes):
@@ -177,17 +189,14 @@ def _from_cfg(klass, cfg: ExperimentConfig, **changes):
     return klass(**{**values, **changes})
 
 
-def _policy(cfg: ExperimentConfig, **changes) -> engine.SparsityPolicy:
-    return _from_cfg(engine.SparsityPolicy, cfg, **changes)
-
-
 def _adaptive_mode(cfg: ExperimentConfig, command: str) -> str:
-    """The adaptive mode sweep-tau and compare without modes run: cfg.mode, never swapped."""
-    if cfg.mode not in engine.ADAPTIVE_MODES:
+    """The adaptive mode sweep-tau and compare without modes run: the policy's, never swapped."""
+    mode = cfg.policy.mode
+    if mode not in engine.ADAPTIVE_MODES:
         raise ConfigError(
-            f"mode {cfg.mode!r} is not adaptive; {command} runs one of {engine.ADAPTIVE_MODES}"
+            f"mode {mode!r} is not adaptive; {command} runs one of {engine.ADAPTIVE_MODES}"
         )
-    return cfg.mode
+    return mode
 
 
 def _prompt_tokens(cfg: ExperimentConfig, repeat: int = 0) -> np.ndarray:
@@ -276,13 +285,12 @@ def cmd_run(cfg: ExperimentConfig) -> dict:
     """
     if cfg.workload == "file" and cfg.repeats > 1:
         raise ConfigError("repeats needs a model or generated workload, not workload=file")
-    policy = _policy(cfg)
     subject = _build_subject(cfg)
     reports, entries = [], []
     for repeat in range(cfg.repeats):
         if repeat and cfg.workload in workload.KINDS:
             subject = _build_subject(cfg, repeat)
-        report, _, prompt = run_experiment(cfg, subject, policy, repeat, cfg.steps)
+        report, _, prompt = run_experiment(cfg, subject, cfg.policy, repeat, cfg.steps)
         reports.append(report)
         entries.append({**dataclasses.asdict(report), "prompt": prompt, "repeat": repeat})
     # goes to stderr so stdout stays a pure, byte-stable artifact
@@ -298,12 +306,9 @@ def cmd_run(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_sweep_tau(cfg: ExperimentConfig) -> list[dict]:
-    taus = [_coerce("taus", float, t) for t in cfg.taus.split(",") if t.strip()]
-    if not taus:
-        raise ConfigError("taus is empty")
     _single_repeat(cfg, "sweep-tau")
-    base = _policy(cfg, mode=_adaptive_mode(cfg, "sweep-tau"))
-    policies = [dataclasses.replace(base, tau=tau) for tau in taus]
+    mode = _adaptive_mode(cfg, "sweep-tau")
+    policies = [dataclasses.replace(cfg.policy, mode=mode, tau=tau) for tau in cfg.sweep_taus]
     subject = _build_subject(cfg)
     keys = ("mean_ratio", "flops_reduction", "kv_reduction", "min_retained_mass")
     rows = []
@@ -326,47 +331,43 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
         names = [_adaptive_mode(cfg, "compare without modes"), "fixed", "dense"]
     if len(names) < 2:
         raise ConfigError("compare needs at least 2 modes")
+    # dense runs first, as the logit baseline
+    policies = {"dense": dataclasses.replace(cfg.policy, mode="dense")}
     for i, name in enumerate(names):
-        if name not in engine.MODES:
-            raise ConfigError(f"unknown mode {name!r} in modes; expected one of {engine.MODES}")
         if name in names[:i]:
             raise ConfigError(f"mode {name!r} repeated in modes")
+        policies[name] = dataclasses.replace(cfg.policy, mode=name)
+    if "fixed" in policies:  # last, once the adaptive ratio it matches is known
+        policies["fixed"] = policies.pop("fixed")
     _single_repeat(cfg, "compare")
-    base = _policy(cfg, mode="dense")
 
     subject = _build_subject(cfg)
-    dense_report, logits_dense, _ = run_experiment(cfg, subject, base)
-    runs: dict = {"dense": (dense_report, logits_dense)}
-    for name in names:
-        if name not in runs and name != "fixed":
-            runs[name] = run_experiment(cfg, subject, dataclasses.replace(base, mode=name))[:2]
     adaptive = next((m for m in names if m in engine.ADAPTIVE_MODES), None)
-    fixed_ratio = cfg.fixed_ratio if adaptive is None else runs[adaptive][0].mean_ratio
-    if "fixed" in names:
-        runs["fixed"] = run_experiment(
-            cfg, subject, dataclasses.replace(base, mode="fixed", fixed_ratio=fixed_ratio)
-        )[:2]
+    runs: dict = {}
+    for name, policy in policies.items():
+        if name == "fixed" and adaptive is not None:
+            policy = dataclasses.replace(policy, fixed_ratio=runs[adaptive][0].mean_ratio)
+        runs[name] = run_experiment(cfg, subject, policy)[:2]
+    logits_dense = runs["dense"][1]
 
     def delta(logits):
         if logits is None or logits_dense is None:
             return None
         return float(np.max(np.abs(logits.astype(np.float64) - logits_dense.astype(np.float64))))
 
-    tau = cfg.tau
+    tau = cfg.policy.tau
     entries = []
     for name in names:
         report, logits = runs[name]
         entry = {"mode": name, **_summary(report)}
         entry["logit_delta_vs_dense"] = delta(logits)
-        entry["layers_below_tau"] = sum(
-            1 for r in report.layer_reports if r.retained_mass < tau
-        )
+        entry["layers_below_tau"] = sum(1 for r in report.layer_reports if r.retained_mass < tau)
         entries.append(entry)
 
     below_tau = {e["mode"]: e["layers_below_tau"] for e in entries}
     out = {"tau": tau, "modes": entries}
     if "fixed" in names:
-        out["fixed_ratio_used"] = fixed_ratio
+        out["fixed_ratio_used"] = runs["fixed"][0].policy["fixed_ratio"]
         out["fixed_layers_below_tau"] = below_tau["fixed"]
     if adaptive is not None:
         out["adaptive_layers_below_tau"] = below_tau[adaptive]
@@ -484,7 +485,7 @@ def main(argv=None) -> int:
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config: {exc}") from exc
             raw = parse_config_text(text)
-        keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        keys = config_keys()
         cfg = build_config(raw, {k: v for k, v in vars(args).items() if k in keys})
         # looked up per call, so a wrapper set on a cmd_* attribute sees it
         command = {

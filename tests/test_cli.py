@@ -93,8 +93,8 @@ class TestConfigParsing:
         cfg = cli.build_config(
             {"tau": "0.5", "layers": "6", "quantize": "true", "mode": "fixed"}
         )
-        assert cfg.tau == 0.5 and cfg.layers == 6 and cfg.quantize is True
-        assert cfg.mode == "fixed"
+        assert cfg.policy.tau == 0.5 and cfg.layers == 6 and cfg.policy.quantize is True
+        assert cfg.policy.mode == "fixed"
 
     def test_bad_bool_rejected(self):
         with pytest.raises(ConfigError):
@@ -106,8 +106,39 @@ class TestConfigParsing:
 
     def test_overrides_win(self):
         cfg = cli.build_config({"tau": "0.5"}, {"tau": 0.9, "seed": None})
-        assert cfg.tau == 0.9
+        assert cfg.policy.tau == 0.9
         assert cfg.seed == 1234  # None override ignored
+
+    def test_taus_parsed_when_built(self):
+        assert cli.build_config({"taus": " 0.5, 1 ,"}).sweep_taus == (0.5, 1.0)
+        cfg = dataclasses.replace(cli.ExperimentConfig(), taus="0.9")
+        assert cfg.sweep_taus == (0.9,)
+
+    # raw values that coerce, in and out of each knob's range
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "mode": st.sampled_from([*engine.MODES, "turbo"]),
+                "tau": st.floats(),
+                "fixed_ratio": st.one_of(st.floats(0.0, 1.0), st.floats()),
+                "probe_recent": st.integers(-2, 200),
+                "probe_random": st.integers(-2, 200),
+                "keep_last": st.integers(-2, 200),
+                "quantize": st.booleans(),
+            },
+        )
+    )
+    def test_property_policy_keys_build_the_policy(self, knobs):
+        raw = {key: str(value) for key, value in knobs.items()}
+        try:
+            expected = dataclasses.replace(engine.SparsityPolicy(mode="zipvl-exact"), **knobs)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+                cli.build_config(raw)
+        else:
+            assert cli.build_config(raw).policy == expected
 
     # the cross-key checks run when the config is built, by the constructor
     # and by dataclasses.replace alike, so no command has to repeat them
@@ -277,7 +308,7 @@ class TestExitCodes:
             rc = cli.main(["--out", out, "run", "--workload-file", str(path), "--tau", "0.9"])
         assert rc in (0, 10)
 
-    # sweep-tau checks its empty taus first, so any config that parses fails there too
+    # the config rejects the empty taus when built, so any config that parses fails there too
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([b"", b"n=4\n", b"taus=0.5\n"]), st.binary())
     def test_property_any_config_bytes_exit_2_before_a_model(self, prefix, data):
@@ -345,21 +376,32 @@ class TestExitCodes:
             ("fixed_ratio=0", "fixed_ratio=0.0 outside (0, 1]"),
             ("probe_recent=0", "probe_recent must be >= 1"),
             ("keep_last=-1", "counts must be nonnegative"),
+            ("taus=0.5,abc", "config key taus: could not convert string to float: 'abc'"),
+            ("taus= , ", "taus is empty"),
         ],
     )
-    @pytest.mark.parametrize("source", ["model", "file"])
-    @pytest.mark.parametrize("command", ["run", "sweep-tau", "compare"])
+    @pytest.mark.parametrize(
+        "command, source",
+        [
+            *((command, source) for command in ("run", "sweep-tau", "compare")
+              for source in ("model", "file")),
+            ("gen-workload", "peaked"),
+        ],
+    )
     def test_bad_knob_exits_2_before_any_work(
         self, capsys, tmp_path, monkeypatch, command, source, line, message
     ):
-        # each command builds its policy before it builds a model or reads scores
+        # the config builds its policy and parses taus, so every command rejects
+        # a bad one before any work
         def work(*args, **kwargs):
-            raise AssertionError("a model was built or a workload read")
+            raise AssertionError("a model was built or a workload read or generated")
 
         monkeypatch.setattr(engine, "init_model", work)
         monkeypatch.setattr(workload, "read_workload_csv", work)
+        monkeypatch.setattr(workload, "generate_workload", work)
         path = tmp_path / "c.cfg"
-        path.write_text(line + "\n")
+        kind = "" if source in ("model", "file") else f"workload={source}\n"
+        path.write_text(kind + line + "\n")
         files = ["--workload-file", WORKLOAD] if source == "file" else []
         rc, out, err = run_cli(capsys, "--config", str(path), command, *files)
         assert (rc, out) == (2, "")
@@ -456,7 +498,7 @@ def test_formats_config_table_lists_every_config_key():
     doc = (pathlib.Path(__file__).parent.parent / "docs" / "FORMATS.md").read_text()
     table = doc.split("| key ", 1)[1].split("\n\n", 1)[0]
     documented = re.findall(r"^\| `(\w+)`", table, flags=re.MULTILINE)
-    assert documented == [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+    assert documented == list(cli.config_keys())
 
 
 def test_formats_config_table_defaults_are_the_config_defaults():
@@ -464,13 +506,23 @@ def test_formats_config_table_defaults_are_the_config_defaults():
     table = doc.split("| key ", 1)[1].split("\n\n", 1)[0]
     rows = re.findall(r"^\| `(\w+)` +\| \w+ +\| ([^|]*?) +\|", table, flags=re.MULTILINE)
     documented = {key: "" if cell == "empty" else cell.strip("`") for key, cell in rows}
-    assert list(documented) == [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+    assert list(documented) == list(cli.config_keys())
     assert cli.build_config(documented) == cli.ExperimentConfig()
+
+
+def test_no_config_key_is_declared_twice():
+    # the policy's keys live on SparsityPolicy alone, not mirrored on the config
+    config = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+    policy = [f.name for f in dataclasses.fields(engine.SparsityPolicy)]
+    assert set(config) & set(policy) == set()
+    keys = list(cli.config_keys())
+    assert len(keys) == len(config) - 1 + len(policy)
+    assert set(keys) == {*config, *policy} - {"policy"}
 
 
 def test_every_flag_sets_a_config_key():
     # main hands build_config every parsed option whose dest is a config key
-    keys = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+    keys = cli.config_keys()
     parser = cli.make_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     dests = {
@@ -656,6 +708,32 @@ class TestSubcommandSemantics:
         res = cli.cmd_compare(cfg)
         assert sorted(calls) == sorted(e["mode"] for e in res["modes"])
 
+    # dense first, the listed modes in order, fixed last at the adaptive ratio
+    @pytest.mark.parametrize(
+        "modes, order",
+        [
+            ("", ["dense", "zipvl-exact", "fixed"]),
+            ("fixed,zipvl-probe,zipvl-exact", ["dense", "zipvl-probe", "zipvl-exact", "fixed"]),
+            ("zipvl-exact,dense,fixed", ["dense", "zipvl-exact", "fixed"]),
+        ],
+    )
+    def test_compare_run_order(self, monkeypatch, modes, order):
+        calls = []
+        prefill = engine.prefill
+
+        def counted(model, tokens, policy, *args, **kwargs):
+            calls.append(policy)
+            return prefill(model, tokens, policy, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "prefill", counted)
+        cfg = cli.build_config(
+            {}, {"n": 24, "steps": 2, "layers": 2, "d_model": 32, "heads": 2,
+                 "vocab_size": 64, "modes": modes},
+        )
+        res = cli.cmd_compare(cfg)
+        assert [policy.mode for policy in calls] == order
+        assert calls[-1].fixed_ratio == res["fixed_ratio_used"]
+
     @pytest.mark.parametrize(
         "command, overrides",
         [
@@ -745,12 +823,16 @@ class TestSubcommandSemantics:
         command(cfg)
         assert steps == [24, 25, 26][:decodes_per_repeat] * cfg.repeats
 
-    def test_compare_rejects_unknown_mode(self, capsys):
+    def test_compare_rejects_unknown_mode(self, capsys, monkeypatch):
+        def read(*args, **kwargs):
+            raise AssertionError("a workload was read")
+
+        monkeypatch.setattr(workload, "read_workload_csv", read)
         rc, _, err = run_cli(
             capsys, "compare", "--workload-file", WORKLOAD, "--modes", "zipvl-exact,turbo"
         )
         assert rc == 2
-        assert "turbo" in err
+        assert err == f"error: unknown mode 'turbo'; expected one of {engine.MODES}\n"
 
     def test_gen_workload_roundtrips_through_run(self, capsys, tmp_path):
         w_path = tmp_path / "w.csv"
