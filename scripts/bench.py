@@ -37,12 +37,12 @@ packed bytes it models.
 
 Rows of one invocation form a row set under --label in each file; the files
 keep every row set, so the trajectory across changes can be read. The model
-has the CLI default shape, read from cli.ExperimentConfig (4 layers x 4
-heads x d_model 64 with a 256-token vocabulary), but not the CLI's
-weights: it seeds init_model with 1234 directly, where the CLI derives its
-model seed from the global seed. The policies keep the default knobs
-(tau 0.975, fixed_ratio 0.5, probes 64 + 64); numpy runs on one BLAS
-thread.
+is the CLI's default model, cli.ExperimentConfig.model (4 layers x 4 heads
+x d_model 64 with a 256-token vocabulary), with max_seq set per run, but
+not the CLI's weights: it seeds init_model with 1234 directly, where the
+CLI derives its model seed from the global seed. The policies keep the
+default knobs (tau 0.975, fixed_ratio 0.5, probes 64 + 64); numpy runs on
+one BLAS thread.
 
 Usage:
     PYTHONPATH=src python3 scripts/bench.py --label NAME
@@ -54,6 +54,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import platform
@@ -67,8 +68,8 @@ from zipvl import cli, engine, kvcache
 SIZES = (128, 512, 2048)
 PROMPT, STEPS = 2048, 256
 REPEATS = 7
-_SHAPE = cli.ExperimentConfig()
-LAYERS, HEADS, D_MODEL, VOCAB = _SHAPE.layers, _SHAPE.heads, _SHAPE.d_model, _SHAPE.vocab_size
+_SHAPE = cli.ExperimentConfig.model
+VOCAB = _SHAPE.vocab_size
 SEED = 1234
 DECODE_POLICIES = (
     ("dense", {"mode": "dense"}),
@@ -82,12 +83,7 @@ DECODE_OUT = ROOT / "BENCH_decode.json"
 
 
 def _model(max_seq: int) -> engine.TinyTransformer:
-    return engine.init_model(
-        engine.ModelConfig(
-            layers=LAYERS, heads=HEADS, d_model=D_MODEL, vocab_size=VOCAB, max_seq=max_seq,
-            seed=SEED,
-        )
-    )
+    return engine.init_model(dataclasses.replace(_SHAPE, max_seq=max_seq, seed=SEED))
 
 
 def reference_ms() -> float:
@@ -193,7 +189,7 @@ def measure_decode() -> list[dict]:
         for i, policy in enumerate(policies):
             prefilled = engine.prefill(model, prompt, policy)
             _, cache, layer_reports = prefilled
-            cache_rows[i] = float(np.mean([cache.rows(layer) for layer in range(LAYERS)]))
+            cache_rows[i] = float(np.mean([cache.rows(layer) for layer in range(_SHAPE.layers)]))
             cache_bytes[i] = _cache_bytes(cache, layer_reports)
             t0 = time.perf_counter()
             _, reports[i] = engine.decode(model, prompt, prefilled, STEPS, policy)
@@ -226,7 +222,9 @@ def _append_row_set(path: pathlib.Path, label: str, rows: list[dict]) -> None:
             "label": label,
             "repeats": REPEATS,
             "blas_threads": 1,
-            "model": {"layers": LAYERS, "heads": HEADS, "d_model": D_MODEL, "vocab_size": VOCAB},
+            "model": {
+                key: getattr(_SHAPE, key) for key in ("layers", "heads", "d_model", "vocab_size")
+            },
             "machine": f"{platform.machine()}, {os.cpu_count()} cpus, numpy {np.__version__}",
             "rows": rows,
         }

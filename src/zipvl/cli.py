@@ -9,11 +9,12 @@ Subcommands:
 Configuration comes from an optional key=value file (--config) overlaid by
 the flags, each of which sets the config key its argparse dest names;
 unknown keys are errors. Configs check themselves when built:
-ExperimentConfig its cross-key rules, engine's ModelConfig and
-SparsityPolicy their values. The config holds its SparsityPolicy and
-build_config builds both, so in every command a bad knob exits 2 before
-any model is built or workload read. All output is deterministic: keys
-are sorted, floats use shortest round-trip repr, and nothing records
+ExperimentConfig its cross-key rules, taus and modes, engine's ModelConfig
+and SparsityPolicy their values. The config holds its ModelConfig and its
+SparsityPolicy, whose fields are config keys too, and build_config builds
+all three, so in every command and on every workload a bad key exits 2
+before any model is built or workload read. All output is deterministic:
+keys are sorted, floats use shortest round-trip repr, and nothing records
 time or environment.
 """
 
@@ -66,12 +67,10 @@ WORKLOAD_SOURCES = ("model", *workload.KINDS, "file")
 
 @dataclass
 class ExperimentConfig:
-    # model shape
-    layers: int = 4
-    heads: int = 4
-    d_model: int = 64
-    vocab_size: int = 256
-    max_seq: int = 512
+    # its fields are config keys too, but seed: __post_init__ derives that from the config's
+    model: engine.ModelConfig = engine.ModelConfig(
+        layers=4, heads=4, d_model=64, vocab_size=256, max_seq=512, seed=0
+    )
     # workload
     workload: str = "model"
     n: int = 128
@@ -91,7 +90,9 @@ class ExperimentConfig:
 
         workload must be a known source, set to file exactly when
         workload_file is, repeats >= 1, seed >= 0, and taus a nonempty
-        comma-separated float list, parsed into sweep_taus.
+        comma-separated float list, parsed into sweep_taus. modes, parsed
+        into compare_modes, is empty or at least 2 distinct known modes.
+        The model's seed is derived from seed.
         """
         if self.workload not in WORKLOAD_SOURCES:
             raise ConfigError(f"workload must be one of {WORKLOAD_SOURCES}")
@@ -103,21 +104,33 @@ class ExperimentConfig:
             raise ConfigError("repeats must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be >= 0")
+        self.model = dataclasses.replace(self.model, seed=numkit.derive_seed(self.seed, _MODEL_TAG))
         self.sweep_taus = tuple(
             _coerce("taus", float, tau) for tau in self.taus.split(",") if tau.strip()
         )
         if not self.sweep_taus:
             raise ConfigError("taus is empty")
+        self.compare_modes = tuple(m.strip() for m in self.modes.split(",") if m.strip())
+        if len(self.compare_modes) == 1:
+            raise ConfigError("compare needs at least 2 modes")
+        for i, name in enumerate(self.compare_modes):
+            if name in self.compare_modes[:i]:
+                raise ConfigError(f"mode {name!r} repeated in modes")
+            dataclasses.replace(self.policy, mode=name)  # SparsityPolicy rejects an unknown mode
+
+
+def _key_fields(f: dataclasses.Field) -> tuple:
+    """The config keys f stands for: itself, or its default config's fields but the model's seed."""
+    if not dataclasses.is_dataclass(f.default):
+        return (f,)
+    return tuple(g for g in dataclasses.fields(f.default) if g.name != "seed")
 
 
 def config_keys() -> dict[str, type]:
-    """Every config key and its type, in order: ExperimentConfig's fields, policy's in its place."""
+    """Every config key and its type, in order: a nested config's keys in its field's place."""
     types = {"int": int, "float": float, "str": str, "bool": bool}
-    keys = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        group = dataclasses.fields(engine.SparsityPolicy) if f.name == "policy" else (f,)
-        keys.update({g.name: types[g.type] for g in group})
-    return keys
+    fields = dataclasses.fields(ExperimentConfig)
+    return {g.name: types[g.type] for f in fields for g in _key_fields(f)}
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -164,8 +177,9 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     """The defaults, overlaid by the raw config values, then by the overrides that are not None.
 
     An overriding workload_file implies workload=file unless the overrides
-    name a workload. The policy keys go to the config's policy. The config
-    and its policy check themselves when built.
+    name a workload. The model and policy keys go to the config's model
+    and policy. The config, its model and its policy check themselves when
+    built.
     """
     kinds = config_keys()
     values = {}
@@ -177,16 +191,11 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     if overrides.get("workload_file"):
         overrides.setdefault("workload", "file")
     values.update(overrides)
-    policy_keys = {f.name for f in dataclasses.fields(engine.SparsityPolicy)}
-    knobs = {key: values.pop(key) for key in policy_keys & values.keys()}
-    # the class attribute is the field's default policy
-    return ExperimentConfig(**values, policy=dataclasses.replace(ExperimentConfig.policy, **knobs))
-
-
-def _from_cfg(klass, cfg: ExperimentConfig, **changes):
-    """klass built from cfg's keys of its field names, `changes` applied on top."""
-    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(klass)}
-    return klass(**{**values, **changes})
+    for f in dataclasses.fields(ExperimentConfig):
+        if dataclasses.is_dataclass(f.default):
+            knobs = {g.name: values.pop(g.name) for g in _key_fields(f) if g.name in values}
+            values[f.name] = dataclasses.replace(f.default, **knobs)
+    return ExperimentConfig(**values)
 
 
 def _adaptive_mode(cfg: ExperimentConfig, command: str) -> str:
@@ -201,7 +210,7 @@ def _adaptive_mode(cfg: ExperimentConfig, command: str) -> str:
 
 def _prompt_tokens(cfg: ExperimentConfig, repeat: int = 0) -> np.ndarray:
     rng = numkit.make_rng(numkit.derive_seed(cfg.seed, _PROMPT_TAG, repeat))
-    return rng.integers(0, cfg.vocab_size, size=cfg.n, dtype=np.int64)
+    return rng.integers(0, cfg.model.vocab_size, size=cfg.n, dtype=np.int64)
 
 
 def _build_subject(
@@ -226,14 +235,13 @@ def _build_subject(
             raise FormatError(f"workload file is not UTF-8: {exc}") from exc
     if cfg.workload != "model":
         return workload.generate_workload(
-            cfg.workload, cfg.n, cfg.layers, cfg.concentration,
+            cfg.workload, cfg.n, cfg.model.layers, cfg.concentration,
             numkit.derive_seed(cfg.seed, _WORKLOAD_TAG, repeat),
         )
-    config = _from_cfg(engine.ModelConfig, cfg, seed=numkit.derive_seed(cfg.seed, _MODEL_TAG))
     if cfg.n < 0:
         raise ConfigError(f"n={cfg.n} must be >= 0")
-    engine.check_length(cfg.n, cfg.steps, config.max_seq)
-    return engine.init_model(config)
+    engine.check_length(cfg.n, cfg.steps, cfg.model.max_seq)
+    return engine.init_model(cfg.model)
 
 
 def run_experiment(
@@ -326,16 +334,10 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     the configured fixed_ratio if no adaptive mode is listed), so the
     comparison isolates how the budget is allocated across layers.
     """
-    names = [m.strip() for m in cfg.modes.split(",") if m.strip()]
-    if not names:
-        names = [_adaptive_mode(cfg, "compare without modes"), "fixed", "dense"]
-    if len(names) < 2:
-        raise ConfigError("compare needs at least 2 modes")
+    names = cfg.compare_modes or (_adaptive_mode(cfg, "compare without modes"), "fixed", "dense")
     # dense runs first, as the logit baseline
     policies = {"dense": dataclasses.replace(cfg.policy, mode="dense")}
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ConfigError(f"mode {name!r} repeated in modes")
+    for name in names:
         policies[name] = dataclasses.replace(cfg.policy, mode=name)
     if "fixed" in policies:  # last, once the adaptive ratio it matches is known
         policies["fixed"] = policies.pop("fixed")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zipvl import cli, engine, workload
+from zipvl import cli, engine, numkit, workload
 from zipvl.errors import ConfigError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -93,7 +93,7 @@ class TestConfigParsing:
         cfg = cli.build_config(
             {"tau": "0.5", "layers": "6", "quantize": "true", "mode": "fixed"}
         )
-        assert cfg.policy.tau == 0.5 and cfg.layers == 6 and cfg.policy.quantize is True
+        assert cfg.policy.tau == 0.5 and cfg.model.layers == 6 and cfg.policy.quantize is True
         assert cfg.policy.mode == "fixed"
 
     def test_bad_bool_rejected(self):
@@ -139,6 +139,49 @@ class TestConfigParsing:
                 cli.build_config(raw)
         else:
             assert cli.build_config(raw).policy == expected
+
+    # raw shape values that coerce, in and out of each key's range; few heads
+    # counts divide d_model, so heads is drawn from a small range
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "layers": st.integers(-2, 12),
+                "heads": st.integers(-2, 9),
+                "d_model": st.integers(-2, 130),
+                "vocab_size": st.integers(-2, 600),
+                "max_seq": st.integers(-2, 2000),
+            },
+        )
+    )
+    def test_property_model_keys_build_the_model(self, shape):
+        raw = {key: str(value) for key, value in shape.items()}
+        default = cli.ExperimentConfig.model
+        try:
+            dataclasses.replace(default, **shape)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+                cli.build_config(raw)
+        else:
+            cfg = cli.build_config(raw)
+            seed = numkit.derive_seed(cfg.seed, 1)
+            assert cfg.model == dataclasses.replace(default, **shape, seed=seed)
+
+    def test_model_seed_follows_the_config_seed(self):
+        # the model the config holds is the one _build_subject builds
+        cfg = cli.ExperimentConfig(seed=7)
+        assert cfg.model.seed == numkit.derive_seed(7, 1)
+        assert dataclasses.replace(cfg, seed=9).model.seed == numkit.derive_seed(9, 1)
+        cfg = cli.build_config({"layers": "1", "d_model": "8", "heads": "2"}, {"seed": 5})
+        assert cfg.model.seed == numkit.derive_seed(5, 1)
+        assert cli._build_subject(cfg).config == cfg.model
+
+    def test_modes_parsed_when_built(self):
+        assert cli.build_config({"modes": " fixed, dense ,"}).compare_modes == ("fixed", "dense")
+        assert cli.ExperimentConfig().compare_modes == ()
+        cfg = dataclasses.replace(cli.ExperimentConfig(), modes="dense,zipvl-probe")
+        assert cfg.compare_modes == ("dense", "zipvl-probe")
 
     # the cross-key checks run when the config is built, by the constructor
     # and by dataclasses.replace alike, so no command has to repeat them
@@ -378,6 +421,13 @@ class TestExitCodes:
             ("keep_last=-1", "counts must be nonnegative"),
             ("taus=0.5,abc", "config key taus: could not convert string to float: 'abc'"),
             ("taus= , ", "taus is empty"),
+            ("heads=3", "d_model=64 not divisible by heads=3"),
+            ("layers=0", "all model dimensions must be >= 1"),
+            ("vocab_size=0", "all model dimensions must be >= 1"),
+            ("modes=turbo", "compare needs at least 2 modes"),
+            ("modes=dense", "compare needs at least 2 modes"),
+            ("modes=dense,dense", "mode 'dense' repeated in modes"),
+            ("modes=dense,turbo", f"unknown mode 'turbo'; expected one of {engine.MODES}"),
         ],
     )
     @pytest.mark.parametrize(
@@ -386,13 +436,14 @@ class TestExitCodes:
             *((command, source) for command in ("run", "sweep-tau", "compare")
               for source in ("model", "file")),
             ("gen-workload", "peaked"),
+            *((command, "peaked") for command in ("run", "sweep-tau", "compare")),
         ],
     )
     def test_bad_knob_exits_2_before_any_work(
         self, capsys, tmp_path, monkeypatch, command, source, line, message
     ):
-        # the config builds its policy and parses taus, so every command rejects
-        # a bad one before any work
+        # the config builds its model and policy and parses taus and modes, so
+        # every command rejects a bad one on every workload before any work
         def work(*args, **kwargs):
             raise AssertionError("a model was built or a workload read or generated")
 
@@ -511,13 +562,15 @@ def test_formats_config_table_defaults_are_the_config_defaults():
 
 
 def test_no_config_key_is_declared_twice():
-    # the policy's keys live on SparsityPolicy alone, not mirrored on the config
+    # the model's and policy's keys live on ModelConfig and SparsityPolicy alone,
+    # not mirrored on the config; the model's seed is derived, not a key
     config = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+    model = [f.name for f in dataclasses.fields(engine.ModelConfig) if f.name != "seed"]
     policy = [f.name for f in dataclasses.fields(engine.SparsityPolicy)]
-    assert set(config) & set(policy) == set()
+    assert len({*config, *model, *policy}) == len(config) + len(model) + len(policy)
     keys = list(cli.config_keys())
-    assert len(keys) == len(config) - 1 + len(policy)
-    assert set(keys) == {*config, *policy} - {"policy"}
+    assert len(set(keys)) == len(keys) == len(config) - 2 + len(model) + len(policy)
+    assert set(keys) == {*config, *model, *policy} - {"model", "policy"}
 
 
 def test_every_flag_sets_a_config_key():

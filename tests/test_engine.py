@@ -868,10 +868,7 @@ class TestProbeKeptMass:
 
     def kept(self, mode):
         """(ratio, true kept mass) per layer, default model shape."""
-        shape = cli.ExperimentConfig()
-        cfg = engine.ModelConfig(
-            shape.layers, shape.heads, shape.d_model, shape.vocab_size, self.N, seed=1234
-        )
+        cfg = dataclasses.replace(cli.ExperimentConfig.model, max_seq=self.N, seed=1234)
         model = engine.init_model(cfg)
         toks = numkit.make_rng(1234 + self.N).integers(0, cfg.vocab_size, size=self.N)
         trace: list = []
