@@ -14,8 +14,8 @@ and SparsityPolicy their values. The config holds its ModelConfig and its
 SparsityPolicy, whose fields are config keys too, and build_config builds
 all three, so in every command and on every workload a bad key exits 2
 before any model is built or workload read. All output is deterministic:
-keys are sorted, floats use shortest round-trip repr, and nothing records
-time or environment.
+keys are sorted, floats use shortest round-trip repr (a workload CSV's
+scores nine significant digits), and nothing records time or environment.
 """
 
 from __future__ import annotations
@@ -89,10 +89,10 @@ class ExperimentConfig:
         """Reject a config whose keys disagree, whenever one is built.
 
         workload must be a known source, set to file exactly when
-        workload_file is, repeats >= 1, seed >= 0, and taus a nonempty
-        comma-separated float list, parsed into sweep_taus. modes, parsed
-        into compare_modes, is empty or at least 2 distinct known modes.
-        The model's seed is derived from seed.
+        workload_file is, concentration > 0, repeats >= 1, seed >= 0, and
+        taus a nonempty comma-separated float list, parsed into sweep_taus.
+        modes, parsed into compare_modes, is empty or at least 2 distinct
+        known modes. The model's seed is derived from seed.
         """
         if self.workload not in WORKLOAD_SOURCES:
             raise ConfigError(f"workload must be one of {WORKLOAD_SOURCES}")
@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ConfigError("workload=file needs workload_file=<path>")
         if self.workload_file and self.workload != "file":
             raise ConfigError(f"workload_file needs workload=file, not workload={self.workload}")
+        if not self.concentration > 0:  # NaN too
+            raise ConfigError(f"concentration={self.concentration} must be positive")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         if self.seed < 0:
@@ -221,10 +223,12 @@ def _build_subject(
     The model depends only on the global seed, and a file workload only on
     the file, so a command builds its subject once and hands it to every
     run_experiment call; only a generated workload changes with the repeat.
-    Negative steps, or a prompt plus its decode steps longer than max_seq,
-    are rejected here (engine.check_length), before any prefill, by every
-    command, although only run decodes.
+    Negative steps are rejected here on every workload, before the file is
+    read or the workload generated, and on the model a prompt plus its
+    decode steps longer than max_seq (engine.check_length), before any
+    prefill, by every command, although only run decodes.
     """
+    engine.check_steps(cfg.steps)
     if cfg.workload == "file":
         try:
             with open(cfg.workload_file, "r", newline="", encoding="utf-8") as fh:

@@ -182,10 +182,15 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return f
 
 
-def check_length(n: int, steps: int, max_seq: int) -> None:
-    """BoundsError unless steps >= 0 and an n-token prompt plus its steps fits max_seq."""
+def check_steps(steps: int) -> None:
+    """BoundsError unless steps >= 0."""
     if steps < 0:
         raise BoundsError("steps must be >= 0")
+
+
+def check_length(n: int, steps: int, max_seq: int) -> None:
+    """BoundsError unless steps >= 0 and an n-token prompt plus its steps fits max_seq."""
+    check_steps(steps)
     if n + steps > max_seq:
         raise BoundsError(f"n={n} + steps={steps} exceeds max_seq={max_seq}")
 

@@ -63,6 +63,9 @@ TAIL_MIN = 16
 # positive, and a row sum or e @ [v | 1] overflows only past n * |v| ~ 4e24; the shift
 # cancels in the division by the row sums, so only the rounding of the weights changes
 SHIFT_FREE_BOUND = 32.0
+# relative margin per (d_head + 1) around SHIFT_FREE_BOUND^2 within which the float32
+# squared norms cannot vouch for the shift decision (see _shifted_heads): 8 * 2^-24
+SHIFT_MARGIN = 8 * 2.0**-24
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -150,6 +153,45 @@ def _check_rows(q_rows, k, row_positions) -> tuple[np.ndarray, np.ndarray, np.nd
     return q_rows, k, pos
 
 
+def _shifted_heads(q_rows: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+    """Per head, not (B <= SHIFT_FREE_BOUND), B the float64 bound |scale| max|q_r| max|k_j|.
+
+    The answer is first read off the float32 squared norms: their maxima
+    multiplied with scale^2 in float64 give B^2 within a relative
+    SHIFT_MARGIN * (d + 1) of it. Each float32 square is a sum of d
+    nonnegative rounded products, within (d + 1) * 2^-24 of its own
+    value, plus d * 2^-150 where products fall below the normal range,
+    which is another 2^-24 * d of a normal maximum; the two factors double
+    that, and SHIFT_MARGIN leaves as much again for the float64 steps.
+    Only a head whose B^2 lies within that margin of the bound squared,
+    whose maximum square is not finite, or whose maximum square is below
+    float32's normal range (0 included) gets its float64 norms, so every
+    head gets the answer the float64 bound gives.
+    """
+    scale = abs(float(scale))
+    limit = SHIFT_FREE_BOUND * SHIFT_FREE_BOUND
+    # a square that overflows, or inf * 0, only sends its head to the float64 norms
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_sq, k_sq = (
+            np.einsum("...nd,...nd->...n", a, a).max(axis=-1, initial=0.0).astype(np.float64)
+            for a in (q_rows, k)
+        )
+        bound_sq = scale * scale * q_sq * k_sq
+        sure = np.abs(bound_sq - limit) > SHIFT_MARGIN * (q_rows.shape[-1] + 1) * limit
+    for sq in (q_sq, k_sq):
+        sure &= (sq >= np.finfo(FLOAT).tiny) & (sq <= np.finfo(FLOAT).max)
+    shift = np.asarray(bound_sq > limit)
+    unsure = ~sure
+    if unsure.any():
+        # written as not (bound <= ...) so that NaN keeps the shift
+        q_norm, k_norm = (
+            np.linalg.norm(a[unsure].astype(np.float64), axis=-1).max(axis=-1, initial=0.0)
+            for a in (q_rows, k)
+        )
+        shift[unsure] = ~(scale * q_norm * k_norm <= SHIFT_FREE_BOUND)
+    return shift
+
+
 def causal_exp_blocks(
     q_rows: np.ndarray, k: np.ndarray, scale: float, row_positions: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -174,7 +216,9 @@ def causal_exp_blocks(
 
     Whether a head is shifted is decided once per call, head by head, from
     the float64 bound B = |scale| max_r |q_r| max_j |k_j| over the rows and
-    keys given, which no |logit| of the head exceeds (Cauchy-Schwarz). A
+    keys given, which no |logit| of the head exceeds (Cauchy-Schwarz);
+    _shifted_heads reads it off float32 squared norms where they vouch for
+    the answer, and computes the float64 norms of the other heads. A
     head with B <= SHIFT_FREE_BOUND gets e = exp(logit); any other head,
     NaN and inf bounds included, gets e = exp(logit - row max), so each of
     its rows peaks at exactly 1.0. When only some heads are shifted, the
@@ -190,11 +234,7 @@ def causal_exp_blocks(
     rows of a larger product.
     """
     q_rows, k, pos = _check_rows(q_rows, k, row_positions)
-    # each head's logit bound; written as not (bound <= ...) so that NaN keeps the shift
-    q_norm, k_norm = (
-        np.linalg.norm(a.astype(np.float64), axis=-1).max(axis=-1, initial=0.0) for a in (q_rows, k)
-    )
-    shift = ~(abs(float(scale)) * q_norm * k_norm <= SHIFT_FREE_BOUND)
+    shift = _shifted_heads(q_rows, k, scale)
     any_shift = bool(shift.any())
     starts = list(range(0, pos.size, CAUSAL_BLOCK))
     if len(starts) > 1 and pos.size - starts[-1] < TAIL_MIN:

@@ -54,16 +54,22 @@ def generate_workload(
 
 
 def write_workload_csv(fh, scores: np.ndarray) -> None:
-    """Emit layer,token,score rows; floats use shortest round-trip repr.
+    """Emit layer,token,score rows, each score with nine significant digits.
 
-    One row template, "@,token,%r\n" over every token, is built per file.
+    Nine significant digits ("%.9g", C's FLT_DECIMAL_DIG) round-trip every
+    float32: they move a normal score by at most 5e-9 of itself, under a
+    fifth of float32's smallest relative half-spacing 2^-25, and a
+    subnormal by far less than 2^-150, so the reader's float64 parse
+    rounds back to the written bits and never lands on a tie.
+
+    One row template, "@,token,%.9g\n" over every token, is built per file.
     Each layer gets the template with its number in place of "@" and one
-    `%` call over its scores as Python floats (`%r` is repr), and is written
-    at once, so only one layer of floats is held at a time.
+    `%` call over its scores as Python floats, and is written at once, so
+    only one layer of floats is held at a time.
     """
     scores = np.asarray(scores, dtype=np.float32)
     fh.write("layer,token,score\n")
-    template = "".join([f"@,{token},%r\n" for token in range(scores.shape[1])])
+    template = "".join([f"@,{token},%.9g\n" for token in range(scores.shape[1])])
     for layer, row in enumerate(scores):
         fh.write(template.replace("@", str(layer)) % tuple(row.tolist()))
 

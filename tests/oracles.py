@@ -55,10 +55,10 @@ def topk_argsort(values, k) -> np.ndarray:
 
 
 def write_workload_csv_rowwise(fh, scores) -> None:
-    """A workload CSV written one f-string row at a time."""
+    """A workload CSV written one f-string row at a time, each score as "%.9g"."""
     fh.write("layer,token,score\n")
     for layer, row in enumerate(np.asarray(scores, dtype=np.float32).tolist()):
-        fh.writelines(f"{layer},{token},{v!r}\n" for token, v in enumerate(row))
+        fh.writelines(f"{layer},{token},{v:.9g}\n" for token, v in enumerate(row))
 
 
 def naive_causal_attention(q, k, v, scale):

@@ -428,6 +428,9 @@ class TestExitCodes:
             ("modes=dense", "compare needs at least 2 modes"),
             ("modes=dense,dense", "mode 'dense' repeated in modes"),
             ("modes=dense,turbo", f"unknown mode 'turbo'; expected one of {engine.MODES}"),
+            ("concentration=0", "concentration=0.0 must be positive"),
+            ("concentration=-2", "concentration=-2.0 must be positive"),
+            ("concentration=nan", "concentration=nan must be positive"),
         ],
     )
     @pytest.mark.parametrize(
@@ -465,9 +468,18 @@ class TestExitCodes:
         rc, out, _ = run_cli(capsys, "--config", str(path), "run")
         assert (rc, out) == (code, "")
 
-    def test_bad_concentration_is_domain_error(self, capsys):
-        rc, _, _ = run_cli(capsys, "gen-workload", "--kind", "peaked", "--concentration", "0")
-        assert rc == 4
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen-workload", "--kind", "peaked", "--concentration", "0"], ["run"]],
+        ids=["gen-workload", "model-run"],
+    )
+    def test_bad_concentration_is_config_error(self, capsys, tmp_path, argv):
+        # the model workload reads no concentration, and rejects a bad one all the same
+        path = tmp_path / "c.cfg"
+        path.write_text("concentration=0\nn=4\nsteps=0\nlayers=1\nd_model=8\nheads=1\n")
+        rc, out, err = run_cli(capsys, "--config", str(path), *argv)
+        assert (rc, out) == (2, "")
+        assert err == "error: concentration=0.0 must be positive\n"
 
     def test_overflowing_concentration_is_domain_error(self, capsys):
         argv = ["gen-workload", "--kind", "diffuse", "--n", "16", "--concentration", "1e-320"]
@@ -525,6 +537,25 @@ class TestExitCodes:
         assert rc == 9
         assert err == "error: steps must be >= 0\n" and out == ""
         assert prefills == []
+
+    @pytest.mark.parametrize("source", ["peaked", "diffuse", "file"])
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep-tau"])
+    def test_negative_steps_is_bounds_error_on_score_workloads(
+        self, capsys, tmp_path, monkeypatch, command, source
+    ):
+        # score workloads decode nothing, and reject negative steps before any work
+        def work(*args, **kwargs):
+            raise AssertionError("a workload was read or generated")
+
+        monkeypatch.setattr(workload, "read_workload_csv", work)
+        monkeypatch.setattr(workload, "generate_workload", work)
+        path = tmp_path / "c.cfg"
+        kind = "" if source == "file" else f"workload={source}\n"
+        path.write_text(kind + "n=8\nsteps=-1\n")
+        files = ["--workload-file", WORKLOAD] if source == "file" else []
+        rc, out, err = run_cli(capsys, "--config", str(path), command, *files)
+        assert (rc, out) == (9, "")
+        assert err == "error: steps must be >= 0\n"
 
     def test_decode_up_to_max_seq_succeeds(self, capsys, tmp_path):
         path = tmp_path / "c.cfg"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from zipvl import attention, numkit
@@ -465,6 +466,81 @@ class TestShiftFreeHeads:
                 assert np.array_equal(e, want, equal_nan=True)
                 if r0 == 0:
                     assert np.all(e.max(axis=1) == 1.0)
+
+
+# entries of one head: ordinary, squares all subnormal, squares at float32's normal
+# edge, squares that overflow float32 (|x| > 1.8e19), or any of these with NaN and +-inf
+def _float32s(lo, hi):
+    return st.floats(float(np.float32(lo)), float(np.float32(hi)), width=32)
+
+
+_HEAD_ENTRIES = {
+    "ordinary": _float32s(-4, 4),
+    "subnormal": _float32s(-1e-20, 1e-20),
+    "normal-edge": _float32s(-1.1e-19, 1.1e-19),
+    "overflow": _float32s(1.9e19, 3.4e38) | _float32s(-3.4e38, -1.9e19),
+}
+_HEAD_ENTRIES["mixed"] = st.one_of(
+    *_HEAD_ENTRIES.values(), st.sampled_from([np.nan, np.inf, -np.inf])
+)
+
+
+@st.composite
+def _heads_and_scale(draw):
+    """Stacked q and k whose heads each draw from one entry family, and a scale.
+
+    Half the time the scale puts one head's float64 bound within 1e-7 of
+    SHIFT_FREE_BOUND, on either side.
+    """
+    heads, m, n, d = (draw(st.integers(1, hi)) for hi in (4, 5, 5, 12))
+    q, k = (
+        np.stack(
+            [
+                draw(hnp.arrays(np.float32, (rows, d), elements=_HEAD_ENTRIES[family]))
+                for family in draw(
+                    st.lists(st.sampled_from(sorted(_HEAD_ENTRIES)), min_size=heads, max_size=heads)
+                )
+            ]
+        )
+        for rows in (m, n)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = oracles.logit_bound(q, k, 1.0)
+    at = draw(st.integers(0, heads - 1))
+    if draw(st.booleans()) and np.isfinite(bounds[at]) and bounds[at] > 0:
+        scale = numkit.SHIFT_FREE_BOUND / float(bounds[at]) * (1 + draw(st.floats(-1e-7, 1e-7)))
+    else:
+        scale = draw(st.floats(-1e3, 1e3) | st.sampled_from([np.nan, np.inf, 1e30, 1e-30]))
+    return q, k, scale
+
+
+class TestShiftDecision:
+    """The float32 first check decides each head as the float64 bound does."""
+
+    @given(_heads_and_scale())
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_the_float64_bound(self, case):
+        q, k, scale = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = ~(oracles.logit_bound(q, k, scale) <= numkit.SHIFT_FREE_BOUND)
+            got = numkit._shifted_heads(q, k, scale)
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("delta", [-1e-7, -1e-9, 0.0, 1e-9, 1e-7])
+    def test_heads_next_to_the_bound(self, delta):
+        q, k = _tight_qk(40, 16, seed=3)
+        scale = numkit.SHIFT_FREE_BOUND / float(oracles.logit_bound(q, k, 1.0)) * (1 + delta)
+        want = ~(oracles.logit_bound(q, k, scale) <= numkit.SHIFT_FREE_BOUND)
+        assert numkit._shifted_heads(q, k, scale) == want
+
+    def test_heads_far_from_the_bound_skip_the_float64_norms(self, monkeypatch):
+        def norm(*args, **kwargs):
+            raise AssertionError("float64 norms computed")
+
+        q, k = _tight_qk(40, 16, seed=3)
+        monkeypatch.setattr(np.linalg, "norm", norm)
+        stacked = np.stack([q, 100 * q, q / 100])
+        assert numkit._shifted_heads(stacked, stacked, 0.25).tolist() == [False, True, False]
 
 
 class TestTopk:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from zipvl import budget, workload
+from zipvl import budget, numkit, workload
 from zipvl.engine import SparsityPolicy
 from zipvl.errors import ConfigError, DomainError, FormatError
 
@@ -249,9 +249,17 @@ class TestBatchedReader:
         assert np.array_equal(back, scores)
 
 
-# zero, subnormals, the smallest normal, and values repr writes with an exponent
+# zero, subnormals, the smallest normal, the largest finite, a tie at the ninth
+# digit (2^-13 = 0.0001220703125), and values on either side of the exponents
+# below -4 or at least 9, where "%.9g" switches to exponent form
 special_scores = st.sampled_from(
-    [float(np.float32(x)) for x in (0.0, 1e-45, 1e-40, 1.1754944e-38, 5e-5, 9.9e-5, 1.0)]
+    [
+        float(np.float32(x))
+        for x in (
+            0.0, 1e-45, 1e-40, 1.1754944e-38, 5e-5, 9.9e-5, 2.0**-13, 1.0,
+            123456789.0, 1e9, 3.4028235e38,
+        )
+    ]
 )
 
 
@@ -302,6 +310,49 @@ class TestWriter:
     def test_property_roundtrip_bitwise(self, scores):
         back = workload.read_workload_csv(io.StringIO(_csv_text(scores)))
         assert back.tobytes() == scores.tobytes()
+
+
+def _float32_patterns() -> np.ndarray:
+    """About 1e5 random finite nonnegative float32 bit patterns and the format's edges.
+
+    The edges are 0 and every pattern below 2^16, the patterns within 4096
+    ulps of the smallest normal, each power of two +-3 ulps and the top
+    65536 finite patterns.
+    """
+    top = 0x7F7FFFFF  # the largest finite float32
+    powers = np.concatenate([1 << np.arange(23), np.arange(1, 255) << 23])
+    bits = np.concatenate(
+        [
+            np.arange(1 << 16),
+            np.arange(0x00800000 - 4096, 0x00800000 + 4097),
+            (powers[:, None] + np.arange(-3, 4)).ravel(),
+            np.arange(top - 65535, top + 1),
+            numkit.make_rng(32).integers(0, top + 1, size=100_000),
+        ]
+    )
+    return np.unique(np.clip(bits, 0, top)).astype(np.uint32).view(np.float32)
+
+
+class TestFloat32Text:
+    """Nine significant digits bring every float32 back; more digits read the same."""
+
+    def test_nine_digits_round_trip_sampled_patterns(self):
+        scores = _float32_patterns()
+        back = np.array([float("%.9g" % x) for x in scores.tolist()]).astype(np.float32)
+        assert back.tobytes() == scores.tobytes()
+        read = workload.read_workload_csv(io.StringIO(_csv_text(scores[None, :])))
+        assert read.tobytes() == scores.tobytes()
+
+    def test_repr_digits_read_as_nine_digits(self):
+        # a file of the older format, each score the repr of its float64 widening
+        scores = _float32_patterns()[None, :]
+        text = "layer,token,score\n" + "".join(
+            f"0,{token},{v!r}\n" for token, v in enumerate(scores[0].tolist())
+        )
+        assert text != _csv_text(scores)
+        old = workload.read_workload_csv(io.StringIO(text))
+        assert old.tobytes() == workload.read_workload_csv(io.StringIO(_csv_text(scores))).tobytes()
+        assert old.tobytes() == scores.tobytes()
 
 
 class TestEvaluate:
